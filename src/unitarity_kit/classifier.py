@@ -19,10 +19,11 @@ flipped layout (m, n); the verdict records the output shape it certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InconsistentParallelism, ShapeMismatch
+from .errors import InconsistentParallelism, NoConvergence, ParamOutOfRange, ShapeMismatch
 from .generators import random_schmidt_rank_state, split_rng
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -30,6 +31,7 @@ from .linalg import (
     frobenius,
     kron,
     numerical_rank,
+    singular_values,
     svd,
 )
 from .schmidt import BipartiteShape, as_shape, schmidt_decompose, swap_operator
@@ -49,7 +51,12 @@ CASE_II = "II"
 
 @dataclass(frozen=True)
 class BipartiteMap:
-    """Square nm x nm matrix acting on the composite space."""
+    """Square nm x nm matrix acting on the composite space.
+
+    Every entry must be finite.  The singular values of the matrix are
+    computed once, on first use, and cached on the instance, so the matrix
+    must not be mutated after construction.
+    """
 
     matrix: np.ndarray
     shape: BipartiteShape
@@ -62,8 +69,15 @@ class BipartiteMap:
                 f"map is {m.shape}, shape {shape.as_tuple()} needs "
                 f"{(shape.dim, shape.dim)}"
             )
+        if not np.isfinite(m).all():
+            raise ParamOutOfRange("map has non-finite entries")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shape", shape)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the matrix, non-increasing; [0] is its 2-norm."""
+        return singular_values(self.matrix)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=complex)
@@ -106,17 +120,30 @@ def _basis_ket(d: int, k: int) -> np.ndarray:
     return v
 
 
+def _vanishing(bmap: BipartiteMap, images: np.ndarray, states: np.ndarray, tol) -> np.ndarray:
+    """Whether each image (last axis) is at most tol * ||L||_2 * ||state||.
+
+    Both sides are divided by ||L||_2 first, so the norms neither underflow
+    nor overflow at any scale of the map.  The zero map annihilates all.
+    """
+    norm2 = bmap.singular_values[0]
+    if norm2 == 0.0:
+        return np.ones(images.shape[:-1], dtype=bool)
+    return np.linalg.norm(images / norm2, axis=-1) <= tol * np.linalg.norm(states, axis=-1)
+
+
 def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
     """Schmidt data for a state and its image; a vanishing image has rank 0."""
     state = np.asarray(state, dtype=complex)
     dec_in = schmidt_decompose(state, bmap.shape, tol=tol)
     img = bmap.apply(state)
-    scale = np.linalg.norm(bmap.matrix, 2) * np.linalg.norm(state)
-    if np.linalg.norm(img) <= tol * max(scale, 1e-300):
+    if _vanishing(bmap, img, state, tol):
         img_coeffs, img_rank = np.zeros(0), 0
     else:
-        dec_img = schmidt_decompose(img, image_shape, tol=tol)
-        img_coeffs, img_rank = dec_img.coefficients, dec_img.rank
+        # decomposed as an image of L / ||L||_2, whose norm cannot underflow
+        norm2 = bmap.singular_values[0]
+        dec_img = schmidt_decompose(img / norm2, image_shape, tol=tol)
+        img_coeffs, img_rank = dec_img.coefficients * norm2, dec_img.rank
     return SchmidtEvidence(
         input_coefficients=dec_in.coefficients,
         input_rank=dec_in.rank,
@@ -146,11 +173,10 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     product state directly).  An entangled kernel vector is its own
     witness, being annihilated outright.
     """
-    res = svd(bmap.matrix)
-    s = res.singular_values
+    s = bmap.singular_values
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
-    kernel = res.right_basis[-1, :].conj()
+    kernel = svd(bmap.matrix).right_basis[-1, :].conj()
     dec = schmidt_decompose(kernel, bmap.shape, tol=tol)
     if dec.rank >= 2:
         ev = _evidence(bmap, kernel, bmap.shape, tol)
@@ -185,10 +211,23 @@ class ProductImageTable:
     e_vecs: np.ndarray
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    ph = v[k] / abs(v[k])
-    return v / ph
+def _fix_phases(v: np.ndarray) -> np.ndarray:
+    """Divide each vector (last axis) by the phase of its largest-magnitude entry."""
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return v / (top / np.abs(top))
+
+
+def _stacked_svd(stack: np.ndarray, compute_uv: bool):
+    try:
+        return np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
+def _schmidt_ranks(spectra: np.ndarray, tol: float) -> np.ndarray:
+    """Per stacked spectrum, the coefficients above tol times the largest;
+    an all-zero spectrum has rank 0."""
+    return np.count_nonzero(spectra > tol * spectra[..., :1], axis=-1)
 
 
 def build_image_table(
@@ -198,36 +237,37 @@ def build_image_table(
 ) -> ProductImageTable | Witness:
     """Schmidt-decompose every product-basis image.
 
-    Returns a witness as soon as some basis image is entangled with respect
-    to the requested output layout (the basis state itself is the witness).
-    Expects a full-rank map; this evaluation on a basis fixes it completely.
+    Returns a witness as soon as some basis image, in row-major order, is
+    zero or entangled with respect to the requested output layout (the
+    basis state itself is the witness).  The images of one basis row are
+    decomposed by one stacked SVD, so a map that entangles |0,0> costs one
+    row.  Expects a full-rank map; this evaluation on a basis fixes it
+    completely.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
     if out.dim != shape.dim:
         raise ShapeMismatch(f"output shape {out.as_tuple()} has wrong total dim")
     n, m = shape.n, shape.m
-    amps = np.zeros((n, m), dtype=complex)
-    d_vecs = np.zeros((n, m, out.n), dtype=complex)
-    e_vecs = np.zeros((n, m, out.m), dtype=complex)
+    # images[i, j] is the column L|i,j> as an out.n x out.m coefficient matrix
+    images = bmap.matrix.T.reshape(n, m, out.n, out.m)
+    d_vecs = np.empty((n, m, out.n), dtype=complex)
+    e_vecs = np.empty((n, m, out.m), dtype=complex)
     for i in range(n):
-        for j in range(m):
-            col = bmap.matrix[:, i * m + j]
+        u, s, vh = _stacked_svd(images[i], compute_uv=True)
+        ranks = _schmidt_ranks(s, tol)
+        bad = np.flatnonzero(ranks != 1)
+        if bad.size:
+            j = int(bad[0])
             basis_state = np.kron(_basis_ket(n, i), _basis_ket(m, j))
-            if np.linalg.norm(col) == 0.0:
-                ev = _evidence(bmap, basis_state, out, tol)
-                return Witness(kind=WITNESS_KERNEL, state=basis_state, evidence=ev)
-            dec = schmidt_decompose(col, out, tol=tol)
-            if dec.rank >= 2:
-                ev = _evidence(bmap, basis_state, out, tol)
-                return Witness(
-                    kind=WITNESS_PRODUCT_TO_ENTANGLED, state=basis_state, evidence=ev
-                )
-            d = _fix_phase(dec.left_vectors[:, 0])
-            e = _fix_phase(dec.right_vectors[:, 0])
-            amps[i, j] = np.vdot(np.kron(d, e), col)
-            d_vecs[i, j] = d
-            e_vecs[i, j] = e
+            kind = WITNESS_KERNEL if ranks[j] == 0 else WITNESS_PRODUCT_TO_ENTANGLED
+            ev = _evidence(bmap, basis_state, out, tol)
+            return Witness(kind=kind, state=basis_state, evidence=ev)
+        d_vecs[i] = u[:, :, 0]
+        e_vecs[i] = vh[:, 0, :]
+    d_vecs = _fix_phases(d_vecs)
+    e_vecs = _fix_phases(e_vecs)
+    amps = np.einsum("ija,ijb,ijab->ij", d_vecs.conj(), e_vecs.conj(), images)
     return ProductImageTable(
         shape_in=shape, shape_out=out, amps=amps, d_vecs=d_vecs, e_vecs=e_vecs
     )
@@ -240,19 +280,18 @@ def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
 def _pattern_holds(table: ProductImageTable, case: str, tol: float) -> bool:
     """Case I: d depends only on the row index and e only on the column.
     Case II: roles swapped.  Validated across all index pairs."""
-    n, m = table.shape_in.n, table.shape_in.m
     d, e = table.d_vecs, table.e_vecs
     if case == CASE_I:
-        rows_d = all(
-            _parallel(d[i, j], d[i, 0], tol) for i in range(n) for j in range(m)
-        )
-        cols_e = all(
-            _parallel(e[i, j], e[0, j], tol) for i in range(n) for j in range(m)
-        )
-        return rows_d and cols_e
-    cols_d = all(_parallel(d[i, j], d[0, j], tol) for i in range(n) for j in range(m))
-    rows_e = all(_parallel(e[i, j], e[i, 0], tol) for i in range(n) for j in range(m))
-    return cols_d and rows_e
+        d_ref, e_ref = d[:, :1], e[:1, :]
+    else:
+        d_ref, e_ref = d[:1, :], e[:, :1]
+    overlaps = np.concatenate(
+        [
+            np.abs(np.sum(d.conj() * d_ref, axis=-1)),
+            np.abs(np.sum(e.conj() * e_ref, axis=-1)),
+        ]
+    )
+    return bool(np.all(overlaps >= 1.0 - tol))
 
 
 def detect_case(table: ProductImageTable, tol: float = DEFAULT_RANK_TOL) -> str:
@@ -277,22 +316,21 @@ def extract_factors(table: ProductImageTable, case: str):
     Case II: A's columns are e[i, 0], B's are d[0, j], and the same identity
     holds after relabeling the output (swap first).
     """
-    n, m = table.shape_in.n, table.shape_in.m
-    grid = np.zeros((n, m), dtype=complex)
+    d, e = table.d_vecs, table.e_vecs
     if case == CASE_I:
-        a = np.column_stack([table.d_vecs[i, 0] for i in range(n)])
-        b = np.column_stack([table.e_vecs[0, j] for j in range(m)])
-        for i in range(n):
-            for j in range(m):
-                image = table.amps[i, j] * np.kron(table.d_vecs[i, j], table.e_vecs[i, j])
-                grid[i, j] = np.vdot(np.kron(a[:, i], b[:, j]), image)
+        a, b = d[:, 0].T.copy(), e[0].T.copy()
+        grid = (
+            table.amps
+            * np.einsum("ai,ija->ij", a.conj(), d)
+            * np.einsum("bj,ijb->ij", b.conj(), e)
+        )
     else:
-        a = np.column_stack([table.e_vecs[i, 0] for i in range(n)])
-        b = np.column_stack([table.d_vecs[0, j] for j in range(m)])
-        for i in range(n):
-            for j in range(m):
-                image = table.amps[i, j] * np.kron(table.d_vecs[i, j], table.e_vecs[i, j])
-                grid[i, j] = np.vdot(np.kron(b[:, j], a[:, i]), image)
+        a, b = e[:, 0].T.copy(), d[0].T.copy()
+        grid = (
+            table.amps
+            * np.einsum("bj,ijb->ij", b.conj(), d)
+            * np.einsum("ai,ija->ij", a.conj(), e)
+        )
     return a, b, grid
 
 
@@ -315,14 +353,17 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
         anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
         phase = anchor / abs(anchor)
         return mu / phase, nu * phase
-    # locate the most non-degenerate 2x2 minor for the witness
+    # locate the most non-degenerate 2x2 minor for the witness, on the grid
+    # scaled to max modulus 1 so that products of entries stay finite
+    peak = np.abs(grid).max()
+    unit = grid / peak
     best, best_idx = -1.0, None
     for i in range(n):
         for k in range(i + 1, n):
             for j in range(m):
                 for l in range(j + 1, m):
-                    det = grid[i, j] * grid[k, l] - grid[i, l] * grid[k, j]
-                    scale = abs(grid[i, j] * grid[k, l]) + abs(grid[i, l] * grid[k, j])
+                    det = unit[i, j] * unit[k, l] - unit[i, l] * unit[k, j]
+                    scale = abs(unit[i, j] * unit[k, l]) + abs(unit[i, l] * unit[k, j])
                     rel = abs(det) / max(scale, 1e-300)
                     if rel > best:
                         best, best_idx = rel, (i, k, j, l)
@@ -330,14 +371,13 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     ea = (_basis_ket(n, i) + _basis_ket(n, k)) / np.sqrt(2)
     fb = (_basis_ket(m, j) + _basis_ket(m, l)) / np.sqrt(2)
     state = np.kron(ea, fb)
-    image = grid.reshape(-1) * state
     dec_in = schmidt_decompose(state, (n, m), tol=tol)
-    dec_img = schmidt_decompose(image, (n, m), tol=tol)
+    dec_img = schmidt_decompose(unit.reshape(-1) * state, (n, m), tol=tol)
     ev = SchmidtEvidence(
         input_coefficients=dec_in.coefficients,
         input_rank=dec_in.rank,
         input_shape=(n, m),
-        image_coefficients=dec_img.coefficients,
+        image_coefficients=dec_img.coefficients * peak,
         image_rank=dec_img.rank,
         image_shape=(n, m),
     )
@@ -413,6 +453,34 @@ def _random_search_witness(bmap: BipartiteMap, seed: int, tol: float) -> Witness
     return None
 
 
+def _spot_check_ranks(
+    bmap: BipartiteMap,
+    image_shape: BipartiteShape,
+    spot_checks: int,
+    seed: int,
+    tol: float,
+):
+    """Random states of every accessible Schmidt rank, with their ranks and
+    those of their images, each from one stacked SVD.  A vanishing image has
+    rank 0, as in _evidence."""
+    rng = split_rng(seed, 5)
+    shape = bmap.shape
+    max_rank = min(shape.n, shape.m)
+    states = np.array(
+        [random_schmidt_rank_state(shape, 1 + t % max_rank, rng) for t in range(spot_checks)],
+        dtype=complex,
+    ).reshape(-1, shape.dim)
+    images = states @ bmap.matrix.T
+    spectra_in = _stacked_svd(states.reshape(-1, shape.n, shape.m), compute_uv=False)
+    spectra_img = _stacked_svd(
+        images.reshape(-1, image_shape.n, image_shape.m), compute_uv=False
+    )
+    in_ranks = _schmidt_ranks(spectra_in, tol)
+    img_ranks = _schmidt_ranks(spectra_img, tol)
+    img_ranks[_vanishing(bmap, images, states, tol)] = 0
+    return states, in_ranks, img_ranks
+
+
 def _spot_check_witness(
     bmap: BipartiteMap,
     image_shape: BipartiteShape,
@@ -421,19 +489,16 @@ def _spot_check_witness(
     tol: float,
 ) -> Witness | None:
     """Schmidt-rank invariance on random states of every accessible rank."""
-    rng = split_rng(seed, 5)
-    max_rank = min(bmap.shape.n, bmap.shape.m)
-    for t in range(spot_checks):
-        rank = 1 + t % max_rank
-        state = random_schmidt_rank_state(bmap.shape, rank, rng)
-        ev = _evidence(bmap, state, image_shape, tol)
+    states, in_ranks, img_ranks = _spot_check_ranks(bmap, image_shape, spot_checks, seed, tol)
+    for t in np.flatnonzero(in_ranks != img_ranks):
+        ev = _evidence(bmap, states[t], image_shape, tol)
         if ev.image_rank != ev.input_rank:
             kind = (
                 WITNESS_ENTANGLED_TO_PRODUCT
                 if ev.image_rank < ev.input_rank
                 else WITNESS_PRODUCT_TO_ENTANGLED
             )
-            return Witness(kind, state, ev)
+            return Witness(kind, states[t], ev)
     return None
 
 
@@ -445,6 +510,13 @@ def classify(
 ) -> QualitativeVerdict:
     """Full pipeline: rank, image table, parallelism case, factor extraction,
     phase-grid factorization, then defense-in-depth re-verification.
+
+    The map's spectrum is computed once, as singular values only, and
+    cached on the map: it decides the rank check (the full SVD runs only on
+    a rank-deficient map, for its kernel vector) and supplies the 2-norm
+    that scales the reconstruction error and every vanishing-image test.
+    The image table and the spot checks decompose their vectors by stacked
+    SVDs, one per basis row and one per batch of states.
 
     A Local verdict certifies ||L - A x B|| <= tol * ||L||; SwapLocal
     certifies ||S L - A x B|| <= tol * ||L|| with S the relabeling from the
@@ -502,8 +574,11 @@ def classify(
             kind, reference = KIND_LOCAL, bmap.matrix
         else:
             kind, reference = KIND_SWAP_LOCAL, swap_operator(out_shape) @ bmap.matrix
-        err = frobenius(reference - kron(a, b)) / frobenius(bmap.matrix)
-        if err > tol:
+        # both norms taken on L / ||L||_2, which neither underflows nor
+        # overflows; a NaN error fails the gate
+        norm2 = bmap.singular_values[0]
+        err = frobenius((reference - kron(a, b)) / norm2) / frobenius(bmap.matrix / norm2)
+        if not err <= tol:
             continue
         sc = _spot_check_witness(bmap, out_shape, spot_checks, seed, tol)
         if sc is not None:

@@ -46,7 +46,7 @@ def unvec_density(v: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Candidate single-system dynamics in matrix form."""
+    """Candidate single-system dynamics in matrix form; every entry finite."""
 
     matrix: np.ndarray
     dim: int
@@ -58,6 +58,8 @@ class Superoperator:
                 f"superoperator matrix is {m.shape}, dim {self.dim} needs "
                 f"{(self.dim**2, self.dim**2)}"
             )
+        if not np.isfinite(m).all():
+            raise ParamOutOfRange("superoperator has non-finite entries")
         object.__setattr__(self, "matrix", m)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:

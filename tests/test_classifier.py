@@ -11,6 +11,9 @@ from unitarity_kit.classifier import (
     WITNESS_PRODUCT_TO_ENTANGLED,
     BipartiteMap,
     Witness,
+    _evidence,
+    _spot_check_ranks,
+    _spot_check_witness,
     build_image_table,
     check_full_rank,
     classify,
@@ -18,7 +21,7 @@ from unitarity_kit.classifier import (
     extract_factors,
     factor_phase_grid,
 )
-from unitarity_kit.errors import InconsistentParallelism, ShapeMismatch
+from unitarity_kit.errors import InconsistentParallelism, ParamOutOfRange, ShapeMismatch
 from unitarity_kit.generators import (
     haar_unitary,
     perturb,
@@ -27,7 +30,12 @@ from unitarity_kit.generators import (
     split_rng,
 )
 from unitarity_kit.linalg import kron
-from unitarity_kit.schmidt import BipartiteShape, schmidt_rank, swap_operator
+from unitarity_kit.schmidt import (
+    BipartiteShape,
+    schmidt_decompose,
+    schmidt_rank,
+    swap_operator,
+)
 
 
 def cnot_map() -> BipartiteMap:
@@ -81,6 +89,21 @@ def test_product_kernel_vector_gives_rank_two_combination():
     assert witness_checks_out(bmap, w)
 
 
+def test_spectrum_is_cached_on_the_map():
+    bmap = local_map(2, 3, seed=4)
+    s = bmap.singular_values
+    assert bmap.singular_values is s
+    np.testing.assert_allclose(s, np.linalg.svd(bmap.matrix, compute_uv=False))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
+def test_bipartite_map_refuses_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ParamOutOfRange):
+        BipartiteMap(m, BipartiteShape(2, 2))
+
+
 def test_zero_map_is_rejected_with_witness():
     bmap = BipartiteMap(np.zeros((4, 4), dtype=complex), BipartiteShape(2, 2))
     w = check_full_rank(bmap)
@@ -110,6 +133,73 @@ def test_image_table_flags_entangling_column():
     assert w.kind == WITNESS_PRODUCT_TO_ENTANGLED
     np.testing.assert_allclose(w.state, [1, 0, 0, 0])
     assert witness_checks_out(bmap, w)
+
+
+def reference_image_table(bmap: BipartiteMap, out: BipartiteShape):
+    """Per-column Schmidt decompositions in row-major basis order: the first
+    zero or entangled column as ((i, j), kind), else the decompositions."""
+    n, m = bmap.shape.n, bmap.shape.m
+    decs = {}
+    for i in range(n):
+        for j in range(m):
+            col = bmap.matrix[:, i * m + j]
+            if np.linalg.norm(col) == 0.0:
+                return (i, j), WITNESS_KERNEL
+            dec = schmidt_decompose(col, out)
+            if dec.rank >= 2:
+                return (i, j), WITNESS_PRODUCT_TO_ENTANGLED
+            decs[i, j] = dec
+    return decs
+
+
+def generalized_cnot(n: int) -> BipartiteMap:
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            m[i * n + (j + i) % n, i * n + j] = 1.0
+    return BipartiteMap(m, BipartiteShape(n, n))
+
+
+def zero_column_map() -> BipartiteMap:
+    m = local_map(2, 3, seed=13).matrix.copy()
+    m[:, 1 * 3 + 2] = 0.0
+    return BipartiteMap(m, BipartiteShape(2, 3))
+
+
+@pytest.mark.parametrize(
+    "bmap,out",
+    [
+        (local_map(2, 3, seed=14), (2, 3)),
+        (local_map(2, 3, seed=15, swap=True), (3, 2)),
+        (local_map(2, 3, seed=15, swap=True), (2, 3)),
+        (generalized_cnot(3), (3, 3)),
+        (BipartiteMap(haar_unitary(9, seed=16), BipartiteShape(3, 3)), (3, 3)),
+        (zero_column_map(), (2, 3)),
+    ],
+)
+def test_stacked_image_table_matches_per_column_reference(bmap, out):
+    out = BipartiteShape(*out)
+    n, m = bmap.shape.n, bmap.shape.m
+    ref = reference_image_table(bmap, out)
+    table = build_image_table(bmap, output_shape=out)
+    if isinstance(table, Witness):
+        (i, j), kind = ref
+        assert table.kind == kind
+        np.testing.assert_array_equal(table.state, np.eye(n * m)[i * m + j])
+        ev = _evidence(bmap, table.state, out, 1e-8)
+        assert (table.evidence.input_rank, table.evidence.image_rank) == (
+            ev.input_rank,
+            ev.image_rank,
+        )
+        return
+    assert isinstance(ref, dict)
+    for (i, j), dec in ref.items():
+        d, e = table.d_vecs[i, j], table.e_vecs[i, j]
+        assert abs(np.vdot(dec.left_vectors[:, 0], d)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(dec.right_vectors[:, 0], e)) == pytest.approx(1.0, abs=1e-12)
+        col = bmap.matrix[:, i * m + j]
+        assert table.amps[i, j] == pytest.approx(np.vdot(np.kron(d, e), col), abs=1e-12)
+        np.testing.assert_allclose(table.amps[i, j] * np.kron(d, e), col, atol=1e-12)
 
 
 def test_cnot_table_builds_but_cases_fail():
@@ -272,6 +362,54 @@ def test_classify_not_preserving_witnesses_reverify():
         assert v.kind == KIND_NOT_PRESERVING
         assert v.witness is not None
         assert witness_checks_out(bmap, v.witness)
+
+
+@pytest.mark.parametrize(
+    "bmap,out",
+    [
+        (local_map(3, 2, seed=17, swap=True), (2, 3)),
+        (BipartiteMap(np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0]).astype(complex),
+                      BipartiteShape(3, 3)), (3, 3)),
+        (BipartiteMap(np.zeros((4, 4), dtype=complex), BipartiteShape(2, 2)), (2, 2)),
+    ],
+)
+def test_batched_spot_check_ranks_match_evidence(bmap, out):
+    out = BipartiteShape(*out)
+    states, in_ranks, img_ranks = _spot_check_ranks(bmap, out, 20, 3, 1e-8)
+    assert states.shape == (20, bmap.shape.dim)
+    for t, state in enumerate(states):
+        ev = _evidence(bmap, state, out, 1e-8)
+        assert (in_ranks[t], img_ranks[t]) == (ev.input_rank, ev.image_rank)
+    w = _spot_check_witness(bmap, out, 20, 3, 1e-8)
+    mismatched = np.flatnonzero(in_ranks != img_ranks)
+    if mismatched.size == 0:
+        assert w is None
+        return
+    t = mismatched[0]
+    np.testing.assert_array_equal(w.state, states[t])
+    assert (w.evidence.input_rank, w.evidence.image_rank) == (in_ranks[t], img_ranks[t])
+
+
+@pytest.mark.parametrize("scale", [1e-180, 1e200])
+@pytest.mark.parametrize("n,m,swap", [(3, 3, False), (3, 3, True), (2, 3, False), (2, 3, True)])
+def test_classify_local_map_at_extreme_scale(scale, n, m, swap):
+    # squared entries underflow at 1e-180 and overflow at 1e200
+    base = local_map(n, m, seed=18, swap=swap)
+    v = classify(BipartiteMap(scale * base.matrix, base.shape), seed=1)
+    assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
+    assert v.reconstruction_error <= 1e-10
+    reference = swap_operator(v.output_shape) @ base.matrix if swap else base.matrix
+    np.testing.assert_allclose(kron(v.a, v.b) / scale, reference, atol=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-180, 1e200])
+def test_classify_phase_witness_at_extreme_scale(scale):
+    grid = np.array([[1.0, 2.0], [3.0, 5.0]])
+    bmap = BipartiteMap(np.diag(grid.reshape(-1)).astype(complex), BipartiteShape(2, 2))
+    v = classify(BipartiteMap(scale * bmap.matrix, bmap.shape), seed=5)
+    assert v.kind == KIND_NOT_PRESERVING
+    assert v.witness.kind == "NonFactorizablePhase"
+    assert witness_checks_out(bmap, v.witness)
 
 
 def test_classify_requires_entanglement_capable_shape():

@@ -35,6 +35,14 @@ def test_superoperator_shape_validation():
         Superoperator(matrix=np.eye(5), dim=2)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
+def test_superoperator_refuses_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex)
+    m[2, 1] = bad
+    with pytest.raises(ParamOutOfRange):
+        Superoperator(matrix=m, dim=2)
+
+
 def test_conjugation_superoperator_acts_correctly():
     u = haar_unitary(3, seed=1)
     s = superop_from_conjugation(u, gain=1.7)
