@@ -8,8 +8,6 @@ fraction plus the reconstruction error of any survivors.
 
 import argparse
 
-import numpy as np
-
 from unitarity_kit.classifier import KIND_NOT_PRESERVING, classify
 from unitarity_kit.generators import perturb, random_local_map, split_rng
 
@@ -37,7 +35,7 @@ def main() -> None:
             shape = SHAPES[int(rng.integers(len(SHAPES)))]
             base = random_local_map(shape, swap=bool(rng.integers(2)), seed=rng)
             noisy = perturb(base, eps, seed=rng)
-            verdict = classify(noisy, spot_checks=4, seed=int(rng.integers(2**32)))
+            verdict = classify(noisy, seed=int(rng.integers(2**32)))
             if verdict.kind == KIND_NOT_PRESERVING:
                 rejected += 1
             else:

@@ -13,7 +13,6 @@ from .classifier import (
     build_image_table,
     check_full_rank,
     classify,
-    detect_case,
     extract_factors,
     factor_phase_grid,
 )
@@ -35,6 +34,7 @@ from .entropy_dynamics import (
     vec_density,
 )
 from .generators import (
+    cnot_map,
     haar_unitary,
     perturb,
     random_density,

@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatch,
     UnitarityKitError,
 )
-from .generators import PRNG_NAME, haar_unitary, random_local_map
+from .generators import PRNG_NAME, cnot_map, haar_unitary, random_local_map
 from .linalg import DEFAULT_RANK_TOL
 from .mapfile import (
     KIND_BIPARTITE_MAP,
@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("path")
     c.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--spot-checks", type=int, default=20)
     c.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify-entropy", help="analyze a superoperator file")
@@ -224,7 +223,7 @@ def _cmd_classify(args) -> int:
     loaded = _load_expecting(args.path, KIND_BIPARTITE_MAP)
     shape = BipartiteShape(*loaded.shape)
     bmap = BipartiteMap(matrix=loaded.array, shape=shape)
-    verdict = classify(bmap, tol=args.tol, spot_checks=args.spot_checks, seed=seed)
+    verdict = classify(bmap, tol=args.tol, seed=seed)
 
     report = _base_report("classify", seed, {"tol": args.tol})
     report["input"] = args.path
@@ -356,14 +355,6 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _cnot_matrix() -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            m[i * 2 + (j ^ i), i * 2 + j] = 1.0
-    return m
-
-
 def _gen_payload(kind: str, params: list[str], seed: int):
     def dims(count: int) -> list[int]:
         if len(params) != count:
@@ -385,7 +376,7 @@ def _gen_payload(kind: str, params: list[str], seed: int):
         return KIND_BIPARTITE_MAP, (n, m), bmap.matrix
     if kind == "cnot":
         dims(0)
-        return KIND_BIPARTITE_MAP, (2, 2), _cnot_matrix()
+        return KIND_BIPARTITE_MAP, (2, 2), cnot_map().matrix
     if kind == "bell":
         dims(0)
         v = np.zeros(4, dtype=complex)

@@ -57,10 +57,6 @@ class RankDeficient(UnitarityKitError):
     """An operator that must be invertible is numerically singular."""
 
 
-class InconsistentParallelism(UnitarityKitError):
-    """Basis-image factors fit neither the direct nor the swapped pattern."""
-
-
 class NoRoot(UnitarityKitError):
     """Root bracketing failed (cannot happen for the built-in ratio function)."""
 

@@ -107,6 +107,17 @@ def random_local_map(shape, swap: bool = False, seed=0, cond_cap: float = 1e3):
     return BipartiteMap(matrix=matrix, shape=shape)
 
 
+def cnot_map():
+    """The two-qubit controlled NOT, |i, j> -> |i, j xor i>, as a BipartiteMap."""
+    from .classifier import BipartiteMap
+
+    m = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            m[i * 2 + (j ^ i), i * 2 + j] = 1.0
+    return BipartiteMap(matrix=m, shape=(2, 2))
+
+
 def random_schmidt_rank_state(shape, rank: int, seed=0) -> np.ndarray:
     """Haar-random normalized state with exact Schmidt rank.
 

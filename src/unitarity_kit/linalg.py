@@ -144,10 +144,3 @@ def partial_trace(m, shape: tuple[int, int], side: str) -> np.ndarray:
 def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
-
-def relative_error(actual, target) -> float:
-    """Frobenius distance of actual from target, relative to target's norm."""
-    t = frobenius(target)
-    if t == 0.0:
-        return frobenius(actual)
-    return frobenius(np.asarray(actual) - np.asarray(target)) / t

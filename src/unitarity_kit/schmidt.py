@@ -70,14 +70,14 @@ def schmidt_decompose(v, shape, tol: float = DEFAULT_RANK_TOL) -> SchmidtDecompo
 
     The vector is reshaped to the n x m coefficient matrix (A-major index
     convention) and factorized by SVD.  Coefficients at or below
-    tol * largest are dropped; what survives defines the rank.
+    tol * largest are dropped; what survives defines the rank.  The zero
+    test takes no norm, so it holds at every representable scale.
     """
     shape = as_shape(shape)
     vec = as_vector(v)
     if vec.shape[0] != shape.dim:
         raise ShapeMismatch(f"vector dim {vec.shape[0]} != {shape.n}*{shape.m}")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    if not vec.any():
         raise ZeroVector("cannot Schmidt-decompose the zero vector")
     coeff = vec.reshape(shape.n, shape.m)
     res = svd(coeff)
@@ -109,25 +109,36 @@ def entanglement_E(psi, shape, tol: float = DEFAULT_RANK_TOL) -> float:
     return shannon_bits(dec.coefficients**2)
 
 
+def _unit_split(v, measure: str) -> tuple[np.ndarray, float, float]:
+    """v as (unit, peak, rest) with v = peak * rest * unit.
+
+    peak is the largest modulus; dividing by it first keeps the norm from
+    underflowing or overflowing at any scale of v.
+    """
+    vec = as_vector(v)
+    if not vec.any():
+        raise ZeroVector(f"{measure} is undefined on the zero vector")
+    peak = float(np.abs(vec).max())
+    scaled = vec / peak
+    rest = float(np.linalg.norm(scaled))
+    return scaled / rest, peak, rest
+
+
 def measure_E1(v, shape, tol: float = DEFAULT_RANK_TOL) -> float:
     """Scale-ignoring measure: E of the normalized vector."""
-    vec = as_vector(v)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ZeroVector("E1 is undefined on the zero vector")
-    return entanglement_E(vec / norm, shape, tol=tol)
+    unit, _, _ = _unit_split(v, "E1")
+    return entanglement_E(unit, shape, tol=tol)
 
 
 def measure_E2(v, shape, tol: float = DEFAULT_RANK_TOL) -> float:
     """Norm-weighted measure: squared length times E of the normalized vector.
 
-    The zero vector is an error rather than 0, to surface caller bugs.
+    The zero vector is an error rather than 0, to surface caller bugs.  The
+    scale enters last, so a product state gives 0 at every scale and an
+    entangled one overflows only where its true value does.
     """
-    vec = as_vector(v)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ZeroVector("E2 is undefined on the zero vector")
-    return norm**2 * entanglement_E(vec / norm, shape, tol=tol)
+    unit, peak, rest = _unit_split(v, "E2")
+    return rest**2 * entanglement_E(unit, shape, tol=tol) * peak * peak
 
 
 def swap_operator(shape) -> np.ndarray:

@@ -3,10 +3,13 @@ one PASS/FAIL line (visible with pytest -v -s or on failure)."""
 
 import time
 
+import numpy as np
 import pytest
 
 from unitarity_kit import acceptance
+from unitarity_kit.classifier import BipartiteMap, classify
 from unitarity_kit.cli import main
+from unitarity_kit.generators import cnot_map
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda fn: fn.__name__)
@@ -15,6 +18,17 @@ def test_criterion(criterion):
     line = f"{'PASS' if result.passed else 'FAIL'} {result.name} ({result.seconds:.2f}s): {result.detail}"
     print(line)
     assert result.passed, line
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200])
+def test_witness_reverifies_at_every_scale(scale):
+    cnot = cnot_map()
+    witness = classify(cnot).witness
+    scaled = BipartiteMap(scale * cnot.matrix, cnot.shape)
+    assert acceptance.witness_reverifies(scaled, witness)
+    # the identity sends the product witness to a product image
+    identity = BipartiteMap(scale * np.eye(4, dtype=complex), cnot.shape)
+    assert not acceptance.witness_reverifies(identity, witness)
 
 
 def test_criterion_selfcheck_cli(capsys):

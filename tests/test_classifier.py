@@ -12,17 +12,16 @@ from unitarity_kit.classifier import (
     BipartiteMap,
     Witness,
     _evidence,
-    _spot_check_ranks,
-    _spot_check_witness,
+    _pattern_holds,
     build_image_table,
     check_full_rank,
     classify,
-    detect_case,
     extract_factors,
     factor_phase_grid,
 )
-from unitarity_kit.errors import InconsistentParallelism, ParamOutOfRange, ShapeMismatch
+from unitarity_kit.errors import ParamOutOfRange, ShapeMismatch
 from unitarity_kit.generators import (
+    cnot_map,
     haar_unitary,
     perturb,
     random_invertible,
@@ -36,14 +35,6 @@ from unitarity_kit.schmidt import (
     schmidt_rank,
     swap_operator,
 )
-
-
-def cnot_map() -> BipartiteMap:
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            m[i * 2 + (j ^ i), i * 2 + j] = 1.0
-    return BipartiteMap(matrix=m, shape=BipartiteShape(2, 2))
 
 
 def local_map(n, m, seed, swap=False) -> BipartiteMap:
@@ -205,13 +196,17 @@ def test_stacked_image_table_matches_per_column_reference(bmap, out):
 def test_cnot_table_builds_but_cases_fail():
     table = build_image_table(cnot_map())
     assert not isinstance(table, Witness)
-    with pytest.raises(InconsistentParallelism):
-        detect_case(table)
+    assert not _pattern_holds(table, CASE_I, 1e-8)
+    assert not _pattern_holds(table, CASE_II, 1e-8)
 
 
-def test_detect_case_direct_and_swapped():
-    assert detect_case(build_image_table(local_map(3, 3, seed=2))) == CASE_I
-    assert detect_case(build_image_table(local_map(3, 3, seed=3, swap=True))) == CASE_II
+def test_pattern_holds_direct_and_swapped():
+    direct = build_image_table(local_map(3, 3, seed=2))
+    assert _pattern_holds(direct, CASE_I, 1e-8)
+    assert not _pattern_holds(direct, CASE_II, 1e-8)
+    swapped = build_image_table(local_map(3, 3, seed=3, swap=True))
+    assert _pattern_holds(swapped, CASE_II, 1e-8)
+    assert not _pattern_holds(swapped, CASE_I, 1e-8)
 
 
 def test_extract_factors_round_trip_unit_gauge():
@@ -364,30 +359,14 @@ def test_classify_not_preserving_witnesses_reverify():
         assert witness_checks_out(bmap, v.witness)
 
 
-@pytest.mark.parametrize(
-    "bmap,out",
-    [
-        (local_map(3, 2, seed=17, swap=True), (2, 3)),
-        (BipartiteMap(np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0]).astype(complex),
-                      BipartiteShape(3, 3)), (3, 3)),
-        (BipartiteMap(np.zeros((4, 4), dtype=complex), BipartiteShape(2, 2)), (2, 2)),
-    ],
-)
-def test_batched_spot_check_ranks_match_evidence(bmap, out):
-    out = BipartiteShape(*out)
-    states, in_ranks, img_ranks = _spot_check_ranks(bmap, out, 20, 3, 1e-8)
-    assert states.shape == (20, bmap.shape.dim)
-    for t, state in enumerate(states):
-        ev = _evidence(bmap, state, out, 1e-8)
-        assert (in_ranks[t], img_ranks[t]) == (ev.input_rank, ev.image_rank)
-    w = _spot_check_witness(bmap, out, 20, 3, 1e-8)
-    mismatched = np.flatnonzero(in_ranks != img_ranks)
-    if mismatched.size == 0:
-        assert w is None
-        return
-    t = mismatched[0]
-    np.testing.assert_array_equal(w.state, states[t])
-    assert (w.evidence.input_rank, w.evidence.image_rank) == (in_ranks[t], img_ranks[t])
+def test_verdict_near_tolerance_does_not_depend_on_seed():
+    # reconstruction error about 4.4e-9, just under tol: the certificate
+    # alone decides, so every seed gives the same Local verdict
+    bmap = perturb(random_local_map((2, 3), seed=33), 5e-9, seed=1033)
+    for k in range(10):
+        v = classify(bmap, seed=k)
+        assert v.kind == KIND_LOCAL
+        assert v.reconstruction_error <= 1e-8
 
 
 @pytest.mark.parametrize("scale", [1e-180, 1e200])

@@ -43,6 +43,13 @@ def test_gen_swap_local_then_classify(capsys, tmp_path):
     assert report["verdict"]["output_shape"] == [3, 2]
 
 
+def test_spot_checks_flag_is_retired(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "local", "2", "2", seed=3)
+    code, _, err = run(capsys, ["classify", path, "--spot-checks", "4"])
+    assert code == 1
+    assert "--spot-checks" in err
+
+
 def test_classify_cnot_prints_witness(capsys, tmp_path):
     path = gen(capsys, tmp_path, "cnot")
     code, out, _ = run(capsys, ["classify", path])

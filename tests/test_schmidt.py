@@ -136,6 +136,26 @@ def test_measures_reject_zero_vector():
             fn(np.zeros(4), (2, 2))
 
 
+SCALES = [1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_schmidt_helpers_hold_at_every_scale(scale):
+    # squared entries underflow below about 1e-154 and overflow above 1e154
+    dec = schmidt_decompose(scale * BELL, (2, 2))
+    assert dec.rank == 2
+    np.testing.assert_allclose(dec.coefficients / scale, [2**-0.5] * 2, rtol=1e-12)
+    assert measure_E1(scale * BELL, (2, 2)) == pytest.approx(1.0, abs=1e-12)
+    product = scale * product_state([1, 0], [0, 1])
+    assert measure_E1(product, (2, 2)) == 0.0
+    assert measure_E2(product, (2, 2)) == 0.0
+    # E2 of the Bell state is scale**2 ebits; it underflows to 0 or
+    # overflows to inf exactly where scale**2 does
+    with np.errstate(over="ignore", under="ignore"):
+        expected = float(np.float64(scale) ** 2)
+    assert measure_E2(scale * BELL, (2, 2)) == pytest.approx(expected, rel=1e-12)
+
+
 def test_swap_operator_on_two_qubits():
     s = swap_operator((2, 2))
     ket01 = product_state([1, 0], [0, 1])
