@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-entropy", help="analyze a superoperator file")
     v.add_argument("path")
-    v.add_argument("--samples", type=int, default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     v.add_argument("--json", action="store_true")
@@ -265,7 +264,7 @@ def _cmd_verify_entropy(args) -> int:
     seed = _resolve_seed(args.seed)
     loaded = _load_expecting(args.path, KIND_SUPEROPERATOR)
     superop = Superoperator(matrix=loaded.array, dim=loaded.shape)
-    verdict = analyze(superop, samples=args.samples, seed=seed, tol=args.tol)
+    verdict = analyze(superop, seed=seed, tol=args.tol)
 
     report = _base_report("verify-entropy", seed, {"tol": args.tol})
     report["input"] = args.path
@@ -273,7 +272,6 @@ def _cmd_verify_entropy(args) -> int:
         "kind": verdict.kind,
         "detail": verdict.detail,
         "gain": verdict.gain,
-        "ambiguous_gram": verdict.ambiguous_gram,
     }
     if verdict.unitary is not None:
         report["verdict"]["unitary"] = complex_to_pairs(verdict.unitary)
@@ -293,8 +291,6 @@ def _cmd_verify_entropy(args) -> int:
         print(f"kind: {verdict.kind}")
         if verdict.gain is not None:
             print(f"gain: {verdict.gain:.9f}")
-        if verdict.ambiguous_gram:
-            print("note: sampled Gram matrix was entirely real (branch ambiguous)")
         if verdict.witness is not None:
             w = verdict.witness
             print(

@@ -1,6 +1,7 @@
 """Single-system analyzer: decides whether a linear map on density matrices
-preserves disorder, reconstructs the implementing unitary (or antiunitary)
-together with its gain, or returns a concrete counterexample witness.
+preserves disorder, reads the implementing unitary (or antiunitary) and its
+gain off the map and certifies them by reconstruction, or returns a concrete
+counterexample witness.
 
 A candidate dynamics is a d^2 x d^2 matrix acting on column-stacked density
 matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
@@ -17,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientSamples,
-    NegativeDiscriminant,
-    ParamOutOfRange,
-    ShapeMismatch,
-)
-from .generators import random_density, random_pure_state, split_rng
+from .errors import NegativeDiscriminant, ParamOutOfRange, ShapeMismatch
+from .generators import random_pure_state, split_rng
 from .linalg import DEFAULT_RANK_TOL, as_matrix, dag
-from .states import pure_projector, shannon_bits
+from .states import pure_projector
 
 KIND_UNITARY = "UnitaryConjugation"
 KIND_ANTIUNITARY = "AntiunitaryConjugation"
@@ -213,60 +209,94 @@ class SingleSystemVerdict:
     unitary: np.ndarray | None
     gain: float | None
     witness: EntropyWitness | None
-    ambiguous_gram: bool
     detail: str
 
 
-def _entropy_of_output(m: np.ndarray) -> float:
-    """Best-effort entropy of a (possibly invalid) image after normalization."""
-    h = (m + dag(m)) / 2
-    w = np.clip(np.linalg.eigvalsh(h), 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        return float("nan")
-    return shannon_bits(w / total)
+def _fit_conjugation(m4: np.ndarray, tol: float):
+    """Fit m4[j, i, l, k] = gain * U[i, k] * conj(U[j, l]); return (U, gain, error).
+
+    U is the polar part of the largest slice m4[0, :, l, :] and the gain is
+    the least-squares one, Re<conj(U) x U, M> / d^2.  The error is
+    ||M - gain * conj(U) x U||_F / ||M||_F, summed one j slab at a time, so
+    no d^4-sized copy is made; every slab is divided by the largest modulus
+    of the first, so no norm under- or overflows unless the map dwarfs that
+    slab.  Summation stops once the error exceeds tol, which then reports a
+    lower bound.  The error is inf when no U (the first slab is zero or
+    subnormal), no positive gain or no finite norm can be read.
+    """
+    d = m4.shape[0]
+    top = float(np.abs(m4[0]).max())
+    unit = 1.0 / top if top > 0.0 else np.inf
+    if unit == np.inf:
+        return None, None, np.inf
+    row = m4[0] * unit
+    w, _, vh = np.linalg.svd(row[:, int(np.argmax(np.linalg.norm(row, axis=(0, 2)))), :])
+    u = w @ vh
+    uc = u.conj()
+    inner = den = 0.0
+    for j in range(d):
+        slab = m4[j] * unit
+        inner += u[j] @ np.tensordot(slab, uc, axes=([0, 2], [0, 1]))
+        den += np.vdot(slab, slab).real
+    gain = float(inner.real) / d**2
+    if not (gain > 0.0 and den < np.inf):
+        return None, None, np.inf
+    num = 0.0
+    for j in range(d):
+        r = (gain * uc[j])[None, :, None] * u[:, None, :]
+        r -= m4[j] * unit
+        num += np.vdot(r, r).real
+        if not num <= tol**2 * den:
+            break
+    return u, gain * top, float(np.sqrt(num / den))
+
+
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of eigenvalues, normalized by the row sum;
+    NaN where the sum is not positive (no valid state after normalization)."""
+    totals = spectra.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = spectra / totals
+        terms = np.where(probs > 0.0, probs * np.log2(probs), 0.0)
+    return np.where(totals[..., 0] > 0.0, -terms.sum(axis=-1) + 0.0, np.nan)
+
+
+def _mixture_spectra(ps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Clipped eigenvalues of p*a + (1-p)*b for each p, a and b Hermitian."""
+    w = ps[:, None, None]
+    m = w * a
+    m += (1.0 - w) * b
+    return np.clip(np.linalg.eigvalsh(m), 0.0, None)
 
 
 def _scan_witness(superop: Superoperator, phi1, phi2, grid_size: int = 101) -> EntropyWitness:
-    """Pick the mixing weight with the largest entropy mismatch for the pair."""
+    """Pick the mixing weight with the largest entropy mismatch for the pair.
+
+    The map is linear, so the Hermitian part of each mixture's image is the
+    same mixture of the two projector images' Hermitian parts: two
+    applications serve the whole grid.  An image with no valid normalized
+    spectrum counts as an infinite mismatch.
+    """
     p1 = pure_projector(phi1)
     p2 = pure_projector(phi2)
-    best = None
-    for p in np.linspace(0.0, 1.0, grid_size):
-        rho = p * p1 + (1.0 - p) * p2
-        s_in = shannon_bits(np.clip(np.linalg.eigvalsh(rho), 0.0, None))
-        s_out = _entropy_of_output(superop.apply(rho))
-        mismatch = abs(s_in - s_out)
-        if np.isnan(s_out):
-            mismatch = np.inf
-        if best is None or mismatch > best[0]:
-            best = (mismatch, float(p), s_in, s_out)
-    _, p_star, s_in, s_out = best
+    q1 = superop.apply(p1)
+    q2 = superop.apply(p2)
+    ps = np.linspace(0.0, 1.0, grid_size)
+    s_in = _entropies(_mixture_spectra(ps, p1, p2))
+    s_out = _entropies(_mixture_spectra(ps, (q1 + dag(q1)) / 2, (q2 + dag(q2)) / 2))
+    k = int(np.argmax(np.where(np.isnan(s_out), np.inf, np.abs(s_in - s_out))))
     return EntropyWitness(
         phi1=np.asarray(phi1, dtype=complex),
         phi2=np.asarray(phi2, dtype=complex),
-        p=p_star,
-        entropy_in=s_in,
-        entropy_out=s_out,
+        p=float(ps[k]),
+        entropy_in=float(s_in[k]),
+        entropy_out=float(s_out[k]),
     )
 
 
-def _sync_phases(g_weighted: np.ndarray) -> np.ndarray:
-    """Unit phases from the leading eigenvector of the consistency matrix."""
-    _, vecs = np.linalg.eigh(g_weighted)
-    lead = vecs[:, -1]
-    mags = np.abs(lead)
-    safe = np.where(mags > 1e-12, lead, 1.0)
-    return safe / np.abs(safe)
-
-
-def _probe_states(d: int, samples: int, rng) -> list[np.ndarray]:
-    """samples-1 Haar states plus one hub overlapping all of them.
-
-    The hub (a random-phase combination of the others) keeps the Gram
-    phase gauge rigid even if some pairwise overlaps come out small.
-    """
-    probes = [random_pure_state(d, rng) for _ in range(samples - 1)]
+def _probe_states(d: int, rng) -> list[np.ndarray]:
+    """d+1 Haar states plus one hub, a random-phase combination of them."""
+    probes = [random_pure_state(d, rng) for _ in range(d + 1)]
     while True:
         phases = np.exp(2j * np.pi * rng.uniform(size=len(probes)))
         hub = np.sum([ph * v for ph, v in zip(phases, probes)], axis=0)
@@ -276,170 +306,86 @@ def _probe_states(d: int, samples: int, rng) -> list[np.ndarray]:
             return probes
 
 
-def _reconstruct(phi_cols, psi_cols, antiunitary: bool) -> np.ndarray:
-    """Least-squares operator through the probe pairs, projected to unitary."""
-    src = phi_cols.conj() if antiunitary else phi_cols
-    raw = psi_cols @ np.linalg.pinv(src)
-    u, _, vh = np.linalg.svd(raw)
-    return u @ vh
+def _search_witness(superop: Superoperator, seed: int, tol: float):
+    """(witness, detail) for a map no conjugation reproduces.
 
+    Seeded probe stages, in order: pure projectors must map to positive
+    rank-1 matrices, their gains must agree, pairwise overlap moduli must be
+    preserved; the first stage that fails names the witness pair.  If all
+    pass, the pair and mixing weight with the largest entropy change win.
+    """
+    probes = _probe_states(superop.dim, split_rng(seed, 0))
+    gains, kets = [], []
+    for v in probes:
+        m = superop.apply(pure_projector(v))
+        scale = max(float(np.abs(m).max()), 1e-300)
+        if float(np.abs(m - dag(m)).max()) > tol * scale:
+            return _scan_witness(superop, v, v), "image of a pure state is not Hermitian"
+        h = (m + dag(m)) / (2 * scale)  # unit scale: the norms below neither under- nor overflow
+        w, vecs = np.linalg.eigh(h)
+        top = w[-1]
+        residual = np.linalg.norm(h - top * np.outer(vecs[:, -1], vecs[:, -1].conj()))
+        if top <= tol or residual > tol * np.linalg.norm(h):
+            return (
+                _scan_witness(superop, v, v),
+                "image of a pure state is not a positive rank-1 matrix",
+            )
+        gains.append(float(np.trace(m).real))
+        kets.append(vecs[:, -1])
 
-def _conjugation_error(superop, u, gain, antiunitary, rhos) -> float:
-    worst = 0.0
-    for rho in rhos:
-        src = rho.T if antiunitary else rho
-        target = gain * (u @ src @ dag(u))
-        err = np.linalg.norm(superop.apply(rho) - target) / max(np.linalg.norm(target), 1e-300)
-        worst = max(worst, err)
-    return worst
+    gains = np.asarray(gains)
+    if gains.max() - gains.min() > tol * float(gains.mean()):
+        k_lo, k_hi = int(np.argmin(gains)), int(np.argmax(gains))
+        return (
+            _scan_witness(superop, probes[k_lo], probes[k_hi]),
+            f"pure-state gains differ: {gains.min():.6g} vs {gains.max():.6g}",
+        )
+
+    phi_cols = np.column_stack(probes)
+    psi_cols = np.column_stack(kets)
+    gap = np.abs(np.abs(dag(psi_cols) @ psi_cols) - np.abs(dag(phi_cols) @ phi_cols))
+    if float(gap.max()) > tol:
+        k, l = np.unravel_index(np.argmax(gap), gap.shape)
+        return (
+            _scan_witness(superop, probes[k], probes[l]),
+            f"overlap modulus changes by {float(gap.max()):.3g}",
+        )
+
+    worst = None
+    for k in range(len(probes)):
+        for l in range(k + 1, len(probes)):
+            w = _scan_witness(superop, probes[k], probes[l], grid_size=21)
+            change = abs(w.entropy_in - w.entropy_out)
+            if worst is None or change > worst[0]:
+                worst = (change, w)
+    return worst[1], "no single conjugation reproduces the map"
 
 
 def analyze(
     superop: Superoperator,
-    samples: int | None = None,
     seed: int = 0,
     tol: float = DEFAULT_RANK_TOL,
 ) -> SingleSystemVerdict:
     """Decide whether the map is a (scaled) unitary or antiunitary conjugation.
 
-    Pipeline: sampled pure projectors must map to positive rank-1 matrices
-    (else witness); their gains must agree; pairwise overlap moduli must be
-    preserved; the Gram phases then select the linear-unitary or the
-    antilinear branch, the operator is reconstructed by phase-synchronized
-    least squares, and the candidate is re-verified on fresh mixed states.
-
-    An all-real sampled Gram fits both branches; the verdict then reports
-    UnitaryConjugation with ambiguous_gram set (antilinear maps cannot be
-    continuously deformed to linear ones, so the linear reading is the
-    physical default).
+    The accepted maps are M = g * (conj(U) x U) and that map composed with
+    the transpose, M T (Wigner's theorem).  U and g are read off M itself,
+    first for the unitary reading and then for the antiunitary one (M T in
+    place of M), and a reading is accepted exactly when g > 0 and
+    ||M - g * conj(U) x U||_F <= tol * ||M||_F.  The verdict kind therefore
+    depends only on (map, tol); for d >= 2 no map fits both readings, as the
+    transpose is not completely positive.  A rejected map gets a witness
+    from seeded probe states, so `seed` only steers the witness.
     """
     d = superop.dim
-    if samples is None:
-        samples = d + 2
-    if samples < d + 1:
-        raise InsufficientSamples(f"need at least {d + 1} samples, got {samples}")
-
-    rng = split_rng(seed, 0)
-    probes = _probe_states(d, samples, rng)
-    images = [superop.apply(pure_projector(v)) for v in probes]
-
-    # pure projectors must map to positive rank-1 matrices
-    gains, kets = [], []
-    for v, m in zip(probes, images):
-        scale = max(float(np.abs(m).max()), 1e-300)
-        if float(np.abs(m - dag(m)).max()) > tol * scale:
-            return SingleSystemVerdict(
-                kind=KIND_NOT_PRESERVING,
-                unitary=None,
-                gain=None,
-                witness=_scan_witness(superop, v, v),
-                ambiguous_gram=False,
-                detail="image of a pure state is not Hermitian",
-            )
-        h = (m + dag(m)) / 2
-        w, vecs = np.linalg.eigh(h)
-        top = w[-1]
-        residual = np.linalg.norm(h - top * np.outer(vecs[:, -1], vecs[:, -1].conj()))
-        if top <= tol * scale or residual > tol * np.linalg.norm(h):
-            return SingleSystemVerdict(
-                kind=KIND_NOT_PRESERVING,
-                unitary=None,
-                gain=None,
-                witness=_scan_witness(superop, v, v),
-                ambiguous_gram=False,
-                detail="image of a pure state is not a positive rank-1 matrix",
-            )
-        gains.append(float(np.trace(m).real))
-        kets.append(vecs[:, -1])
-
-    # all pure states must be rescaled by the same gain
-    gains = np.asarray(gains)
-    gain = float(gains.mean())
-    if gains.max() - gains.min() > tol * gain:
-        k_lo, k_hi = int(np.argmin(gains)), int(np.argmax(gains))
-        return SingleSystemVerdict(
-            kind=KIND_NOT_PRESERVING,
-            unitary=None,
-            gain=None,
-            witness=_scan_witness(superop, probes[k_lo], probes[k_hi]),
-            ambiguous_gram=False,
-            detail=f"pure-state gains differ: {gains.min():.6g} vs {gains.max():.6g}",
-        )
-
-    # overlap moduli must be preserved
-    phi_cols = np.column_stack(probes)
-    psi_cols = np.column_stack(kets)
-    g_in = dag(phi_cols) @ phi_cols
-    g_out = dag(psi_cols) @ psi_cols
-    modulus_gap = float(np.abs(np.abs(g_out) - np.abs(g_in)).max())
-    if modulus_gap > tol:
-        k, l = np.unravel_index(
-            np.argmax(np.abs(np.abs(g_out) - np.abs(g_in))), g_in.shape
-        )
-        return SingleSystemVerdict(
-            kind=KIND_NOT_PRESERVING,
-            unitary=None,
-            gain=None,
-            witness=_scan_witness(superop, probes[k], probes[l]),
-            ambiguous_gram=False,
-            detail=f"overlap modulus changes by {modulus_gap:.3g}",
-        )
-
-    # phase-gauge the image kets against the Gram matrix, both branches
-    ambiguous = float(np.abs(g_in.imag).max()) <= tol
-
-    def branch_residual(antiunitary: bool):
-        target = g_in.conj() if antiunitary else g_in
-        zeta = _sync_phases(g_out * target.conj())
-        fixed = psi_cols * zeta
-        resid = float(np.abs(dag(fixed) @ fixed - target).max())
-        return resid, fixed
-
-    resid_u, fixed_u = branch_residual(False)
-    resid_a, fixed_a = branch_residual(True)
-
-    if ambiguous:
-        order = [False, True]
-    elif resid_u <= resid_a:
-        order = [False, True]
-    else:
-        order = [True, False]
-
-    fresh = split_rng(seed, 1)
-    check_states = [pure_projector(random_pure_state(d, fresh)) for _ in range(5)]
-    check_states += [random_density(d, rank=max(1, d // 2 + 1), seed=fresh) for _ in range(5)]
-    check_states += [random_density(d, rank=d, seed=fresh) for _ in range(5)]
-
-    for antiunitary in order:
-        resid = resid_a if antiunitary else resid_u
-        if resid > tol:
-            continue
-        fixed = fixed_a if antiunitary else fixed_u
-        u = _reconstruct(phi_cols, fixed, antiunitary)
-        err = _conjugation_error(superop, u, gain, antiunitary, check_states)
+    m4 = superop.matrix.reshape((d,) * 4)  # m4[j, i, l, k]: weight of rho[k, l] in entry (i, j)
+    for kind, view in ((KIND_UNITARY, m4), (KIND_ANTIUNITARY, m4.swapaxes(2, 3))):
+        u, gain, err = _fit_conjugation(view, tol)
         if err <= tol:
             return SingleSystemVerdict(
-                kind=KIND_ANTIUNITARY if antiunitary else KIND_UNITARY,
-                unitary=u,
-                gain=gain,
-                witness=None,
-                ambiguous_gram=ambiguous,
-                detail="verified on fresh samples",
+                kind=kind, unitary=u, gain=gain, witness=None, detail="certified by reconstruction"
             )
-
-    # overlap moduli fit but no single operator reproduces the map
-    worst = None
-    for k in range(len(probes)):
-        for l in range(k + 1, len(probes)):
-            w = _scan_witness(superop, probes[k], probes[l], grid_size=21)
-            gap = abs(w.entropy_in - w.entropy_out)
-            if worst is None or gap > worst[0]:
-                worst = (gap, w)
+    witness, detail = _search_witness(superop, seed, tol)
     return SingleSystemVerdict(
-        kind=KIND_NOT_PRESERVING,
-        unitary=None,
-        gain=None,
-        witness=worst[1],
-        ambiguous_gram=ambiguous,
-        detail="Gram phases are inconsistent with any single conjugation",
+        kind=KIND_NOT_PRESERVING, unitary=None, gain=None, witness=witness, detail=detail
     )

@@ -49,10 +49,6 @@ class NegativeDiscriminant(UnitarityKitError):
     """Closed-form spectrum parameters are mutually inconsistent."""
 
 
-class InsufficientSamples(UnitarityKitError):
-    """Too few probe states to pin down the acting operator."""
-
-
 class RankDeficient(UnitarityKitError):
     """An operator that must be invertible is numerically singular."""
 

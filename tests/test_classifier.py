@@ -42,9 +42,12 @@ def local_map(n, m, seed, swap=False) -> BipartiteMap:
 
 
 def witness_checks_out(bmap: BipartiteMap, w: Witness) -> bool:
+    # the image is taken under L / ||L||_2, so no norm under- or overflows
     in_rank = schmidt_rank(w.state, w.evidence.input_shape)
-    img = bmap.apply(w.state)
-    if np.linalg.norm(img) <= 1e-8 * np.linalg.norm(bmap.matrix):
+    norm2 = bmap.singular_values[0]
+    unit = bmap.matrix / norm2 if norm2 > 0.0 else bmap.matrix
+    img = unit @ w.state
+    if np.linalg.norm(img) <= 1e-8 * np.linalg.norm(unit):
         img_rank = 0
     else:
         img_rank = schmidt_rank(img, w.evidence.image_shape)
@@ -385,10 +388,11 @@ def test_classify_local_map_at_extreme_scale(scale, n, m, swap):
 def test_classify_phase_witness_at_extreme_scale(scale):
     grid = np.array([[1.0, 2.0], [3.0, 5.0]])
     bmap = BipartiteMap(np.diag(grid.reshape(-1)).astype(complex), BipartiteShape(2, 2))
-    v = classify(BipartiteMap(scale * bmap.matrix, bmap.shape), seed=5)
+    scaled = BipartiteMap(scale * bmap.matrix, bmap.shape)
+    v = classify(scaled, seed=5)
     assert v.kind == KIND_NOT_PRESERVING
     assert v.witness.kind == "NonFactorizablePhase"
-    assert witness_checks_out(bmap, v.witness)
+    assert witness_checks_out(scaled, v.witness)
 
 
 def test_classify_requires_entanglement_capable_shape():

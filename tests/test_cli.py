@@ -177,6 +177,14 @@ def test_verify_entropy_unitary(capsys, tmp_path):
     report = json.loads(out)
     assert report["verdict"]["kind"] == "UnitaryConjugation"
     assert abs(report["verdict"]["gain"] - 1.0) <= 1e-9
+    assert "ambiguous_gram" not in report["verdict"]
+
+
+def test_samples_flag_is_retired(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "superop_unitary", "3", seed=5)
+    code, _, err = run(capsys, ["verify-entropy", path, "--samples", "4"])
+    assert code == 1
+    assert "--samples" in err
 
 
 def test_verify_entropy_transpose(capsys, tmp_path):

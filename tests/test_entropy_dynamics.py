@@ -6,6 +6,8 @@ from unitarity_kit.entropy_dynamics import (
     KIND_NOT_PRESERVING,
     KIND_UNITARY,
     Superoperator,
+    _fit_conjugation,
+    _scan_witness,
     analyze,
     gain_equality_deficit,
     input_spectrum,
@@ -18,8 +20,8 @@ from unitarity_kit.entropy_dynamics import (
     unvec_density,
     vec_density,
 )
-from unitarity_kit.errors import InsufficientSamples, ParamOutOfRange, ShapeMismatch
-from unitarity_kit.generators import haar_unitary, random_density, split_rng
+from unitarity_kit.errors import ParamOutOfRange, ShapeMismatch
+from unitarity_kit.generators import haar_unitary, random_density, random_pure_state, split_rng
 from unitarity_kit.states import pure_projector, von_neumann_entropy
 
 
@@ -250,11 +252,6 @@ def test_analyze_rejects_hermiticity_breaking_map():
     assert verdict.witness is not None
 
 
-def test_analyze_gram_flag_is_clear_for_generic_probes():
-    verdict = analyze(superop_from_conjugation(haar_unitary(3, seed=10)), seed=7)
-    assert verdict.ambiguous_gram is False
-
-
 def test_analyze_is_deterministic():
     u = haar_unitary(3, seed=8)
     s = superop_from_conjugation(u, 1.2)
@@ -263,12 +260,6 @@ def test_analyze_is_deterministic():
     assert v1.kind == v2.kind
     np.testing.assert_array_equal(v1.unitary, v2.unitary)
     assert v1.gain == v2.gain
-
-
-def test_analyze_requires_enough_samples():
-    s = superop_from_conjugation(haar_unitary(4, seed=9))
-    with pytest.raises(InsufficientSamples):
-        analyze(s, samples=3)
 
 
 def test_accepted_verdicts_certify_entropy_preservation():
@@ -298,3 +289,67 @@ def test_analyze_witness_scan_is_reportable():
     assert np.linalg.norm(w.phi1) == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(w.phi2) == pytest.approx(1.0, abs=1e-10)
     assert 0.0 <= w.p <= 1.0
+
+
+def test_analyze_verdict_kind_holds_at_every_scale():
+    u = haar_unitary(3, seed=14)
+    unitary = superop_from_conjugation(u).matrix
+    antiunitary = unitary @ superop_transpose(3).matrix
+    depolarizer = superop_depolarizing(3, 0.5).matrix
+    for scale in (1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300):
+        for m, kind in ((unitary, KIND_UNITARY), (antiunitary, KIND_ANTIUNITARY)):
+            verdict = analyze(Superoperator(matrix=m * scale, dim=3), seed=1)
+            assert verdict.kind == kind
+            assert verdict.gain / scale == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(np.diag(verdict.unitary.conj().T @ u)).min() >= 1.0 - 1e-12
+        verdict = analyze(Superoperator(matrix=depolarizer * scale, dim=3), seed=1)
+        assert verdict.kind == KIND_NOT_PRESERVING
+        w = verdict.witness
+        assert abs(w.entropy_in - w.entropy_out) > 0.5
+
+
+def test_analyze_verdict_near_tolerance_does_not_depend_on_seed():
+    # 3e-9 relative noise on a conjugation: the certificate error sits just
+    # below tol, where seeded fresh-state checks used to flip the verdict
+    k = 32
+    m = superop_from_conjugation(haar_unitary(3, seed=k)).matrix
+    rng = np.random.default_rng(1000 + k)
+    noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    m = m + 3e-9 * np.linalg.norm(m) / np.linalg.norm(noise) * noise
+    _, _, err = _fit_conjugation(m.reshape((3,) * 4), 1e-8)
+    assert err == pytest.approx(3.6e-9, rel=0.05)
+    for seed in range(10):
+        verdict = analyze(Superoperator(matrix=m, dim=3), seed=seed)
+        assert verdict.kind == KIND_UNITARY
+        assert verdict.detail == "certified by reconstruction"
+
+
+def _scan_witness_per_p(superop, phi1, phi2, grid_size):
+    # reference: apply the map to every mixture on the grid
+    p1, p2 = pure_projector(phi1), pure_projector(phi2)
+    best = None
+    for p in np.linspace(0.0, 1.0, grid_size):
+        rho = p * p1 + (1.0 - p) * p2
+        s_in = von_neumann_entropy(rho)
+        out = superop.apply(rho)
+        h = (out + out.conj().T) / 2
+        w = np.clip(np.linalg.eigvalsh(h), 0.0, None)
+        s_out = -sum(x * np.log2(x) for x in w / w.sum() if x > 0.0)
+        if best is None or abs(s_in - s_out) > best[0]:
+            best = (abs(s_in - s_out), p, s_in, s_out)
+    return best
+
+
+@pytest.mark.parametrize("grid_size", [21, 101])
+def test_scan_witness_by_linearity_matches_per_p_application(grid_size):
+    rng = split_rng(53, 0)
+    phi1, phi2 = (random_pure_state(3, rng) for _ in range(2))
+    depolarizer = superop_depolarizing(3, 0.6)
+    m = np.diag([1.0, 2.0, 0.5]).astype(complex)
+    unequal_gains = Superoperator(matrix=np.kron(m.conj(), m), dim=3)
+    for superop in (depolarizer, unequal_gains):
+        w = _scan_witness(superop, phi1, phi2, grid_size=grid_size)
+        _, p, s_in, s_out = _scan_witness_per_p(superop, phi1, phi2, grid_size)
+        assert w.p == p
+        assert w.entropy_in == pytest.approx(s_in, abs=1e-12)
+        assert w.entropy_out == pytest.approx(s_out, abs=1e-12)
