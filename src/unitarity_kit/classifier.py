@@ -5,13 +5,15 @@ Decides whether an invertible map on an n x m composite space is Local
 NotPreserving, and in the last case produces a concrete witness state whose
 Schmidt data demonstrably violates preservation.
 
-The pipeline follows the constructive argument: full rank, product images of
-the product basis, the parallelism pattern of the image factors (direct or
-index-swapped), extraction of the local factors, and a rank-1 factorization
-of the leftover phase/length grid.  The one accept gate is the
-reconstruction certificate: full-rank factors whose product reproduces the
-(relabeled) map to within tol.  Every stage that can fail emits a witness
-that is re-verified through the Schmidt oracle before it is returned.
+The decision is one certificate per reading: L = A x B holds exactly when
+the realignment of L has rank 1 (Van Loan & Pitsianis, 1993), so a
+least-squares rank-1 fit of the realigned map and its relative residual
+decide Local, and the same fit of the relabeled map decides SwapLocal.  The
+constructive stages of the paper's argument (product images of the product
+basis, the parallelism pattern of the image factors, extraction of the
+local factors and a rank-1 factorization of the leftover phase/length grid)
+run only on a rejected map, to find a witness; every witness is
+re-verified through the Schmidt oracle before it is returned.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -20,22 +22,14 @@ flipped layout (m, n); the verdict records the output shape it certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 from .generators import random_schmidt_rank_state, split_rng
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    as_matrix,
-    frobenius,
-    kron,
-    numerical_rank,
-    singular_values,
-    svd,
-)
-from .schmidt import BipartiteShape, as_shape, schmidt_decompose, swap_operator
+from .linalg import DEFAULT_RANK_TOL, as_matrix, numerical_rank, singular_values, svd
+from .schmidt import BipartiteShape, as_shape, schmidt_decompose
 
 KIND_LOCAL = "Local"
 KIND_SWAP_LOCAL = "SwapLocal"
@@ -107,12 +101,21 @@ class Witness:
 @dataclass(frozen=True)
 class QualitativeVerdict:
     kind: str
-    a: np.ndarray | None
-    b: np.ndarray | None
-    reconstruction_error: float | None
-    witness: Witness | None
-    output_shape: tuple[int, int] | None
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    reconstruction_error: float | None = None
+    witness: Witness | None = None
+    output_shape: tuple[int, int] | None = None
     detail: str = ""
+
+
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, k), i < k < d, in row-major order; cached, so read-only."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _basis_ket(d: int, k: int) -> np.ndarray:
@@ -184,8 +187,8 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     b1 = dec.right_vectors[:, 0]
     a2 = _orthogonal_complement_column(a1)
     b2 = _orthogonal_complement_column(b1)
-    partner = np.kron(a2, b2)
-    combo = (np.kron(a1, b1) + partner) / np.sqrt(2)
+    partner = np.outer(a2, b2).ravel()
+    combo = (np.outer(a1, b1).ravel() + partner) / np.sqrt(2)
     ev = _evidence(bmap, combo, bmap.shape, tol)
     if ev.input_rank >= 2 and ev.image_rank <= 1:
         return Witness(kind=WITNESS_KERNEL, state=combo, evidence=ev)
@@ -258,7 +261,7 @@ def build_image_table(
         bad = np.flatnonzero(ranks != 1)
         if bad.size:
             j = int(bad[0])
-            basis_state = np.kron(_basis_ket(n, i), _basis_ket(m, j))
+            basis_state = _basis_ket(n * m, i * m + j)
             kind = WITNESS_KERNEL if ranks[j] == 0 else WITNESS_PRODUCT_TO_ENTANGLED
             ev = _evidence(bmap, basis_state, out, tol)
             return Witness(kind=kind, state=basis_state, evidence=ev)
@@ -270,10 +273,6 @@ def build_image_table(
     return ProductImageTable(
         shape_in=shape, shape_out=out, amps=amps, d_vecs=d_vecs, e_vecs=e_vecs
     )
-
-
-def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    return abs(np.vdot(u, v)) >= 1.0 - tol
 
 
 def _pattern_holds(table: ProductImageTable, case: str, tol: float) -> bool:
@@ -342,20 +341,18 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     # scaled to max modulus 1 so that products of entries stay finite
     peak = np.abs(grid).max()
     unit = grid / peak
-    best, best_idx = -1.0, None
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(m):
-                for l in range(j + 1, m):
-                    det = unit[i, j] * unit[k, l] - unit[i, l] * unit[k, j]
-                    scale = abs(unit[i, j] * unit[k, l]) + abs(unit[i, l] * unit[k, j])
-                    rel = abs(det) / max(scale, 1e-300)
-                    if rel > best:
-                        best, best_idx = rel, (i, k, j, l)
-    i, k, j, l = best_idx
+    # rel[p, q] for row pair p = (i, k), i < k, and column pair q = (j, l),
+    # j < l; argmax takes the first maximum in (i, k, j, l) order
+    rows, cols = _pairs(n), _pairs(m)
+    upper, lower = unit[rows[0]], unit[rows[1]]
+    diag = upper[:, cols[0]] * lower[:, cols[1]]
+    anti = upper[:, cols[1]] * lower[:, cols[0]]
+    rel = np.abs(diag - anti) / np.maximum(np.abs(diag) + np.abs(anti), 1e-300)
+    p, q = divmod(int(np.argmax(rel)), rel.shape[1])
+    i, k, j, l = rows[0][p], rows[1][p], cols[0][q], cols[1][q]
     ea = (_basis_ket(n, i) + _basis_ket(n, k)) / np.sqrt(2)
     fb = (_basis_ket(m, j) + _basis_ket(m, l)) / np.sqrt(2)
-    state = np.kron(ea, fb)
+    state = np.outer(ea, fb).ravel()
     dec_in = schmidt_decompose(state, (n, m), tol=tol)
     dec_img = schmidt_decompose(unit.reshape(-1) * state, (n, m), tol=tol)
     ev = SchmidtEvidence(
@@ -378,46 +375,40 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
     When the parallelism cascade fails, one of these must exist.
     """
     n, m = table.shape_in.n, table.shape_in.m
-    d, e = table.d_vecs, table.e_vecs
     out = table.shape_out
-    for i in range(n):
-        for j in range(m):
-            for l in range(j + 1, m):
-                if not _parallel(d[i, j], d[i, l], tol) and not _parallel(e[i, j], e[i, l], tol):
-                    state = np.kron(
-                        _basis_ket(n, i),
-                        (_basis_ket(m, j) + _basis_ket(m, l)) / np.sqrt(2),
-                    )
-                    ev = _evidence(bmap, state, out, tol)
-                    if ev.input_rank == 1 and ev.image_rank >= 2:
-                        return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
-    for j in range(m):
-        for i in range(n):
-            for k in range(i + 1, n):
-                if not _parallel(d[i, j], d[k, j], tol) and not _parallel(e[i, j], e[k, j], tol):
-                    state = np.kron(
-                        (_basis_ket(n, i) + _basis_ket(n, k)) / np.sqrt(2),
-                        _basis_ket(m, j),
-                    )
-                    ev = _evidence(bmap, state, out, tol)
-                    if ev.input_rank == 1 and ev.image_rank >= 2:
-                        return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
-    for i in range(n):
-        for k in range(n):
-            if k == i:
-                continue
-            for j in range(m):
-                for l in range(m):
-                    if l == j:
-                        continue
-                    if _parallel(d[i, j], d[k, l], tol) or _parallel(e[i, j], e[k, l], tol):
-                        state = (
-                            np.kron(_basis_ket(n, i), _basis_ket(m, j))
-                            + np.kron(_basis_ket(n, k), _basis_ket(m, l))
-                        ) / np.sqrt(2)
-                        ev = _evidence(bmap, state, out, tol)
-                        if ev.input_rank >= 2 and ev.image_rank <= 1:
-                            return Witness(WITNESS_ENTANGLED_TO_PRODUCT, state, ev)
+
+    def pair_state(p: int, q: int) -> np.ndarray:
+        return (_basis_ket(n * m, p) + _basis_ket(n * m, q)) / np.sqrt(2)
+
+    # apart[i, j, k, l]: both the d and the e factors of (i, j) and (k, l)
+    # are non-parallel, from one overlap matrix per factor
+    apart = np.ones((n, m, n, m), dtype=bool)
+    for f in (table.d_vecs, table.e_vecs):
+        flat = f.reshape(n * m, -1)
+        apart &= (np.abs(flat.conj() @ flat.T) < 1.0 - tol).reshape(n, m, n, m)
+    rows, cols = np.arange(n), np.arange(m)
+    (i_lo, i_hi), (j_lo, j_hi) = _pairs(n), _pairs(m)
+    # same row in (i, j, l) order, j < l; then same column in (j, i, k)
+    # order, i < k
+    for i, q in np.argwhere(apart[rows[:, None], j_lo, rows[:, None], j_hi]):
+        state = pair_state(i * m + j_lo[q], i * m + j_hi[q])
+        ev = _evidence(bmap, state, out, tol)
+        if ev.input_rank == 1 and ev.image_rank >= 2:
+            return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
+    for j, p in np.argwhere(apart[i_lo, cols[:, None], i_hi, cols[:, None]]):
+        state = pair_state(i_lo[p] * m + j, i_hi[p] * m + j)
+        ev = _evidence(bmap, state, out, tol)
+        if ev.input_rank == 1 and ev.image_rank >= 2:
+            return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
+    # both indices differ and some factor is parallel, in (i, k, j, l) order
+    joined = ~apart.transpose(0, 2, 1, 3)
+    joined[rows, rows] = False
+    joined[:, :, cols, cols] = False
+    for i, k, j, l in np.argwhere(joined):
+        state = pair_state(i * m + j, k * m + l)
+        ev = _evidence(bmap, state, out, tol)
+        if ev.input_rank >= 2 and ev.image_rank <= 1:
+            return Witness(WITNESS_ENTANGLED_TO_PRODUCT, state, ev)
     return None
 
 
@@ -438,27 +429,100 @@ def _random_search_witness(bmap: BipartiteMap, seed: int, tol: float) -> Witness
     return None
 
 
+def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
+    """Fit L = A x B (swap=False) or S L = A x B (swap=True); return (A, B, error).
+
+    R, the realignment of L / ||L||_2 to n^2 x m^2, is vec(A) vec(B)^T when
+    the reading fits.  vec(A) is read off the largest column of R, then
+    vec(B) and vec(A) are fitted once each by least squares; the error is
+    ||R - vec(A) vec(B)^T||_F / ||R||_F, so no square under- or overflows.
+    Its square equals the energy deficit 1 - ||vec(A)||^2 / ||R||_F^2, whose
+    rounding is about 1e-15: a deficit above tol (>= tol^2) is read as the
+    error without forming the residual.  A and B are None unless
+    error <= tol; then they are at the map's scale with ||B||_F = 1 and the
+    largest-modulus entry of A[:, 0] real positive.
+    """
+    n, m = bmap.shape.n, bmap.shape.m
+    norm2 = bmap.singular_values[0]
+    if swap:
+        view = bmap.matrix.reshape(m, n, n, m).transpose(1, 2, 0, 3)
+    else:
+        view = bmap.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    # realigned and divided in one pass over the real and imaginary parts
+    x = np.empty((n * n, 2 * m * m))
+    np.divide(view.view(np.float64), norm2, out=x.reshape(n, n, m, 2 * m))
+    r = x.view(complex)
+    energies = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
+    vb = r[:, np.argmax(energies)].conj() @ r
+    vb /= np.linalg.norm(vb)
+    va = r @ vb.conj()
+    total = energies.sum()
+    deficit = 1.0 - np.vdot(va, va).real / total
+    if deficit > tol:
+        return None, None, float(np.sqrt(deficit))
+    resid = np.outer(va, vb)
+    resid -= r
+    err = float(np.sqrt(np.vdot(resid, resid).real / total))
+    if not err <= tol:
+        return None, None, err
+    a, b = va.reshape(n, n), vb.reshape(m, m)
+    top = a[np.argmax(np.abs(a[:, 0])), 0]
+    phase = top / abs(top) if top else 1.0
+    return a * (norm2 / phase), b * phase, err
+
+
+def _search_witness(bmap: BipartiteMap, tol: float, seed: int) -> Witness | None:
+    """A witness for a rejected map: per reading, the image table (a zero or
+    entangled basis image in the map's own layout) and the phase grid of a
+    matching parallelism pattern; then the basis-pair parallelism scan of
+    every table built; last the seeded random search."""
+    shape = bmap.shape
+    # the relabeled reading's output layout is (m, n), the same table when n == m
+    tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
+    for out_shape, case in ((shape, CASE_I), (shape.flipped(), CASE_II)):
+        key = out_shape.as_tuple()
+        if key not in tables:
+            tables[key] = build_image_table(bmap, tol, out_shape)
+        table = tables[key]
+        if isinstance(table, Witness):
+            if key == shape.as_tuple():
+                return table
+            continue
+        if not _pattern_holds(table, case, tol):
+            continue
+        factored = factor_phase_grid(extract_factors(table, case)[2], tol)
+        if isinstance(factored, Witness):
+            ev = _evidence(bmap, factored.state, out_shape, tol)
+            if ev.input_rank == 1 and ev.image_rank >= 2:
+                return Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
+    for table in tables.values():
+        if not isinstance(table, Witness):
+            witness = _parallelism_witness(bmap, table, tol)
+            if witness is not None:
+                return witness
+    return _random_search_witness(bmap, seed, tol)
+
+
 def classify(
     bmap: BipartiteMap,
     tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
 ) -> QualitativeVerdict:
-    """Full pipeline: rank, image table, parallelism case, factor extraction,
-    phase-grid factorization, then the reconstruction certificate.
+    """Rank check, then the realignment certificate for Local and then for
+    SwapLocal; a rejected map gets its witness from the constructive stages.
 
     The map's spectrum is computed once, as singular values only, and
     cached on the map: it decides the rank check (the full SVD runs only on
     a rank-deficient map, for its kernel vector) and supplies the 2-norm
-    that scales the reconstruction error and every vanishing-image test.
-    The image table decomposes its vectors by one stacked SVD per basis row.
+    that scales the certificate and every vanishing-image test.
 
-    A Local verdict certifies ||L - A x B|| <= tol * ||L||; SwapLocal
-    certifies ||S L - A x B|| <= tol * ||L|| with S the relabeling from the
-    recorded output shape.  Both need full-rank A and B, so the verdict
-    kind depends on the map and tol alone.  Any failure downgrades to
-    NotPreserving with a re-verified witness; the seed only steers the
-    random fallback search for a witness when no constructive stage found
-    one.
+    A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
+    SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
+    relabeling from the recorded output shape.  Both need full-rank A and
+    B, so the verdict kind depends on the map and tol alone.  Otherwise the
+    verdict is NotPreserving with a re-verified witness; the seed only
+    steers the random fallback search for a witness when no constructive
+    stage found one.
     """
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
@@ -466,82 +530,21 @@ def classify(
     kernel_witness = check_full_rank(bmap, tol)
     if kernel_witness is not None:
         return QualitativeVerdict(
-            kind=KIND_NOT_PRESERVING,
-            a=None,
-            b=None,
-            reconstruction_error=None,
-            witness=kernel_witness,
-            output_shape=None,
-            detail="map is rank deficient",
+            KIND_NOT_PRESERVING, witness=kernel_witness, detail="map is rank deficient"
         )
-
-    if shape.n == shape.m:
-        plans = [(shape, CASE_I), (shape, CASE_II)]
-    else:
-        plans = [(shape, CASE_I), (shape.flipped(), CASE_II)]
-
-    tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
-    candidates: list[Witness] = []
-    for out_shape, case in plans:
-        key = out_shape.as_tuple()
-        if key not in tables:
-            tables[key] = build_image_table(bmap, tol, out_shape)
-        table = tables[key]
-        if isinstance(table, Witness):
-            if out_shape.as_tuple() == shape.as_tuple() or shape.n == shape.m:
-                candidates.append(table)
-            continue
-        if not _pattern_holds(table, case, tol):
-            continue
-        a, b, grid = extract_factors(table, case)
-        factored = factor_phase_grid(grid, tol)
-        if isinstance(factored, Witness):
-            ev = _evidence(bmap, factored.state, out_shape, tol)
-            if ev.input_rank == 1 and ev.image_rank >= 2:
-                candidates.append(
-                    Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
-                )
-            continue
-        mu, nu = factored
-        a = a * mu
-        b = b * nu
-        if numerical_rank(a, tol) < a.shape[0] or numerical_rank(b, tol) < b.shape[0]:
-            continue
-        if case == CASE_I:
-            kind, reference = KIND_LOCAL, bmap.matrix
-        else:
-            kind, reference = KIND_SWAP_LOCAL, swap_operator(out_shape) @ bmap.matrix
-        # both norms taken on L / ||L||_2, which neither underflows nor
-        # overflows; a NaN error fails the gate
-        norm2 = bmap.singular_values[0]
-        err = frobenius((reference - kron(a, b)) / norm2) / frobenius(bmap.matrix / norm2)
-        if not err <= tol:
-            continue
-        return QualitativeVerdict(
-            kind=kind,
-            a=a,
-            b=b,
-            reconstruction_error=err,
-            witness=None,
-            output_shape=out_shape.as_tuple(),
-            detail="factors certified by reconstruction",
-        )
-
-    witness = candidates[0] if candidates else None
-    if witness is None:
-        for table in tables.values():
-            if not isinstance(table, Witness):
-                witness = _parallelism_witness(bmap, table, tol)
-                if witness is not None:
-                    break
-    if witness is None:
-        witness = _random_search_witness(bmap, seed, tol)
+    for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
+        a, b, err = _fit_local(bmap, swap, tol)
+        if a is not None and numerical_rank(a, tol) == shape.n and numerical_rank(b, tol) == shape.m:
+            return QualitativeVerdict(
+                kind,
+                a,
+                b,
+                reconstruction_error=err,
+                output_shape=(shape.flipped() if swap else shape).as_tuple(),
+                detail="factors certified by reconstruction",
+            )
     return QualitativeVerdict(
-        kind=KIND_NOT_PRESERVING,
-        a=None,
-        b=None,
-        reconstruction_error=None,
-        witness=witness,
-        output_shape=None,
+        KIND_NOT_PRESERVING,
+        witness=_search_witness(bmap, tol, seed),
         detail="no local or swap-local decomposition fits",
     )

@@ -413,7 +413,7 @@ def _cmd_gen(args) -> int:
         save_map_file(args.out, kind, shape, array)
         print(f"wrote {kind} to {args.out}")
     else:
-        print(json.dumps(map_file_dict(kind, shape, array), indent=1))
+        print(json.dumps(map_file_dict(kind, shape, array)))
     return EXIT_OK
 
 

@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import NoConvergence, NotHermitian, ShapeMismatch
 
-# Default tolerances: rank/parallelism decisions are relative 1e-8,
-# reconstruction checks 1e-10.  Every operation takes them per call.
+# Default tolerance: rank, parallelism and reconstruction decisions are
+# relative 1e-8.  Every operation takes it per call.
 DEFAULT_RANK_TOL = 1e-8
-DEFAULT_RECON_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -139,8 +138,3 @@ def partial_trace(m, shape: tuple[int, int], side: str) -> np.ndarray:
     if side == "A":
         return np.einsum("ijil->jl", t)
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-
-
-def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-

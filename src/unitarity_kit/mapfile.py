@@ -7,9 +7,10 @@ A file is one JSON object with three fields:
     matrix  row-major nested arrays whose innermost elements are
             [re, im] pairs; a state is a flat list of pairs
 
-All numerics are plain decimal floats so fixtures stay diff-able.  Parsing
-validates structure and finiteness (ParseError) and dimension consistency
-(ShapeMismatch); these map to CLI exit codes 1 and 2.
+All numerics are plain decimal floats.  Files are written compactly on one
+line; `python -m json.tool FILE` pretty-prints one for reading or diffing.
+Parsing validates structure and finiteness (ParseError) and dimension
+consistency (ShapeMismatch); these map to CLI exit codes 1 and 2.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ class LoadedFile:
 def complex_to_pairs(array: np.ndarray):
     """Nested lists with [re, im] innermost elements."""
     a = np.asarray(array, dtype=complex)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [complex_to_pairs(row) for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _parse_pair(item) -> complex:
@@ -139,6 +138,7 @@ def map_file_dict(kind: str, shape, array: np.ndarray) -> dict:
 
 
 def save_map_file(path, kind: str, shape, array: np.ndarray) -> None:
+    # compact json.dumps runs the C encoder; indent= or json.dump would not
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_file_dict(kind, shape, array), fh, indent=1)
+        fh.write(json.dumps(map_file_dict(kind, shape, array)))
         fh.write("\n")

@@ -12,6 +12,7 @@ from unitarity_kit.classifier import (
     BipartiteMap,
     Witness,
     _evidence,
+    _parallelism_witness,
     _pattern_holds,
     build_image_table,
     check_full_rank,
@@ -372,10 +373,10 @@ def test_verdict_near_tolerance_does_not_depend_on_seed():
         assert v.reconstruction_error <= 1e-8
 
 
-@pytest.mark.parametrize("scale", [1e-180, 1e200])
+@pytest.mark.parametrize("scale", [1e-300, 1e-180, 1e200, 1e300])
 @pytest.mark.parametrize("n,m,swap", [(3, 3, False), (3, 3, True), (2, 3, False), (2, 3, True)])
 def test_classify_local_map_at_extreme_scale(scale, n, m, swap):
-    # squared entries underflow at 1e-180 and overflow at 1e200
+    # squared entries underflow from 1e-180 and overflow from 1e200
     base = local_map(n, m, seed=18, swap=swap)
     v = classify(BipartiteMap(scale * base.matrix, base.shape), seed=1)
     assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
@@ -470,3 +471,218 @@ def test_classify_round_trip_property(n, m):
             v = classify(bmap, seed=int(rng.integers(2**32)))
             assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
             assert v.reconstruction_error <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# realignment certificate
+
+def realignment_tail(matrix, n, m, swap):
+    """sqrt(sum_{k>=2} s_k^2) / ||s|| over the full SVD of the realigned map."""
+    if swap:
+        r = matrix.reshape(m, n, n, m).transpose(1, 2, 0, 3).reshape(n * n, m * m)
+    else:
+        r = matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    s = np.linalg.svd(r, compute_uv=False)
+    return np.linalg.norm(s[1:]) / np.linalg.norm(s)
+
+
+def test_classify_accepts_map_the_cascade_left_without_witness():
+    # the parallelism, phase-grid and factor thresholds rejected this map
+    # with no witness at all; its certificate error is 8.3e-9
+    bmap = perturb(random_local_map((3, 3), seed=85), 1e-8, seed=1085)
+    v = classify(bmap)
+    assert v.kind == KIND_LOCAL
+    assert v.reconstruction_error <= 1e-8
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_classify_accepts_exactly_when_realignment_tail_is_within_tol(n, m):
+    tol, seen = 1e-8, []
+    for swap in (False, True):
+        for eps in (5e-9, 8e-9, 1.2e-8, 2e-8):
+            for k in range(3):
+                base = random_local_map((n, m), swap=swap, seed=100 * k + n * 10 + m)
+                bmap = perturb(base, eps, seed=100 * k + 7)
+                tails = [realignment_tail(bmap.matrix, n, m, flag) for flag in (False, True)]
+                if any(0.9 * tol <= t <= 1.1 * tol for t in tails):
+                    continue
+                want = KIND_NOT_PRESERVING
+                if tails[0] <= tol:
+                    want = KIND_LOCAL
+                elif tails[1] <= tol:
+                    want = KIND_SWAP_LOCAL
+                v = classify(bmap)
+                assert v.kind == want
+                if want == KIND_NOT_PRESERVING:
+                    assert v.witness is not None and witness_checks_out(bmap, v.witness)
+                seen.append(want)
+    assert len(seen) >= 16
+    assert {KIND_LOCAL, KIND_SWAP_LOCAL, KIND_NOT_PRESERVING} <= set(seen)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4)])
+@pytest.mark.parametrize("swap", [False, True])
+def test_classify_factors_follow_the_gauge(n, m, swap):
+    bmap = random_local_map((n, m), swap=swap, seed=n * 10 + m)
+    scaled = BipartiteMap(3.7e5 * np.exp(0.4j) * bmap.matrix, bmap.shape)
+    for target in (bmap, scaled):
+        v = classify(target)
+        assert v.a.shape == (n, n) and v.b.shape == (m, m)
+        assert np.linalg.norm(v.b) == pytest.approx(1.0, abs=1e-12)
+        top = v.a[np.argmax(np.abs(v.a[:, 0])), 0]
+        assert top.real > 0 and abs(top.imag) <= 1e-12 * abs(top)
+        reference = swap_operator((m, n)) @ target.matrix if swap else target.matrix
+        np.testing.assert_allclose(
+            kron(v.a, v.b), reference, atol=1e-10 * np.linalg.norm(target.matrix)
+        )
+
+
+# ---------------------------------------------------------------------------
+# vectorised witness scans against the plain loops they replace
+
+def minor_rel(unit, i, k, j, l):
+    det = unit[i, j] * unit[k, l] - unit[i, l] * unit[k, j]
+    scale = abs(unit[i, j] * unit[k, l]) + abs(unit[i, l] * unit[k, j])
+    return abs(det) / max(scale, 1e-300)
+
+
+def reference_minor(grid):
+    """(i, k, j, l) and rel of the first most non-degenerate 2x2 minor, in
+    loop order, and the grid scaled to max modulus 1."""
+    unit = grid / np.abs(grid).max()
+    n, m = unit.shape
+    best, best_idx = -1.0, None
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(m):
+                for l in range(j + 1, m):
+                    rel = minor_rel(unit, i, k, j, l)
+                    if rel > best:
+                        best, best_idx = rel, (i, k, j, l)
+    return best_idx, best, unit
+
+
+def minor_of(state, n, m):
+    """(i, k, j, l) of a state (|i> + |k>)(|j> + |l>) / 2."""
+    rows, cols = np.nonzero(np.abs(state.reshape(n, m)))
+    (i, k), (j, l) = sorted(set(rows)), sorted(set(cols))
+    return i, k, j, l
+
+
+def test_phase_grid_minor_matches_loop_reference():
+    rng = np.random.default_rng(71)
+    for n in range(2, 6):
+        for m in range(2, 6):
+            # generic grids, and real integer grids whose many tied minors
+            # are computed exactly, so the first maximum must be the loop's
+            grids = [rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)) for _ in range(3)]
+            grids += [rng.choice([1.0, -1.0, 2.0, 3.0], size=(n, m)) for _ in range(3)]
+            for grid in grids:
+                w = factor_phase_grid(grid)
+                if not isinstance(w, Witness):
+                    continue
+                i, k, j, l = reference_minor(grid)[0]
+                ea = (np.eye(n)[i] + np.eye(n)[k]) / np.sqrt(2)
+                fb = (np.eye(m)[j] + np.eye(m)[l]) / np.sqrt(2)
+                np.testing.assert_array_equal(w.state, np.kron(ea, fb))
+            # complex entries from a small set tie many minors up to the
+            # last bit, so the pick may differ from the loop's, but it
+            # attains the maximum
+            for grid in (rng.choice([1.0, -1.0, 2.0, 1j], size=(n, m)),
+                         np.exp(2j * np.pi * rng.integers(0, 4, size=(n, m)) / 4)):
+                w = factor_phase_grid(grid)
+                if not isinstance(w, Witness):
+                    continue
+                _, best, unit = reference_minor(grid)
+                assert minor_rel(unit, *minor_of(w.state, n, m)) == pytest.approx(best, rel=1e-15)
+
+
+def reference_parallelism_witness(bmap, table, tol):
+    """The basis-pair scan as plain loops over pairs of image factors."""
+    n, m = table.shape_in.n, table.shape_in.m
+    d, e, out = table.d_vecs, table.e_vecs, table.shape_out
+
+    def parallel(u, v):
+        return abs(np.vdot(u, v)) >= 1.0 - tol
+
+    def ket(p, q):
+        v = np.zeros(n * m, dtype=complex)
+        v[p] += 1.0
+        v[q] += 1.0
+        return v / np.sqrt(2)
+
+    for i in range(n):
+        for j in range(m):
+            for l in range(j + 1, m):
+                if not parallel(d[i, j], d[i, l]) and not parallel(e[i, j], e[i, l]):
+                    state = ket(i * m + j, i * m + l)
+                    ev = _evidence(bmap, state, out, tol)
+                    if ev.input_rank == 1 and ev.image_rank >= 2:
+                        return WITNESS_PRODUCT_TO_ENTANGLED, state
+    for j in range(m):
+        for i in range(n):
+            for k in range(i + 1, n):
+                if not parallel(d[i, j], d[k, j]) and not parallel(e[i, j], e[k, j]):
+                    state = ket(i * m + j, k * m + j)
+                    ev = _evidence(bmap, state, out, tol)
+                    if ev.input_rank == 1 and ev.image_rank >= 2:
+                        return WITNESS_PRODUCT_TO_ENTANGLED, state
+    for i in range(n):
+        for k in range(n):
+            for j in range(m):
+                for l in range(m):
+                    if k == i or l == j:
+                        continue
+                    if parallel(d[i, j], d[k, l]) or parallel(e[i, j], e[k, l]):
+                        state = ket(i * m + j, k * m + l)
+                        ev = _evidence(bmap, state, out, tol)
+                        if ev.input_rank >= 2 and ev.image_rank <= 1:
+                            return "EntangledToProduct", state
+    return None
+
+
+def product_image_maps():
+    """Maps sending every product basis state to a product state, with the
+    image factors drawn from small pools so many of them are parallel."""
+    rng = np.random.default_rng(72)
+    for n, m in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        for _ in range(12):
+            pool_a = [haar_unitary(n, rng)[:, 0] for _ in range(2)] + list(np.eye(n))
+            pool_b = [haar_unitary(m, rng)[:, 0] for _ in range(2)] + list(np.eye(m))
+            cols = [
+                rng.uniform(0.5, 2.0)
+                * np.kron(pool_a[rng.integers(len(pool_a))], pool_b[rng.integers(len(pool_b))])
+                for _ in range(n * m)
+            ]
+            yield BipartiteMap(np.array(cols).T, BipartiteShape(n, m))
+    # one factor the same for every image: only a both-indices-differ pair
+    # can witness, by mapping an entangled state to a product
+    for n, m in [(2, 2), (2, 3), (3, 3)]:
+        pool_b = [haar_unitary(m, rng)[:, 0] for _ in range(2)]
+        cols = [np.kron(np.eye(n)[0], pool_b[(i + j) % 2]) for i in range(n) for j in range(m)]
+        yield BipartiteMap(np.array(cols).T, BipartiteShape(n, m))
+    # pairs (0, 1)-(1, 0) share the first factor, (0, 0)-(1, 1) share none
+    x, y = haar_unitary(2, rng)
+    u, v = haar_unitary(2, rng)
+    cols = [np.kron(x, u), np.kron(x, v), np.kron(x, v), np.kron(y, v)]
+    yield BipartiteMap(np.array(cols).T, BipartiteShape(2, 2))
+    yield cnot_map()
+    yield generalized_cnot(3)
+
+
+def test_parallelism_scan_matches_loop_reference():
+    kinds = set()
+    for bmap in product_image_maps():
+        for out in {bmap.shape.as_tuple(), bmap.shape.flipped().as_tuple()}:
+            table = build_image_table(bmap, output_shape=out)
+            if isinstance(table, Witness):
+                continue
+            ref = reference_parallelism_witness(bmap, table, 1e-8)
+            w = _parallelism_witness(bmap, table, 1e-8)
+            if ref is None:
+                assert w is None
+                continue
+            assert w.kind == ref[0]
+            np.testing.assert_array_equal(w.state, ref[1])
+            kinds.add(w.kind)
+    assert kinds == {WITNESS_PRODUCT_TO_ENTANGLED, "EntangledToProduct"}
