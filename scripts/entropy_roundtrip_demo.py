@@ -23,7 +23,7 @@ from unitarity_kit.generators import haar_unitary, split_rng
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="seed of the random unitaries U and V")
     args = ap.parse_args()
 
     rng = split_rng(args.seed, 0)
@@ -49,7 +49,7 @@ def main() -> None:
     ]
 
     for name, superop, reference in cases:
-        verdict = analyze(superop, seed=args.seed)
+        verdict = analyze(superop)
         line = f"{name:28s} -> {verdict.kind}"
         if verdict.gain is not None:
             line += f"  gain={verdict.gain:.6f}"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 from .generators import random_schmidt_rank_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, numerical_rank, singular_values, svd
+from .linalg import DEFAULT_RANK_TOL, as_matrix, numerical_rank, singular_values, svd, tolerance
 from .schmidt import BipartiteShape, as_shape, schmidt_decompose
 
 KIND_LOCAL = "Local"
@@ -412,9 +412,9 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
     return None
 
 
-def _random_search_witness(bmap: BipartiteMap, seed: int, tol: float) -> Witness | None:
-    """Fallback: random product and rank-2 states through the map."""
-    rng = split_rng(seed, 11)
+def _random_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
+    """Fallback: product and rank-2 states from a fixed stream through the map."""
+    rng = split_rng(0, 11)
     shape = bmap.shape
     shapes_out = [shape] if shape.n == shape.m else [shape, shape.flipped()]
     for _ in range(200):
@@ -471,11 +471,11 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     return a * (norm2 / phase), b * phase, err
 
 
-def _search_witness(bmap: BipartiteMap, tol: float, seed: int) -> Witness | None:
+def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     """A witness for a rejected map: per reading, the image table (a zero or
     entangled basis image in the map's own layout) and the phase grid of a
     matching parallelism pattern; then the basis-pair parallelism scan of
-    every table built; last the seeded random search."""
+    every table built; last the random search."""
     shape = bmap.shape
     # the relabeled reading's output layout is (m, n), the same table when n == m
     tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
@@ -500,14 +500,10 @@ def _search_witness(bmap: BipartiteMap, tol: float, seed: int) -> Witness | None
             witness = _parallelism_witness(bmap, table, tol)
             if witness is not None:
                 return witness
-    return _random_search_witness(bmap, seed, tol)
+    return _random_search_witness(bmap, tol)
 
 
-def classify(
-    bmap: BipartiteMap,
-    tol: float = DEFAULT_RANK_TOL,
-    seed: int = 0,
-) -> QualitativeVerdict:
+def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
     """Rank check, then the realignment certificate for Local and then for
     SwapLocal; a rejected map gets its witness from the constructive stages.
 
@@ -519,11 +515,12 @@ def classify(
     A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
     SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
     relabeling from the recorded output shape.  Both need full-rank A and
-    B, so the verdict kind depends on the map and tol alone.  Otherwise the
-    verdict is NotPreserving with a re-verified witness; the seed only
-    steers the random fallback search for a witness when no constructive
-    stage found one.
+    B.  Otherwise the verdict is NotPreserving with a re-verified witness;
+    when no constructive stage finds one, a random search over a fixed
+    stream does.  The whole verdict, witness included, depends on the map
+    and tol alone; tol must lie in (0, 1) (ParamOutOfRange otherwise).
     """
+    tol = tolerance(tol)
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
@@ -545,6 +542,6 @@ def classify(
             )
     return QualitativeVerdict(
         KIND_NOT_PRESERVING,
-        witness=_search_witness(bmap, tol, seed),
+        witness=_search_witness(bmap, tol),
         detail="no local or swap-local decomposition fits",
     )

@@ -9,8 +9,9 @@ human-readable or JSON report.  Exit codes are stable API:
     3  not preserving
     4  internal error (also: selfcheck found a failing criterion)
 
-The default seed is 0, overridable by --seed or the UNITARITY_KIT_SEED
-environment variable.
+Only `gen` takes a seed (0 unless --seed or UNITARITY_KIT_SEED sets it);
+the witness searches use fixed streams, so a report depends only on the
+input and --tol, which must lie in (0, 1).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     UnitarityKitError,
 )
 from .generators import PRNG_NAME, cnot_map, haar_unitary, random_local_map
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, tolerance
 from .mapfile import (
     KIND_BIPARTITE_MAP,
     KIND_STATE,
@@ -106,20 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="classify a bipartite map file")
     c.add_argument("path")
-    c.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
     c.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify-entropy", help="analyze a superoperator file")
     v.add_argument("path")
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
+    v.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
     v.add_argument("--json", action="store_true")
 
     s = sub.add_parser("schmidt", help="Schmidt-decompose a state file")
     s.add_argument("path")
     s.add_argument("--shape", type=int, nargs=2, default=None, metavar=("N", "M"))
-    s.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
+    s.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
     s.add_argument("--bases", action="store_true", help="also print the local bases")
     s.add_argument("--json", action="store_true")
 
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("path")
     m.add_argument("--shape", type=int, nargs=2, default=None, metavar=("N", "M"))
     m.add_argument("--measure", choices=("E", "E1", "E2"), default="E")
-    m.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
+    m.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
 
     g = sub.add_parser("gen", help="generate fixture files")
     g.add_argument(
@@ -155,13 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _base_report(command: str, seed: int | None, tolerances: dict) -> dict:
+def _base_report(command: str, tolerances: dict) -> dict:
     return {
         "tool": "unitarity-kit",
         "version": __version__,
         "prng": PRNG_NAME,
         "command": command,
-        "seed": seed,
         "tolerances": tolerances,
     }
 
@@ -218,13 +216,12 @@ def _load_expecting(path: str, kind: str):
 # subcommands
 
 def _cmd_classify(args) -> int:
-    seed = _resolve_seed(args.seed)
     loaded = _load_expecting(args.path, KIND_BIPARTITE_MAP)
     shape = BipartiteShape(*loaded.shape)
     bmap = BipartiteMap(matrix=loaded.array, shape=shape)
-    verdict = classify(bmap, tol=args.tol, seed=seed)
+    verdict = classify(bmap, tol=args.tol)
 
-    report = _base_report("classify", seed, {"tol": args.tol})
+    report = _base_report("classify", {"tol": args.tol})
     report["input"] = args.path
     report["verdict"] = {
         "kind": verdict.kind,
@@ -261,12 +258,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_entropy(args) -> int:
-    seed = _resolve_seed(args.seed)
     loaded = _load_expecting(args.path, KIND_SUPEROPERATOR)
     superop = Superoperator(matrix=loaded.array, dim=loaded.shape)
-    verdict = analyze(superop, seed=seed, tol=args.tol)
+    verdict = analyze(superop, tol=args.tol)
 
-    report = _base_report("verify-entropy", seed, {"tol": args.tol})
+    report = _base_report("verify-entropy", {"tol": args.tol})
     report["input"] = args.path
     report["verdict"] = {
         "kind": verdict.kind,
@@ -300,25 +296,27 @@ def _cmd_verify_entropy(args) -> int:
     return EXIT_OK if verdict.kind != KIND_NOT_PRESERVING else EXIT_NOT_PRESERVING
 
 
-def _state_shape(args, loaded) -> BipartiteShape:
+def _load_state(args) -> tuple[np.ndarray, BipartiteShape]:
+    """The state vector of args.path and its shape (--shape, else the file's)."""
+    loaded = _load_expecting(args.path, KIND_STATE)
     if args.shape is not None:
-        return BipartiteShape(args.shape[0], args.shape[1])
-    if isinstance(loaded.shape, tuple):
-        return BipartiteShape(*loaded.shape)
-    raise ShapeMismatch("state file has a scalar shape; pass --shape N M")
+        shape = BipartiteShape(*args.shape)
+    elif isinstance(loaded.shape, tuple):
+        shape = BipartiteShape(*loaded.shape)
+    else:
+        raise ShapeMismatch("state file has a scalar shape; pass --shape N M")
+    if shape.dim != loaded.array.shape[0]:
+        raise ShapeMismatch(
+            f"state has {loaded.array.shape[0]} entries, shape {shape.as_tuple()} needs {shape.dim}"
+        )
+    return loaded.array, shape
 
 
 def _cmd_schmidt(args) -> int:
-    loaded = _load_expecting(args.path, KIND_STATE)
-    shape = _state_shape(args, loaded)
-    if shape.dim != loaded.array.shape[0]:
-        raise ShapeMismatch(
-            f"state has {loaded.array.shape[0]} entries, shape {shape.as_tuple()} "
-            f"needs {shape.dim}"
-        )
-    dec = schmidt_decompose(loaded.array, shape, tol=args.tol)
+    state, shape = _load_state(args)
+    dec = schmidt_decompose(state, shape, tol=args.tol)
     if args.json:
-        report = _base_report("schmidt", None, {"tol": args.tol})
+        report = _base_report("schmidt", {"tol": args.tol})
         report["input"] = args.path
         report["rank"] = dec.rank
         report["coefficients"] = [float(x) for x in dec.coefficients]
@@ -338,15 +336,9 @@ def _cmd_schmidt(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    loaded = _load_expecting(args.path, KIND_STATE)
-    shape = _state_shape(args, loaded)
-    if shape.dim != loaded.array.shape[0]:
-        raise ShapeMismatch(
-            f"state has {loaded.array.shape[0]} entries, shape {shape.as_tuple()} "
-            f"needs {shape.dim}"
-        )
+    state, shape = _load_state(args)
     fn = {"E": entanglement_E, "E1": measure_E1, "E2": measure_E2}[args.measure]
-    value = fn(loaded.array, shape, tol=args.tol)
+    value = fn(state, shape, tol=args.tol)
     print(f"{value:.9f}")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminant, ParamOutOfRange, ShapeMismatch
 from .generators import random_pure_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, dag
+from .linalg import DEFAULT_RANK_TOL, as_matrix, dag, tolerance
 from .states import pure_projector
 
 KIND_UNITARY = "UnitaryConjugation"
@@ -306,15 +306,16 @@ def _probe_states(d: int, rng) -> list[np.ndarray]:
             return probes
 
 
-def _search_witness(superop: Superoperator, seed: int, tol: float):
+def _search_witness(superop: Superoperator, tol: float):
     """(witness, detail) for a map no conjugation reproduces.
 
-    Seeded probe stages, in order: pure projectors must map to positive
-    rank-1 matrices, their gains must agree, pairwise overlap moduli must be
-    preserved; the first stage that fails names the witness pair.  If all
-    pass, the pair and mixing weight with the largest entropy change win.
+    Probe stages (fixed-stream states), in order: pure projectors must map
+    to positive rank-1 matrices, their gains must agree, pairwise overlap
+    moduli must be preserved; the first stage that fails names the witness
+    pair.  If all pass, the pair and mixing weight with the largest entropy
+    change win.
     """
-    probes = _probe_states(superop.dim, split_rng(seed, 0))
+    probes = _probe_states(superop.dim, split_rng(0, 0))
     gains, kets = [], []
     for v in probes:
         m = superop.apply(pure_projector(v))
@@ -361,22 +362,19 @@ def _search_witness(superop: Superoperator, seed: int, tol: float):
     return worst[1], "no single conjugation reproduces the map"
 
 
-def analyze(
-    superop: Superoperator,
-    seed: int = 0,
-    tol: float = DEFAULT_RANK_TOL,
-) -> SingleSystemVerdict:
+def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSystemVerdict:
     """Decide whether the map is a (scaled) unitary or antiunitary conjugation.
 
     The accepted maps are M = g * (conj(U) x U) and that map composed with
     the transpose, M T (Wigner's theorem).  U and g are read off M itself,
     first for the unitary reading and then for the antiunitary one (M T in
     place of M), and a reading is accepted exactly when g > 0 and
-    ||M - g * conj(U) x U||_F <= tol * ||M||_F.  The verdict kind therefore
-    depends only on (map, tol); for d >= 2 no map fits both readings, as the
-    transpose is not completely positive.  A rejected map gets a witness
-    from seeded probe states, so `seed` only steers the witness.
+    ||M - g * conj(U) x U||_F <= tol * ||M||_F, with tol in (0, 1); for d >= 2
+    no map fits both readings, as the transpose is not completely positive.
+    A rejected map gets its witness from fixed-stream probe states, so the
+    whole verdict depends only on (map, tol).
     """
+    tol = tolerance(tol)
     d = superop.dim
     m4 = superop.matrix.reshape((d,) * 4)  # m4[j, i, l, k]: weight of rho[k, l] in entry (i, j)
     for kind, view in ((KIND_UNITARY, m4), (KIND_ANTIUNITARY, m4.swapaxes(2, 3))):
@@ -385,7 +383,7 @@ def analyze(
             return SingleSystemVerdict(
                 kind=kind, unitary=u, gain=gain, witness=None, detail="certified by reconstruction"
             )
-    witness, detail = _search_witness(superop, seed, tol)
+    witness, detail = _search_witness(superop, tol)
     return SingleSystemVerdict(
         kind=KIND_NOT_PRESERVING, unitary=None, gain=None, witness=witness, detail=detail
     )

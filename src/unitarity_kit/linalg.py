@@ -11,11 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, ShapeMismatch
+from .errors import NoConvergence, NotHermitian, ParamOutOfRange, ShapeMismatch
 
 # Default tolerance: rank, parallelism and reconstruction decisions are
 # relative 1e-8.  Every operation takes it per call.
 DEFAULT_RANK_TOL = 1e-8
+
+
+def tolerance(value) -> float:
+    """value as a float in (0, 1), else ParamOutOfRange (NaN included)."""
+    tol = float(value)
+    if not 0.0 < tol < 1.0:
+        raise ParamOutOfRange(f"tol must be in (0, 1), got {tol}")
+    return tol
 
 
 def as_matrix(m) -> np.ndarray:

@@ -225,20 +225,70 @@ def test_gen_without_out_prints_document(capsys):
     assert data["kind"] == "state" and data["shape"] == [2, 2]
 
 
-def test_seed_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("UNITARITY_KIT_SEED", "31")
-    path = gen(capsys, tmp_path, "local", "2", "2")
-    code, out, _ = run(capsys, ["classify", path, "--json"])
+def _gen_bytes(capsys, tmp_path, name, *flags):
+    path = tmp_path / name
+    code, _, _ = run(capsys, ["gen", "local", "2", "2", *flags, "--out", str(path)])
     assert code == 0
-    assert json.loads(out)["seed"] == 31
+    return path.read_bytes()
+
+
+def test_seed_env_override(capsys, tmp_path, monkeypatch):
+    flagged = _gen_bytes(capsys, tmp_path, "flag.json", "--seed", "31")
+    monkeypatch.setenv("UNITARITY_KIT_SEED", "31")
+    assert _gen_bytes(capsys, tmp_path, "env.json") == flagged
+    assert _gen_bytes(capsys, tmp_path, "env0.json", "--seed", "0") != flagged
 
 
 def test_seed_flag_beats_env(capsys, tmp_path, monkeypatch):
+    flagged = _gen_bytes(capsys, tmp_path, "flag.json", "--seed", "5")
     monkeypatch.setenv("UNITARITY_KIT_SEED", "31")
-    path = gen(capsys, tmp_path, "local", "2", "2", seed=5)
-    code, out, _ = run(capsys, ["classify", path, "--json", "--seed", "6"])
-    assert code == 0
-    assert json.loads(out)["seed"] == 6
+    assert _gen_bytes(capsys, tmp_path, "both.json", "--seed", "5") == flagged
+
+
+@pytest.mark.parametrize(
+    "command,kind,params",
+    [("classify", "local", ("2", "2")), ("verify-entropy", "superop_unitary", ("2",))],
+)
+def test_seed_flag_is_retired(capsys, tmp_path, command, kind, params):
+    path = gen(capsys, tmp_path, kind, *params)
+    code, _, err = run(capsys, [command, path, "--seed", "3"])
+    assert code == 1
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("env", ["31", "abc"])
+@pytest.mark.parametrize(
+    "command,kind,params",
+    [
+        ("classify", "local", ("2", "2")),
+        ("classify", "unitary", ("2", "2")),
+        ("verify-entropy", "superop_unitary", ("3",)),
+        ("verify-entropy", "superop_depolarize", ("2",)),
+    ],
+)
+def test_seed_env_leaves_reports_unchanged(capsys, tmp_path, monkeypatch, env, command, kind, params):
+    # witness searches use fixed streams; the variable only seeds gen
+    path = gen(capsys, tmp_path, kind, *params)
+    unset = run(capsys, [command, path, "--json"])
+    monkeypatch.setenv("UNITARITY_KIT_SEED", env)
+    assert run(capsys, [command, path, "--json"]) == unset
+    assert "seed" not in json.loads(unset[1])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1", "5"])
+def test_tolerance_outside_unit_interval_exits_1(capsys, tmp_path, tol):
+    local = gen(capsys, tmp_path, "local", "2", "2")
+    superop = gen(capsys, tmp_path, "superop_unitary", "2")
+    bell = gen(capsys, tmp_path, "bell")
+    for argv in (
+        ["classify", local],
+        ["verify-entropy", superop],
+        ["schmidt", bell],
+        ["measure", bell],
+    ):
+        code, out, err = run(capsys, [*argv, "--tol", tol])
+        assert (code, out) == (1, ""), argv
+        assert "tol" in err
 
 
 def test_help_documents_exit_codes(capsys):

@@ -158,7 +158,7 @@ def test_ratio_mismatch_scan_finds_violation():
 
 def test_analyze_recovers_unitary_conjugation():
     u = haar_unitary(4, seed=5)
-    verdict = analyze(superop_from_conjugation(u, gain=1.0), seed=11)
+    verdict = analyze(superop_from_conjugation(u, gain=1.0))
     assert verdict.kind == KIND_UNITARY
     assert verdict.gain == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(verdict.unitary.conj().T @ verdict.unitary - np.eye(4)) <= 1e-9
@@ -172,14 +172,15 @@ def test_analyze_recovers_scaled_conjugations():
         d = int(rng.integers(2, 7))
         c = float(rng.uniform(0.5, 2.0))
         u = haar_unitary(d, rng)
-        verdict = analyze(superop_from_conjugation(u, c), seed=int(rng.integers(2**32)))
+        rng.integers(2**32)  # spent draw, once a witness seed: keeps later inputs fixed
+        verdict = analyze(superop_from_conjugation(u, c))
         assert verdict.kind == KIND_UNITARY
         assert abs(verdict.gain - c) <= 1e-9
         assert np.abs(np.diag(verdict.unitary.conj().T @ u)).min() >= 1.0 - 1e-9
 
 
 def test_analyze_transpose_is_antiunitary_with_identity():
-    verdict = analyze(superop_transpose(3), seed=2)
+    verdict = analyze(superop_transpose(3))
     assert verdict.kind == KIND_ANTIUNITARY
     assert verdict.gain == pytest.approx(1.0, abs=1e-10)
     assert np.abs(np.diag(verdict.unitary)).min() >= 1.0 - 1e-9
@@ -189,13 +190,13 @@ def test_analyze_antiunitary_conjugation():
     u = haar_unitary(3, seed=6)
     base = superop_transpose(3)
     s = Superoperator(matrix=superop_from_conjugation(u).matrix @ base.matrix, dim=3)
-    verdict = analyze(s, seed=12)
+    verdict = analyze(s)
     assert verdict.kind == KIND_ANTIUNITARY
     assert np.abs(np.diag(verdict.unitary.conj().T @ u)).min() >= 1.0 - 1e-9
 
 
 def test_analyze_depolarizer_witness_entropy():
-    verdict = analyze(superop_depolarizing(2, 0.5), seed=3)
+    verdict = analyze(superop_depolarizing(2, 0.5))
     assert verdict.kind == KIND_NOT_PRESERVING
     w = verdict.witness
     assert w is not None
@@ -209,7 +210,7 @@ def test_analyze_rejects_nonunitary_conjugation():
     # M rho M^dag with M = diag(1, 2): pure states stay pure but gains differ
     m = np.diag([1.0, 2.0]).astype(complex)
     s = Superoperator(matrix=np.kron(m.conj(), m), dim=2)
-    verdict = analyze(s, seed=4)
+    verdict = analyze(s)
     assert verdict.kind == KIND_NOT_PRESERVING
     assert "gain" in verdict.detail
     w = verdict.witness
@@ -228,7 +229,7 @@ def test_analyze_rejects_amplitude_damping():
     g = 0.4
     k0 = np.diag([1.0, np.sqrt(1 - g)]).astype(complex)
     k1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=complex)
-    verdict = analyze(_kraus_superop([k0, k1]), seed=8)
+    verdict = analyze(_kraus_superop([k0, k1]))
     assert verdict.kind == KIND_NOT_PRESERVING
     assert verdict.witness is not None
 
@@ -237,7 +238,7 @@ def test_analyze_rejects_mixture_of_conjugations():
     # a proper convex mixture of two unitary conjugations increases disorder
     u1, u2 = haar_unitary(3, seed=17), haar_unitary(3, seed=18)
     m = 0.5 * np.kron(u1.conj(), u1) + 0.5 * np.kron(u2.conj(), u2)
-    verdict = analyze(Superoperator(matrix=m, dim=3), seed=9)
+    verdict = analyze(Superoperator(matrix=m, dim=3))
     assert verdict.kind == KIND_NOT_PRESERVING
     w = verdict.witness
     assert abs(w.entropy_in - w.entropy_out) > 1e-6
@@ -247,7 +248,7 @@ def test_analyze_rejects_hermiticity_breaking_map():
     # hermitian-in, hermitian-out is checked on the samples, not assumed
     rng = split_rng(47, 0)
     junk = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    verdict = analyze(Superoperator(matrix=junk, dim=3), seed=6)
+    verdict = analyze(Superoperator(matrix=junk, dim=3))
     assert verdict.kind == KIND_NOT_PRESERVING
     assert verdict.witness is not None
 
@@ -255,11 +256,30 @@ def test_analyze_rejects_hermiticity_breaking_map():
 def test_analyze_is_deterministic():
     u = haar_unitary(3, seed=8)
     s = superop_from_conjugation(u, 1.2)
-    v1 = analyze(s, seed=99)
-    v2 = analyze(s, seed=99)
+    v1 = analyze(s)
+    v2 = analyze(s)
     assert v1.kind == v2.kind
     np.testing.assert_array_equal(v1.unitary, v2.unitary)
     assert v1.gain == v2.gain
+    # a reject's probe states come from a fixed stream: the same witness
+    s = superop_depolarizing(3, 0.5)
+    v1 = analyze(s)
+    v2 = analyze(s)
+    assert v1.kind == v2.kind == KIND_NOT_PRESERVING
+    assert v1.detail == v2.detail
+    w1, w2 = v1.witness, v2.witness
+    np.testing.assert_array_equal(w1.phi1, w2.phi1)
+    np.testing.assert_array_equal(w1.phi2, w2.phi2)
+    assert (w1.p, w1.entropy_in, w1.entropy_out) == (w2.p, w2.entropy_in, w2.entropy_out)
+
+
+def test_analyze_has_no_seed():
+    s = superop_transpose(2)
+    with pytest.raises(TypeError):
+        analyze(s, seed=1)
+    # a stale positional seed now lands on tol, which must lie in (0, 1)
+    with pytest.raises(ParamOutOfRange):
+        analyze(s, 7)
 
 
 def test_accepted_verdicts_certify_entropy_preservation():
@@ -270,7 +290,8 @@ def test_accepted_verdicts_certify_entropy_preservation():
         lambda: superop_transpose(3),
     ):
         s = builder()
-        verdict = analyze(s, seed=int(rng.integers(2**32)))
+        rng.integers(2**32)  # spent draw, once a witness seed: keeps later inputs fixed
+        verdict = analyze(s)
         assert verdict.kind in (KIND_UNITARY, KIND_ANTIUNITARY)
         for _ in range(100):
             rho = random_density(3, int(rng.integers(1, 4)), seed=rng)
@@ -282,7 +303,7 @@ def test_accepted_verdicts_certify_entropy_preservation():
 
 
 def test_analyze_witness_scan_is_reportable():
-    verdict = analyze(superop_depolarizing(3, 0.8), seed=5)
+    verdict = analyze(superop_depolarizing(3, 0.8))
     assert verdict.kind == KIND_NOT_PRESERVING
     w = verdict.witness
     # the witness data re-verifies: both states are unit kets
@@ -298,11 +319,11 @@ def test_analyze_verdict_kind_holds_at_every_scale():
     depolarizer = superop_depolarizing(3, 0.5).matrix
     for scale in (1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300):
         for m, kind in ((unitary, KIND_UNITARY), (antiunitary, KIND_ANTIUNITARY)):
-            verdict = analyze(Superoperator(matrix=m * scale, dim=3), seed=1)
+            verdict = analyze(Superoperator(matrix=m * scale, dim=3))
             assert verdict.kind == kind
             assert verdict.gain / scale == pytest.approx(1.0, abs=1e-12)
             assert np.abs(np.diag(verdict.unitary.conj().T @ u)).min() >= 1.0 - 1e-12
-        verdict = analyze(Superoperator(matrix=depolarizer * scale, dim=3), seed=1)
+        verdict = analyze(Superoperator(matrix=depolarizer * scale, dim=3))
         assert verdict.kind == KIND_NOT_PRESERVING
         w = verdict.witness
         assert abs(w.entropy_in - w.entropy_out) > 0.5
@@ -318,10 +339,9 @@ def test_analyze_verdict_near_tolerance_does_not_depend_on_seed():
     m = m + 3e-9 * np.linalg.norm(m) / np.linalg.norm(noise) * noise
     _, _, err = _fit_conjugation(m.reshape((3,) * 4), 1e-8)
     assert err == pytest.approx(3.6e-9, rel=0.05)
-    for seed in range(10):
-        verdict = analyze(Superoperator(matrix=m, dim=3), seed=seed)
-        assert verdict.kind == KIND_UNITARY
-        assert verdict.detail == "certified by reconstruction"
+    verdict = analyze(Superoperator(matrix=m, dim=3))
+    assert verdict.kind == KIND_UNITARY
+    assert verdict.detail == "certified by reconstruction"
 
 
 def _scan_witness_per_p(superop, phi1, phi2, grid_size):

@@ -91,12 +91,12 @@ def test_random_density_validates_rank():
 
 
 def test_random_local_map_classifies_local():
-    v = classify(random_local_map((3, 3), swap=False, seed=8), seed=1)
+    v = classify(random_local_map((3, 3), swap=False, seed=8))
     assert v.kind == KIND_LOCAL
 
 
 def test_random_local_map_classifies_swap_local():
-    v = classify(random_local_map((2, 3), swap=True, seed=9), seed=1)
+    v = classify(random_local_map((2, 3), swap=True, seed=9))
     assert v.kind == KIND_SWAP_LOCAL
 
 
@@ -121,10 +121,10 @@ def test_perturb_zero_is_identity():
 
 def test_perturbed_maps_lose_locality():
     rng = split_rng(14, 0)
-    for k in range(20):
+    for _ in range(20):
         bmap = random_local_map((3, 3), seed=rng)
         noisy = perturb(bmap, 1e-2, seed=rng)
-        assert classify(noisy, seed=k).kind == KIND_NOT_PRESERVING
+        assert classify(noisy).kind == KIND_NOT_PRESERVING
 
 
 def test_generators_are_deterministic():

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitarity_kit.errors import NotHermitian, ShapeMismatch
-from unitarity_kit.generators import random_density, split_rng
+from unitarity_kit.classifier import classify
+from unitarity_kit.entropy_dynamics import analyze, superop_from_conjugation
+from unitarity_kit.errors import NotHermitian, ParamOutOfRange, ShapeMismatch
+from unitarity_kit.generators import cnot_map, haar_unitary, random_density, split_rng
 from unitarity_kit.linalg import (
     hermitian_eigenvalues,
     kron,
@@ -97,6 +99,15 @@ def test_numerical_rank_near_singular():
 def test_numerical_rank_validates_tolerance():
     with pytest.raises(ValueError):
         numerical_rank(np.eye(2), rel_tol=1.5)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1.0, 5.0])
+def test_deciders_refuse_tolerance_outside_unit_interval(tol):
+    # the admissible range is numerical_rank's; NaN fails every comparison
+    with pytest.raises(ParamOutOfRange):
+        classify(cnot_map(), tol=tol)
+    with pytest.raises(ParamOutOfRange):
+        analyze(superop_from_conjugation(haar_unitary(2, seed=0)), tol=tol)
 
 
 def test_kron_identities():

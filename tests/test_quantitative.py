@@ -175,7 +175,7 @@ def test_quantitative_preserved_implies_qualitative_accepted():
         b = (1.0 / c) * haar_unitary(3, rng)
         assert check_E2(a, b).preserved and check_E1(a, b).preserved
         matrix = kron(a, b) @ swap_operator((3, 3)) if swap else kron(a, b)
-        verdict = classify(BipartiteMap(matrix, BipartiteShape(3, 3)), seed=1)
+        verdict = classify(BipartiteMap(matrix, BipartiteShape(3, 3)))
         assert verdict.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
 
 
