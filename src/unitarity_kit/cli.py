@@ -9,16 +9,16 @@ human-readable or JSON report.  Exit codes are stable API:
     3  not preserving
     4  internal error (also: selfcheck found a failing criterion)
 
-Only `gen` takes a seed (0 unless --seed or UNITARITY_KIT_SEED sets it);
-the witness searches use fixed streams, so a report depends only on the
-input and --tol, which must lie in (0, 1).
+Only `gen` takes a seed (--seed, default 0); the witness searches use fixed
+streams, so a report depends only on the input and --tol, which must lie
+in (0, 1).  A file entry that is not a JSON number (a bool, a string, null,
+a non-finite value or an integer beyond float range) is a parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -78,18 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("UNITARITY_KIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"UNITARITY_KIT_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="unitarity-kit",
@@ -144,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     g.add_argument("params", nargs="*", help="dimensions (and c for psi_c)")
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
 
     sub.add_parser("selfcheck", help="run the embedded acceptance suite")
@@ -399,8 +387,7 @@ def _gen_payload(kind: str, params: list[str], seed: int):
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed)
-    kind, shape, array = _gen_payload(args.kind, args.params, seed)
+    kind, shape, array = _gen_payload(args.kind, args.params, args.seed)
     if args.out:
         save_map_file(args.out, kind, shape, array)
         print(f"wrote {kind} to {args.out}")

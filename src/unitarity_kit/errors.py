@@ -41,7 +41,7 @@ class ZeroVector(UnitarityKitError):
     """Operation undefined on the zero vector."""
 
 
-class ParamOutOfRange(UnitarityKitError):
+class ParamOutOfRange(UnitarityKitError, ValueError):
     """Scalar parameter outside its admissible range."""
 
 

@@ -115,8 +115,7 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 
     The zero matrix has rank 0.  rel_tol must lie in (0, 1).
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    rel_tol = tolerance(rel_tol)
     s = singular_values(m)
     if s.size == 0 or s[0] == 0.0:
         return 0

@@ -9,15 +9,17 @@ A file is one JSON object with three fields:
 
 All numerics are plain decimal floats.  Files are written compactly on one
 line; `python -m json.tool FILE` pretty-prints one for reading or diffing.
-Parsing validates structure and finiteness (ParseError) and dimension
-consistency (ShapeMismatch); these map to CLI exit codes 1 and 2.
+Parsing validates structure (ParseError) and dimension consistency
+(ShapeMismatch); these map to CLI exit codes 1 and 2.  Every entry must be
+a JSON number: a bool, a string, null, a non-finite value or an integer
+beyond float range is a ParseError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,33 +45,34 @@ def complex_to_pairs(array: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _parse_pair(item) -> complex:
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-    ):
-        raise ParseError(f"matrix entries must be [re, im] pairs, got {item!r}")
-    re, im = float(item[0]), float(item[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParseError(f"non-finite matrix entry {item!r}")
-    return complex(re, im)
+def _stray_type(items, types):
+    """A type among items that is bool or not a subclass of types, else None."""
+    return next((t for t in set(map(type, items)) if t is bool or not issubclass(t, types)), None)
 
 
-def pairs_to_vector(data) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise ParseError("state matrix must be a non-empty list of [re, im] pairs")
-    return np.array([_parse_pair(item) for item in data], dtype=complex)
+def _pairs_to_array(raw, depth: int) -> np.ndarray:
+    """raw, depth levels of lists around [re, im] pairs, as a complex array.
 
-
-def pairs_to_matrix(data) -> np.ndarray:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ParseError("matrix must be a non-empty list of rows")
-    rows = [[_parse_pair(item) for item in row] for row in data]
-    width = len(rows[0])
-    if width == 0 or any(len(r) != width for r in rows):
-        raise ParseError("matrix rows have inconsistent lengths")
-    return np.array(rows, dtype=complex)
+    Types are checked before the one float conversion, as numpy would read
+    true, "1.0" and null as numbers.  The complex view keeps every bit of
+    the parsed floats, signed zeros included.
+    """
+    rows = [raw] if depth == 1 else raw
+    if not isinstance(raw, list) or not raw or _stray_type(rows, list):
+        raise ParseError("matrix must be a non-empty list of [re, im] pairs, or of rows of them")
+    pairs = list(chain.from_iterable(rows))
+    stray = _stray_type(pairs, (list, tuple)) or _stray_type(chain.from_iterable(pairs), (int, float))
+    if stray:
+        raise ParseError(f"matrix entries must be [re, im] pairs of numbers, got a {stray.__name__}")
+    try:
+        a = np.array(raw, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"matrix is not an array of [re, im] pairs: {exc}") from exc
+    if a.ndim != depth + 1 or a.shape[-1] != 2:
+        raise ParseError("matrix rows or pairs have inconsistent lengths")
+    if not np.isfinite(a).all():
+        raise ParseError("non-finite matrix entry")
+    return a.view(complex)[..., 0]
 
 
 def _parse_shape(value):
@@ -99,13 +102,13 @@ def parse_map_data(data) -> LoadedFile:
         raise ParseError(f"unknown kind {kind!r}, expected one of {_KINDS}")
 
     if kind == KIND_STATE:
-        array = pairs_to_vector(raw)
+        array = _pairs_to_array(raw, 1)
         dim = shape if isinstance(shape, int) else shape[0] * shape[1]
         if array.shape[0] != dim:
             raise ShapeMismatch(f"state has {array.shape[0]} entries, shape needs {dim}")
         return LoadedFile(kind=kind, shape=shape, array=array)
 
-    array = pairs_to_matrix(raw)
+    array = _pairs_to_array(raw, 2)
     if kind == KIND_SUPEROPERATOR:
         if not isinstance(shape, int):
             raise ShapeMismatch("superoperator shape must be a scalar dimension")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRoot, ParamOutOfRange, RankDeficient
-from .linalg import DEFAULT_RANK_TOL, as_matrix, dag, kron, svd
+from .linalg import DEFAULT_RANK_TOL, SVDResult, as_matrix, dag, svd, tolerance
 from .schmidt import as_shape, measure_E1, measure_E2
 
 ROOT_TOL = 1e-9
@@ -32,14 +32,19 @@ class SingularSpectrumPair:
     mus: np.ndarray
 
 
-def singular_spectra(a, b, tol: float = DEFAULT_RANK_TOL) -> SingularSpectrumPair:
-    """Singular values of both factors; both must be invertible within tol."""
-    sa = svd(as_matrix(a)).singular_values
-    sb = svd(as_matrix(b)).singular_values
-    for name, s in (("A", sa), ("B", sb)):
+def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
+    """One SVD per factor; both factors must be invertible within tol."""
+    tol, ra, rb = tolerance(tol), svd(a), svd(b)
+    for name, s in (("A", ra.singular_values), ("B", rb.singular_values)):
         if s[0] == 0.0 or s[-1] <= tol * s[0]:
             raise RankDeficient(f"factor {name} is numerically singular")
-    return SingularSpectrumPair(lambdas=sa, mus=sb)
+    return ra, rb
+
+
+def singular_spectra(a, b, tol: float = DEFAULT_RANK_TOL) -> SingularSpectrumPair:
+    """Singular values of both factors; both must be invertible within tol."""
+    ra, rb = _factor_svds(a, b, tol)
+    return SingularSpectrumPair(lambdas=ra.singular_values, mus=rb.singular_values)
 
 
 def psi_c(c: float, shape, bases=None) -> np.ndarray:
@@ -92,17 +97,25 @@ def _spread(s: np.ndarray) -> float:
     return float((s[0] - s[-1]) / s[0])
 
 
-def _bell_probe_witness(a, b, measure_fn) -> QuantitativeWitness:
-    a, b = as_matrix(a), as_matrix(b)
+def _check(measure, measure_fn, a, b, tol, preserved, scalar) -> QuantitativeVerdict:
+    """preserved(lambdas, mus, tol) decides from one SVD per factor.
+
+    The certificate holds scalar(lambdas, mus) and the unitary parts U Vh;
+    the witness is psi_c(1/sqrt 2) in the right singular bases, mapped as
+    A X B^T with X its n x m coefficient matrix.
+    """
+    a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
+    ra, rb = _factor_svds(a, b, tol)
+    lambdas, mus = ra.singular_values, rb.singular_values
+    if preserved(lambdas, mus, tol):
+        unitaries = (ra.left_basis @ ra.right_basis, rb.left_basis @ rb.right_basis)
+        cert = QuantitativeCertificate(float(scalar(lambdas, mus)), *unitaries)
+        return QuantitativeVerdict(measure, True, cert, None)
     shape = as_shape((a.shape[0], b.shape[0]))
-    bases = (svd(a).right_basis, svd(b).right_basis)
-    state = psi_c(1.0 / np.sqrt(2.0), shape, bases)
-    image = kron(a, b) @ state
-    return QuantitativeWitness(
-        state=state,
-        value_in=measure_fn(state, shape),
-        value_out=measure_fn(image, shape),
-    )
+    state = psi_c(1.0 / np.sqrt(2.0), shape, (ra.right_basis, rb.right_basis))
+    image = a @ state.reshape(shape.n, shape.m) @ b.T
+    witness = QuantitativeWitness(state, measure_fn(state, shape), measure_fn(image.ravel(), shape))
+    return QuantitativeVerdict(measure, False, None, witness)
 
 
 def check_E1(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
@@ -112,18 +125,11 @@ def check_E1(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
     carries lambda_1*mu_1 and the unitary parts.  On failure the maximally
     entangled probe's image is strictly less entangled under E1.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    spectra = singular_spectra(a, b, tol)
-    if _spread(spectra.lambdas) <= tol and _spread(spectra.mus) <= tol:
-        ra, rb = svd(a), svd(b)
-        cert = QuantitativeCertificate(
-            scalar=float(spectra.lambdas[0] * spectra.mus[0]),
-            unitary_a=ra.left_basis @ ra.right_basis,
-            unitary_b=rb.left_basis @ rb.right_basis,
-        )
-        return QuantitativeVerdict("E1", True, cert, None)
-    witness = _bell_probe_witness(a, b, measure_E1)
-    return QuantitativeVerdict("E1", False, None, witness)
+    return _check(
+        "E1", measure_E1, a, b, tol,
+        lambda lambdas, mus, tol: _spread(lambdas) <= tol and _spread(mus) <= tol,
+        lambda lambdas, mus: lambdas[0] * mus[0],
+    )
 
 
 def check_E2(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
@@ -132,20 +138,12 @@ def check_E2(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
     With the spectra ordered this forces every product lambda_i*mu_j to 1,
     i.e. A = c U and B = V / c; the certificate records c = lambda_1.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    spectra = singular_spectra(a, b, tol)
-    top = float(spectra.lambdas[0] * spectra.mus[0])
-    bottom = float(spectra.lambdas[-1] * spectra.mus[-1])
-    if abs(top - 1.0) <= tol and abs(bottom - 1.0) <= tol:
-        ra, rb = svd(a), svd(b)
-        cert = QuantitativeCertificate(
-            scalar=float(spectra.lambdas[0]),
-            unitary_a=ra.left_basis @ ra.right_basis,
-            unitary_b=rb.left_basis @ rb.right_basis,
-        )
-        return QuantitativeVerdict("E2", True, cert, None)
-    witness = _bell_probe_witness(a, b, measure_E2)
-    return QuantitativeVerdict("E2", False, None, witness)
+    return _check(
+        "E2", measure_E2, a, b, tol,
+        lambda lambdas, mus, tol: abs(float(lambdas[0] * mus[0]) - 1.0) <= tol
+        and abs(float(lambdas[-1] * mus[-1]) - 1.0) <= tol,
+        lambda lambdas, mus: lambdas[0],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroVector
-from .linalg import DEFAULT_RANK_TOL, as_vector, svd
+from .linalg import DEFAULT_RANK_TOL, as_vector, svd, tolerance
 from .states import check_pure_state, shannon_bits
 
 
@@ -71,8 +71,10 @@ def schmidt_decompose(v, shape, tol: float = DEFAULT_RANK_TOL) -> SchmidtDecompo
     The vector is reshaped to the n x m coefficient matrix (A-major index
     convention) and factorized by SVD.  Coefficients at or below
     tol * largest are dropped; what survives defines the rank.  The zero
-    test takes no norm, so it holds at every representable scale.
+    test takes no norm, so it holds at every representable scale.  tol must
+    lie in (0, 1) (ParamOutOfRange otherwise).
     """
+    tol = tolerance(tol)
     shape = as_shape(shape)
     vec = as_vector(v)
     if vec.shape[0] != shape.dim:

@@ -18,8 +18,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, dag
 
-PURE_NORM_TOL = 1e-10
-
 
 def check_pure_state(psi, tol: float = 1e-8) -> np.ndarray:
     """Validate unit norm and return the vector as complex128."""

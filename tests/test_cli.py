@@ -232,17 +232,22 @@ def _gen_bytes(capsys, tmp_path, name, *flags):
     return path.read_bytes()
 
 
-def test_seed_env_override(capsys, tmp_path, monkeypatch):
-    flagged = _gen_bytes(capsys, tmp_path, "flag.json", "--seed", "31")
-    monkeypatch.setenv("UNITARITY_KIT_SEED", "31")
-    assert _gen_bytes(capsys, tmp_path, "env.json") == flagged
-    assert _gen_bytes(capsys, tmp_path, "env0.json", "--seed", "0") != flagged
+@pytest.mark.parametrize("env", ["31", "abc"])
+def test_gen_seed_ignores_environment(capsys, tmp_path, monkeypatch, env):
+    # --seed alone seeds gen, 0 by default; no environment variable sets it
+    default = _gen_bytes(capsys, tmp_path, "seed0.json", "--seed", "0")
+    assert _gen_bytes(capsys, tmp_path, "seed31.json", "--seed", "31") != default
+    monkeypatch.setenv("UNITARITY_KIT_SEED", env)
+    assert _gen_bytes(capsys, tmp_path, "env.json") == default
 
 
-def test_seed_flag_beats_env(capsys, tmp_path, monkeypatch):
-    flagged = _gen_bytes(capsys, tmp_path, "flag.json", "--seed", "5")
-    monkeypatch.setenv("UNITARITY_KIT_SEED", "31")
-    assert _gen_bytes(capsys, tmp_path, "both.json", "--seed", "5") == flagged
+def test_integer_beyond_float_range_exits_1(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    pairs = [[10**400, 0]] + [[0, 0]] * 3
+    path.write_text(json.dumps({"kind": "state", "shape": [2, 2], "matrix": pairs}))
+    code, out, err = run(capsys, ["schmidt", str(path)])
+    assert (code, out) == (1, "")
+    assert "too large" in err
 
 
 @pytest.mark.parametrize(
@@ -267,7 +272,7 @@ def test_seed_flag_is_retired(capsys, tmp_path, command, kind, params):
     ],
 )
 def test_seed_env_leaves_reports_unchanged(capsys, tmp_path, monkeypatch, env, command, kind, params):
-    # witness searches use fixed streams; the variable only seeds gen
+    # witness searches use fixed streams; the former seed variable is ignored
     path = gen(capsys, tmp_path, kind, *params)
     unset = run(capsys, [command, path, "--json"])
     monkeypatch.setenv("UNITARITY_KIT_SEED", env)

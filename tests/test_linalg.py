@@ -14,6 +14,14 @@ from unitarity_kit.linalg import (
     partial_trace,
     svd,
 )
+from unitarity_kit.quantitative import check_E1, check_E2
+from unitarity_kit.schmidt import (
+    entanglement_E,
+    measure_E1,
+    measure_E2,
+    schmidt_decompose,
+    schmidt_rank,
+)
 
 
 def test_hermitian_eigenvalues_diagonal():
@@ -108,6 +116,27 @@ def test_deciders_refuse_tolerance_outside_unit_interval(tol):
         classify(cnot_map(), tol=tol)
     with pytest.raises(ParamOutOfRange):
         analyze(superop_from_conjugation(haar_unitary(2, seed=0)), tol=tol)
+
+
+_BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+_TOL_CALLS = {
+    "schmidt_decompose": lambda tol: schmidt_decompose(_BELL, (2, 2), tol=tol),
+    "schmidt_rank": lambda tol: schmidt_rank(_BELL, (2, 2), tol=tol),
+    "entanglement_E": lambda tol: entanglement_E(_BELL, (2, 2), tol=tol),
+    "measure_E1": lambda tol: measure_E1(_BELL, (2, 2), tol=tol),
+    "measure_E2": lambda tol: measure_E2(_BELL, (2, 2), tol=tol),
+    "numerical_rank": lambda tol: numerical_rank(np.eye(2), rel_tol=tol),
+    "check_E1": lambda tol: check_E1(np.eye(2), np.eye(2), tol=tol),
+    "check_E2": lambda tol: check_E2(np.eye(2), np.eye(2), tol=tol),
+}
+
+
+@pytest.mark.parametrize("fn", list(_TOL_CALLS))
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1.0, 5.0])
+def test_library_helpers_refuse_tolerance_outside_unit_interval(tol, fn):
+    # a NaN tolerance once gave the Bell state rank 0 and E = 0
+    with pytest.raises(ParamOutOfRange):
+        _TOL_CALLS[fn](tol)
 
 
 def test_kron_identities():

@@ -82,6 +82,41 @@ def test_rejects_non_finite_entries():
         )
 
 
+# One defect each, as (state field, 2x2 matrix field) JSON text.  json reads
+# NaN and 1e400 as floats, so those two reach the finiteness check.
+_MALFORMED = {
+    "bool": ("[[true, 0], [0, 1]]", "[[[true, 0], [0, 0]], [[0, 0], [0, 1]]]"),
+    "string": ('[["1.0", 0], [0, 1]]', '[[["1.0", 0], [0, 0]], [[0, 0], [0, 1]]]'),
+    "null": ("[[null, 0], [0, 1]]", "[[[null, 0], [0, 0]], [[0, 0], [0, 1]]]"),
+    "short pair": ("[[1.0], [0, 1]]", "[[[1.0], [0, 0]], [[0, 0], [0, 1]]]"),
+    "long pair": ("[[1, 2, 3], [0, 1]]", "[[[1, 2, 3], [0, 0]], [[0, 0], [0, 1]]]"),
+    "ragged row": ("[[[1, 0], [0, 1]], [[0, 0]]]", "[[[1, 0], [0, 0]], [[0, 1]]]"),
+    "empty row": ("[]", "[[[1, 0], [0, 0]], []]"),
+    "too deep": (
+        "[[[1, 0], [0, 0]], [[0, 0], [0, 1]]]",
+        "[[[[1, 0]], [[0, 0]]], [[[0, 0]], [[0, 1]]]]",
+    ),
+    "nan": ("[[NaN, 0], [0, 1]]", "[[[NaN, 0], [0, 0]], [[0, 0], [0, 1]]]"),
+    "overflow": ("[[1e400, 0], [0, 1]]", "[[[1e400, 0], [0, 0]], [[0, 0], [0, 1]]]"),
+}
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["state", "matrix"])
+@pytest.mark.parametrize("defect", list(_MALFORMED))
+def test_parse_is_strict_about_every_entry(field, defect):
+    kind, shape = [("state", [2, 1]), ("bipartite_map", [1, 2])][field]
+    matrix = json.loads(_MALFORMED[defect][field])
+    with pytest.raises(ParseError):
+        parse_map_data({"kind": kind, "shape": shape, "matrix": matrix})
+    # a pair may be a tuple when the data does not come from JSON
+    pairs = [(1.0, -0.0), [0.0, 2.0]]
+    matrix = pairs if field == 0 else [pairs, pairs[::-1]]
+    loaded = parse_map_data({"kind": kind, "shape": shape, "matrix": matrix})
+    expected = np.array([1.0, 2.0j]) if field == 0 else np.array([[1.0, 2.0j], [2.0j, 1.0]])
+    np.testing.assert_array_equal(loaded.array, expected)
+    assert np.signbit(loaded.array.flat[0].imag)
+
+
 def test_rejects_state_with_wrong_length():
     with pytest.raises(ShapeMismatch):
         parse_map_data({"kind": "state", "shape": [2, 2], "matrix": [[1.0, 0.0]] * 3})

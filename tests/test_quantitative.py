@@ -191,6 +191,34 @@ def test_check_E2_inverse_symmetry():
     assert check_E2(np.linalg.inv(u2), np.linalg.inv(u3)).preserved
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (3, 2)])
+def test_witness_image_matches_full_kron(dims):
+    # the witness maps the probe as A X B^T, never forming A (x) B
+    n, m = dims
+    a = random_invertible(n, seed=41, cond_cap=10)
+    b = random_invertible(m, seed=42, cond_cap=10)
+    for check, measure_fn in ((check_E1, measure_E1), (check_E2, measure_E2)):
+        w = check(a, b).witness
+        assert w is not None
+        assert w.value_in == measure_fn(w.state, dims)
+        assert w.value_out == pytest.approx(measure_fn(kron(a, b) @ w.state, dims), rel=1e-10)
+
+
+def test_checks_take_one_svd_per_factor(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or real_svd(*args, **kw))
+    general = (random_invertible(3, seed=43, cond_cap=10), random_invertible(2, seed=44, cond_cap=10))
+    unitary = (2.0 * haar_unitary(3, seed=45), 0.5 * haar_unitary(2, seed=46))
+    for check in (check_E1, check_E2):
+        # accepted: one SVD per factor; rejected: plus the Schmidt
+        # decompositions of the probe and of its image
+        for (a, b), preserved, svds in ((unitary, True, 2), (general, False, 4)):
+            calls.clear()
+            assert check(a, b).preserved is preserved
+            assert len(calls) == svds
+
+
 # ---------------------------------------------------------------------------
 # the ratio root
 
