@@ -8,12 +8,13 @@ Schmidt data demonstrably violates preservation.
 The decision is one certificate per reading: L = A x B holds exactly when
 the realignment of L has rank 1 (Van Loan & Pitsianis, 1993), so a
 least-squares rank-1 fit of the realigned map and its relative residual
-decide Local, and the same fit of the relabeled map decides SwapLocal.  The
-constructive stages of the paper's argument (product images of the product
-basis, the parallelism pattern of the image factors, extraction of the
-local factors and a rank-1 factorization of the leftover phase/length grid)
-run only on a rejected map, to find a witness; every witness is
-re-verified through the Schmidt oracle before it is returned.
+decide Local, and the same fit of the relabeled map decides SwapLocal; the
+rank of A x B is read off the two small factors.  The rank check of the
+whole map and the constructive stages of the paper's argument (product
+images of the product basis, the parallelism pattern of the image factors,
+extraction of the local factors and a rank-1 factorization of the leftover
+phase/length grid) run only on a rejected map, to find a witness; every
+witness is re-verified through the Schmidt oracle before it is returned.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 from .generators import random_schmidt_rank_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, numerical_rank, singular_values, svd, tolerance
+from .linalg import DEFAULT_RANK_TOL, as_matrix, singular_values, svd, tolerance
 from .schmidt import BipartiteShape, as_shape, schmidt_decompose
 
 KIND_LOCAL = "Local"
@@ -49,8 +50,9 @@ class BipartiteMap:
     """Square nm x nm matrix acting on the composite space.
 
     Every entry must be finite.  The singular values of the matrix are
-    computed once, on first use, and cached on the instance, so the matrix
-    must not be mutated after construction.
+    computed only when first read, which classify does on the reject path
+    alone, and then cached on the instance, so the matrix must not be
+    mutated after construction.
     """
 
     matrix: np.ndarray
@@ -100,10 +102,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class QualitativeVerdict:
+    """A classify result.  reconstruction_error and rank_ratio are the two
+    margins an accepted reading cleared (at most tol, and above tol); both
+    are None on NotPreserving, which carries the witness instead."""
+
     kind: str
     a: np.ndarray | None = None
     b: np.ndarray | None = None
     reconstruction_error: float | None = None
+    rank_ratio: float | None = None
     witness: Witness | None = None
     output_shape: tuple[int, int] | None = None
     detail: str = ""
@@ -429,28 +436,29 @@ def _random_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     return None
 
 
-def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
+def _fit_local(bmap: BipartiteMap, swap: bool, tol: float, peak: float):
     """Fit L = A x B (swap=False) or S L = A x B (swap=True); return (A, B, error).
 
-    R, the realignment of L / ||L||_2 to n^2 x m^2, is vec(A) vec(B)^T when
-    the reading fits.  vec(A) is read off the largest column of R, then
+    peak is the largest entry modulus of L, positive.  R, the realignment of
+    L / peak to n^2 x m^2, is vec(A) vec(B)^T when the reading fits; its
+    entries are at most 1 in modulus and one of them is 1, so no square
+    under- or overflows.  vec(A) is read off the largest column of R, then
     vec(B) and vec(A) are fitted once each by least squares; the error is
-    ||R - vec(A) vec(B)^T||_F / ||R||_F, so no square under- or overflows.
-    Its square equals the energy deficit 1 - ||vec(A)||^2 / ||R||_F^2, whose
-    rounding is about 1e-15: a deficit above tol (>= tol^2) is read as the
-    error without forming the residual.  A and B are None unless
-    error <= tol; then they are at the map's scale with ||B||_F = 1 and the
-    largest-modulus entry of A[:, 0] real positive.
+    ||R - vec(A) vec(B)^T||_F / ||R||_F.  Its square equals the energy
+    deficit 1 - ||vec(A)||^2 / ||R||_F^2, whose rounding is about 1e-15: a
+    deficit above tol (>= tol^2) is read as the error without forming the
+    residual.  A and B are None unless error <= tol; then they are at the
+    map's scale with ||B||_F = 1 and the largest-modulus entry of A[:, 0]
+    real positive.
     """
     n, m = bmap.shape.n, bmap.shape.m
-    norm2 = bmap.singular_values[0]
     if swap:
         view = bmap.matrix.reshape(m, n, n, m).transpose(1, 2, 0, 3)
     else:
         view = bmap.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3)
     # realigned and divided in one pass over the real and imaginary parts
     x = np.empty((n * n, 2 * m * m))
-    np.divide(view.view(np.float64), norm2, out=x.reshape(n, n, m, 2 * m))
+    np.divide(view.view(np.float64), peak, out=x.reshape(n, n, m, 2 * m))
     r = x.view(complex)
     energies = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
     vb = r[:, np.argmax(energies)].conj() @ r
@@ -468,7 +476,7 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     a, b = va.reshape(n, n), vb.reshape(m, m)
     top = a[np.argmax(np.abs(a[:, 0])), 0]
     phase = top / abs(top) if top else 1.0
-    return a * (norm2 / phase), b * phase, err
+    return a * (peak / phase), b * phase, err
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
@@ -504,42 +512,64 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
-    """Rank check, then the realignment certificate for Local and then for
-    SwapLocal; a rejected map gets its witness from the constructive stages.
-
-    The map's spectrum is computed once, as singular values only, and
-    cached on the map: it decides the rank check (the full SVD runs only on
-    a rank-deficient map, for its kernel vector) and supplies the 2-norm
-    that scales the certificate and every vanishing-image test.
+    """The realignment certificate for Local and then for SwapLocal; a map
+    that neither reading accepts gets the rank check and then its witness
+    from the constructive stages.
 
     A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
     SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
-    relabeling from the recorded output shape.  Both need full-rank A and
-    B.  Otherwise the verdict is NotPreserving with a re-verified witness;
+    relabeling from the recorded output shape.  A fitted reading is
+    accepted exactly when its rank_ratio, s_min / s_max of A x B from one
+    values-only SVD of each factor, exceeds tol; as both factor ratios are
+    at most 1, this implies the rank check of A and of B.  An accepted map
+    never computes its own nm x nm spectrum.  That spectrum runs only on
+    the reject path: it decides the rank check there (the full SVD runs
+    only on a rank-deficient map, for its kernel vector) and supplies the
+    2-norm that scales every vanishing-image test.
+
+    A map no reading accepts is NotPreserving with a re-verified witness;
     when no constructive stage finds one, a random search over a fixed
     stream does.  The whole verdict, witness included, depends on the map
     and tol alone; tol must lie in (0, 1) (ParamOutOfRange otherwise).
+
+    The factor rank test can differ from the map's own only near tol: the fit
+    residual, at most tol * ||L||_F, can move s_min(L) and s_max(L) that
+    far (Weyl), so s_min / s_max of L and rank_ratio differ by at most
+    about 2 * tol * ||L||_F / ||L||_2 <= 2 * tol * sqrt(nm).  A fitted map
+    whose own ratio is below about (1 + 2 * sqrt(nm)) * tol can thus be
+    accepted although its spectrum reads rank deficient, or the other way
+    round.
     """
     tol = tolerance(tol)
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
-    kernel_witness = check_full_rank(bmap, tol)
-    if kernel_witness is not None:
-        return QualitativeVerdict(
-            KIND_NOT_PRESERVING, witness=kernel_witness, detail="map is rank deficient"
-        )
-    for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
-        a, b, err = _fit_local(bmap, swap, tol)
-        if a is not None and numerical_rank(a, tol) == shape.n and numerical_rank(b, tol) == shape.m:
+    peak = float(np.abs(bmap.matrix).max())
+    # the zero map fits no reading; it goes straight to the rank check
+    readings = ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)) if peak > 0.0 else ()
+    for kind, swap in readings:
+        a, b, err = _fit_local(bmap, swap, tol, peak)
+        if a is None:
+            continue
+        # s_min / s_max of A x B, whose singular values are the products
+        # s_i(A) s_j(B); A is nonzero, as its fit passed
+        sa, sb = singular_values(a), singular_values(b)
+        ratio = float(sa[-1] / sa[0] * (sb[-1] / sb[0]))
+        if ratio > tol:
             return QualitativeVerdict(
                 kind,
                 a,
                 b,
                 reconstruction_error=err,
+                rank_ratio=ratio,
                 output_shape=(shape.flipped() if swap else shape).as_tuple(),
                 detail="factors certified by reconstruction",
             )
+    kernel_witness = check_full_rank(bmap, tol)
+    if kernel_witness is not None:
+        return QualitativeVerdict(
+            KIND_NOT_PRESERVING, witness=kernel_witness, detail="map is rank deficient"
+        )
     return QualitativeVerdict(
         KIND_NOT_PRESERVING,
         witness=_search_witness(bmap, tol),

@@ -71,6 +71,15 @@ EXIT_NOT_PRESERVING = 3
 EXIT_INTERNAL = 4
 
 
+def _tol_arg(text: str) -> float:
+    """--tol as a float in (0, 1); argparse prints the message of an
+    ArgumentTypeError but replaces that of a ValueError."""
+    try:
+        return tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments, which collides with the
     # dimension-error code; surface them as parse errors instead.
@@ -95,18 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="classify a bipartite map file")
     c.add_argument("path")
-    c.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
+    c.add_argument("--tol", type=_tol_arg, default=DEFAULT_RANK_TOL)
     c.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify-entropy", help="analyze a superoperator file")
     v.add_argument("path")
-    v.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
+    v.add_argument("--tol", type=_tol_arg, default=DEFAULT_RANK_TOL)
     v.add_argument("--json", action="store_true")
 
     s = sub.add_parser("schmidt", help="Schmidt-decompose a state file")
     s.add_argument("path")
     s.add_argument("--shape", type=int, nargs=2, default=None, metavar=("N", "M"))
-    s.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
+    s.add_argument("--tol", type=_tol_arg, default=DEFAULT_RANK_TOL)
     s.add_argument("--bases", action="store_true", help="also print the local bases")
     s.add_argument("--json", action="store_true")
 
@@ -114,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("path")
     m.add_argument("--shape", type=int, nargs=2, default=None, metavar=("N", "M"))
     m.add_argument("--measure", choices=("E", "E1", "E2"), default="E")
-    m.add_argument("--tol", type=tolerance, default=DEFAULT_RANK_TOL)
+    m.add_argument("--tol", type=_tol_arg, default=DEFAULT_RANK_TOL)
 
     g = sub.add_parser("gen", help="generate fixture files")
     g.add_argument(
@@ -216,6 +225,7 @@ def _cmd_classify(args) -> int:
         "detail": verdict.detail,
         "output_shape": list(verdict.output_shape) if verdict.output_shape else None,
         "reconstruction_error": verdict.reconstruction_error,
+        "rank_ratio": verdict.rank_ratio,
     }
     if verdict.a is not None:
         report["verdict"]["factor_a"] = complex_to_pairs(verdict.a)

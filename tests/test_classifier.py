@@ -549,6 +549,53 @@ def test_classify_accepts_exactly_when_realignment_tail_is_within_tol(n, m):
     assert {KIND_LOCAL, KIND_SWAP_LOCAL, KIND_NOT_PRESERVING} <= set(seen)
 
 
+@pytest.mark.parametrize(
+    "swap,witness_kind", [(False, WITNESS_KERNEL), (True, WITNESS_PRODUCT_TO_ENTANGLED)]
+)
+def test_classify_rank_gate_is_the_factor_product_ratio(swap, witness_kind):
+    # each factor passes its own rank check (ratio 10^-4.5 > tol), but the
+    # product, s_min / s_max of A x B, is 1e-9 < tol; at 10^-3.9 it is 1.6e-8
+    accepted = KIND_SWAP_LOCAL if swap else KIND_LOCAL
+    for exponent, want in ((-4.5, KIND_NOT_PRESERVING), (-3.9, accepted)):
+        a = haar_unitary(2, seed=3) @ np.diag([1.0, 10**exponent])
+        b = haar_unitary(3, seed=4) @ np.diag([1.0, 1.0, 10**exponent])
+        product = kron(a, b)
+        bmap = BipartiteMap(swap_operator((3, 2)).T @ product if swap else product, (2, 3))
+        v = classify(bmap)
+        assert v.kind == want
+        if want == KIND_NOT_PRESERVING:
+            assert v.rank_ratio is None and v.detail == "map is rank deficient"
+            assert v.witness.kind == witness_kind
+            assert witness_checks_out(bmap, v.witness)
+        else:
+            assert v.rank_ratio == pytest.approx(10 ** (2 * exponent), rel=1e-6)
+            np.testing.assert_allclose(kron(v.a, v.b), product, atol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("swap", [False, True])
+def test_accepted_map_never_computes_its_spectrum(scale, swap):
+    base = local_map(3, 3, seed=19, swap=swap)
+    bmap = BipartiteMap(scale * base.matrix, base.shape)
+    v = classify(bmap)
+    assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
+    assert 1e-8 < v.rank_ratio <= 1.0
+    assert "singular_values" not in bmap.__dict__
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [cnot_map().matrix, np.diag([0.0, 1.0, 1.0, 1.0]), np.zeros((4, 4))],
+    ids=["cnot", "rank-deficient", "zero"],
+)
+def test_rejected_map_caches_its_spectrum(matrix):
+    bmap = BipartiteMap(matrix, BipartiteShape(2, 2))
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.rank_ratio is None
+    assert "singular_values" in bmap.__dict__
+    assert witness_checks_out(bmap, v.witness)
+
+
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4)])
 @pytest.mark.parametrize("swap", [False, True])
 def test_classify_factors_follow_the_gauge(n, m, swap):

@@ -30,6 +30,7 @@ def test_gen_local_then_classify(capsys, tmp_path):
     report = json.loads(out)
     assert report["verdict"]["kind"] == "Local"
     assert report["verdict"]["reconstruction_error"] <= 1e-8
+    assert 1e-8 < report["verdict"]["rank_ratio"] <= 1.0
     assert report["quantitative"]["E1"]["preserved"] is False  # generic factors
     assert report["tolerances"]["tol"] == 1e-8
 
@@ -63,6 +64,7 @@ def test_classify_report_witness_reverifies(capsys, tmp_path):
     code, out, _ = run(capsys, ["classify", path, "--json"])
     assert code == 3
     report = json.loads(out)
+    assert report["verdict"]["rank_ratio"] is None
     witness = report["verdict"]["witness"]
     state = np.array([complex(re, im) for re, im in witness["state"]])
     shape = tuple(witness["evidence"]["input_shape"])
@@ -293,7 +295,7 @@ def test_tolerance_outside_unit_interval_exits_1(capsys, tmp_path, tol):
     ):
         code, out, err = run(capsys, [*argv, "--tol", tol])
         assert (code, out) == (1, ""), argv
-        assert "tol" in err
+        assert f"tol must be in (0, 1), got {float(tol)}" in err
 
 
 def test_help_documents_exit_codes(capsys):
