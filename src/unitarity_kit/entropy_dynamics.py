@@ -8,8 +8,9 @@ matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
 makes linearity over statistical mixtures automatic, so the analyzer only
 has to test preservation of disorder and extract the structure.
 
-The closed-form helpers expose the intermediate spectra of the two-state
-mixture argument so they can be tested against an eigensolver.
+The closed-form helpers give the spectra of the two-state mixture argument.
+The one for the input mixture p|phi1><phi1| + (1-p)|phi2><phi2| also serves
+the witness scan, which therefore diagonalizes only the map's images.
 """
 
 from __future__ import annotations
@@ -99,6 +100,20 @@ class MixtureSpectrum:
     hi: float
 
 
+def _input_spectra(ps, lam2_sq: float):
+    """(lo, hi) eigenvalues of p|phi1><phi1| + (1-p)|phi2><phi2| for each p.
+
+    lam2_sq = 1 - |<phi1|phi2>|^2 (clipped at 0) is the squared component of
+    phi2 orthogonal to phi1.  With x = 4p(1-p) lam2_sq the eigenvalues are
+    (1 -+ sqrt(1 - x)) / 2; lo is taken as x / (2(1 + sqrt(1 - x))), which
+    has no cancellation, and hi = 1 - lo.
+    """
+    ps = np.asarray(ps, dtype=float)
+    x = 4.0 * ps * (1.0 - ps) * max(lam2_sq, 0.0)
+    lo = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+    return lo, 1.0 - lo
+
+
 def input_spectrum(p: float, lam2: float) -> MixtureSpectrum:
     """Eigenvalues of p|phi1><phi1| + (1-p)|phi2><phi2|.
 
@@ -108,9 +123,8 @@ def input_spectrum(p: float, lam2: float) -> MixtureSpectrum:
         raise ParamOutOfRange(f"p must be in [0, 1], got {p}")
     if not 0.0 < lam2 <= 1.0:
         raise ParamOutOfRange(f"lam2 must be in (0, 1], got {lam2}")
-    disc = 1.0 - 4.0 * p * lam2**2 + 4.0 * p**2 * lam2**2
-    root = np.sqrt(max(disc, 0.0))
-    return MixtureSpectrum(lo=0.5 * (1.0 - root), hi=0.5 * (1.0 + root))
+    lo, hi = _input_spectra(p, lam2**2)
+    return MixtureSpectrum(lo=float(lo), hi=float(hi))
 
 
 def output_spectrum(p: float, d1: float, d2: float, mu2: float) -> MixtureSpectrum:
@@ -193,7 +207,8 @@ class EntropyWitness:
 
     entropy_out is computed on the trace-normalized image (the map is
     allowed to rescale), so entropy_in != entropy_out is a direct
-    preservation violation.
+    preservation violation.  A witness of one state has phi2 = phi1 and
+    p = 1, so entropy_in = 0.
     """
 
     phi1: np.ndarray
@@ -217,34 +232,37 @@ def _fit_conjugation(m4: np.ndarray, tol: float):
 
     U is the polar part of the largest slice m4[0, :, l, :] and the gain is
     the least-squares one, Re<conj(U) x U, M> / d^2.  The error is
-    ||M - gain * conj(U) x U||_F / ||M||_F, summed one j slab at a time, so
-    no d^4-sized copy is made; every slab is divided by the largest modulus
-    of the first, so no norm under- or overflows unless the map dwarfs that
-    slab.  Summation stops once the error exceeds tol, which then reports a
-    lower bound.  The error is inf when no U (the first slab is zero or
-    subnormal), no positive gain or no finite norm can be read.
+    ||M - gain * conj(U) x U||_F / ||M||_F, summed one j slab at a time in
+    a single d x d x d buffer: each slab is scaled into it, and the
+    residual is formed there in place, so no d^4-sized copy is made.  Every
+    slab is divided by the largest modulus of the first, so no norm under-
+    or overflows unless the map dwarfs that slab.  Summation stops once the
+    error exceeds tol, which then reports a lower bound.  The error is inf
+    when no U (the first slab is zero or subnormal), no positive gain or no
+    finite norm can be read.
     """
     d = m4.shape[0]
     top = float(np.abs(m4[0]).max())
     unit = 1.0 / top if top > 0.0 else np.inf
     if unit == np.inf:
         return None, None, np.inf
-    row = m4[0] * unit
+    buf = np.empty((d, d, d), dtype=complex)
+    row = np.multiply(m4[0], unit, out=buf)
     w, _, vh = np.linalg.svd(row[:, int(np.argmax(np.linalg.norm(row, axis=(0, 2)))), :])
     u = w @ vh
     uc = u.conj()
     inner = den = 0.0
     for j in range(d):
-        slab = m4[j] * unit
-        inner += u[j] @ np.tensordot(slab, uc, axes=([0, 2], [0, 1]))
+        slab = np.multiply(m4[j], unit, out=buf)
+        inner += np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[j]
         den += np.vdot(slab, slab).real
     gain = float(inner.real) / d**2
     if not (gain > 0.0 and den < np.inf):
         return None, None, np.inf
     num = 0.0
     for j in range(d):
-        r = (gain * uc[j])[None, :, None] * u[:, None, :]
-        r -= m4[j] * unit
+        r = np.multiply(m4[j], unit, out=buf)
+        r -= (gain * uc[j])[None, :, None] * u[:, None, :]
         num += np.vdot(r, r).real
         if not num <= tol**2 * den:
             break
@@ -269,28 +287,37 @@ def _mixture_spectra(ps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.clip(np.linalg.eigvalsh(m), 0.0, None)
 
 
-def _scan_witness(superop: Superoperator, phi1, phi2, grid_size: int = 101) -> EntropyWitness:
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + dag(m)) / 2
+
+
+def _state_witness(phi, image) -> EntropyWitness:
+    """The witness of one pure state, given its image: p = 1, entropy 0 in,
+    and out the entropy of the image's Hermitian part (one eigensolve)."""
+    spectrum = np.clip(np.linalg.eigvalsh(_hermitian_part(image)), 0.0, None)
+    return EntropyWitness(
+        phi1=phi, phi2=phi, p=1.0, entropy_in=0.0, entropy_out=float(_entropies(spectrum))
+    )
+
+
+def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101) -> EntropyWitness:
     """Pick the mixing weight with the largest entropy mismatch for the pair.
 
-    The map is linear, so the Hermitian part of each mixture's image is the
-    same mixture of the two projector images' Hermitian parts: two
-    applications serve the whole grid.  An image with no valid normalized
-    spectrum counts as an infinite mismatch.
+    q1 and q2 are the map's images of the two pure projectors.  The input
+    spectra over the grid are the closed form of the two-state mixture
+    argument, which needs only the overlap <phi1|phi2>.  The map is linear,
+    so the Hermitian part of each mixture's image is the same mixture of
+    q1's and q2's Hermitian parts: the grid's output spectra need no further
+    application of the map.  An image with no valid normalized spectrum
+    counts as an infinite mismatch.
     """
-    p1 = pure_projector(phi1)
-    p2 = pure_projector(phi2)
-    q1 = superop.apply(p1)
-    q2 = superop.apply(p2)
     ps = np.linspace(0.0, 1.0, grid_size)
-    s_in = _entropies(_mixture_spectra(ps, p1, p2))
-    s_out = _entropies(_mixture_spectra(ps, (q1 + dag(q1)) / 2, (q2 + dag(q2)) / 2))
+    lo, hi = _input_spectra(ps, 1.0 - abs(np.vdot(phi1, phi2)) ** 2)
+    s_in = _entropies(np.stack([lo, hi], axis=-1))
+    s_out = _entropies(_mixture_spectra(ps, _hermitian_part(q1), _hermitian_part(q2)))
     k = int(np.argmax(np.where(np.isnan(s_out), np.inf, np.abs(s_in - s_out))))
     return EntropyWitness(
-        phi1=np.asarray(phi1, dtype=complex),
-        phi2=np.asarray(phi2, dtype=complex),
-        p=float(ps[k]),
-        entropy_in=float(s_in[k]),
-        entropy_out=float(s_out[k]),
+        phi1=phi1, phi2=phi2, p=float(ps[k]), entropy_in=float(s_in[k]), entropy_out=float(s_out[k])
     )
 
 
@@ -311,34 +338,36 @@ def _search_witness(superop: Superoperator, tol: float):
 
     Probe stages (fixed-stream states), in order: pure projectors must map
     to positive rank-1 matrices, their gains must agree, pairwise overlap
-    moduli must be preserved; the first stage that fails names the witness
-    pair.  If all pass, the pair and mixing weight with the largest entropy
-    change win.
+    moduli must be preserved; the first stage that fails names the witness,
+    the failing state alone at the first stage and a pair after it.  If all
+    pass, the pair and mixing weight with the largest entropy change win.
+    Every witness is built from the probe images computed here; the map is
+    applied once per probe.
     """
     probes = _probe_states(superop.dim, split_rng(0, 0))
-    gains, kets = [], []
+    images, gains, kets = [], [], []
     for v in probes:
         m = superop.apply(pure_projector(v))
         scale = max(float(np.abs(m).max()), 1e-300)
         if float(np.abs(m - dag(m)).max()) > tol * scale:
-            return _scan_witness(superop, v, v), "image of a pure state is not Hermitian"
+            return _state_witness(v, m), "image of a pure state is not Hermitian"
         h = (m + dag(m)) / (2 * scale)  # unit scale: the norms below neither under- nor overflow
         w, vecs = np.linalg.eigh(h)
         top = w[-1]
         residual = np.linalg.norm(h - top * np.outer(vecs[:, -1], vecs[:, -1].conj()))
         if top <= tol or residual > tol * np.linalg.norm(h):
-            return (
-                _scan_witness(superop, v, v),
-                "image of a pure state is not a positive rank-1 matrix",
-            )
+            return _state_witness(v, m), "image of a pure state is not a positive rank-1 matrix"
+        images.append(m)
         gains.append(float(np.trace(m).real))
         kets.append(vecs[:, -1])
 
+    def scan(k, l, grid_size=101):
+        return _scan_witness(probes[k], images[k], probes[l], images[l], grid_size)
+
     gains = np.asarray(gains)
     if gains.max() - gains.min() > tol * float(gains.mean()):
-        k_lo, k_hi = int(np.argmin(gains)), int(np.argmax(gains))
         return (
-            _scan_witness(superop, probes[k_lo], probes[k_hi]),
+            scan(int(np.argmin(gains)), int(np.argmax(gains))),
             f"pure-state gains differ: {gains.min():.6g} vs {gains.max():.6g}",
         )
 
@@ -347,15 +376,12 @@ def _search_witness(superop: Superoperator, tol: float):
     gap = np.abs(np.abs(dag(psi_cols) @ psi_cols) - np.abs(dag(phi_cols) @ phi_cols))
     if float(gap.max()) > tol:
         k, l = np.unravel_index(np.argmax(gap), gap.shape)
-        return (
-            _scan_witness(superop, probes[k], probes[l]),
-            f"overlap modulus changes by {float(gap.max()):.3g}",
-        )
+        return scan(k, l), f"overlap modulus changes by {float(gap.max()):.3g}"
 
     worst = None
     for k in range(len(probes)):
         for l in range(k + 1, len(probes)):
-            w = _scan_witness(superop, probes[k], probes[l], grid_size=21)
+            w = scan(k, l, grid_size=21)
             change = abs(w.entropy_in - w.entropy_out)
             if worst is None or change > worst[0]:
                 worst = (change, w)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from unitarity_kit.entropy_dynamics import (
     KIND_UNITARY,
     Superoperator,
     _fit_conjugation,
+    _input_spectra,
     _scan_witness,
     analyze,
     gain_equality_deficit,
@@ -91,6 +94,24 @@ def test_input_spectrum_validates():
         input_spectrum(1.2, 0.5)
     with pytest.raises(ParamOutOfRange):
         input_spectrum(0.5, 0.0)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0 - 1e-12, 1.0])
+def test_input_spectra_match_eigensolver(overlap):
+    rng = split_rng(59, 0)
+    phi1 = random_pure_state(3, rng)
+    if overlap == 1.0:
+        phi2 = phi1
+    else:
+        perp = random_pure_state(3, rng)
+        perp -= np.vdot(phi1, perp) * phi1
+        perp /= np.linalg.norm(perp)
+        phi2 = overlap * np.exp(0.7j) * phi1 + np.sqrt(1.0 - overlap**2) * perp
+    ps = np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0])
+    lo, hi = _input_spectra(ps, 1.0 - abs(np.vdot(phi1, phi2)) ** 2)
+    for p, a, b in zip(ps, lo, hi):
+        m = p * pure_projector(phi1) + (1.0 - p) * pure_projector(phi2)
+        np.testing.assert_allclose(np.linalg.eigvalsh(m)[-2:], [a, b], rtol=0.0, atol=1e-15)
 
 
 def test_output_spectrum_reduces_to_input_spectrum():
@@ -347,7 +368,7 @@ def test_analyze_verdict_near_tolerance_does_not_depend_on_seed():
 def _scan_witness_per_p(superop, phi1, phi2, grid_size):
     # reference: apply the map to every mixture on the grid
     p1, p2 = pure_projector(phi1), pure_projector(phi2)
-    best = None
+    rows = []
     for p in np.linspace(0.0, 1.0, grid_size):
         rho = p * p1 + (1.0 - p) * p2
         s_in = von_neumann_entropy(rho)
@@ -355,9 +376,8 @@ def _scan_witness_per_p(superop, phi1, phi2, grid_size):
         h = (out + out.conj().T) / 2
         w = np.clip(np.linalg.eigvalsh(h), 0.0, None)
         s_out = -sum(x * np.log2(x) for x in w / w.sum() if x > 0.0)
-        if best is None or abs(s_in - s_out) > best[0]:
-            best = (abs(s_in - s_out), p, s_in, s_out)
-    return best
+        rows.append((abs(s_in - s_out), p, s_in, s_out))
+    return rows
 
 
 @pytest.mark.parametrize("grid_size", [21, 101])
@@ -368,8 +388,61 @@ def test_scan_witness_by_linearity_matches_per_p_application(grid_size):
     m = np.diag([1.0, 2.0, 0.5]).astype(complex)
     unequal_gains = Superoperator(matrix=np.kron(m.conj(), m), dim=3)
     for superop in (depolarizer, unequal_gains):
-        w = _scan_witness(superop, phi1, phi2, grid_size=grid_size)
-        _, p, s_in, s_out = _scan_witness_per_p(superop, phi1, phi2, grid_size)
-        assert w.p == p
+        q1 = superop.apply(pure_projector(phi1))
+        q2 = superop.apply(pure_projector(phi2))
+        w = _scan_witness(phi1, q1, phi2, q2, grid_size=grid_size)
+        rows = _scan_witness_per_p(superop, phi1, phi2, grid_size)
+        top = max(r[0] for r in rows)
+        if sorted(r[0] for r in rows)[-2] < top - 1e-12:
+            # a unique maximum: the same mixing weight
+            assert w.p == max(rows)[1]
+        else:
+            # tied to within rounding (the depolarizer gives p = 0 and p = 1
+            # the same mismatch): any maximizer will do
+            assert abs(w.entropy_in - w.entropy_out) == pytest.approx(top, abs=1e-12)
+        _, _, s_in, s_out = next(r for r in rows if r[1] == w.p)
         assert w.entropy_in == pytest.approx(s_in, abs=1e-12)
         assert w.entropy_out == pytest.approx(s_out, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_single_state_witness_is_one_state_at_p_one(scale, monkeypatch):
+    # the depolarizer maps a pure state to a mixed one: the witness is that
+    # state alone, with one eigensolve of its image
+    superop = Superoperator(matrix=superop_depolarizing(3, 0.5).matrix * scale, dim=3)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    verdict = analyze(superop)
+    monkeypatch.undo()
+    assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
+    assert len(calls) == 1
+    w = verdict.witness
+    np.testing.assert_array_equal(w.phi2, w.phi1)
+    assert w.p == 1.0
+    assert w.entropy_in == 0.0
+    image = superop.apply(pure_projector(w.phi1))
+    spectrum = np.clip(np.linalg.eigvalsh((image + image.conj().T) / 2), 0.0, None)
+    spectrum /= spectrum.sum()
+    reference = -sum(x * np.log2(x) for x in spectrum if x > 0.0)
+    assert w.entropy_out == pytest.approx(reference, abs=1e-12)
+    # the image is 2/3 on the state and 1/6 on each orthogonal direction
+    assert w.entropy_out == pytest.approx(-(2 / 3) * np.log2(2 / 3) - (1 / 3) * np.log2(1 / 6), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [16, 24])
+def test_fit_conjugation_allocates_far_less_than_the_map(d):
+    u = haar_unitary(d, seed=61)
+    for m in (
+        superop_from_conjugation(u).matrix,
+        superop_from_conjugation(u).matrix @ superop_transpose(d).matrix,
+    ):
+        m4 = m.reshape((d,) * 4)
+        for view in (m4, m4.swapaxes(2, 3)):
+            tracemalloc.start()
+            try:
+                _fit_conjugation(view, 1e-8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < m.nbytes / 2
