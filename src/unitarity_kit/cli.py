@@ -55,7 +55,7 @@ from .mapfile import (
     map_file_dict,
     save_map_file,
 )
-from .quantitative import check_E1, check_E2
+from .quantitative import check_E1, check_E2, psi_c
 from .schmidt import (
     BipartiteShape,
     entanglement_E,
@@ -376,14 +376,9 @@ def _gen_payload(kind: str, params: list[str], seed: int):
             n, m = int(params[1]), int(params[2])
         except ValueError as exc:
             raise ParamOutOfRange("gen psi_c: parameters must be c N M") from exc
-        if not 0.0 <= c <= 1.0:
-            raise ParamOutOfRange(f"gen psi_c: c must be in [0, 1], got {c}")
         if n < 2 or m < 2:
             raise ParamOutOfRange("gen psi_c: dimensions must be >= 2")
-        v = np.zeros(n * m, dtype=complex)
-        v[0] = c
-        v[-1] = np.sqrt(1.0 - c * c)
-        return KIND_STATE, (n, m), v
+        return KIND_STATE, (n, m), psi_c(c, (n, m))
     if kind == "superop_unitary":
         (d,) = dims(1)
         return KIND_SUPEROPERATOR, d, superop_from_conjugation(haar_unitary(d, seed)).matrix

@@ -9,6 +9,15 @@ The decisions reduce to the singular spectra: E1 is preserved iff both
 spectra are flat, E2 iff the extreme products lambda_1*mu_1 and
 lambda_n*mu_m both equal 1 (which, with the orderings, forces every
 product to 1, i.e. A = c U and B = V / c with U, V unitary).
+
+The witness values come from the same spectra.  With A = W_A L V_A^dag and
+B = W_B M V_B^dag, the probe psi_c(1/sqrt 2) in the right singular bases
+maps to (x |w_A1 w_B1> + y |w_An w_Bm>) / sqrt 2 with x = lambda_1 mu_1
+and y = lambda_n mu_m.  The two terms are orthogonal, so the image is
+already Schmidt-decomposed: its E1 is the binary entropy h(q) of
+q = y^2 / (x^2 + y^2) and its E2 is h(q) (x^2 + y^2) / 2, while the probe
+has value 1 under both measures.  As in the Schmidt helpers, a ratio
+y / x at or below DEFAULT_RANK_TOL counts as rank 1 and gives 0.
 """
 
 from __future__ import annotations
@@ -17,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRoot, ParamOutOfRange, RankDeficient
-from .linalg import DEFAULT_RANK_TOL, SVDResult, as_matrix, dag, svd, tolerance
-from .schmidt import as_shape, measure_E1, measure_E2
+from .errors import NoRoot, ParamOutOfRange, RankDeficient, ShapeMismatch
+from .linalg import DEFAULT_RANK_TOL, SVDResult, as_matrix, svd, tolerance
+from .schmidt import as_shape
 
 ROOT_TOL = 1e-9
 
@@ -62,9 +71,10 @@ def psi_c(c: float, shape, bases=None) -> np.ndarray:
         ub = np.eye(shape.m, dtype=complex)
     else:
         ua, ub = (as_matrix(u) for u in bases)
-    a_first, a_last = dag(ua)[:, 0], dag(ua)[:, -1]
-    b_first, b_last = dag(ub)[:, 0], dag(ub)[:, -1]
-    return c * np.kron(a_first, b_first) + np.sqrt(1.0 - c**2) * np.kron(a_last, b_last)
+    # |a_1> and |a_n> are the first and last columns of U_A^dag
+    first = np.outer(ua[0].conj(), ub[0].conj()).ravel()
+    last = np.outer(ua[-1].conj(), ub[-1].conj()).ravel()
+    return c * first + np.sqrt(1.0 - c**2) * last
 
 
 @dataclass(frozen=True)
@@ -97,24 +107,46 @@ def _spread(s: np.ndarray) -> float:
     return float((s[0] - s[-1]) / s[0])
 
 
-def _check(measure, measure_fn, a, b, tol, preserved, scalar) -> QuantitativeVerdict:
+def _witness_value(lambdas, mus, weighted: bool) -> float:
+    """value_out of the psi_c(1/sqrt 2) witness: E1, or E2 when weighted.
+
+    h(q) with q = r^2 / (1 + r^2) and r = y / x (module docstring), times
+    (x^2 + y^2) / 2 = x^2 (1 + r^2) / 2 when weighted; r <= DEFAULT_RANK_TOL
+    reads as a product image.  Python floats carry the scale, which enters
+    last as in measure_E2, so the value overflows or underflows only where
+    the true value does, and without a RuntimeWarning.
+    """
+    r = float(lambdas[-1] / lambdas[0]) * float(mus[-1] / mus[0])
+    if r <= DEFAULT_RANK_TOL:
+        return 0.0
+    # psi_c_entanglement(c) is h(c^2); c^2 = q keeps the small weight exact
+    value = psi_c_entanglement(r / np.sqrt(1.0 + r * r))
+    if weighted:
+        x = float(lambdas[0]) * float(mus[0])
+        value = (1.0 + r * r) / 2.0 * value * x * x
+    return value
+
+
+def _check(measure, a, b, tol, preserved, scalar) -> QuantitativeVerdict:
     """preserved(lambdas, mus, tol) decides from one SVD per factor.
 
-    The certificate holds scalar(lambdas, mus) and the unitary parts U Vh;
-    the witness is psi_c(1/sqrt 2) in the right singular bases, mapped as
-    A X B^T with X its n x m coefficient matrix.
+    Both factors must be square with dimension >= 2 (ShapeMismatch).  The
+    certificate holds scalar(lambdas, mus) and the unitary parts U Vh; the
+    witness is psi_c(1/sqrt 2) in the right singular bases, with value_in
+    exactly 1 and value_out read off the spectra by _witness_value.
     """
     a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
+    for name, f in (("A", a), ("B", b)):
+        if f.shape[0] != f.shape[1] or f.shape[0] < 2:
+            raise ShapeMismatch(f"factor {name} is {f.shape}; it must be square with dim >= 2")
     ra, rb = _factor_svds(a, b, tol)
     lambdas, mus = ra.singular_values, rb.singular_values
     if preserved(lambdas, mus, tol):
         unitaries = (ra.left_basis @ ra.right_basis, rb.left_basis @ rb.right_basis)
         cert = QuantitativeCertificate(float(scalar(lambdas, mus)), *unitaries)
         return QuantitativeVerdict(measure, True, cert, None)
-    shape = as_shape((a.shape[0], b.shape[0]))
-    state = psi_c(1.0 / np.sqrt(2.0), shape, (ra.right_basis, rb.right_basis))
-    image = a @ state.reshape(shape.n, shape.m) @ b.T
-    witness = QuantitativeWitness(state, measure_fn(state, shape), measure_fn(image.ravel(), shape))
+    state = psi_c(1.0 / np.sqrt(2.0), (a.shape[0], b.shape[0]), (ra.right_basis, rb.right_basis))
+    witness = QuantitativeWitness(state, 1.0, _witness_value(lambdas, mus, measure == "E2"))
     return QuantitativeVerdict(measure, False, None, witness)
 
 
@@ -123,12 +155,15 @@ def check_E1(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
 
     On success the factors are multiples of unitaries; the certificate
     carries lambda_1*mu_1 and the unitary parts.  On failure the maximally
-    entangled probe's image is strictly less entangled under E1.
+    entangled probe (E1 = 1) maps to an image of E1 = h(q) < 1, the binary
+    entropy of q = (lambda_n mu_m)^2 / ((lambda_1 mu_1)^2 + (lambda_n mu_m)^2),
+    read off the spectra (0 when lambda_n mu_m / lambda_1 mu_1 <=
+    DEFAULT_RANK_TOL).  Non-square factors or dimension < 2: ShapeMismatch.
     """
     return _check(
-        "E1", measure_E1, a, b, tol,
+        "E1", a, b, tol,
         lambda lambdas, mus, tol: _spread(lambdas) <= tol and _spread(mus) <= tol,
-        lambda lambdas, mus: lambdas[0] * mus[0],
+        lambda lambdas, mus: float(lambdas[0]) * float(mus[0]),
     )
 
 
@@ -136,12 +171,15 @@ def check_E2(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
     """Preserved iff lambda_1*mu_1 = lambda_n*mu_m = 1 within tol.
 
     With the spectra ordered this forces every product lambda_i*mu_j to 1,
-    i.e. A = c U and B = V / c; the certificate records c = lambda_1.
+    i.e. A = c U and B = V / c; the certificate records c = lambda_1.  On
+    failure the probe (E2 = 1) maps to an image of E2 = h(q) (x^2 + y^2) / 2
+    with x = lambda_1 mu_1, y = lambda_n mu_m and q as in check_E1, read off
+    the spectra.  Non-square factors or dimension < 2: ShapeMismatch.
     """
     return _check(
-        "E2", measure_E2, a, b, tol,
-        lambda lambdas, mus, tol: abs(float(lambdas[0] * mus[0]) - 1.0) <= tol
-        and abs(float(lambdas[-1] * mus[-1]) - 1.0) <= tol,
+        "E2", a, b, tol,
+        lambda lambdas, mus, tol: abs(float(lambdas[0]) * float(mus[0]) - 1.0) <= tol
+        and abs(float(lambdas[-1]) * float(mus[-1]) - 1.0) <= tol,
         lambda lambdas, mus: lambdas[0],
     )
 

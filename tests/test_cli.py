@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unitarity_kit.cli import main
+from unitarity_kit.mapfile import KIND_STATE, save_map_file
 from unitarity_kit.schmidt import schmidt_rank
 
 
@@ -140,6 +141,22 @@ def test_measure_commands(capsys, tmp_path):
     product = gen(capsys, tmp_path, "psi_c", "1.0", "2", "2")
     code, out, _ = run(capsys, ["measure", product, "--measure", "E"])
     assert code == 0 and out.strip() == "0.000000000"
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4)])
+@pytest.mark.parametrize("c", ["0", "0.6", "0.7071067811865475", "1"])  # 1/sqrt(2) to the last digit
+def test_gen_psi_c_writes_the_two_term_state(capsys, tmp_path, c, dims):
+    # byte for byte the file of the state written entry by entry:
+    # c on the first product ket, sqrt(1 - c^2) on the last
+    n, m = dims
+    v = np.zeros(n * m, dtype=complex)
+    v[0] = float(c)
+    v[-1] = np.sqrt(1.0 - float(c) * float(c))
+    expected = tmp_path / "expected.json"
+    save_map_file(expected, KIND_STATE, dims, v)
+    path = gen(capsys, tmp_path, "psi_c", c, str(n), str(m))
+    with open(path, "rb") as f:
+        assert f.read() == expected.read_bytes()
 
 
 def test_schmidt_scalar_shape_needs_flag(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unitarity_kit.errors import ParamOutOfRange, RankDeficient
+from unitarity_kit.errors import ParamOutOfRange, RankDeficient, ShapeMismatch
 from unitarity_kit.generators import haar_unitary, random_invertible, random_pure_state, split_rng
 from unitarity_kit.linalg import kron, svd
 from unitarity_kit.quantitative import (
@@ -200,7 +200,8 @@ def test_witness_image_matches_full_kron(dims):
     for check, measure_fn in ((check_E1, measure_E1), (check_E2, measure_E2)):
         w = check(a, b).witness
         assert w is not None
-        assert w.value_in == measure_fn(w.state, dims)
+        assert w.value_in == 1.0
+        assert measure_fn(w.state, dims) == pytest.approx(1.0, abs=1e-12)
         assert w.value_out == pytest.approx(measure_fn(kron(a, b) @ w.state, dims), rel=1e-10)
 
 
@@ -211,12 +212,89 @@ def test_checks_take_one_svd_per_factor(monkeypatch):
     general = (random_invertible(3, seed=43, cond_cap=10), random_invertible(2, seed=44, cond_cap=10))
     unitary = (2.0 * haar_unitary(3, seed=45), 0.5 * haar_unitary(2, seed=46))
     for check in (check_E1, check_E2):
-        # accepted: one SVD per factor; rejected: plus the Schmidt
-        # decompositions of the probe and of its image
-        for (a, b), preserved, svds in ((unitary, True, 2), (general, False, 4)):
+        # one SVD per factor on both outcomes: the witness values come
+        # from the factor spectra, not from Schmidt decompositions
+        for (a, b), preserved in ((unitary, True), (general, False)):
             calls.clear()
             assert check(a, b).preserved is preserved
-            assert len(calls) == svds
+            assert len(calls) == 2
+
+
+def test_checks_run_no_schmidt_decomposition(monkeypatch):
+    import unitarity_kit.schmidt as schmidt
+
+    calls = []
+    real = schmidt.schmidt_decompose
+    monkeypatch.setattr(schmidt, "schmidt_decompose", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    general = (random_invertible(3, seed=47, cond_cap=10), random_invertible(4, seed=48, cond_cap=10))
+    unitary = (2.0 * haar_unitary(3, seed=49), 0.5 * haar_unitary(4, seed=50))
+    for check in (check_E1, check_E2):
+        for (a, b), preserved in ((unitary, True), (general, False)):
+            assert check(a, b).preserved is preserved
+    assert calls == []
+
+
+def _factor_pairs(count=120):
+    rng = split_rng(51, 0)
+    for _ in range(count):
+        n, m = (int(d) for d in rng.integers(2, 9, size=2))
+        caps = rng.choice([3.0, 30.0, 1e3], size=2)
+        yield random_invertible(n, rng, cond_cap=caps[0]), random_invertible(m, rng, cond_cap=caps[1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_witness_closed_form_matches_image_measures(scale):
+    # value_out is read off the spectra; the oracle measures the probe's
+    # image under the full kron product
+    count = 0
+    for a, b in _factor_pairs():
+        a = scale * a
+        dims = (a.shape[0], b.shape[0])
+        for check, measure_fn in ((check_E1, measure_E1), (check_E2, measure_E2)):
+            w = check(a, b).witness
+            assert w is not None and w.value_in == 1.0
+            expected = measure_fn(kron(a, b) @ w.state, dims)
+            assert w.value_out == pytest.approx(expected, rel=1e-10, abs=0.0)
+            count += 1
+    assert count == 240
+
+
+def test_witness_rank_cut_gives_zero():
+    # lambda_n mu_m / lambda_1 mu_1 = 1e-10 is below the rank tolerance,
+    # so the image reads as a product state, as measure_E1/E2 read it
+    d = np.diag([1.0, 1e-5])
+    for check, measure_fn in ((check_E1, measure_E1), (check_E2, measure_E2)):
+        w = check(d, d).witness
+        assert w.value_out == 0.0
+        assert measure_fn(kron(d, d) @ w.state, (2, 2)) == 0.0
+
+
+def test_checks_overflow_and_underflow_silently():
+    # pytest turns a RuntimeWarning into an error; the true E2 values are
+    # about 1e320 and 1e-400, then 1e640 and 1e-800
+    u = haar_unitary(2, seed=52)
+    assert check_E1(1e200 * u, 1e200 * u).certificate.scalar == np.inf
+    a, b = np.diag([2.0, 1.0, 1.0]), np.eye(2)
+    assert check_E2(1e160 * a, b).witness.value_out == np.inf
+    assert check_E2(1e-200 * a, b).witness.value_out == 0.0
+    assert check_E2(1e160 * a, 1e160 * b).witness.value_out == np.inf
+    assert check_E2(1e-200 * a, 1e-200 * b).witness.value_out == 0.0
+
+
+@pytest.mark.parametrize("check", [check_E1, check_E2])
+def test_checks_refuse_non_square_factor(check):
+    with pytest.raises(ShapeMismatch):
+        check([[1, 0, 0], [0, 1, 0]], np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        check(np.eye(2), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("check", [check_E1, check_E2])
+def test_checks_refuse_one_dimensional_factor(check):
+    with pytest.raises(ShapeMismatch):
+        check(2.0 * np.eye(1), np.diag([1.0, 2.0]))
+    with pytest.raises(ShapeMismatch):
+        check(np.diag([1.0, 2.0]), np.eye(1))
 
 
 # ---------------------------------------------------------------------------
