@@ -16,6 +16,15 @@ extraction of the local factors and a rank-1 factorization of the leftover
 phase/length grid) run only on a rejected map, to find a witness; every
 witness is re-verified through the Schmidt oracle before it is returned.
 
+The reject path avoids full decompositions where a cheaper certificate
+exists.  The rank check reads the map's values-only spectrum; a kernel
+vector on a simple null singular value comes from inverse iteration, and
+only another rank-deficient map pays for a full SVD.  The product-basis
+images of basis row 0 are decided by a values-only stacked SVD; past it,
+one vectorised rank-1 fit certifies rank 1 (Weyl's inequality turns its
+misfit into a bound on s_2), and only a row holding an image the fit
+cannot certify takes a values-only stacked SVD.
+
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
 """
@@ -52,7 +61,9 @@ class BipartiteMap:
     Every entry must be finite.  The singular values of the matrix are
     computed only when first read, which classify does on the reject path
     alone, and then cached on the instance, so the matrix must not be
-    mutated after construction.
+    mutated after construction.  A full SVD of the matrix runs only on a
+    rank-deficient map whose kernel is not one simple null direction (or
+    whose inverse iteration fails its check).
     """
 
     matrix: np.ndarray
@@ -173,10 +184,56 @@ def _orthogonal_complement_column(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+# The null singular value counts as simple when s[-2] > tol * s[0] and
+# s[-1] <= _KERNEL_GAP * s[-2].  Each inverse-iteration solve then shrinks
+# every other right singular component against the null one by at least
+# that factor; on an exact kernel, where s[-1] is rounding, two solves
+# reach the kernel vector to rounding.
+_KERNEL_GAP = 1e-3
+_KERNEL_SOLVES = 2
+
+
+def _kernel_vector(bmap: BipartiteMap, tol: float) -> np.ndarray:
+    """A unit right null vector of a rank-deficient map.
+
+    On a simple null singular value it comes from inverse iteration: LU
+    solves with L / ||L||_2, whose entries cannot overflow, from a fixed
+    start, gauged with its largest-modulus entry real positive.  It is kept
+    when it is finite and its image passes the vanishing test.  Otherwise (a
+    kernel of dimension > 1, the zero map, an exactly singular LU, a failed
+    check) it is the last right singular vector of the full SVD.
+    """
+    s = bmap.singular_values
+    if s[-2] > tol * s[0] and s[-1] <= _KERNEL_GAP * s[-2]:
+        x = _inverse_iteration(bmap.matrix / s[0])
+        if x is not None and _vanishing(bmap, bmap.apply(x), x, tol):
+            return x
+    return svd(bmap.matrix).right_basis[-1, :].conj()
+
+
+def _inverse_iteration(unit: np.ndarray) -> np.ndarray | None:
+    """_KERNEL_SOLVES LU solves from a fixed start, each result rescaled to
+    unit norm; None on an exactly singular LU or a non-finite solve."""
+    x = np.exp(1j * np.arange(unit.shape[0]))
+    for _ in range(_KERNEL_SOLVES):
+        try:
+            x = np.linalg.solve(unit, x)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(x).all():
+            return None
+        x /= np.abs(x).max()
+        x /= np.linalg.norm(x)
+    return _fix_phases(x)
+
+
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
     """None when the map has full numerical rank; otherwise a verified witness.
 
-    A product kernel vector is upgraded to the constructive violation: a
+    The rank test reads the map's cached values-only spectrum; only a
+    rank-deficient map computes its kernel vector (_kernel_vector: inverse
+    iteration on a simple null singular value, else the full SVD).  A
+    product kernel vector is upgraded to the constructive violation: a
     Schmidt-rank-2 combination whose image collapses to rank <= 1 (or, if
     the partner product state itself maps to an entangled vector, that
     product state directly).  An entangled kernel vector is its own
@@ -185,7 +242,7 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     s = bmap.singular_values
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
-    kernel = svd(bmap.matrix).right_basis[-1, :].conj()
+    kernel = _kernel_vector(bmap, tol)
     dec = schmidt_decompose(kernel, bmap.shape, tol=tol)
     if dec.rank >= 2:
         ev = _evidence(bmap, kernel, bmap.shape, tol)
@@ -209,6 +266,9 @@ class ProductImageTable:
 
     The factor vectors are unit length with their largest-magnitude entry
     made real positive; the complex amplitude carries everything else.
+    They come from a rank-1 fit of each image (_rank_one_fits), not from
+    its SVD: on an image of exact rank 1 they are its singular vectors to
+    rounding.
     d_vecs[i,j] lives in the first factor of shape_out, e_vecs[i,j] in the
     second.
     """
@@ -226,9 +286,10 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v / (top / np.abs(top))
 
 
-def _stacked_svd(stack: np.ndarray):
+def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix in a stack (last two axes), values only."""
     try:
-        return np.linalg.svd(stack, full_matrices=False)
+        return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
@@ -237,6 +298,49 @@ def _schmidt_ranks(spectra: np.ndarray, tol: float) -> np.ndarray:
     """Per stacked spectrum, the coefficients above tol times the largest;
     an all-zero spectrum has rank 0."""
     return np.count_nonzero(spectra > tol * spectra[..., :1], axis=-1)
+
+
+def _rank_one_fits(images: np.ndarray, tol: float):
+    """Per image X (last two axes): unit vectors d, e and whether the fit
+    X ~ a d e^T certifies Schmidt rank 1.
+
+    Each image is first divided by its largest real or imaginary part, so
+    no square under- or overflows.  e starts as X's largest row, then
+    d = X e-bar / ||X e-bar||, e = X^T d-bar and a = ||e||.  The fit
+    certifies rank 1 when a > 0 and ||X - d e^T||_F <= tol * a: by Weyl,
+    s_2(X) <= ||X - d e^T||_2 <= tol * a <= tol * s_1(X), which is the
+    rank test of _schmidt_ranks.  An image the fit does not certify may
+    still have rank 1; only its SVD can tell.
+    """
+    x = images.copy()
+    flat = x.view(np.float64)
+    peaks = np.abs(flat).max(axis=(-2, -1))
+    flat /= np.where(peaks > 0.0, peaks, 1.0)[..., None, None]
+    top = np.argmax(np.einsum("...ab,...ab->...a", flat, flat), axis=-1)
+    start = np.take_along_axis(x, top[..., None, None], axis=-2)
+    d = (x @ start.conj().swapaxes(-2, -1))[..., 0]
+    d_norm = np.linalg.norm(d, axis=-1, keepdims=True)
+    d /= np.where(d_norm > 0.0, d_norm, 1.0)
+    e = (d.conj()[..., None, :] @ x)[..., 0, :]
+    a = np.linalg.norm(e, axis=-1)
+    resid = x - d[..., :, None] * e[..., None, :]
+    flat = resid.view(np.float64)
+    misfit = np.sqrt(np.einsum("...ab,...ab->...", flat, flat))
+    certified = (a > 0.0) & (misfit <= tol * a)
+    return d, e / np.where(a > 0.0, a, 1.0)[..., None], certified
+
+
+def _row_witness(bmap: BipartiteMap, images: np.ndarray, i: int, out, tol: float) -> Witness | None:
+    """The first zero or entangled image of basis row i as a witness, from
+    one values-only stacked SVD of the row; None when all have rank 1."""
+    ranks = _schmidt_ranks(_stacked_spectra(images[i]), tol)
+    bad = np.flatnonzero(ranks != 1)
+    if not bad.size:
+        return None
+    j = int(bad[0])
+    basis_state = _basis_ket(bmap.shape.dim, i * bmap.shape.m + j)
+    kind = WITNESS_KERNEL if ranks[j] == 0 else WITNESS_PRODUCT_TO_ENTANGLED
+    return Witness(kind=kind, state=basis_state, evidence=_evidence(bmap, basis_state, out, tol))
 
 
 def build_image_table(
@@ -248,10 +352,13 @@ def build_image_table(
 
     Returns a witness as soon as some basis image, in row-major order, is
     zero or entangled with respect to the requested output layout (the
-    basis state itself is the witness).  The images of one basis row are
-    decomposed by one stacked SVD, so a map that entangles |0,0> costs one
-    row.  Expects a full-rank map; this evaluation on a basis fixes it
-    completely.
+    basis state itself is the witness).  Basis row 0 is decided by one
+    values-only stacked SVD, so a map that entangles |0,0> costs one row.
+    Past it, one vectorised rank-1 fit of every image (_rank_one_fits)
+    certifies rank 1 and gives the factor vectors; only a row holding an
+    image the fit cannot certify is decided by a values-only stacked SVD,
+    in row order.  No full SVD runs.  Expects a full-rank map; this
+    evaluation on a basis fixes it completely.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -260,20 +367,14 @@ def build_image_table(
     n, m = shape.n, shape.m
     # images[i, j] is the column L|i,j> as an out.n x out.m coefficient matrix
     images = bmap.matrix.T.reshape(n, m, out.n, out.m)
-    d_vecs = np.empty((n, m, out.n), dtype=complex)
-    e_vecs = np.empty((n, m, out.m), dtype=complex)
-    for i in range(n):
-        u, s, vh = _stacked_svd(images[i])
-        ranks = _schmidt_ranks(s, tol)
-        bad = np.flatnonzero(ranks != 1)
-        if bad.size:
-            j = int(bad[0])
-            basis_state = _basis_ket(n * m, i * m + j)
-            kind = WITNESS_KERNEL if ranks[j] == 0 else WITNESS_PRODUCT_TO_ENTANGLED
-            ev = _evidence(bmap, basis_state, out, tol)
-            return Witness(kind=kind, state=basis_state, evidence=ev)
-        d_vecs[i] = u[:, :, 0]
-        e_vecs[i] = vh[:, 0, :]
+    witness = _row_witness(bmap, images, 0, out, tol)
+    if witness is not None:
+        return witness
+    d_vecs, e_vecs, certified = _rank_one_fits(images, tol)
+    for i in np.flatnonzero(~certified[1:].all(axis=-1)) + 1:
+        witness = _row_witness(bmap, images, int(i), out, tol)
+        if witness is not None:
+            return witness
     d_vecs = _fix_phases(d_vecs)
     e_vecs = _fix_phases(e_vecs)
     amps = np.einsum("ija,ijb,ijab->ij", d_vecs.conj(), e_vecs.conj(), images)
@@ -523,9 +624,11 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     values-only SVD of each factor, exceeds tol; as both factor ratios are
     at most 1, this implies the rank check of A and of B.  An accepted map
     never computes its own nm x nm spectrum.  That spectrum runs only on
-    the reject path: it decides the rank check there (the full SVD runs
-    only on a rank-deficient map, for its kernel vector) and supplies the
-    2-norm that scales every vanishing-image test.
+    the reject path: it decides the rank check there and supplies the
+    2-norm that scales every vanishing-image test.  A rank-deficient map
+    takes its kernel vector by inverse iteration when the null singular
+    value is simple, and from a full SVD otherwise; the image table of the
+    witness search certifies rank 1 by a rank-1 fit and runs no full SVD.
 
     A map no reading accepts is NotPreserving with a re-verified witness;
     when no constructive stage finds one, a random search over a fixed

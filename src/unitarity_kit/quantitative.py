@@ -42,8 +42,13 @@ class SingularSpectrumPair:
 
 
 def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
-    """One SVD per factor; both factors must be invertible within tol."""
-    tol, ra, rb = tolerance(tol), svd(a), svd(b)
+    """One SVD per factor.  Both factors must be square with dimension >= 2
+    (ShapeMismatch) and invertible within tol (RankDeficient)."""
+    a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
+    for name, f in (("A", a), ("B", b)):
+        if f.shape[0] != f.shape[1] or f.shape[0] < 2:
+            raise ShapeMismatch(f"factor {name} is {f.shape}; it must be square with dim >= 2")
+    ra, rb = svd(a), svd(b)
     for name, s in (("A", ra.singular_values), ("B", rb.singular_values)):
         if s[0] == 0.0 or s[-1] <= tol * s[0]:
             raise RankDeficient(f"factor {name} is numerically singular")
@@ -51,7 +56,8 @@ def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
 
 
 def singular_spectra(a, b, tol: float = DEFAULT_RANK_TOL) -> SingularSpectrumPair:
-    """Singular values of both factors; both must be invertible within tol."""
+    """Singular values of both factors.  Both must be square with dimension
+    >= 2 (ShapeMismatch) and invertible within tol (RankDeficient)."""
     ra, rb = _factor_svds(a, b, tol)
     return SingularSpectrumPair(lambdas=ra.singular_values, mus=rb.singular_values)
 
@@ -130,22 +136,19 @@ def _witness_value(lambdas, mus, weighted: bool) -> float:
 def _check(measure, a, b, tol, preserved, scalar) -> QuantitativeVerdict:
     """preserved(lambdas, mus, tol) decides from one SVD per factor.
 
-    Both factors must be square with dimension >= 2 (ShapeMismatch).  The
+    Both factors must pass _factor_svds (square, dimension >= 2).  The
     certificate holds scalar(lambdas, mus) and the unitary parts U Vh; the
     witness is psi_c(1/sqrt 2) in the right singular bases, with value_in
     exactly 1 and value_out read off the spectra by _witness_value.
     """
-    a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
-    for name, f in (("A", a), ("B", b)):
-        if f.shape[0] != f.shape[1] or f.shape[0] < 2:
-            raise ShapeMismatch(f"factor {name} is {f.shape}; it must be square with dim >= 2")
     ra, rb = _factor_svds(a, b, tol)
     lambdas, mus = ra.singular_values, rb.singular_values
     if preserved(lambdas, mus, tol):
         unitaries = (ra.left_basis @ ra.right_basis, rb.left_basis @ rb.right_basis)
         cert = QuantitativeCertificate(float(scalar(lambdas, mus)), *unitaries)
         return QuantitativeVerdict(measure, True, cert, None)
-    state = psi_c(1.0 / np.sqrt(2.0), (a.shape[0], b.shape[0]), (ra.right_basis, rb.right_basis))
+    shape = (len(lambdas), len(mus))
+    state = psi_c(1.0 / np.sqrt(2.0), shape, (ra.right_basis, rb.right_basis))
     witness = QuantitativeWitness(state, 1.0, _witness_value(lambdas, mus, measure == "E2"))
     return QuantitativeVerdict(measure, False, None, witness)
 
@@ -237,15 +240,19 @@ def ratio_deficit_root(tol: float = ROOT_TOL, grid_points: int = 10**6) -> float
 
     The deficit touches zero without crossing, so bisection brackets its
     analytic derivative (which changes sign exactly once); uniqueness is
-    certified by the grid scan.  Returns 1/sqrt(2) to within tol.
+    certified by the grid scan.  Returns 1/sqrt(2) to within tol; the
+    bisection also stops once the bracket is two adjacent floats, so a tol
+    below float spacing still ends.  tol must lie in (0, 1)
+    (ParamOutOfRange otherwise).
     """
-    if tol <= 0.0:
-        raise ParamOutOfRange(f"tol must be positive, got {tol}")
+    tol = tolerance(tol)
     lo, hi = 1e-4, 1.0 - 1e-4
     if not (_ratio_deficit_derivative(lo) > 0.0 > _ratio_deficit_derivative(hi)):
         raise NoRoot("deficit derivative does not bracket a maximum")
     while hi - lo > tol / 4:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if _ratio_deficit_derivative(mid) > 0.0:
             lo = mid
         else:

@@ -28,6 +28,7 @@ from unitarity_kit.generators import (
     perturb,
     random_invertible,
     random_local_map,
+    random_schmidt_rank_state,
     split_rng,
 )
 from unitarity_kit.linalg import kron
@@ -105,6 +106,88 @@ def test_zero_map_is_rejected_with_witness():
     w = check_full_rank(bmap)
     assert w is not None
     assert witness_checks_out(bmap, w)
+
+
+def kernel_entangled_map(n, m, seed, scale=1.0) -> BipartiteMap:
+    """A local map after the projector that kills one entangled state."""
+    k = random_schmidt_rank_state((n, m), min(n, m), seed=seed)
+    local = kron(
+        random_invertible(n, seed=seed + 1, cond_cap=30),
+        random_invertible(m, seed=seed + 2, cond_cap=30),
+    )
+    matrix = local @ (np.eye(n * m) - np.outer(k, k.conj()))
+    return BipartiteMap(scale * matrix, BipartiteShape(n, m))
+
+
+def svd_calls(monkeypatch) -> list:
+    """Record (shape, compute_uv) of every np.linalg.svd call from here on."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("n,m", [(4, 4), (6, 6), (16, 16)])
+def test_simple_kernel_vector_matches_svd_up_to_phase(monkeypatch, n, m, scale):
+    bmap = kernel_entangled_map(n, m, seed=40 + n * m, scale=scale)
+    reference = np.linalg.svd(bmap.matrix)[2][-1].conj()
+    calls = svd_calls(monkeypatch)
+    kernel = classifier._kernel_vector(bmap, 1e-8)
+    assert ((bmap.shape.dim, bmap.shape.dim), True) not in calls
+    overlap = np.vdot(reference, kernel)
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(kernel, overlap / abs(overlap) * reference, rtol=0, atol=1e-12)
+    w = check_full_rank(bmap)
+    assert w.kind == WITNESS_KERNEL and w.evidence.input_rank >= 2
+    assert witness_checks_out(bmap, w)
+
+
+def kernel_product_map() -> BipartiteMap:
+    a = random_invertible(3, seed=50, cond_cap=30)
+    u, s, vh = np.linalg.svd(a)
+    s[-1] = 0.0
+    b = random_invertible(2, seed=51, cond_cap=30)
+    return BipartiteMap(kron((u * s) @ vh, b), BipartiteShape(3, 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        kernel_product_map,
+        lambda: zero_column_map(),
+        lambda: BipartiteMap(np.diag([2.0, 1.0, 0.0, 3.0]).astype(complex), BipartiteShape(2, 2)),
+    ],
+    ids=["kernel-product", "zero-column", "diagonal-zero"],
+)
+def test_kernel_vector_falls_back_to_the_full_svd(monkeypatch, make):
+    # a kernel of dimension > 1 skips inverse iteration; an exactly singular
+    # LU fails it; either way the witness is the one of the full SVD
+    bmap = make()
+    with monkeypatch.context() as patch:
+        patch.setattr(classifier, "_inverse_iteration", lambda unit: None)
+        expected = check_full_rank(bmap)
+    calls = svd_calls(monkeypatch)
+    w = check_full_rank(BipartiteMap(bmap.matrix, bmap.shape))
+    assert ((bmap.shape.dim, bmap.shape.dim), True) in calls
+    assert w.kind == expected.kind
+    np.testing.assert_array_equal(w.state, expected.state)
+    np.testing.assert_array_equal(w.evidence.image_coefficients, expected.evidence.image_coefficients)
+    assert witness_checks_out(bmap, w)
+
+
+def test_kernel_entangled_map_makes_no_full_svd_of_the_map(monkeypatch):
+    bmap = kernel_entangled_map(6, 6, seed=60)
+    calls = svd_calls(monkeypatch)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.witness.kind == WITNESS_KERNEL
+    assert ((36, 36), True) not in calls
+    assert witness_checks_out(bmap, v.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +279,33 @@ def test_stacked_image_table_matches_per_column_reference(bmap, out):
         col = bmap.matrix[:, i * m + j]
         assert table.amps[i, j] == pytest.approx(np.vdot(np.kron(d, e), col), abs=1e-12)
         np.testing.assert_allclose(table.amps[i, j] * np.kron(d, e), col, atol=1e-12)
+
+
+def test_image_the_fit_cannot_certify_still_matches_reference():
+    # column (1, 1) has s2 = s3 = 0.8 tol: rank 1 for the SVD, but the rank-1
+    # fit's misfit, about sqrt(2) * 0.8 tol, is above tol
+    base = local_map(3, 3, seed=70).matrix.copy()
+    u = haar_unitary(3, seed=71)
+    v = haar_unitary(3, seed=72)
+    image = u @ np.diag([1.0, 0.8e-8, 0.8e-8]) @ v
+    base[:, 1 * 3 + 1] = image.reshape(-1) * np.linalg.norm(base[:, 4])
+    bmap = BipartiteMap(base, BipartiteShape(3, 3))
+    images = bmap.matrix.T.reshape(3, 3, 3, 3)
+    certified = classifier._rank_one_fits(images, 1e-8)[2]
+    assert not certified[1, 1] and certified.sum() == 8
+    assert schmidt_rank(bmap.matrix[:, 4], (3, 3)) == 1
+    test_stacked_image_table_matches_per_column_reference(bmap, (3, 3))
+
+
+def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
+    phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, 16) ** 2)
+    bmap = BipartiteMap(local_map(4, 4, seed=80).matrix * phases, BipartiteShape(4, 4))
+    calls = svd_calls(monkeypatch)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING
+    assert witness_checks_out(bmap, v.witness)
+    stacked = [uv for shape, uv in calls if len(shape) == 3]
+    assert stacked and not any(stacked)
 
 
 def test_cnot_table_builds_but_cases_fail():

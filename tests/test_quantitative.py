@@ -37,6 +37,20 @@ def test_singular_spectra_rejects_singular_factor():
         singular_spectra(np.diag([1.0, 0.0]), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([[1, 0, 0], [0, 1, 0]], np.eye(2)),
+        (2.0 * np.eye(1), np.eye(2)),
+    ],
+)
+def test_singular_spectra_refuses_non_square_or_one_dimensional_factor(a, b):
+    with pytest.raises(ShapeMismatch):
+        singular_spectra(a, b)
+    with pytest.raises(ShapeMismatch):
+        singular_spectra(b, a)
+
+
 def test_psi_c_product_limit():
     v = psi_c(1.0, (2, 2))
     np.testing.assert_allclose(v, [1, 0, 0, 0])
@@ -333,3 +347,15 @@ def test_ratio_deficit_unique_sign_change():
 def test_ratio_deficit_root_validates_tol():
     with pytest.raises(ParamOutOfRange):
         ratio_deficit_root(tol=-1.0)
+
+
+def test_ratio_deficit_root_ends_below_float_spacing():
+    # the bracket cannot shrink below adjacent floats near 0.707
+    root = ratio_deficit_root(tol=1e-300, grid_points=1000)
+    assert root == pytest.approx(INV_SQRT2, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 5.0])
+def test_ratio_deficit_root_refuses_tol_outside_unit_interval(tol):
+    with pytest.raises(ParamOutOfRange):
+        ratio_deficit_root(tol=tol, grid_points=1000)
