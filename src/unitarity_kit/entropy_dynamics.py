@@ -8,9 +8,16 @@ matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
 makes linearity over statistical mixtures automatic, so the analyzer only
 has to test preservation of disorder and extract the structure.
 
-The closed-form helpers give the spectra of the two-state mixture argument.
-The one for the input mixture p|phi1><phi1| + (1-p)|phi2><phi2| also serves
-the witness scan, which therefore diagonalizes only the map's images.
+The certificate reads the map about once: the first slab of each reading
+bounds the residual at any gain from below, which rejects most wrong
+readings before the full gain and residual passes.
+
+The closed-form helpers give the spectra of the two-state mixture argument,
+and the witness search runs on them.  Once every probe image is certified
+as a positive rank-1 matrix (by a rank-1 fit, without an eigensolve), a
+mixture of two images has the closed-form output spectrum of its two gains
+and one overlap, as its input mixture has the input one; the search then
+diagonalizes only the mixture it reports.
 """
 
 from __future__ import annotations
@@ -19,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDiscriminant, ParamOutOfRange, ShapeMismatch
+from .errors import ParamOutOfRange, ShapeMismatch
 from .generators import random_pure_state, split_rng
 from .linalg import DEFAULT_RANK_TOL, as_matrix, dag, tolerance
-from .states import pure_projector
 
 KIND_UNITARY = "UnitaryConjugation"
 KIND_ANTIUNITARY = "AntiunitaryConjugation"
@@ -127,40 +133,57 @@ def input_spectrum(p: float, lam2: float) -> MixtureSpectrum:
     return MixtureSpectrum(lo=float(lo), hi=float(hi))
 
 
+def _output_spectra(ps, d1: float, d2: float, mu2_sq: float):
+    """(lo, hi) eigenvalues of p*d1|psi1><psi1| + (1-p)*d2|psi2><psi2| for each p.
+
+    mu2_sq = 1 - |<psi1|psi2>|^2 (clipped at 0); d1, d2 > 0.  The mixture is
+    alpha * (t|psi1><psi1| + (1-t)|psi2><psi2|) with alpha = p*d1 + (1-p)*d2
+    and t = p*d1 / alpha, so its spectrum is _input_spectra's scaled by
+    alpha, with x = 4 t (1-t) mu2_sq.  The gains enter x only through the
+    ratios t and 1-t, taken apart so neither cancels, and alpha, a convex
+    combination of the gains, cannot overflow: no product of gains is formed.
+    """
+    ps = np.asarray(ps, dtype=float)
+    a = ps * d1
+    b = (1.0 - ps) * d2
+    alpha = a + b
+    x = np.minimum(4.0 * (a / alpha) * (b / alpha) * max(mu2_sq, 0.0), 1.0)
+    lo = alpha * x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+    return lo, alpha - lo
+
+
 def output_spectrum(p: float, d1: float, d2: float, mu2: float) -> MixtureSpectrum:
     """Eigenvalues of p*d1|psi1><psi1| + (1-p)*d2|psi2><psi2|.
 
     d1, d2 are the gains of the two image projectors and mu2 the orthogonal
     component of psi2 relative to psi1.  The pair sums to
-    alpha = p*d1 + (1-p)*d2.
+    alpha = p*d1 + (1-p)*d2; lo has no cancellation and neither value
+    under- or overflows at any gain scale (see _output_spectra).
     """
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRange(f"p must be in [0, 1], got {p}")
-    if d1 <= 0.0 or d2 <= 0.0:
+    if not (d1 > 0.0 and d2 > 0.0):
         raise ParamOutOfRange(f"gains must be positive, got d1={d1}, d2={d2}")
     if not 0.0 < mu2 <= 1.0:
         raise ParamOutOfRange(f"mu2 must be in (0, 1], got {mu2}")
-    alpha = p * d1 + d2 - p * d2
-    disc = alpha**2 + 4.0 * p * d1 * d2 * mu2**2 * (p - 1.0)
-    if disc < -1e-12 * max(alpha**2, 1.0):
-        raise NegativeDiscriminant(f"inconsistent parameters, discriminant {disc}")
-    beta = np.sqrt(max(disc, 0.0))
-    return MixtureSpectrum(lo=0.5 * (alpha - beta), hi=0.5 * (alpha + beta))
+    lo, hi = _output_spectra(p, d1, d2, mu2**2)
+    return MixtureSpectrum(lo=float(lo), hi=float(hi))
 
 
 def mu2_relation(p: float, d1: float, d2: float, lam2: float) -> float:
     """The image-overlap component forced by ratio equality at mixing p.
 
     mu2 = |p(d1-d2) + d2| * lam2 / sqrt(d1 d2); constant in p exactly when
-    d1 = d2 (where it collapses to lam2).
+    d1 = d2 (where it collapses to lam2).  The root is taken of each gain
+    apart, so no product of gains under- or overflows.
     """
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRange(f"p must be in [0, 1], got {p}")
-    if d1 <= 0.0 or d2 <= 0.0:
+    if not (d1 > 0.0 and d2 > 0.0):
         raise ParamOutOfRange(f"gains must be positive, got d1={d1}, d2={d2}")
     if not 0.0 < lam2 <= 1.0:
         raise ParamOutOfRange(f"lam2 must be in (0, 1], got {lam2}")
-    return abs(p * (d1 - d2) + d2) * lam2 / np.sqrt(d1 * d2)
+    return float(abs(p * (d1 - d2) + d2) * lam2 / (np.sqrt(d1) * np.sqrt(d2)))
 
 
 def gain_equality_deficit(d1: float, d2: float, lam2: float, grid) -> float:
@@ -182,20 +205,22 @@ def ratio_mismatch_scan(d1: float, d2: float, lam2: float, grid=None):
     Fixes mu2 at the endpoint value that is always a legal state geometry
     (numerator = min gain, so mu2 <= lam2 <= 1), then scans the grid for
     the largest discrepancy between the input ratio lo/hi and the output
-    ratio lo/hi.  Returns (p_star, mismatch).
+    ratio lo/hi, both spectra in closed form over the whole grid at once.
+    Returns (p_star, mismatch), p_star the first grid point of largest
+    mismatch, or (0.0, 0.0) when no point has a positive one.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
+    ps = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
+    if not ((ps >= 0.0) & (ps <= 1.0)).all():
+        raise ParamOutOfRange("grid points must lie in [0, 1]")
     ref_p = 0.0 if d2 <= d1 else 1.0
     mu2 = mu2_relation(ref_p, d1, d2, lam2)
-    best_p, best = 0.0, 0.0
-    for p in grid:
-        s = input_spectrum(float(p), lam2)
-        t = output_spectrum(float(p), d1, d2, mu2)
-        mismatch = abs(s.lo / s.hi - t.lo / t.hi)
-        if mismatch > best:
-            best_p, best = float(p), mismatch
-    return best_p, best
+    lo_in, hi_in = _input_spectra(ps, lam2**2)
+    lo_out, hi_out = _output_spectra(ps, d1, d2, mu2**2)
+    mismatch = np.abs(lo_in / hi_in - lo_out / hi_out)
+    if not (mismatch > 0.0).any():
+        return 0.0, 0.0
+    k = int(np.argmax(mismatch))
+    return float(ps[k]), float(mismatch[k])
 
 
 # ---------------------------------------------------------------------------
@@ -227,37 +252,76 @@ class SingleSystemVerdict:
     detail: str
 
 
-def _fit_conjugation(m4: np.ndarray, tol: float):
+def _scaled_norm(m4: np.ndarray) -> tuple[float, float]:
+    """(top, ||M / top||_F^2), top the largest modulus of the first slab m4[0].
+
+    analyze takes them once for both readings: the transpose view's first
+    slab holds the same entries, and the whole view has the same norm.  The
+    squared norm is one vdot of the map when that lands in [1e-250, 1e250],
+    where nothing in the sum overflows and what underflows is below 1e-50 of
+    it.  Otherwise, or for a view that vdot would have to copy, it is summed
+    one slab at a time, each scaled into a d x d x d buffer.  It is inf when
+    the first slab is zero or subnormal, or the map dwarfs it.
+    """
+    top = float(np.abs(m4[0]).max())
+    unit = 1.0 / top if top > 0.0 else np.inf
+    if unit == np.inf:
+        return top, np.inf
+    if m4.flags.c_contiguous:
+        total = np.vdot(m4, m4).real
+        if 1e-250 <= total <= 1e250:
+            return top, float(total * unit * unit)
+    buf = np.empty(m4.shape[1:], dtype=complex)
+    den = 0.0
+    for slab in m4:
+        np.multiply(slab, unit, out=buf)
+        den += np.vdot(buf, buf).real
+    return top, float(den)
+
+
+def _fit_conjugation(m4: np.ndarray, tol: float, scale: tuple[float, float] | None = None):
     """Fit m4[j, i, l, k] = gain * U[i, k] * conj(U[j, l]); return (U, gain, error).
 
     U is the polar part of the largest slice m4[0, :, l, :] and the gain is
     the least-squares one, Re<conj(U) x U, M> / d^2.  The error is
-    ||M - gain * conj(U) x U||_F / ||M||_F, summed one j slab at a time in
-    a single d x d x d buffer: each slab is scaled into it, and the
-    residual is formed there in place, so no d^4-sized copy is made.  Every
-    slab is divided by the largest modulus of the first, so no norm under-
-    or overflows unless the map dwarfs that slab.  Summation stops once the
+    ||M - gain * conj(U) x U||_F / ||M||_F.  scale is _scaled_norm(m4),
+    taken here when not given: every slab is divided by the largest modulus
+    of the first, so no norm under- or overflows unless the map dwarfs that
+    slab, and the work runs one j slab at a time in a single d x d x d
+    buffer, with each residual formed there in place, so no d^4-sized copy
+    is made.
+
+    The first slab decides most wrong readings alone.  Its residual at its
+    own best non-negative gain (its model slab has squared norm d) is a
+    lower bound on the residual at any gain >= 0, so when it exceeds tol the
+    reading is rejected before the gain pass, with no U or gain and that
+    bound as its error.  The residual is formed explicitly: the expansion
+    ||S||^2 - 2g<K, S> + g^2 ||K||^2 cancels at the tol^2 it is compared to.
+    Otherwise the full residual is summed, and summation stops once the
     error exceeds tol, which then reports a lower bound.  The error is inf
     when no U (the first slab is zero or subnormal), no positive gain or no
     finite norm can be read.
     """
     d = m4.shape[0]
-    top = float(np.abs(m4[0]).max())
-    unit = 1.0 / top if top > 0.0 else np.inf
-    if unit == np.inf:
+    top, den = _scaled_norm(m4) if scale is None else scale
+    if not den < np.inf:
         return None, None, np.inf
+    unit = 1.0 / top
     buf = np.empty((d, d, d), dtype=complex)
-    row = np.multiply(m4[0], unit, out=buf)
-    w, _, vh = np.linalg.svd(row[:, int(np.argmax(np.linalg.norm(row, axis=(0, 2)))), :])
+    slab = np.multiply(m4[0], unit, out=buf)
+    w, _, vh = np.linalg.svd(slab[:, int(np.argmax(np.linalg.norm(slab, axis=(0, 2)))), :])
     u = w @ vh
     uc = u.conj()
-    inner = den = 0.0
-    for j in range(d):
+    inner = np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[0]
+    slab -= (max(float(inner.real), 0.0) / d * uc[0])[None, :, None] * u[:, None, :]
+    num = np.vdot(slab, slab).real
+    if not num <= tol**2 * den:
+        return None, None, float(np.sqrt(num / den))
+    for j in range(1, d):
         slab = np.multiply(m4[j], unit, out=buf)
         inner += np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[j]
-        den += np.vdot(slab, slab).real
     gain = float(inner.real) / d**2
-    if not (gain > 0.0 and den < np.inf):
+    if not gain > 0.0:
         return None, None, np.inf
     num = 0.0
     for j in range(d):
@@ -300,7 +364,7 @@ def _state_witness(phi, image) -> EntropyWitness:
     )
 
 
-def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101) -> EntropyWitness:
+def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101, rank_one=None) -> EntropyWitness:
     """Pick the mixing weight with the largest entropy mismatch for the pair.
 
     q1 and q2 are the map's images of the two pure projectors.  The input
@@ -308,16 +372,25 @@ def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101) -> EntropyWitness:
     argument, which needs only the overlap <phi1|phi2>.  The map is linear,
     so the Hermitian part of each mixture's image is the same mixture of
     q1's and q2's Hermitian parts: the grid's output spectra need no further
-    application of the map.  An image with no valid normalized spectrum
-    counts as an infinite mismatch.
+    application of the map, and without rank_one each is one eigensolve.
+    rank_one = (g1, g2, mu2_sq) says the images are g1|psi1><psi1| and
+    g2|psi2><psi2| within tol, mu2_sq = 1 - |<psi1|psi2>|^2; the grid's
+    output spectra are then the closed form too (_output_spectra), and only
+    the chosen mixture is diagonalized, so the reported entropies stay exact.
+    An image with no valid normalized spectrum counts as an infinite mismatch.
     """
     ps = np.linspace(0.0, 1.0, grid_size)
     lo, hi = _input_spectra(ps, 1.0 - abs(np.vdot(phi1, phi2)) ** 2)
     s_in = _entropies(np.stack([lo, hi], axis=-1))
-    s_out = _entropies(_mixture_spectra(ps, _hermitian_part(q1), _hermitian_part(q2)))
+    h1, h2 = _hermitian_part(q1), _hermitian_part(q2)
+    if rank_one is None:
+        s_out = _entropies(_mixture_spectra(ps, h1, h2))
+    else:
+        s_out = _entropies(np.stack(_output_spectra(ps, *rank_one), axis=-1))
     k = int(np.argmax(np.where(np.isnan(s_out), np.inf, np.abs(s_in - s_out))))
+    out = s_out[k] if rank_one is None else _entropies(_mixture_spectra(ps[k : k + 1], h1, h2))[0]
     return EntropyWitness(
-        phi1=phi1, phi2=phi2, p=float(ps[k]), entropy_in=float(s_in[k]), entropy_out=float(s_out[k])
+        phi1=phi1, phi2=phi2, p=float(ps[k]), entropy_in=float(s_in[k]), entropy_out=float(out)
     )
 
 
@@ -333,6 +406,66 @@ def _probe_states(d: int, rng) -> list[np.ndarray]:
             return probes
 
 
+def _probe_images(superop: Superoperator, kets: np.ndarray) -> np.ndarray:
+    """Images of the pure projectors of the columns of kets, stacked as
+    [n, i, j], from one product of the map with their column-stacked forms."""
+    d = superop.dim
+    vecs = (kets.conj()[:, None, :] * kets[None, :, :]).reshape(d * d, -1)  # [i + j*d, n]
+    return np.ascontiguousarray((superop.matrix @ vecs).reshape(d, d, -1).transpose(2, 1, 0))
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each x[n] of a contiguous complex stack."""
+    flat = x.view(np.float64).reshape(len(x), -1)
+    return np.einsum("na,na->n", flat, flat)
+
+
+def _check_images(phis, images: np.ndarray, tol: float):
+    """(failure, h, kets) for stacked images of the pure states phis.
+
+    Each image m must be Hermitian, max|m - m^dag| <= tol * s with s its
+    largest modulus, and then positive rank 1: h = (m + m^dag) / (2 s) has a
+    largest eigenvalue lam > tol with ||h - lam vv^dag||_F <= tol ||h||_F.
+    failure is (witness, detail) for the first image, in the order of phis,
+    that fails, else None; h is the stack of Hermitian parts at unit scale
+    and kets[n] the unit top eigenvector of h[n] (up to a phase, within
+    tol) for every image that passes.
+
+    One stacked rank-1 fit decides most images without an eigensolve: w is
+    the column of h at its largest diagonal entry, divided by that entry's
+    square root, and r = ||h - ww^dag||_F.  When r <= tol ||h||_F and
+    ||w||^2 - r > tol the test holds, since lam >= ||w||^2 - r (Weyl) and
+    lam vv^dag is the nearest positive rank-1 matrix to h, so
+    ||h - lam vv^dag||_F <= r (Eckart-Young); w / ||w|| is then the ket.
+    This holds for any w, so the divisor is floored at 1/2, which keeps w
+    bounded: a positive matrix has its largest entry on the diagonal, and
+    at unit scale that entry is about 1.  Only an image the fit does not
+    certify takes an eigensolve.
+    """
+    adj = images.conj().swapaxes(1, 2)
+    scale = np.maximum(np.abs(images).max(axis=(1, 2)), 1e-300)
+    hermitian = np.abs(images - adj).max(axis=(1, 2)) <= tol * scale
+    h = (images + adj) / (2 * scale)[:, None, None]  # unit scale: no norm below under- or overflows
+    n = np.arange(len(h))
+    k = np.argmax(np.einsum("nii->ni", h).real, axis=1)
+    w = h[n, :, k] / np.sqrt(np.maximum(h[n, k, k].real, 0.5))[:, None]
+    w_sq = _squared_norms(w)
+    misfit = np.sqrt(_squared_norms(h - w[:, :, None] * w.conj()[:, None, :]))
+    certified = hermitian & (misfit <= tol * np.sqrt(_squared_norms(h))) & (w_sq - misfit > tol)
+    kets = w / np.sqrt(np.maximum(w_sq, tol))[:, None]
+    for i in np.flatnonzero(~certified):
+        phi, m = phis[i], images[i]
+        if not hermitian[i]:
+            return (_state_witness(phi, m), "image of a pure state is not Hermitian"), h, kets
+        lam, vecs = np.linalg.eigh(h[i])
+        residual = np.linalg.norm(h[i] - lam[-1] * np.outer(vecs[:, -1], vecs[:, -1].conj()))
+        if lam[-1] <= tol or residual > tol * np.linalg.norm(h[i]):
+            failure = _state_witness(phi, m), "image of a pure state is not a positive rank-1 matrix"
+            return failure, h, kets
+        kets[i] = vecs[:, -1]
+    return None, h, kets
+
+
 def _search_witness(superop: Superoperator, tol: float):
     """(witness, detail) for a map no conjugation reproduces.
 
@@ -341,39 +474,39 @@ def _search_witness(superop: Superoperator, tol: float):
     moduli must be preserved; the first stage that fails names the witness,
     the failing state alone at the first stage and a pair after it.  If all
     pass, the pair and mixing weight with the largest entropy change win.
-    Every witness is built from the probe images computed here; the map is
-    applied once per probe.
+    Every witness is built from the probe images computed here, in two
+    products with the map: the first probe alone, which decides most maps
+    that send pure states to mixed ones, then the rest at once.  The gains
+    stage picks its mixing weight from the closed-form spectra of the two
+    rank-1 images; the overlap stage compares the images' eigenvectors.
     """
     probes = _probe_states(superop.dim, split_rng(0, 0))
-    images, gains, kets = [], [], []
-    for v in probes:
-        m = superop.apply(pure_projector(v))
-        scale = max(float(np.abs(m).max()), 1e-300)
-        if float(np.abs(m - dag(m)).max()) > tol * scale:
-            return _state_witness(v, m), "image of a pure state is not Hermitian"
-        h = (m + dag(m)) / (2 * scale)  # unit scale: the norms below neither under- nor overflow
-        w, vecs = np.linalg.eigh(h)
-        top = w[-1]
-        residual = np.linalg.norm(h - top * np.outer(vecs[:, -1], vecs[:, -1].conj()))
-        if top <= tol or residual > tol * np.linalg.norm(h):
-            return _state_witness(v, m), "image of a pure state is not a positive rank-1 matrix"
+    columns = np.column_stack(probes)
+    images, hs, kets = [], [], []
+    for part in (slice(0, 1), slice(1, None)):
+        m = _probe_images(superop, columns[:, part])
+        failure, h, w = _check_images(probes[part], m, tol)
+        if failure is not None:
+            return failure
         images.append(m)
-        gains.append(float(np.trace(m).real))
-        kets.append(vecs[:, -1])
+        hs.append(h)
+        kets.append(w)
+    images, hs, kets = np.concatenate(images), np.concatenate(hs), np.concatenate(kets)
 
-    def scan(k, l, grid_size=101):
-        return _scan_witness(probes[k], images[k], probes[l], images[l], grid_size)
+    def scan(k, l, grid_size=101, rank_one=None):
+        return _scan_witness(probes[k], images[k], probes[l], images[l], grid_size, rank_one)
 
-    gains = np.asarray(gains)
+    gains = np.trace(images, axis1=1, axis2=2).real
     if gains.max() - gains.min() > tol * float(gains.mean()):
+        k, l = int(np.argmin(gains)), int(np.argmax(gains))
+        mu2_sq = 1.0 - abs(np.vdot(kets[k], kets[l])) ** 2
         return (
-            scan(int(np.argmin(gains)), int(np.argmax(gains))),
+            scan(k, l, rank_one=(gains[k], gains[l], mu2_sq)),
             f"pure-state gains differ: {gains.min():.6g} vs {gains.max():.6g}",
         )
 
-    phi_cols = np.column_stack(probes)
-    psi_cols = np.column_stack(kets)
-    gap = np.abs(np.abs(dag(psi_cols) @ psi_cols) - np.abs(dag(phi_cols) @ phi_cols))
+    psi_cols = np.linalg.eigh(hs)[1][:, :, -1].T
+    gap = np.abs(np.abs(dag(psi_cols) @ psi_cols) - np.abs(dag(columns) @ columns))
     if float(gap.max()) > tol:
         k, l = np.unravel_index(np.argmax(gap), gap.shape)
         return scan(k, l), f"overlap modulus changes by {float(gap.max()):.3g}"
@@ -403,8 +536,9 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     tol = tolerance(tol)
     d = superop.dim
     m4 = superop.matrix.reshape((d,) * 4)  # m4[j, i, l, k]: weight of rho[k, l] in entry (i, j)
+    scale = _scaled_norm(m4)
     for kind, view in ((KIND_UNITARY, m4), (KIND_ANTIUNITARY, m4.swapaxes(2, 3))):
-        u, gain, err = _fit_conjugation(view, tol)
+        u, gain, err = _fit_conjugation(view, tol, scale)
         if err <= tol:
             return SingleSystemVerdict(
                 kind=kind, unitary=u, gain=gain, witness=None, detail="certified by reconstruction"

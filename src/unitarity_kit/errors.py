@@ -45,10 +45,6 @@ class ParamOutOfRange(UnitarityKitError, ValueError):
     """Scalar parameter outside its admissible range."""
 
 
-class NegativeDiscriminant(UnitarityKitError):
-    """Closed-form spectrum parameters are mutually inconsistent."""
-
-
 class RankDeficient(UnitarityKitError):
     """An operator that must be invertible is numerically singular."""
 

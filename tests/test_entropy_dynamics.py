@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from unitarity_kit.entropy_dynamics import (
     KIND_NOT_PRESERVING,
     KIND_UNITARY,
     Superoperator,
+    _check_images,
     _fit_conjugation,
     _input_spectra,
+    _probe_states,
     _scan_witness,
     analyze,
     gain_equality_deficit,
@@ -446,3 +449,204 @@ def test_fit_conjugation_allocates_far_less_than_the_map(d):
             finally:
                 tracemalloc.stop()
             assert peak < m.nbytes / 2
+
+
+# ---------------------------------------------------------------------------
+# scale-safe closed forms and the reject path's shortcuts
+
+def test_closed_forms_hold_at_extreme_gain_scales():
+    lo, hi = (1.0 - np.sqrt(0.75)) / 2.0, (1.0 + np.sqrt(0.75)) / 2.0
+    for scale in (1e-200, 1e200):
+        spec = output_spectrum(0.5, scale, scale, 0.5)
+        assert spec.lo == pytest.approx(lo * scale, rel=1e-12, abs=0.0)
+        assert spec.hi == pytest.approx(hi * scale, rel=1e-12, abs=0.0)
+        assert mu2_relation(0.5, scale, scale, 0.5) == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    # nearly parallel images: lo = p(1-p) mu2^2 to first order, no cancellation
+    spec = output_spectrum(0.5, 1.0, 1.0, 1e-9)
+    assert spec.lo == pytest.approx(2.5e-19, rel=1e-12, abs=0.0)
+    assert spec.hi == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_ratio_mismatch_scan_keeps_first_maximum():
+    # loop reference over the validating wrappers; the grid repeats its points
+    d1, d2, lam2 = 0.7, 1.9, 0.8
+    grid = [0.3, 0.6, 0.3, 0.6, 0.9, 0.0]
+    mu2 = mu2_relation(1.0, d1, d2, lam2)
+    best_p, best = 0.0, 0.0
+    for p in grid:
+        s, t = input_spectrum(p, lam2), output_spectrum(p, d1, d2, mu2)
+        mismatch = abs(s.lo / s.hi - t.lo / t.hi)
+        if mismatch > best:
+            best_p, best = p, mismatch
+    p_star, mismatch = ratio_mismatch_scan(d1, d2, lam2, grid)
+    assert p_star == best_p
+    assert mismatch == pytest.approx(best, rel=1e-12)
+    assert ratio_mismatch_scan(1.3, 1.3, lam2, [0.0, 1.0]) == (0.0, 0.0)
+    with pytest.raises(ParamOutOfRange):
+        ratio_mismatch_scan(d1, d2, lam2, [0.5, 1.5])
+
+
+def _dense_fit_error(m4):
+    # the fit without the first-slab bound: U as _fit_conjugation reads it,
+    # the least-squares gain and the residual over the whole map at once
+    d = m4.shape[0]
+    row = m4[0] / np.abs(m4[0]).max()
+    w, _, vh = np.linalg.svd(row[:, np.argmax(np.linalg.norm(row, axis=(0, 2))), :])
+    u = w @ vh
+    model = np.einsum("jl,ik->jilk", u.conj(), u)
+    gain = np.vdot(model, m4).real / d**2
+    return np.linalg.norm(m4 - gain * model) / np.linalg.norm(m4)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_first_slab_bound_never_rejects_an_accepted_reading(d):
+    tol = 1e-8
+    rng = np.random.default_rng(700 + d)
+    transpose = superop_transpose(d).matrix
+    accepted = 0
+    for k in range(6):
+        m = superop_from_conjugation(haar_unitary(d, rng), float(rng.uniform(0.5, 2.0))).matrix
+        if k % 2:
+            m = m @ transpose
+        noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        m = m + float(rng.uniform(0.3, 0.99)) * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
+        m4 = m.reshape((d,) * 4)
+        for reading, view in enumerate((m4, m4.swapaxes(2, 3))):
+            u, _, err = _fit_conjugation(view, tol)
+            reference = _dense_fit_error(view)
+            assert (err <= tol) == (reference <= tol)
+            if reading == k % 2:
+                accepted += reference <= tol
+            else:
+                # the wrong reading: the bound decides, so no U comes back
+                assert u is None and tol < err < np.inf
+    # noise near tol also perturbs the U read off the first slab, so a few
+    # right readings miss tol in the dense fit as well
+    assert accepted >= 4
+
+
+def _eigh_rank_one_test(h, tol):
+    # the positive rank-1 test of a unit-scale Hermitian image by eigensolve
+    lam, vecs = np.linalg.eigh(h)
+    residual = np.linalg.norm(h - lam[-1] * np.outer(vecs[:, -1], vecs[:, -1].conj()))
+    return lam[-1] > tol and residual <= tol * np.linalg.norm(h)
+
+
+def test_rank_one_certificate_agrees_with_eigensolve(monkeypatch):
+    tol = 1e-8
+    rng = split_rng(71, 0)
+    plus = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    rotation = haar_unitary(4, seed=72)
+    psi, chi = rotation @ plus, rotation @ minus
+    images = {}
+    for scale in (1e-300, 1.0, 3.7, 1e300):
+        images["rank one", scale] = scale * pure_projector(random_pure_state(4, rng))
+    # a second eigenvalue below tol that the column fit overstates about
+    # twofold: only the eigensolve accepts the image
+    images["near tol"] = pure_projector(psi) + 0.9 * tol * pure_projector(chi)
+    images["above tol"] = pure_projector(psi) + 1.5 * tol * pure_projector(chi)
+    images["negative"] = -2.0 * pure_projector(psi)
+    images["mixed"] = superop_depolarizing(4, 0.5).apply(pure_projector(psi))
+    images["zero"] = np.zeros((4, 4), dtype=complex)
+    images["traceless"] = np.outer(psi, chi.conj()) + np.outer(chi, psi.conj())
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    for name, image in images.items():
+        calls.clear()
+        failure, h, kets = _check_images([psi], image[None], tol)
+        eigensolves = len(calls)
+        assert (failure is None) == _eigh_rank_one_test(h[0], tol), name
+        if failure is None:
+            assert abs(np.vdot(kets[0], h[0] @ kets[0]) - np.linalg.eigvalsh(h[0])[-1]) <= 1e-12
+        else:
+            assert failure[1] == "image of a pure state is not a positive rank-1 matrix"
+        assert eigensolves == (0 if name[0] == "rank one" else 1), name
+    assert _check_images([psi], images["near tol"][None], tol)[0] is None
+
+
+def test_gains_stage_reject_makes_one_eigensolve(monkeypatch):
+    a = np.diag([1.0, 1.3, 0.7, 2.0, 0.5, 1.1, 0.9, 1.6]).astype(complex) @ haar_unitary(8, seed=73)
+    superop = Superoperator(matrix=np.kron(a.conj(), a), dim=8)
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name].append(np.asarray(a).shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    verdict = analyze(superop)
+    monkeypatch.undo()
+    assert verdict.kind == KIND_NOT_PRESERVING
+    assert verdict.detail.startswith("pure-state gains differ")
+    # one eigensolve of one 8 x 8 matrix: the reported mixture
+    assert calls["eigh"] == []
+    assert [np.prod(shape[:-2], dtype=int) for shape in calls["eigvalsh"]] == [1]
+    w = verdict.witness
+    assert abs(w.entropy_in - w.entropy_out) > 1e-3
+
+
+@pytest.mark.parametrize("grid_size", [21, 101])
+def test_closed_form_scan_matches_per_p_application(grid_size):
+    rng = split_rng(74, 0)
+    diagonal = np.diag([1.0, 2.0, 0.5]).astype(complex)
+    skewed = np.diag([1.0, 3.0, 0.2]).astype(complex) @ haar_unitary(3, seed=75)
+    for a in (diagonal, skewed):
+        superop = Superoperator(matrix=np.kron(a.conj(), a), dim=3)
+        for _ in range(4):
+            phi1, phi2 = (random_pure_state(3, rng) for _ in range(2))
+            q1 = superop.apply(pure_projector(phi1))
+            q2 = superop.apply(pure_projector(phi2))
+            psi1, psi2 = a @ phi1, a @ phi2
+            mu2_sq = 1.0 - abs(np.vdot(psi1, psi2)) ** 2 / (np.vdot(psi1, psi1).real * np.vdot(psi2, psi2).real)
+            rank_one = (np.trace(q1).real, np.trace(q2).real, mu2_sq)
+            w = _scan_witness(phi1, q1, phi2, q2, grid_size=grid_size, rank_one=rank_one)
+            rows = _scan_witness_per_p(superop, phi1, phi2, grid_size)
+            top = max(r[0] for r in rows)
+            if sorted(r[0] for r in rows)[-2] < top - 1e-12:
+                assert w.p == max(rows)[1]
+            else:
+                assert abs(w.entropy_in - w.entropy_out) == pytest.approx(top, abs=1e-12)
+            _, _, s_in, s_out = next(r for r in rows if r[1] == w.p)
+            assert w.entropy_in == pytest.approx(s_in, abs=1e-12)
+            assert w.entropy_out == pytest.approx(s_out, abs=1e-12)
+
+
+def test_nonunitary_conjugation_rejected_alike_at_every_scale():
+    a = np.diag([1.0, 2.5, 0.4, 1.2]).astype(complex) @ haar_unitary(4, seed=76)
+    m = np.kron(a.conj(), a)
+    reference = analyze(Superoperator(matrix=m, dim=4))
+    assert reference.detail.startswith("pure-state gains differ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300):
+            verdict = analyze(Superoperator(matrix=m * scale, dim=4))
+            assert verdict.kind == KIND_NOT_PRESERVING
+            assert verdict.detail.startswith("pure-state gains differ")
+            w = verdict.witness
+            assert w.p == reference.witness.p
+            assert w.entropy_out == pytest.approx(reference.witness.entropy_out, abs=1e-12)
+            assert abs(w.entropy_in - w.entropy_out) > 1e-3
+
+
+def test_witness_is_the_first_failing_probe():
+    d = 4
+    probes = _probe_states(d, split_rng(0, 0))
+    # every pure image is mixed: the first probe is the witness
+    mixture = _kraus_superop([haar_unitary(d, seed=k) / np.sqrt(2.0) for k in (77, 78)])
+    for superop in (superop_depolarizing(d, 0.5), mixture):
+        verdict = analyze(superop)
+        assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
+        np.testing.assert_array_equal(verdict.witness.phi1, probes[0])
+    # rho -> A rho A^dag + B rho B^dag with B = |0><v|, v orthogonal to the
+    # first probe: its image stays rank 1, every other probe's does not
+    v = random_pure_state(d, split_rng(79, 0))
+    v -= np.vdot(probes[0], v) * probes[0]
+    a = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
+    b = np.outer(np.eye(d)[0], v.conj())
+    verdict = analyze(_kraus_superop([a, b]))
+    assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
+    np.testing.assert_array_equal(verdict.witness.phi1, probes[1])
