@@ -17,7 +17,9 @@ phase/length grid) run only on a rejected map, to find a witness; every
 witness is re-verified through the Schmidt oracle before it is returned.
 
 The reject path avoids full decompositions where a cheaper certificate
-exists.  The rank check reads the map's values-only spectrum; a kernel
+exists.  The rank check first tries one Cholesky factorization of the
+map's shifted Gram matrix, which proves full rank without any spectrum;
+only a map it cannot certify reads its values-only spectrum.  A kernel
 vector on a simple null singular value comes from inverse iteration, and
 only another rank-deficient map pays for a full SVD.  The product-basis
 images of basis row 0 are decided by a values-only stacked SVD; past it,
@@ -58,10 +60,12 @@ CASE_II = "II"
 class BipartiteMap:
     """Square nm x nm matrix acting on the composite space.
 
-    Every entry must be finite.  The singular values of the matrix are
-    computed only when first read, which classify does on the reject path
-    alone, and then cached on the instance, so the matrix must not be
-    mutated after construction.  A full SVD of the matrix runs only on a
+    Every entry must be finite.  Its largest entry modulus, its Frobenius
+    norm and its singular values are computed only when first read and
+    then cached on the instance, so the matrix must not be mutated after
+    construction.  classify reads the singular values on the reject path
+    alone, and only for a map whose full rank the Gram certificate of
+    check_full_rank cannot prove.  A full SVD of the matrix runs only on a
     rank-deficient map whose kernel is not one simple null direction (or
     whose inverse iteration fails its check).
     """
@@ -81,6 +85,19 @@ class BipartiteMap:
             raise ParamOutOfRange("map has non-finite entries")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shape", shape)
+
+    @cached_property
+    def _peak(self) -> float:
+        """The largest entry modulus."""
+        return float(np.abs(self.matrix).max())
+
+    @cached_property
+    def _frobenius(self) -> float:
+        """||L||_F / peak, in [1, nm]: the Frobenius norm of |L| / peak, whose
+        entries are at most 1, so it neither under- nor overflows; 0.0 for
+        the zero map."""
+        peak = self._peak
+        return float(np.linalg.norm(np.abs(self.matrix) / peak)) if peak > 0.0 else 0.0
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -145,25 +162,37 @@ def _basis_ket(d: int, k: int) -> np.ndarray:
 def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) -> bool:
     """Whether the image is at most tol * ||L||_2 * ||state||.
 
-    Both sides are divided by ||L||_2 first, so the norms neither underflow
-    nor overflow at any scale of the map.  The zero map annihilates all.
+    An image above tol * ||L||_F * ||state|| does not vanish, as
+    ||L||_2 <= ||L||_F; on a map the Gram certificate passed, every image
+    clears that bound, since ||L x|| >= s_min ||x|| > tol ||L||_F ||x||.
+    Only an image below it reads the spectrum for ||L||_2.  Both tests
+    divide by a norm of L first (the peak, then ||L||_2), so no norm under-
+    or overflows at any scale of the map.  The zero map annihilates all.
     """
-    norm2 = bmap.singular_values[0]
-    return norm2 == 0.0 or bool(np.linalg.norm(image / norm2) <= tol * np.linalg.norm(state))
+    peak = bmap._peak
+    if peak == 0.0:
+        return True
+    bound = tol * np.linalg.norm(state)
+    if np.linalg.norm(image / peak) > bound * bmap._frobenius:
+        return False
+    return bool(np.linalg.norm(image / bmap.singular_values[0]) <= bound)
 
 
 def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
-    """Schmidt data for a state and its image; a vanishing image has rank 0."""
+    """Schmidt data for a state and its image; a vanishing image has rank 0.
+
+    The image is decomposed as an image of L / peak, whose norm is at most
+    nm, so it cannot overflow; a non-vanishing image needs no spectrum.
+    """
     state = np.asarray(state, dtype=complex)
     dec_in = schmidt_decompose(state, bmap.shape, tol=tol)
     img = bmap.apply(state)
     if _vanishing(bmap, img, state, tol):
         img_coeffs, img_rank = np.zeros(0), 0
     else:
-        # decomposed as an image of L / ||L||_2, whose norm cannot underflow
-        norm2 = bmap.singular_values[0]
-        dec_img = schmidt_decompose(img / norm2, image_shape, tol=tol)
-        img_coeffs, img_rank = dec_img.coefficients * norm2, dec_img.rank
+        peak = bmap._peak
+        dec_img = schmidt_decompose(img / peak, image_shape, tol=tol)
+        img_coeffs, img_rank = dec_img.coefficients * peak, dec_img.rank
     return SchmidtEvidence(
         input_coefficients=dec_in.coefficients,
         input_rank=dec_in.rank,
@@ -227,18 +256,76 @@ def _inverse_iteration(unit: np.ndarray) -> np.ndarray | None:
     return _fix_phases(x)
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+_HUGE = float(np.finfo(float).max)
+
+
+def _certified_full_rank(bmap: BipartiteMap, tol: float) -> bool:
+    """Whether one Cholesky factorization proves s_min(L) > tol * ||L||_F.
+
+    With X = L / peak, G = X^H X and f = tr G = ||X||_F^2 (at least 1, as
+    one entry of X has modulus 1), the factorization of G - c I succeeding,
+    c = (tol^2 + kappa) f, proves lambda_min(G) > tol^2 f, that is
+    s_min(L) > tol ||L||_F >= tol ||L||_2: the rank check's full rank.
+
+    kappa = 8 (nm + 2) eps bounds the rounding, with eps the machine
+    epsilon.  Forming G by complex inner products of length nm moves it by
+    at most about 1.5 nm eps f in the 2-norm; the scaling and the shift by
+    2 eps f more.  A Cholesky factorization that succeeds factors the
+    stored matrix plus a backward error at most about (1.5 nm + 2) eps
+    times its trace, which is at most f (Demmel, LAWN 14, 1989); a
+    positive semidefinite R^H R then bounds lambda_min from below (Rump,
+    BIT 46, 2006).  The trace read into c is low by at most about
+    (1.5 nm + 3) eps relative, and tol < 1.  The sum, (4.5 nm + 8) eps f,
+    stays below kappa f.  Underflow, which these bounds leave out, moves G
+    by at most nm^2 2^-1074 / min(peak, 1); c includes that too, which
+    matters only for maps whose largest entry is below about 1e-300.
+
+    The product is formed from one scaled conjugated copy, conj(L) / peak,
+    times L itself, and G is scaled after it, so no copy of L / peak is
+    kept beside it.  False when the factorization fails, when the map is
+    zero, and when peak exceeds the float maximum / nm, where the product
+    could overflow and f would not be finite.
+    """
+    peak, dim = bmap._peak, bmap.shape.dim
+    # every entry of the product is at most nm * peak in modulus
+    if not 0.0 < peak <= _HUGE / dim:
+        return False
+    # divided through the real view: complex division by a subnormal peak
+    # overflows in its reciprocal
+    left = np.conjugate(bmap.matrix, order="C")
+    left.view(np.float64)[...] /= peak
+    gram = left.T @ bmap.matrix
+    del left
+    gram.view(np.float64)[...] /= peak
+    f = float(np.trace(gram).real)
+    shift = (tol * tol + 8 * (dim + 2) * _EPS) * f + dim * dim * (_TINY / min(peak, 1.0))
+    gram.flat[:: dim + 1] -= shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
     """None when the map has full numerical rank; otherwise a verified witness.
 
-    The rank test reads the map's cached values-only spectrum; only a
-    rank-deficient map computes its kernel vector (_kernel_vector: inverse
-    iteration on a simple null singular value, else the full SVD).  A
-    product kernel vector is upgraded to the constructive violation: a
+    The rank rule is the spectrum's: full rank when s_min > tol * s_max.
+    A map the Gram certificate (_certified_full_rank: one Cholesky
+    factorization, no spectrum) proves to satisfy it returns None at once;
+    any other map reads its cached values-only spectrum, which decides.
+    Only a rank-deficient map computes its kernel vector (_kernel_vector:
+    inverse iteration on a simple null singular value, else the full SVD).
+    A product kernel vector is upgraded to the constructive violation: a
     Schmidt-rank-2 combination whose image collapses to rank <= 1 (or, if
     the partner product state itself maps to an entangled vector, that
     product state directly).  An entangled kernel vector is its own
     witness, being annihilated outright.
     """
+    if _certified_full_rank(bmap, tol):
+        return None
     s = bmap.singular_values
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
@@ -623,12 +710,18 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     accepted exactly when its rank_ratio, s_min / s_max of A x B from one
     values-only SVD of each factor, exceeds tol; as both factor ratios are
     at most 1, this implies the rank check of A and of B.  An accepted map
-    never computes its own nm x nm spectrum.  That spectrum runs only on
-    the reject path: it decides the rank check there and supplies the
-    2-norm that scales every vanishing-image test.  A rank-deficient map
-    takes its kernel vector by inverse iteration when the null singular
-    value is simple, and from a full SVD otherwise; the image table of the
-    witness search certifies rank 1 by a rank-1 fit and runs no full SVD.
+    never computes its own nm x nm spectrum.  On the reject path the rank
+    check first tries one Cholesky factorization of the shifted Gram
+    matrix, which proves s_min > tol * ||L||_F; the spectrum runs only on a
+    map that certificate cannot prove full rank (a rank-deficient one, or
+    one within about sqrt(8 nm eps) of it in s_min / ||L||_F), where it
+    decides the rank check and supplies the 2-norm of the vanishing-image
+    tests.  A certified map never computes it: every image of a nonzero
+    state then clears the vanishing test's Frobenius bound.  A
+    rank-deficient map takes its kernel vector by inverse iteration when
+    the null singular value is simple, and from a full SVD otherwise; the
+    image table of the witness search certifies rank 1 by a rank-1 fit and
+    runs no full SVD.
 
     A map no reading accepts is NotPreserving with a re-verified witness;
     when no constructive stage finds one, a random search over a fixed
@@ -647,7 +740,7 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
-    peak = float(np.abs(bmap.matrix).max())
+    peak = bmap._peak
     # the zero map fits no reading; it goes straight to the rank check
     readings = ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)) if peak > 0.0 else ()
     for kind, swap in readings:

@@ -23,6 +23,7 @@ diagonalizes only the mixture it reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -357,8 +358,10 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def _state_witness(phi, image) -> EntropyWitness:
     """The witness of one pure state, given its image: p = 1, entropy 0 in,
-    and out the entropy of the image's Hermitian part (one eigensolve)."""
+    and out the entropy of the image's Hermitian part (one eigensolve).
+    The witness holds its own copy of phi."""
     spectrum = np.clip(np.linalg.eigvalsh(_hermitian_part(image)), 0.0, None)
+    phi = np.array(phi)
     return EntropyWitness(
         phi1=phi, phi2=phi, p=1.0, entropy_in=0.0, entropy_out=float(_entropies(spectrum))
     )
@@ -378,6 +381,7 @@ def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101, rank_one=None) -> En
     output spectra are then the closed form too (_output_spectra), and only
     the chosen mixture is diagonalized, so the reported entropies stay exact.
     An image with no valid normalized spectrum counts as an infinite mismatch.
+    The witness holds its own copies of phi1 and phi2.
     """
     ps = np.linspace(0.0, 1.0, grid_size)
     lo, hi = _input_spectra(ps, 1.0 - abs(np.vdot(phi1, phi2)) ** 2)
@@ -390,7 +394,11 @@ def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101, rank_one=None) -> En
     k = int(np.argmax(np.where(np.isnan(s_out), np.inf, np.abs(s_in - s_out))))
     out = s_out[k] if rank_one is None else _entropies(_mixture_spectra(ps[k : k + 1], h1, h2))[0]
     return EntropyWitness(
-        phi1=phi1, phi2=phi2, p=float(ps[k]), entropy_in=float(s_in[k]), entropy_out=float(out)
+        phi1=np.array(phi1),
+        phi2=np.array(phi2),
+        p=float(ps[k]),
+        entropy_in=float(s_in[k]),
+        entropy_out=float(out),
     )
 
 
@@ -404,6 +412,18 @@ def _probe_states(d: int, rng) -> list[np.ndarray]:
         if norm > 1e-6:
             probes.append(hub / norm)
             return probes
+
+
+@lru_cache(maxsize=None)
+def _fixed_probes(d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The witness search's probes, _probe_states(d, split_rng(0, 0)), and
+    their column-stacked matrix; they depend on d alone, so they are drawn
+    once per d and cached, hence read-only."""
+    probes = tuple(_probe_states(d, split_rng(0, 0)))
+    columns = np.column_stack(probes)
+    for a in (*probes, columns):
+        a.flags.writeable = False
+    return probes, columns
 
 
 def _probe_images(superop: Superoperator, kets: np.ndarray) -> np.ndarray:
@@ -469,19 +489,19 @@ def _check_images(phis, images: np.ndarray, tol: float):
 def _search_witness(superop: Superoperator, tol: float):
     """(witness, detail) for a map no conjugation reproduces.
 
-    Probe stages (fixed-stream states), in order: pure projectors must map
-    to positive rank-1 matrices, their gains must agree, pairwise overlap
-    moduli must be preserved; the first stage that fails names the witness,
-    the failing state alone at the first stage and a pair after it.  If all
-    pass, the pair and mixing weight with the largest entropy change win.
+    Probe stages (fixed-stream states, drawn once per d), in order: pure
+    projectors must map to positive rank-1 matrices, their gains must agree,
+    pairwise overlap moduli must be preserved; the first stage that fails
+    names the witness, the failing state alone at the first stage and a
+    pair after it.  If all pass, the pair and mixing weight with the
+    largest entropy change win.
     Every witness is built from the probe images computed here, in two
     products with the map: the first probe alone, which decides most maps
     that send pure states to mixed ones, then the rest at once.  The gains
     stage picks its mixing weight from the closed-form spectra of the two
     rank-1 images; the overlap stage compares the images' eigenvectors.
     """
-    probes = _probe_states(superop.dim, split_rng(0, 0))
-    columns = np.column_stack(probes)
+    probes, columns = _fixed_probes(superop.dim)
     images, hs, kets = [], [], []
     for part in (slice(0, 1), slice(1, None)):
         m = _probe_images(superop, columns[:, part])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unitarity_kit import classifier
+from unitarity_kit.acceptance import witness_reverifies
 from unitarity_kit.classifier import (
     CASE_I,
     CASE_II,
@@ -695,8 +696,8 @@ def test_accepted_map_never_computes_its_spectrum(scale, swap):
 
 @pytest.mark.parametrize(
     "matrix",
-    [cnot_map().matrix, np.diag([0.0, 1.0, 1.0, 1.0]), np.zeros((4, 4))],
-    ids=["cnot", "rank-deficient", "zero"],
+    [np.diag([0.0, 1.0, 1.0, 1.0]), np.zeros((4, 4))],
+    ids=["rank-deficient", "zero"],
 )
 def test_rejected_map_caches_its_spectrum(matrix):
     bmap = BipartiteMap(matrix, BipartiteShape(2, 2))
@@ -704,6 +705,78 @@ def test_rejected_map_caches_its_spectrum(matrix):
     assert v.kind == KIND_NOT_PRESERVING and v.rank_ratio is None
     assert "singular_values" in bmap.__dict__
     assert witness_checks_out(bmap, v.witness)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize(
+    "matrix", [cnot_map().matrix, haar_unitary(4, seed=23)], ids=["cnot", "haar"]
+)
+def test_certified_reject_never_computes_its_spectrum(matrix, scale):
+    bmap = BipartiteMap(scale * matrix, BipartiteShape(2, 2))
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.witness is not None
+    assert "singular_values" not in bmap.__dict__
+    assert witness_checks_out(bmap, v.witness)
+    assert witness_reverifies(bmap, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# the Gram certificate of the rank check against the spectrum's rank rule
+
+TOL = 1e-8
+EPS = np.finfo(float).eps
+
+
+def spectrum_family(n, m, seed):
+    """U diag(s) V maps, s geometric from 1 to s_min, with s_min / s_max
+    log-spaced from tol / 10 to 10 nm tol, then three well-conditioned ones."""
+    d = n * m
+    ratios = list(np.geomspace(TOL / 10, 10 * d * TOL, 9)) + [1e-5, 1e-3, 1e-1]
+    u, v = haar_unitary(d, seed=seed), haar_unitary(d, seed=seed + 1)
+    return [(u * np.geomspace(1.0, r, d)) @ v for r in ratios]
+
+
+def full_rank_by_spectrum(matrix):
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return bool(s[0] > 0 and s[-1] > TOL * s[0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (4, 4)])
+def test_gram_certificate_is_sound_against_the_spectrum(n, m, scale):
+    d = n * m
+    floor = np.sqrt(TOL**2 + 8 * (d + 2) * EPS)
+    certified = 0
+    for k, base in enumerate(spectrum_family(n, m, seed=10 * d)):
+        matrix = scale * base
+        by_spectrum = full_rank_by_spectrum(matrix)
+        bmap = BipartiteMap(matrix, BipartiteShape(n, m))
+        if classifier._certified_full_rank(bmap, TOL):
+            assert by_spectrum, k
+            certified += 1
+        bmap = BipartiteMap(matrix, BipartiteShape(n, m))
+        assert (check_full_rank(bmap, TOL) is None) == by_spectrum, k
+        s = np.linalg.svd(base, compute_uv=False)
+        if s[-1] / np.linalg.norm(s) > 10 * floor:
+            assert "singular_values" not in bmap.__dict__, k
+    assert certified >= 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (4, 4)])
+def test_vanishing_agrees_with_the_spectrum_rule(n, m, scale):
+    rng = np.random.default_rng(n * m)
+    for base in spectrum_family(n, m, seed=20 * n * m):
+        bmap = BipartiteMap(scale * base, BipartiteShape(n, m))
+        norm2 = np.linalg.svd(bmap.matrix, compute_uv=False)[0]
+        state = rng.normal(size=n * m) + 1j * rng.normal(size=n * m)
+        direction = rng.normal(size=n * m) + 1j * rng.normal(size=n * m)
+        direction /= np.linalg.norm(direction)
+        for factor in (0.5, 1.0, 2.0):
+            image = (factor * TOL * np.linalg.norm(state)) * norm2 * direction
+            expected = bool(np.linalg.norm(image / norm2) <= TOL * np.linalg.norm(state))
+            assert classifier._vanishing(bmap, image, state, TOL) == expected
+            assert expected == (factor < 1.0) or factor == 1.0
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4)])

@@ -650,3 +650,24 @@ def test_witness_is_the_first_failing_probe():
     verdict = analyze(_kraus_superop([a, b]))
     assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
     np.testing.assert_array_equal(verdict.witness.phi1, probes[1])
+
+
+def test_cached_probes_leave_each_witness_its_own_states():
+    d = 4
+    depolarizer = superop_depolarizing(d, 0.5)  # first probe's image is mixed
+    squeezer = _kraus_superop([np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)])  # gains differ
+    for superop, detail in (
+        (depolarizer, "image of a pure state is not a positive rank-1 matrix"),
+        (squeezer, "pure-state gains differ"),
+    ):
+        first = analyze(superop)
+        reference = (first.witness.phi1.copy(), first.witness.phi2.copy(), first.witness.p)
+        assert first.detail.startswith(detail)
+        first.witness.phi1[:] = 7.0
+        first.witness.phi2[:] = 7.0
+        second = analyze(superop)
+        assert second.detail == first.detail
+        np.testing.assert_array_equal(second.witness.phi1, reference[0])
+        np.testing.assert_array_equal(second.witness.phi2, reference[1])
+        assert second.witness.p == reference[2]
+        assert second.witness.phi1.flags.writeable and second.witness.phi2.flags.writeable
