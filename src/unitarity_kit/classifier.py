@@ -9,23 +9,23 @@ The decision is one certificate per reading: L = A x B holds exactly when
 the realignment of L has rank 1 (Van Loan & Pitsianis, 1993), so a
 least-squares rank-1 fit of the realigned map and its relative residual
 decide Local, and the same fit of the relabeled map decides SwapLocal; the
-rank of A x B is read off the two small factors.  The rank check of the
-whole map and the constructive stages of the paper's argument (product
+rank of A x B is read off the two small factors.  A rejected map gets its
+witness from the constructive stages of the paper's argument (product
 images of the product basis, the parallelism pattern of the image factors,
 extraction of the local factors and a rank-1 factorization of the leftover
-phase/length grid) run only on a rejected map, to find a witness; every
-witness is re-verified through the Schmidt oracle before it is returned.
+phase/length grid); every witness is re-verified through the Schmidt
+oracle before it is returned.  The rank check of the whole map runs only
+where a reading's phase grid factors, so that its images form A x B and
+only the rank can have failed, and once more before the random search.
 
 The reject path avoids full decompositions where a cheaper certificate
-exists.  The rank check first tries one Cholesky factorization of the
-map's shifted Gram matrix, which proves full rank without any spectrum;
-only a map it cannot certify reads its values-only spectrum.  A kernel
-vector on a simple null singular value comes from inverse iteration, and
-only another rank-deficient map pays for a full SVD.  The product-basis
-images of basis row 0 are decided by a values-only stacked SVD; past it,
-one vectorised rank-1 fit certifies rank 1 (Weyl's inequality turns its
-misfit into a bound on s_2), and only a row holding an image the fit
-cannot certify takes a values-only stacked SVD.
+exists.  The rank check reads the map's values-only spectrum, cached on
+the map.  A kernel vector on a simple null singular value comes from
+inverse iteration, and only another rank-deficient map pays for a full
+SVD.  The product-basis images of basis row 0 are decided by a values-only
+stacked SVD; past it, one vectorised rank-1 fit certifies rank 1 (Weyl's
+inequality turns its misfit into a bound on s_2), and only a row holding
+an image the fit cannot certify takes a values-only stacked SVD.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -64,10 +64,11 @@ class BipartiteMap:
     norm and its singular values are computed only when first read and
     then cached on the instance, so the matrix must not be mutated after
     construction.  classify reads the singular values on the reject path
-    alone, and only for a map whose full rank the Gram certificate of
-    check_full_rank cannot prove.  A full SVD of the matrix runs only on a
-    rank-deficient map whose kernel is not one simple null direction (or
-    whose inverse iteration fails its check).
+    alone: in the rank check, which runs only where a reading's images
+    factor as A x B or before the random search, and for the 2-norm of an
+    image too small for the vanishing test's Frobenius bound.  A full SVD
+    of the matrix runs only on a rank-deficient map whose kernel is not one
+    simple null direction (or whose inverse iteration fails its check).
     """
 
     matrix: np.ndarray
@@ -163,19 +164,21 @@ def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) ->
     """Whether the image is at most tol * ||L||_2 * ||state||.
 
     An image above tol * ||L||_F * ||state|| does not vanish, as
-    ||L||_2 <= ||L||_F; on a map the Gram certificate passed, every image
-    clears that bound, since ||L x|| >= s_min ||x|| > tol ||L||_F ||x||.
-    Only an image below it reads the spectrum for ||L||_2.  Both tests
-    divide by a norm of L first (the peak, then ||L||_2), so no norm under-
-    or overflows at any scale of the map.  The zero map annihilates all.
+    ||L||_2 <= ||L||_F; on a map with s_min > tol ||L||_F, every image
+    clears that bound, since ||L x|| >= s_min ||x||.  A zero image
+    vanishes; only another image below the bound reads the spectrum for
+    ||L||_2.  Both tests divide by a norm of L first (the peak, then
+    ||L||_2), so no norm under- or overflows at any scale of the map.  The
+    zero map annihilates all.
     """
     peak = bmap._peak
     if peak == 0.0:
         return True
     bound = tol * np.linalg.norm(state)
-    if np.linalg.norm(image / peak) > bound * bmap._frobenius:
+    scaled = np.linalg.norm(image / peak)
+    if scaled > bound * bmap._frobenius:
         return False
-    return bool(np.linalg.norm(image / bmap.singular_values[0]) <= bound)
+    return bool(scaled == 0.0 or np.linalg.norm(image / bmap.singular_values[0]) <= bound)
 
 
 def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
@@ -256,80 +259,32 @@ def _inverse_iteration(unit: np.ndarray) -> np.ndarray | None:
     return _fix_phases(x)
 
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)
-_HUGE = float(np.finfo(float).max)
-
-
-def _certified_full_rank(bmap: BipartiteMap, tol: float) -> bool:
-    """Whether one Cholesky factorization proves s_min(L) > tol * ||L||_F.
-
-    With X = L / peak, G = X^H X and f = tr G = ||X||_F^2 (at least 1, as
-    one entry of X has modulus 1), the factorization of G - c I succeeding,
-    c = (tol^2 + kappa) f, proves lambda_min(G) > tol^2 f, that is
-    s_min(L) > tol ||L||_F >= tol ||L||_2: the rank check's full rank.
-
-    kappa = 8 (nm + 2) eps bounds the rounding, with eps the machine
-    epsilon.  Forming G by complex inner products of length nm moves it by
-    at most about 1.5 nm eps f in the 2-norm; the scaling and the shift by
-    2 eps f more.  A Cholesky factorization that succeeds factors the
-    stored matrix plus a backward error at most about (1.5 nm + 2) eps
-    times its trace, which is at most f (Demmel, LAWN 14, 1989); a
-    positive semidefinite R^H R then bounds lambda_min from below (Rump,
-    BIT 46, 2006).  The trace read into c is low by at most about
-    (1.5 nm + 3) eps relative, and tol < 1.  The sum, (4.5 nm + 8) eps f,
-    stays below kappa f.  Underflow, which these bounds leave out, moves G
-    by at most nm^2 2^-1074 / min(peak, 1); c includes that too, which
-    matters only for maps whose largest entry is below about 1e-300.
-
-    The product is formed from one scaled conjugated copy, conj(L) / peak,
-    times L itself, and G is scaled after it, so no copy of L / peak is
-    kept beside it.  False when the factorization fails, when the map is
-    zero, and when peak exceeds the float maximum / nm, where the product
-    could overflow and f would not be finite.
-    """
-    peak, dim = bmap._peak, bmap.shape.dim
-    # every entry of the product is at most nm * peak in modulus
-    if not 0.0 < peak <= _HUGE / dim:
-        return False
-    # divided through the real view: complex division by a subnormal peak
-    # overflows in its reciprocal
-    left = np.conjugate(bmap.matrix, order="C")
-    left.view(np.float64)[...] /= peak
-    gram = left.T @ bmap.matrix
-    del left
-    gram.view(np.float64)[...] /= peak
-    f = float(np.trace(gram).real)
-    shift = (tol * tol + 8 * (dim + 2) * _EPS) * f + dim * dim * (_TINY / min(peak, 1.0))
-    gram.flat[:: dim + 1] -= shift
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
     """None when the map has full numerical rank; otherwise a verified witness.
 
-    The rank rule is the spectrum's: full rank when s_min > tol * s_max.
-    A map the Gram certificate (_certified_full_rank: one Cholesky
-    factorization, no spectrum) proves to satisfy it returns None at once;
-    any other map reads its cached values-only spectrum, which decides.
-    Only a rank-deficient map computes its kernel vector (_kernel_vector:
-    inverse iteration on a simple null singular value, else the full SVD).
-    A product kernel vector is upgraded to the constructive violation: a
-    Schmidt-rank-2 combination whose image collapses to rank <= 1 (or, if
-    the partner product state itself maps to an entangled vector, that
-    product state directly).  An entangled kernel vector is its own
-    witness, being annihilated outright.
+    The rank rule is the spectrum's: full rank when s_min > tol * s_max,
+    read off the cached values-only spectrum.  Only a rank-deficient map
+    computes its kernel vector (_kernel_vector: inverse iteration on a
+    simple null singular value, else the full SVD), whose witness is
+    _kernel_witness's.
     """
-    if _certified_full_rank(bmap, tol):
-        return None
     s = bmap.singular_values
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
-    kernel = _kernel_vector(bmap, tol)
+    return _kernel_witness(bmap, _kernel_vector(bmap, tol), tol)
+
+
+def _kernel_witness(bmap: BipartiteMap, kernel: np.ndarray, tol: float) -> Witness:
+    """The witness for a unit vector the map annihilates.
+
+    An entangled kernel vector is its own witness, being annihilated
+    outright.  A product one, a1 x b1, is upgraded to the constructive
+    violation: with a2, b2 unit and orthogonal to a1, b1, the
+    Schmidt-rank-2 combination (a1 x b1 + a2 x b2) / sqrt(2) maps to
+    L(a2 x b2) / sqrt(2); when that image has rank <= 1, the combination is
+    the witness, and otherwise the partner product state a2 x b2 itself,
+    which maps to an entangled vector.
+    """
     dec = schmidt_decompose(kernel, bmap.shape, tol=tol)
     if dec.rank >= 2:
         ev = _evidence(bmap, kernel, bmap.shape, tol)
@@ -418,16 +373,17 @@ def _rank_one_fits(images: np.ndarray, tol: float):
 
 
 def _row_witness(bmap: BipartiteMap, images: np.ndarray, i: int, out, tol: float) -> Witness | None:
-    """The first zero or entangled image of basis row i as a witness, from
-    one values-only stacked SVD of the row; None when all have rank 1."""
+    """The first vanishing or entangled image of basis row i as a witness,
+    from one values-only stacked SVD of the row; None when all have rank 1."""
     ranks = _schmidt_ranks(_stacked_spectra(images[i]), tol)
     bad = np.flatnonzero(ranks != 1)
     if not bad.size:
         return None
     j = int(bad[0])
     basis_state = _basis_ket(bmap.shape.dim, i * bmap.shape.m + j)
-    kind = WITNESS_KERNEL if ranks[j] == 0 else WITNESS_PRODUCT_TO_ENTANGLED
-    return Witness(kind=kind, state=basis_state, evidence=_evidence(bmap, basis_state, out, tol))
+    ev = _evidence(bmap, basis_state, out, tol)
+    kind = WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED
+    return Witness(kind=kind, state=basis_state, evidence=ev)
 
 
 def build_image_table(
@@ -437,15 +393,15 @@ def build_image_table(
 ) -> ProductImageTable | Witness:
     """Schmidt-decompose every product-basis image.
 
-    Returns a witness as soon as some basis image, in row-major order, is
-    zero or entangled with respect to the requested output layout (the
-    basis state itself is the witness).  Basis row 0 is decided by one
-    values-only stacked SVD, so a map that entangles |0,0> costs one row.
-    Past it, one vectorised rank-1 fit of every image (_rank_one_fits)
-    certifies rank 1 and gives the factor vectors; only a row holding an
-    image the fit cannot certify is decided by a values-only stacked SVD,
-    in row order.  No full SVD runs.  Expects a full-rank map; this
-    evaluation on a basis fixes it completely.
+    Runs on any map, full rank or not.  Returns a witness as soon as some
+    basis image, in row-major order, is entangled with respect to the
+    requested output layout or vanishes (a KernelVector); the basis state
+    itself is the witness.  Basis row 0 is decided by one values-only
+    stacked SVD, so a map that entangles |0,0> costs one row.  Past it, one
+    vectorised rank-1 fit of every image (_rank_one_fits) certifies rank 1
+    and gives the factor vectors; only a row holding an image the fit
+    cannot certify is decided by a values-only stacked SVD, in row order.
+    No full SVD runs.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -517,25 +473,26 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     """Split a fully nonzero grid into grid[i,j] = mu[i] * nu[j], or witness.
 
     Factorization uses the dominant singular triple (robust on
-    near-degenerate grids); mu[0] is gauged real positive with nu rescaled
-    reciprocally.  On failure the witness is the product state over the
-    worst 2x2 minor, whose image under the grid's diagonal map is verified
-    to have Schmidt rank 2.
+    near-degenerate grids) of the grid scaled to max modulus 1, so the
+    s2 <= tol * s1 gate never compares an overflowed SVD and products of
+    entries stay finite; the scale goes back into mu.  mu[0] is gauged real
+    positive with nu rescaled reciprocally.  On failure the witness is the
+    product state over the worst 2x2 minor, whose image under the grid's
+    diagonal map is verified to have Schmidt rank 2.
     """
     grid = as_matrix(grid)
     n, m = grid.shape
-    res = svd(grid)
+    peak = np.abs(grid).max()
+    unit = grid / peak
+    res = svd(unit)
     s = res.singular_values
     if len(s) < 2 or s[1] <= tol * s[0]:
         mu = s[0] * res.left_basis[:, 0]
         nu = res.right_basis[0, :].copy()
         anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
         phase = anchor / abs(anchor)
-        return mu / phase, nu * phase
-    # locate the most non-degenerate 2x2 minor for the witness, on the grid
-    # scaled to max modulus 1 so that products of entries stay finite
-    peak = np.abs(grid).max()
-    unit = grid / peak
+        return mu * (peak / phase), nu * phase
+    # locate the most non-degenerate 2x2 minor for the witness
     # rel[p, q] for row pair p = (i, k), i < k, and column pair q = (j, l),
     # j < l; argmax takes the first maximum in (i, k, j, l) order
     rows, cols = _pairs(n), _pairs(m)
@@ -667,14 +624,24 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float, peak: float):
     return a * (peak / phase), b * phase, err
 
 
-def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
-    """A witness for a rejected map: per reading, the image table (a zero or
-    entangled basis image in the map's own layout) and the phase grid of a
-    matching parallelism pattern; then the basis-pair parallelism scan of
-    every table built; last the random search."""
+def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, bool]:
+    """A witness for a rejected map, and whether it proves the map rank
+    deficient: a witness built from a kernel vector (_kernel_witness, which
+    also serves check_full_rank).
+
+    Per reading: the image table (a vanishing or entangled basis image in
+    the map's own layout), then the phase grid of a matching parallelism
+    pattern.  A grid that factors means the reading's images form A x B,
+    so only the rank can have failed: check_full_rank runs there, and its
+    witness comes first.  Otherwise the first witness of the readings
+    stands; a vanishing basis image, a product kernel vector, gives its
+    _kernel_witness at once.  Then the basis-pair parallelism scan of
+    every table built; then check_full_rank once more, on the cached
+    spectrum; last the random search."""
     shape = bmap.shape
     # the relabeled reading's output layout is (m, n), the same table when n == m
     tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
+    found = None
     for out_shape, case in ((shape, CASE_I), (shape.flipped(), CASE_II)):
         key = out_shape.as_tuple()
         if key not in tables:
@@ -682,27 +649,38 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
         table = tables[key]
         if isinstance(table, Witness):
             if key == shape.as_tuple():
-                return table
+                if table.kind == WITNESS_KERNEL:
+                    return _kernel_witness(bmap, table.state, tol), True
+                found = table
             continue
         if not _pattern_holds(table, case, tol):
             continue
         factored = factor_phase_grid(extract_factors(table, case)[2], tol)
-        if isinstance(factored, Witness):
+        if not isinstance(factored, Witness):
+            deficient = check_full_rank(bmap, tol)
+            if deficient is not None:
+                return deficient, True
+        elif found is None:
             ev = _evidence(bmap, factored.state, out_shape, tol)
             if ev.input_rank == 1 and ev.image_rank >= 2:
-                return Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
+                found = Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
+    if found is not None:
+        return found, False
     for table in tables.values():
         if not isinstance(table, Witness):
             witness = _parallelism_witness(bmap, table, tol)
             if witness is not None:
-                return witness
-    return _random_search_witness(bmap, tol)
+                return witness, False
+    deficient = check_full_rank(bmap, tol)
+    if deficient is not None:
+        return deficient, True
+    return _random_search_witness(bmap, tol), False
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
     """The realignment certificate for Local and then for SwapLocal; a map
-    that neither reading accepts gets the rank check and then its witness
-    from the constructive stages.
+    that neither reading accepts gets its witness from the constructive
+    stages, with the rank check only where a reading's images factor.
 
     A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
     SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
@@ -710,18 +688,20 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     accepted exactly when its rank_ratio, s_min / s_max of A x B from one
     values-only SVD of each factor, exceeds tol; as both factor ratios are
     at most 1, this implies the rank check of A and of B.  An accepted map
-    never computes its own nm x nm spectrum.  On the reject path the rank
-    check first tries one Cholesky factorization of the shifted Gram
-    matrix, which proves s_min > tol * ||L||_F; the spectrum runs only on a
-    map that certificate cannot prove full rank (a rank-deficient one, or
-    one within about sqrt(8 nm eps) of it in s_min / ||L||_F), where it
-    decides the rank check and supplies the 2-norm of the vanishing-image
-    tests.  A certified map never computes it: every image of a nonzero
-    state then clears the vanishing test's Frobenius bound.  A
-    rank-deficient map takes its kernel vector by inverse iteration when
-    the null singular value is simple, and from a full SVD otherwise; the
-    image table of the witness search certifies rank 1 by a rank-1 fit and
-    runs no full SVD.
+    never computes its own nm x nm spectrum.  Once both readings miss, the
+    verdict is NotPreserving and only its witness remains to be found
+    (_search_witness).  The rank check, which reads the spectrum, runs
+    where a reading's phase grid factors, so that the basis images form
+    A x B and only invertibility can have failed, and once more before the
+    random search.  A map whose witness comes from an entangled basis
+    image, the phase grid or the parallelism scan never computes its
+    spectrum unless some witness image falls below the vanishing test's
+    Frobenius bound.  A rank-deficient map takes its kernel vector by
+    inverse iteration when the null singular value is simple, and from a
+    full SVD otherwise; the image table certifies rank 1 by a rank-1 fit
+    and runs no full SVD.  detail reads "map is rank deficient" exactly
+    when the witness was built from a kernel vector: a KernelVector, or the
+    partner product state of a product kernel vector.
 
     A map no reading accepts is NotPreserving with a re-verified witness;
     when no constructive stage finds one, a random search over a fixed
@@ -741,7 +721,7 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
     peak = bmap._peak
-    # the zero map fits no reading; it goes straight to the rank check
+    # the zero map fits no reading; it goes straight to the witness search
     readings = ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)) if peak > 0.0 else ()
     for kind, swap in readings:
         a, b, err = _fit_local(bmap, swap, tol, peak)
@@ -761,13 +741,6 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
                 output_shape=(shape.flipped() if swap else shape).as_tuple(),
                 detail="factors certified by reconstruction",
             )
-    kernel_witness = check_full_rank(bmap, tol)
-    if kernel_witness is not None:
-        return QualitativeVerdict(
-            KIND_NOT_PRESERVING, witness=kernel_witness, detail="map is rank deficient"
-        )
-    return QualitativeVerdict(
-        KIND_NOT_PRESERVING,
-        witness=_search_witness(bmap, tol),
-        detail="no local or swap-local decomposition fits",
-    )
+    witness, deficient = _search_witness(bmap, tol)
+    detail = "map is rank deficient" if deficient else "no local or swap-local decomposition fits"
+    return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=detail)
