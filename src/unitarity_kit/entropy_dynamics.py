@@ -8,9 +8,11 @@ matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
 makes linearity over statistical mixtures automatic, so the analyzer only
 has to test preservation of disorder and extract the structure.
 
-The certificate reads the map about once: the first slab of each reading
-bounds the residual at any gain from below, which rejects most wrong
-readings before the full gain and residual passes.
+An accepted map is read twice: once by the constructor, whose one sum
+gives both finiteness and the squared norm, and once by the fit of the
+reading that accepts it, which takes the gain and the residual in the same
+pass over the map's own layout.  A wrong reading stops as soon as the slabs
+read so far leave no gain within tol, most often after its first slab.
 
 The closed-form helpers give the spectra of the two-state mixture argument,
 and the witness search runs on them.  Once every probe image is certified
@@ -22,6 +24,7 @@ diagonalizes only the mixture it reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,21 +53,31 @@ def unvec_density(v: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Candidate single-system dynamics in matrix form; every entry finite."""
+    """Candidate single-system dynamics in matrix form; every entry finite.
+
+    The matrix is stored C-contiguous, and construction reads it once: its
+    squared Frobenius norm, one vdot, is finite exactly when every entry is,
+    as a sum of non-negative terms cannot cancel an inf or a NaN.  Only a
+    non-finite sum, which a finite map gives when the sum overflows, takes
+    an entrywise test to decide.  analyze reuses the sum, which is kept on
+    the instance, so the matrix must not be mutated after construction.
+    """
 
     matrix: np.ndarray
     dim: int
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = np.ascontiguousarray(as_matrix(self.matrix))
         if m.shape != (self.dim**2, self.dim**2):
             raise ShapeMismatch(
                 f"superoperator matrix is {m.shape}, dim {self.dim} needs "
                 f"{(self.dim**2, self.dim**2)}"
             )
-        if not np.isfinite(m).all():
+        total = np.vdot(m, m).real
+        if not total < np.inf and not np.isfinite(m).all():
             raise ParamOutOfRange("superoperator has non-finite entries")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_frobenius_sq", total)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec_density(self.matrix @ vec_density(rho), self.dim)
@@ -253,25 +266,23 @@ class SingleSystemVerdict:
     detail: str
 
 
-def _scaled_norm(m4: np.ndarray) -> tuple[float, float]:
+def _scaled_norm(m4: np.ndarray, total: float) -> tuple[float, float]:
     """(top, ||M / top||_F^2), top the largest modulus of the first slab m4[0].
 
-    analyze takes them once for both readings: the transpose view's first
-    slab holds the same entries, and the whole view has the same norm.  The
-    squared norm is one vdot of the map when that lands in [1e-250, 1e250],
-    where nothing in the sum overflows and what underflows is below 1e-50 of
-    it.  Otherwise, or for a view that vdot would have to copy, it is summed
-    one slab at a time, each scaled into a d x d x d buffer.  It is inf when
-    the first slab is zero or subnormal, or the map dwarfs it.
+    total is ||M||_F^2 as the Superoperator constructor summed it.  analyze
+    takes the pair once for both readings, which share the first slab.  The
+    scaled norm is total / top^2 when total lands in [1e-250, 1e250], where
+    nothing in the sum overflows and what underflows is below 1e-50 of it.
+    Otherwise (the sum is then inf or NaN, or too small to trust) it is
+    summed again one slab at a time, each scaled into a d x d x d buffer.
+    It is inf when the first slab is zero or subnormal, or the map dwarfs it.
     """
     top = float(np.abs(m4[0]).max())
     unit = 1.0 / top if top > 0.0 else np.inf
     if unit == np.inf:
         return top, np.inf
-    if m4.flags.c_contiguous:
-        total = np.vdot(m4, m4).real
-        if 1e-250 <= total <= 1e250:
-            return top, float(total * unit * unit)
+    if 1e-250 <= total <= 1e250:
+        return top, float(total * unit * unit)
     buf = np.empty(m4.shape[1:], dtype=complex)
     den = 0.0
     for slab in m4:
@@ -280,58 +291,80 @@ def _scaled_norm(m4: np.ndarray) -> tuple[float, float]:
     return top, float(den)
 
 
-def _fit_conjugation(m4: np.ndarray, tol: float, scale: tuple[float, float] | None = None):
-    """Fit m4[j, i, l, k] = gain * U[i, k] * conj(U[j, l]); return (U, gain, error).
+def _fit_conjugation(
+    m4: np.ndarray, tol: float, scale: tuple[float, float] | None = None, transpose: bool = False
+):
+    """Fit one reading of m4 = M.reshape(d, d, d, d); return (U, gain, error).
 
-    U is the polar part of the largest slice m4[0, :, l, :] and the gain is
-    the least-squares one, Re<conj(U) x U, M> / d^2.  The error is
-    ||M - gain * conj(U) x U||_F / ||M||_F.  scale is _scaled_norm(m4),
-    taken here when not given: every slab is divided by the largest modulus
-    of the first, so no norm under- or overflows unless the map dwarfs that
-    slab, and the work runs one j slab at a time in a single d x d x d
-    buffer, with each residual formed there in place, so no d^4-sized copy
-    is made.
+    The unitary reading fits m4[j, i, l, k] = gain * U[i, k] * conj(U[j, l]),
+    the antiunitary one (transpose) m4[j, i, a, b] = gain * U[i, a] *
+    conj(U[j, b]), which is the unitary reading of M T; both run on the
+    map's own contiguous slabs.  U is the polar part of the largest slice
+    of the first slab, m4[0, :, l, :] (transpose: m4[0, :, :, b]), and the
+    gain is the least-squares one, Re<K, M> / d^2 with K the model at gain 1
+    (||K||_F^2 = d^2).  The error is ||M - gain K||_F / ||M||_F.  scale is
+    _scaled_norm(m4, ||M||_F^2), taken here when not given: every slab is
+    divided by the largest modulus of the first, so no norm under- or
+    overflows unless the map dwarfs that slab.
 
-    The first slab decides most wrong readings alone.  Its residual at its
-    own best non-negative gain (its model slab has squared norm d) is a
-    lower bound on the residual at any gain >= 0, so when it exceeds tol the
-    reading is rejected before the gain pass, with no U or gain and that
-    bound as its error.  The residual is formed explicitly: the expansion
-    ||S||^2 - 2g<K, S> + g^2 ||K||^2 cancels at the tol^2 it is compared to.
-    Otherwise the full residual is summed, and summation stops once the
-    error exceeds tol, which then reports a lower bound.  The error is inf
-    when no U (the first slab is zero or subnormal), no positive gain or no
-    finite norm can be read.
+    One pass, one slab at a time in a single d x d x d buffer (no d^4-sized
+    copy): slab j adds its part of Re<K, M> and its explicit residual at
+    the first slab's best non-negative gain g0 = max(Re<K_0, S_0>, 0) / d.
+    The residual of the first J slabs is quadratic in the gain with
+    curvature J d, so at gain g it is num - 2(g - g0)c + (g - g0)^2 J d,
+    with num the residual at g0 and c = Re<K, S> - g0 J d over those slabs.
+    Its minimum over g >= 0, at g0 plus the shift max(c / (J d), -g0), is a
+    lower bound on the whole residual at any gain >= 0, so the reading is
+    rejected, with no U or gain and that bound as its error, as soon as it
+    exceeds tol; a wrong reading mostly stops at J = 1.  After all d slabs
+    the bound is the residual at the fitted gain, num - d^2 (g - g0)^2.
+    The subtraction does not cancel at tol^2: the first slab's residual at
+    g is at least d (g - g0)^2, so the minimum is at least num / (J + 1).
+    The expansion ||S||^2 - 2g<K, S> + g^2 ||K||^2 would cancel, which is
+    why num is formed explicitly.  The error is inf when no U (the first
+    slab is zero or subnormal), no positive gain or no finite norm can be
+    read.
     """
     d = m4.shape[0]
-    top, den = _scaled_norm(m4) if scale is None else scale
+    top, den = _scaled_norm(m4, np.vdot(m4, m4).real) if scale is None else scale
     if not den < np.inf:
         return None, None, np.inf
-    unit = 1.0 / top
+    unit, limit = 1.0 / top, tol**2 * den
     buf = np.empty((d, d, d), dtype=complex)
     slab = np.multiply(m4[0], unit, out=buf)
-    w, _, vh = np.linalg.svd(slab[:, int(np.argmax(np.linalg.norm(slab, axis=(0, 2)))), :])
+    if transpose:
+        u_slice = slab[:, :, int(np.argmax(np.linalg.norm(slab, axis=(0, 1))))]
+    else:
+        u_slice = slab[:, int(np.argmax(np.linalg.norm(slab, axis=(0, 2)))), :]
+    w, _, vh = np.linalg.svd(u_slice)
     u = w @ vh
     uc = u.conj()
-    inner = np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[0]
-    slab -= (max(float(inner.real), 0.0) / d * uc[0])[None, :, None] * u[:, None, :]
-    num = np.vdot(slab, slab).real
-    if not num <= tol**2 * den:
-        return None, None, float(np.sqrt(num / den))
-    for j in range(1, d):
-        slab = np.multiply(m4[j], unit, out=buf)
-        inner += np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[j]
+    flat_uc = uc.reshape(-1)
+    inner, num, g0 = 0.0, 0.0, 0.0
+    for j in range(d):
+        if j:
+            slab = np.multiply(m4[j], unit, out=buf)
+        if transpose:
+            inner += (flat_uc @ slab.reshape(d * d, d)) @ u[j]
+        else:
+            inner += np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[j]
+        if not j:
+            g0 = max(float(inner.real), 0.0) / d
+        if transpose:
+            slab -= u[:, :, None] * (g0 * uc[j])[None, None, :]
+        else:
+            slab -= (g0 * uc[j])[None, :, None] * u[:, None, :]
+        num += np.vdot(slab, slab).real
+        curvature = (j + 1) * d
+        c = float(inner.real) - g0 * curvature
+        shift = max(c / curvature, -g0)
+        bound = num - shift * (2.0 * c - shift * curvature)
+        if not bound <= limit:
+            return None, None, float(np.sqrt(bound / den))
     gain = float(inner.real) / d**2
     if not gain > 0.0:
         return None, None, np.inf
-    num = 0.0
-    for j in range(d):
-        r = np.multiply(m4[j], unit, out=buf)
-        r -= (gain * uc[j])[None, :, None] * u[:, None, :]
-        num += np.vdot(r, r).real
-        if not num <= tol**2 * den:
-            break
-    return u, gain * top, float(np.sqrt(num / den))
+    return u, gain * top, float(np.sqrt(max(bound, 0.0) / den))
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -461,18 +494,32 @@ def _check_images(phis, images: np.ndarray, tol: float):
     bounded: a positive matrix has its largest entry on the diagonal, and
     at unit scale that entry is about 1.  Only an image the fit does not
     certify takes an eigensolve.
+
+    A lone image (the first probe's) skips the fit when it cannot pass.
+    An image that passes has its eigenvalues beyond lam within tol ||h||_F
+    in root sum of squares, so its trace is at most (1 + sqrt(d) tol)
+    ||h||_F, plus rounding.  A lone image that is not Hermitian, or whose
+    trace exceeds that (a clearly mixed one), goes straight to the
+    eigensolve, which decides it as before.
     """
+    d = images.shape[1]
     adj = images.conj().swapaxes(1, 2)
     scale = np.maximum(np.abs(images).max(axis=(1, 2)), 1e-300)
     hermitian = np.abs(images - adj).max(axis=(1, 2)) <= tol * scale
     h = (images + adj) / (2 * scale)[:, None, None]  # unit scale: no norm below under- or overflows
-    n = np.arange(len(h))
-    k = np.argmax(np.einsum("nii->ni", h).real, axis=1)
-    w = h[n, :, k] / np.sqrt(np.maximum(h[n, k, k].real, 0.5))[:, None]
-    w_sq = _squared_norms(w)
-    misfit = np.sqrt(_squared_norms(h - w[:, :, None] * w.conj()[:, None, :]))
-    certified = hermitian & (misfit <= tol * np.sqrt(_squared_norms(h))) & (w_sq - misfit > tol)
-    kets = w / np.sqrt(np.maximum(w_sq, tol))[:, None]
+    diagonal = np.einsum("nii->ni", h).real
+    norms = np.sqrt(_squared_norms(h))
+    trace_bound = 1.0 + math.sqrt(d) * (tol + d * d * 2.0**-50)
+    if len(h) == 1 and not (hermitian[0] and diagonal[0].sum() <= trace_bound * norms[0]):
+        certified, kets = np.zeros(1, dtype=bool), np.zeros((1, d), dtype=complex)
+    else:
+        n = np.arange(len(h))
+        k = np.argmax(diagonal, axis=1)
+        w = h[n, :, k] / np.sqrt(np.maximum(h[n, k, k].real, 0.5))[:, None]
+        w_sq = _squared_norms(w)
+        misfit = np.sqrt(_squared_norms(h - w[:, :, None] * w.conj()[:, None, :]))
+        certified = hermitian & (misfit <= tol * norms) & (w_sq - misfit > tol)
+        kets = w / np.sqrt(np.maximum(w_sq, tol))[:, None]
     for i in np.flatnonzero(~certified):
         phi, m = phis[i], images[i]
         if not hermitian[i]:
@@ -550,15 +597,18 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     place of M), and a reading is accepted exactly when g > 0 and
     ||M - g * conj(U) x U||_F <= tol * ||M||_F, with tol in (0, 1); for d >= 2
     no map fits both readings, as the transpose is not completely positive.
+    Each reading is one pass over M's own slabs (the antiunitary one fits the
+    transposed model there, so no strided view of M is read), against the
+    ||M||_F^2 the constructor summed: an accepted map is read twice in all.
     A rejected map gets its witness from fixed-stream probe states, so the
     whole verdict depends only on (map, tol).
     """
     tol = tolerance(tol)
     d = superop.dim
     m4 = superop.matrix.reshape((d,) * 4)  # m4[j, i, l, k]: weight of rho[k, l] in entry (i, j)
-    scale = _scaled_norm(m4)
-    for kind, view in ((KIND_UNITARY, m4), (KIND_ANTIUNITARY, m4.swapaxes(2, 3))):
-        u, gain, err = _fit_conjugation(view, tol, scale)
+    scale = _scaled_norm(m4, superop._frobenius_sq)
+    for kind, transpose in ((KIND_UNITARY, False), (KIND_ANTIUNITARY, True)):
+        u, gain, err = _fit_conjugation(m4, tol, scale, transpose)
         if err <= tol:
             return SingleSystemVerdict(
                 kind=kind, unitary=u, gain=gain, witness=None, detail="certified by reconstruction"

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from unitarity_kit import entropy_dynamics
 from unitarity_kit.entropy_dynamics import (
     KIND_ANTIUNITARY,
     KIND_NOT_PRESERVING,
@@ -49,6 +50,60 @@ def test_superoperator_refuses_non_finite_entries(bad):
     m[2, 1] = bad
     with pytest.raises(ParamOutOfRange):
         Superoperator(matrix=m, dim=2)
+
+
+_NON_FINITE = [
+    complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+    complex(0.0, np.inf), complex(-np.inf, 0.0), complex(0.0, -np.inf),
+]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_superoperator_refuses_a_non_finite_entry_anywhere(d, where, bad):
+    # the constructor's one sum of squares must see every entry, including
+    # the first and the last of the array
+    m = superop_from_conjugation(haar_unitary(d, seed=80)).matrix.copy()
+    m.flat[{"first": 0, "middle": m.size // 2, "last": m.size - 1}[where]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange):
+            Superoperator(matrix=m, dim=d)
+
+
+@pytest.mark.parametrize("peak", [1e160, 1e300])
+def test_superoperator_whose_squared_norm_overflows_is_accepted(peak):
+    d = 3
+    unitary = superop_from_conjugation(haar_unitary(d, seed=81)).matrix
+    maps = {
+        KIND_UNITARY: unitary,
+        KIND_ANTIUNITARY: unitary @ superop_transpose(d).matrix,
+        KIND_NOT_PRESERVING: superop_depolarizing(d, 0.5).matrix,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, m in maps.items():
+            assert analyze(Superoperator(matrix=m, dim=d)).kind == kind
+            large = m * (peak / np.abs(m).max())
+            assert not np.vdot(large, large).real < np.inf
+            assert analyze(Superoperator(matrix=large, dim=d)).kind == kind
+
+
+def test_superoperator_stores_any_layout_c_contiguous():
+    d = 4
+    unitary = superop_from_conjugation(haar_unitary(d, seed=82), gain=1.3).matrix
+    for m in (unitary, unitary @ superop_transpose(d).matrix):
+        reference = analyze(Superoperator(matrix=np.ascontiguousarray(m), dim=d))
+        assert reference.kind != KIND_NOT_PRESERVING
+        for layout in (np.asfortranarray(m), np.ascontiguousarray(m.T).T, np.repeat(m, 2, axis=1)[:, ::2]):
+            superop = Superoperator(matrix=layout, dim=d)
+            assert superop.matrix.flags.c_contiguous
+            np.testing.assert_array_equal(superop.matrix, m)
+            verdict = analyze(superop)
+            assert verdict.kind == reference.kind
+            np.testing.assert_array_equal(verdict.unitary, reference.unitary)
+            assert verdict.gain == reference.gain
 
 
 def test_conjugation_superoperator_acts_correctly():
@@ -441,10 +496,10 @@ def test_fit_conjugation_allocates_far_less_than_the_map(d):
         superop_from_conjugation(u).matrix @ superop_transpose(d).matrix,
     ):
         m4 = m.reshape((d,) * 4)
-        for view in (m4, m4.swapaxes(2, 3)):
+        for transpose in (False, True):
             tracemalloc.start()
             try:
-                _fit_conjugation(view, 1e-8)
+                _fit_conjugation(m4, 1e-8, transpose=transpose)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -486,16 +541,17 @@ def test_ratio_mismatch_scan_keeps_first_maximum():
         ratio_mismatch_scan(d1, d2, lam2, [0.5, 1.5])
 
 
-def _dense_fit_error(m4):
-    # the fit without the first-slab bound: U as _fit_conjugation reads it,
-    # the least-squares gain and the residual over the whole map at once
+def _dense_fit(m4):
+    # the fit without any bound, on a reading's view (M or M T): U as
+    # _fit_conjugation reads it, then the least-squares gain and the
+    # residual over the whole map at once; returns (gain, error)
     d = m4.shape[0]
     row = m4[0] / np.abs(m4[0]).max()
     w, _, vh = np.linalg.svd(row[:, np.argmax(np.linalg.norm(row, axis=(0, 2))), :])
     u = w @ vh
     model = np.einsum("jl,ik->jilk", u.conj(), u)
     gain = np.vdot(model, m4).real / d**2
-    return np.linalg.norm(m4 - gain * model) / np.linalg.norm(m4)
+    return gain, np.linalg.norm(m4 - gain * model) / np.linalg.norm(m4)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -512,8 +568,8 @@ def test_first_slab_bound_never_rejects_an_accepted_reading(d):
         m = m + float(rng.uniform(0.3, 0.99)) * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
         m4 = m.reshape((d,) * 4)
         for reading, view in enumerate((m4, m4.swapaxes(2, 3))):
-            u, _, err = _fit_conjugation(view, tol)
-            reference = _dense_fit_error(view)
+            u, _, err = _fit_conjugation(m4, tol, transpose=bool(reading))
+            reference = _dense_fit(view)[1]
             assert (err <= tol) == (reference <= tol)
             if reading == k % 2:
                 accepted += reference <= tol
@@ -523,6 +579,69 @@ def test_first_slab_bound_never_rejects_an_accepted_reading(d):
     # noise near tol also perturbs the U read off the first slab, so a few
     # right readings miss tol in the dense fit as well
     assert accepted >= 4
+
+
+def _conjugation_map(u, gain, transpose):
+    m = superop_from_conjugation(u, gain).matrix
+    return m @ superop_transpose(u.shape[0]).matrix if transpose else m
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_one_pass_fit_matches_the_dense_fit_on_accepted_readings(d, transpose):
+    tol = 1e-8
+    rng = np.random.default_rng(800 + d)
+    accepted = 0
+    for level in (0.3, 0.5, 0.7, 0.8, 0.9, 0.99):
+        m = _conjugation_map(haar_unitary(d, rng), float(rng.uniform(0.5, 2.0)), transpose)
+        noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        m = m + level * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
+        m4 = m.reshape((d,) * 4)
+        reference_gain, reference = _dense_fit(m4.swapaxes(2, 3) if transpose else m4)
+        u, gain, err = _fit_conjugation(m4, tol, transpose=transpose)
+        assert (err <= tol) == (reference <= tol)
+        if reference <= tol:
+            accepted += 1
+            assert u is not None
+            assert err == pytest.approx(reference, rel=1e-6)
+            assert gain == pytest.approx(reference_gain, rel=1e-12)
+    # the U read off the noisy first slab adds about a third to the error,
+    # so the readings near tol miss it in the dense fit as well
+    assert accepted >= 3
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_one_pass_fit_rejects_a_late_departure(d, transpose):
+    # the first slab is an exact conjugation, so only the slabs after it
+    # can reject; no benchmark input departs this late
+    tol = 1e-8
+    rng = np.random.default_rng(900 + d)
+    for j in sorted({1, d - 1}):
+        m = _conjugation_map(haar_unitary(d, rng), 1.7, transpose)
+        m4 = m.reshape((d,) * 4)
+        noise = rng.standard_normal(m4[j].shape) + 1j * rng.standard_normal(m4[j].shape)
+        m4[j] += 10.0 * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
+        u, gain, err = _fit_conjugation(m4, tol, transpose=transpose)
+        assert u is None and gain is None
+        assert tol < err < np.inf
+        assert _dense_fit(m4.swapaxes(2, 3) if transpose else m4)[1] > tol
+        assert analyze(Superoperator(matrix=m, dim=d)).kind == KIND_NOT_PRESERVING
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_one_pass_fit_rejects_a_gain_that_changes_after_the_first_slab(d, transpose):
+    # slab 0 at gain 1, every other slab at gain 2: each slab alone fits its
+    # own gain exactly, but the first two slabs at one gain leave residual
+    # d/2 (in units of the first slab's peak) against ||M||^2 = d + 4d(d-1),
+    # so the gain shift rejects the reading once slab 1 is read
+    m = _conjugation_map(haar_unitary(d, seed=1000 + d), 1.0, transpose)
+    m4 = m.reshape((d,) * 4)
+    m4[1:] *= 2.0
+    u, gain, err = _fit_conjugation(m4, 1e-8, transpose=transpose)
+    assert u is None and gain is None
+    assert err == pytest.approx(np.sqrt(1.0 / (2.0 * (4 * d - 3))), rel=1e-9)
 
 
 def _eigh_rank_one_test(h, tol):
@@ -564,6 +683,41 @@ def test_rank_one_certificate_agrees_with_eigensolve(monkeypatch):
             assert failure[1] == "image of a pure state is not a positive rank-1 matrix"
         assert eigensolves == (0 if name[0] == "rank one" else 1), name
     assert _check_images([psi], images["near tol"][None], tol)[0] is None
+
+
+def test_lone_image_that_cannot_pass_skips_the_rank_one_fit(monkeypatch):
+    tol = 1e-8
+    d = 4
+    rng = split_rng(83, 0)
+    psi, chi = (random_pure_state(d, rng) for _ in range(2))
+    basis = haar_unitary(d, seed=84)
+    # its trace sits at the bound: (1 + 0.99 sqrt(d - 1) tol) ||h||_F
+    edge = np.diag([1.0] + [0.99 * tol / np.sqrt(d - 1)] * (d - 1)).astype(complex)
+    images = {
+        "rank one": (pure_projector(psi), True),
+        "edge": (edge, True),
+        "rotated edge": (basis @ edge @ basis.conj().T, True),
+        "depolarized": (superop_depolarizing(d, 0.1).apply(pure_projector(psi)), False),
+        "two states": (0.7 * pure_projector(psi) + 0.3 * pure_projector(chi), False),
+        "not hermitian": (pure_projector(psi) + 1e-3 * np.outer(psi, chi.conj()), False),
+    }
+    calls = []
+    squared_norms = entropy_dynamics._squared_norms
+    monkeypatch.setattr(entropy_dynamics, "_squared_norms", lambda x: calls.append(len(x)) or squared_norms(x))
+    for name, (image, may_pass) in images.items():
+        calls.clear()
+        lone = _check_images([psi], image[None], tol)
+        # the norms alone, or the norms and the fit's two
+        assert len(calls) == (3 if may_pass else 1), name
+        pair = _check_images([psi, psi], np.stack([image, image]), tol)
+        assert (lone[0] is None) == (pair[0] is None), name
+        if lone[0] is None:
+            np.testing.assert_allclose(lone[2][0], pair[2][0], rtol=0, atol=1e-12)
+        else:
+            assert lone[0][1] == pair[0][1]
+            assert lone[0][0].entropy_out == pair[0][0].entropy_out
+    monkeypatch.undo()
+    assert _check_images([psi], edge[None], tol)[0] is None
 
 
 def test_gains_stage_reject_makes_one_eigensolve(monkeypatch):
