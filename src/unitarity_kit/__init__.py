@@ -40,22 +40,18 @@ from .generators import (
     random_density,
     random_invertible,
     random_local_map,
-    random_product_state,
     random_pure_state,
     random_schmidt_rank_state,
     split_rng,
 )
 from .linalg import (
     SVDResult,
-    hermitian_eigenvalues,
     kron,
     numerical_rank,
-    partial_trace,
     svd,
 )
 from .quantitative import (
     QuantitativeVerdict,
-    SingularSpectrumPair,
     check_E1,
     check_E2,
     psi_c,
@@ -63,7 +59,6 @@ from .quantitative import (
     ratio_deficit,
     ratio_deficit_root,
     ratio_deficit_sign_changes,
-    singular_spectra,
 )
 from .schmidt import (
     BipartiteShape,
@@ -75,9 +70,4 @@ from .schmidt import (
     schmidt_rank,
     swap_operator,
 )
-from .states import (
-    decompose_relative,
-    mix,
-    overlap_modulus,
-    von_neumann_entropy,
-)
+from .states import von_neumann_entropy

@@ -73,14 +73,15 @@ def _finish(name: str, t0: float, passed: bool, detail: str) -> CriterionResult:
 def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = 1e-8) -> bool:
     """Recompute the witness claim from scratch through the Schmidt oracle.
 
-    The image is taken under L / ||L||_2, so its norm neither underflows nor
+    The image is taken under the map's unit-scale copy and vanishes when it
+    is at most tol * ||L||_2 * ||state|| there, so no norm under- or
     overflows at any scale of the map.
     """
     ev = witness.evidence
     state = witness.state
     in_rank = schmidt_rank(state, ev.input_shape, tol=tol)
-    img = bmap.apply(state) / (bmap.singular_values[0] or 1.0)
-    if np.linalg.norm(img) <= tol * np.linalg.norm(state):
+    img = bmap._unit @ state
+    if np.linalg.norm(img) <= tol * np.linalg.norm(state) * bmap._spectrum[0]:
         img_rank = 0
     else:
         img_rank = schmidt_rank(img, ev.image_shape, tol=tol)

@@ -29,6 +29,15 @@ an image the fit cannot certify takes a values-only stacked SVD.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
+
+Every decision is made on one copy of the map, L * 2^-k, with k the binary
+exponent of its largest real or imaginary part, which the constructor reads
+in the pass that also refuses non-finite entries.  Scaling by a power of
+two is exact, so the fits, spectra, kernel vectors and images that decide a
+verdict are the same bits for L and for L * 2^j whenever that product is
+exact, and no norm under- or overflows at any scale of the map.  Only the
+outputs that carry the map's scale, A, the image Schmidt coefficients and
+singular_values, are multiplied back by 2^k.
 """
 
 from __future__ import annotations
@@ -40,7 +49,15 @@ import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 from .generators import random_schmidt_rank_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, singular_values, svd, tolerance
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    as_matrix,
+    ldexp,
+    part_exponent,
+    singular_values,
+    svd,
+    tolerance,
+)
 from .schmidt import BipartiteShape, as_shape, schmidt_decompose
 
 KIND_LOCAL = "Local"
@@ -60,50 +77,59 @@ CASE_II = "II"
 class BipartiteMap:
     """Square nm x nm matrix acting on the composite space.
 
-    Every entry must be finite.  Its largest entry modulus, its Frobenius
-    norm and its singular values are computed only when first read and
-    then cached on the instance, so the matrix must not be mutated after
-    construction.  classify reads the singular values on the reject path
-    alone: in the rank check, which runs only where a reading's images
-    factor as A x B or before the random search, and for the 2-norm of an
-    image too small for the vanishing test's Frobenius bound.  A full SVD
-    of the matrix runs only on a rank-deficient map whose kernel is not one
-    simple null direction (or whose inverse iteration fails its check).
+    Every entry must be finite.  The constructor reads the largest and the
+    smallest real or imaginary part, which are finite exactly when every
+    entry is (a NaN or an inf shows up in one of them), and keeps the
+    binary exponent k of the larger modulus.  The unit-scale copy
+    L * 2^-k, whose parts are below 1 in modulus with the largest at
+    least 1/2, its Frobenius norm and its singular values are computed
+    only when first read and then cached on the instance, so the matrix
+    must not be mutated after construction.  classify reads the copy on
+    every map; it reads the spectrum on the reject path alone: in the rank
+    check, which runs only where a reading's images factor as A x B or
+    before the random search, and for the 2-norm of an image too small for
+    the vanishing test's Frobenius bound.  A full SVD runs only on a
+    rank-deficient map whose kernel is not one simple null direction (or
+    whose inverse iteration fails its check).
     """
 
     matrix: np.ndarray
     shape: BipartiteShape
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = np.ascontiguousarray(as_matrix(self.matrix))
         shape = as_shape(self.shape)
         if m.shape != (shape.dim, shape.dim):
             raise ShapeMismatch(
                 f"map is {m.shape}, shape {shape.as_tuple()} needs "
                 f"{(shape.dim, shape.dim)}"
             )
-        if not np.isfinite(m).all():
+        k = part_exponent(m)
+        if k is None:
             raise ParamOutOfRange("map has non-finite entries")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_exponent", k)
 
     @cached_property
-    def _peak(self) -> float:
-        """The largest entry modulus."""
-        return float(np.abs(self.matrix).max())
+    def _unit(self) -> np.ndarray:
+        """The matrix times 2^-k, exact but for parts that underflow."""
+        return ldexp(self.matrix, -self._exponent)
 
     @cached_property
     def _frobenius(self) -> float:
-        """||L||_F / peak, in [1, nm]: the Frobenius norm of |L| / peak, whose
-        entries are at most 1, so it neither under- nor overflows; 0.0 for
-        the zero map."""
-        peak = self._peak
-        return float(np.linalg.norm(np.abs(self.matrix) / peak)) if peak > 0.0 else 0.0
+        """||L||_F at unit scale; 0.0 for the zero map."""
+        return float(np.linalg.norm(self._unit))
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Singular values at unit scale, values only, non-increasing."""
+        return singular_values(self._unit)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the matrix, non-increasing; [0] is its 2-norm."""
-        return singular_values(self.matrix)
+        return ldexp(self._spectrum, self._exponent)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=complex)
@@ -161,41 +187,36 @@ def _basis_ket(d: int, k: int) -> np.ndarray:
 
 
 def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) -> bool:
-    """Whether the image is at most tol * ||L||_2 * ||state||.
+    """Whether the image, under the unit-scale map, is at most
+    tol * ||L||_2 * ||state||, all at unit scale.
 
     An image above tol * ||L||_F * ||state|| does not vanish, as
     ||L||_2 <= ||L||_F; on a map with s_min > tol ||L||_F, every image
     clears that bound, since ||L x|| >= s_min ||x||.  A zero image
     vanishes; only another image below the bound reads the spectrum for
-    ||L||_2.  Both tests divide by a norm of L first (the peak, then
-    ||L||_2), so no norm under- or overflows at any scale of the map.  The
-    zero map annihilates all.
+    ||L||_2.  The zero map annihilates all.
     """
-    peak = bmap._peak
-    if peak == 0.0:
-        return True
     bound = tol * np.linalg.norm(state)
-    scaled = np.linalg.norm(image / peak)
-    if scaled > bound * bmap._frobenius:
+    norm = np.linalg.norm(image)
+    if norm > bound * bmap._frobenius:
         return False
-    return bool(scaled == 0.0 or np.linalg.norm(image / bmap.singular_values[0]) <= bound)
+    return bool(norm == 0.0 or norm <= bound * bmap._spectrum[0])
 
 
 def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
     """Schmidt data for a state and its image; a vanishing image has rank 0.
 
-    The image is decomposed as an image of L / peak, whose norm is at most
-    nm, so it cannot overflow; a non-vanishing image needs no spectrum.
+    The image is taken under the unit-scale map and its coefficients are
+    scaled back by 2^k; a non-vanishing image needs no spectrum.
     """
     state = np.asarray(state, dtype=complex)
     dec_in = schmidt_decompose(state, bmap.shape, tol=tol)
-    img = bmap.apply(state)
+    img = bmap._unit @ state
     if _vanishing(bmap, img, state, tol):
         img_coeffs, img_rank = np.zeros(0), 0
     else:
-        peak = bmap._peak
-        dec_img = schmidt_decompose(img / peak, image_shape, tol=tol)
-        img_coeffs, img_rank = dec_img.coefficients * peak, dec_img.rank
+        dec_img = schmidt_decompose(img, image_shape, tol=tol)
+        img_coeffs, img_rank = ldexp(dec_img.coefficients, bmap._exponent), dec_img.rank
     return SchmidtEvidence(
         input_coefficients=dec_in.coefficients,
         input_rank=dec_in.rank,
@@ -229,18 +250,18 @@ def _kernel_vector(bmap: BipartiteMap, tol: float) -> np.ndarray:
     """A unit right null vector of a rank-deficient map.
 
     On a simple null singular value it comes from inverse iteration: LU
-    solves with L / ||L||_2, whose entries cannot overflow, from a fixed
-    start, gauged with its largest-modulus entry real positive.  It is kept
-    when it is finite and its image passes the vanishing test.  Otherwise (a
-    kernel of dimension > 1, the zero map, an exactly singular LU, a failed
-    check) it is the last right singular vector of the full SVD.
+    solves with the unit-scale map from a fixed start, gauged with its
+    largest-modulus entry real positive.  It is kept when it is finite and
+    its image passes the vanishing test.  Otherwise (a kernel of dimension
+    > 1, the zero map, an exactly singular LU, a failed check) it is the
+    last right singular vector of the full SVD of the unit-scale map.
     """
-    s = bmap.singular_values
+    s = bmap._spectrum
     if s[-2] > tol * s[0] and s[-1] <= _KERNEL_GAP * s[-2]:
-        x = _inverse_iteration(bmap.matrix / s[0])
-        if x is not None and _vanishing(bmap, bmap.apply(x), x, tol):
+        x = _inverse_iteration(bmap._unit)
+        if x is not None and _vanishing(bmap, bmap._unit @ x, x, tol):
             return x
-    return svd(bmap.matrix).right_basis[-1, :].conj()
+    return svd(bmap._unit).right_basis[-1, :].conj()
 
 
 def _inverse_iteration(unit: np.ndarray) -> np.ndarray | None:
@@ -268,7 +289,7 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     simple null singular value, else the full SVD), whose witness is
     _kernel_witness's.
     """
-    s = bmap.singular_values
+    s = bmap._spectrum
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
     return _kernel_witness(bmap, _kernel_vector(bmap, tol), tol)
@@ -346,18 +367,16 @@ def _rank_one_fits(images: np.ndarray, tol: float):
     """Per image X (last two axes): unit vectors d, e and whether the fit
     X ~ a d e^T certifies Schmidt rank 1.
 
-    Each image is first divided by its largest real or imaginary part, so
-    no square under- or overflows.  e starts as X's largest row, then
-    d = X e-bar / ||X e-bar||, e = X^T d-bar and a = ||e||.  The fit
-    certifies rank 1 when a > 0 and ||X - d e^T||_F <= tol * a: by Weyl,
-    s_2(X) <= ||X - d e^T||_2 <= tol * a <= tol * s_1(X), which is the
-    rank test of _schmidt_ranks.  An image the fit does not certify may
-    still have rank 1; only its SVD can tell.
+    The images are columns of the unit-scale map.  e starts as X's largest
+    row, then d = X e-bar / ||X e-bar||, e = X^T d-bar and a = ||e||.  The
+    fit certifies rank 1 when a > 0 and ||X - d e^T||_F <= tol * a: by
+    Weyl, s_2(X) <= ||X - d e^T||_2 <= tol * a <= tol * s_1(X), which is
+    the rank test of _schmidt_ranks.  An image the fit does not certify may
+    still have rank 1; only its SVD can tell.  So may an image so far below
+    the map that its squares underflow: a is then 0.
     """
     x = images.copy()
     flat = x.view(np.float64)
-    peaks = np.abs(flat).max(axis=(-2, -1))
-    flat /= np.where(peaks > 0.0, peaks, 1.0)[..., None, None]
     top = np.argmax(np.einsum("...ab,...ab->...a", flat, flat), axis=-1)
     start = np.take_along_axis(x, top[..., None, None], axis=-2)
     d = (x @ start.conj().swapaxes(-2, -1))[..., 0]
@@ -365,8 +384,7 @@ def _rank_one_fits(images: np.ndarray, tol: float):
     d /= np.where(d_norm > 0.0, d_norm, 1.0)
     e = (d.conj()[..., None, :] @ x)[..., 0, :]
     a = np.linalg.norm(e, axis=-1)
-    resid = x - d[..., :, None] * e[..., None, :]
-    flat = resid.view(np.float64)
+    x -= d[..., :, None] * e[..., None, :]  # the residual, in place of a third image-sized array
     misfit = np.sqrt(np.einsum("...ab,...ab->...", flat, flat))
     certified = (a > 0.0) & (misfit <= tol * a)
     return d, e / np.where(a > 0.0, a, 1.0)[..., None], certified
@@ -408,8 +426,9 @@ def build_image_table(
     if out.dim != shape.dim:
         raise ShapeMismatch(f"output shape {out.as_tuple()} has wrong total dim")
     n, m = shape.n, shape.m
-    # images[i, j] is the column L|i,j> as an out.n x out.m coefficient matrix
-    images = bmap.matrix.T.reshape(n, m, out.n, out.m)
+    # images[i, j] is the unit-scale column L|i,j> as an out.n x out.m
+    # coefficient matrix; amps go back to the map's scale
+    images = bmap._unit.T.reshape(n, m, out.n, out.m)
     witness = _row_witness(bmap, images, 0, out, tol)
     if witness is not None:
         return witness
@@ -420,7 +439,7 @@ def build_image_table(
             return witness
     d_vecs = _fix_phases(d_vecs)
     e_vecs = _fix_phases(e_vecs)
-    amps = np.einsum("ija,ijb,ijab->ij", d_vecs.conj(), e_vecs.conj(), images)
+    amps = ldexp(np.einsum("ija,ijb,ijab->ij", d_vecs.conj(), e_vecs.conj(), images), bmap._exponent)
     return ProductImageTable(
         shape_in=shape, shape_out=out, amps=amps, d_vecs=d_vecs, e_vecs=e_vecs
     )
@@ -473,17 +492,20 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     """Split a fully nonzero grid into grid[i,j] = mu[i] * nu[j], or witness.
 
     Factorization uses the dominant singular triple (robust on
-    near-degenerate grids) of the grid scaled to max modulus 1, so the
-    s2 <= tol * s1 gate never compares an overflowed SVD and products of
-    entries stay finite; the scale goes back into mu.  mu[0] is gauged real
-    positive with nu rescaled reciprocally.  On failure the witness is the
-    product state over the worst 2x2 minor, whose image under the grid's
-    diagonal map is verified to have Schmidt rank 2.
+    near-degenerate grids) of the grid times 2^-k, k the binary exponent of
+    its largest real or imaginary part, so the s2 <= tol * s1 gate never
+    compares an overflowed SVD and products of entries stay finite; 2^k
+    goes back into mu.  mu[0] is gauged real positive with nu rescaled
+    reciprocally.  On failure the witness is the product state over the
+    worst 2x2 minor, whose image under the grid's diagonal map is verified
+    to have Schmidt rank 2.
     """
-    grid = as_matrix(grid)
+    grid = np.ascontiguousarray(as_matrix(grid))
     n, m = grid.shape
-    peak = np.abs(grid).max()
-    unit = grid / peak
+    k = part_exponent(grid)
+    if k is None:
+        raise ParamOutOfRange("grid has non-finite entries")
+    unit = ldexp(grid, -k)
     res = svd(unit)
     s = res.singular_values
     if len(s) < 2 or s[1] <= tol * s[0]:
@@ -491,7 +513,7 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
         nu = res.right_basis[0, :].copy()
         anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
         phase = anchor / abs(anchor)
-        return mu * (peak / phase), nu * phase
+        return ldexp(mu / phase, k), nu * phase
     # locate the most non-degenerate 2x2 minor for the witness
     # rel[p, q] for row pair p = (i, k), i < k, and column pair q = (j, l),
     # j < l; argmax takes the first maximum in (i, k, j, l) order
@@ -511,7 +533,7 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
         input_coefficients=dec_in.coefficients,
         input_rank=dec_in.rank,
         input_shape=(n, m),
-        image_coefficients=dec_img.coefficients * peak,
+        image_coefficients=ldexp(dec_img.coefficients, k),
         image_rank=dec_img.rank,
         image_shape=(n, m),
     )
@@ -581,35 +603,35 @@ def _random_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     return None
 
 
-def _fit_local(bmap: BipartiteMap, swap: bool, tol: float, peak: float):
+def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     """Fit L = A x B (swap=False) or S L = A x B (swap=True); return (A, B, error).
 
-    peak is the largest entry modulus of L, positive.  R, the realignment of
-    L / peak to n^2 x m^2, is vec(A) vec(B)^T when the reading fits; its
-    entries are at most 1 in modulus and one of them is 1, so no square
-    under- or overflows.  vec(A) is read off the largest column of R, then
-    vec(B) and vec(A) are fitted once each by least squares; the error is
-    ||R - vec(A) vec(B)^T||_F / ||R||_F.  Its square equals the energy
-    deficit 1 - ||vec(A)||^2 / ||R||_F^2, whose rounding is about 1e-15: a
-    deficit above tol (>= tol^2) is read as the error without forming the
-    residual.  A and B are None unless error <= tol; then they are at the
-    map's scale with ||B||_F = 1 and the largest-modulus entry of A[:, 0]
-    real positive.
+    R, the realignment of the unit-scale map to n^2 x m^2, is
+    vec(A) vec(B)^T when the reading fits.  vec(A) is read off the largest
+    column of R, then vec(B) and vec(A) are fitted once each by least
+    squares; the error is ||R - vec(A) vec(B)^T||_F / ||R||_F.  Its square
+    equals the energy deficit 1 - ||vec(A)||^2 / ||R||_F^2, whose rounding
+    is about 1e-15: a deficit above tol (>= tol^2) is read as the error
+    without forming the residual.  A and B are None unless error <= tol;
+    then A is at unit scale, ||B||_F = 1 and the largest-modulus entry of
+    A[:, 0] is real positive.  The zero map fits no reading.
     """
     n, m = bmap.shape.n, bmap.shape.m
     if swap:
-        view = bmap.matrix.reshape(m, n, n, m).transpose(1, 2, 0, 3)
+        view = bmap._unit.reshape(m, n, n, m).transpose(1, 2, 0, 3)
     else:
-        view = bmap.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3)
-    # realigned and divided in one pass over the real and imaginary parts
+        view = bmap._unit.reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    # realigned in one pass over the real and imaginary parts
     x = np.empty((n * n, 2 * m * m))
-    np.divide(view.view(np.float64), peak, out=x.reshape(n, n, m, 2 * m))
+    np.copyto(x.reshape(n, n, m, 2 * m), view.view(np.float64))
     r = x.view(complex)
     energies = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
+    total = energies.sum()
+    if not total > 0.0:
+        return None, None, np.inf
     vb = r[:, np.argmax(energies)].conj() @ r
     vb /= np.linalg.norm(vb)
     va = r @ vb.conj()
-    total = energies.sum()
     deficit = 1.0 - np.vdot(va, va).real / total
     if deficit > tol:
         return None, None, float(np.sqrt(deficit))
@@ -621,7 +643,7 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float, peak: float):
     a, b = va.reshape(n, n), vb.reshape(m, m)
     top = a[np.argmax(np.abs(a[:, 0])), 0]
     phase = top / abs(top) if top else 1.0
-    return a * (peak / phase), b * phase, err
+    return a / phase, b * phase, err
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, bool]:
@@ -720,11 +742,8 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
-    peak = bmap._peak
-    # the zero map fits no reading; it goes straight to the witness search
-    readings = ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)) if peak > 0.0 else ()
-    for kind, swap in readings:
-        a, b, err = _fit_local(bmap, swap, tol, peak)
+    for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
+        a, b, err = _fit_local(bmap, swap, tol)
         if a is None:
             continue
         # s_min / s_max of A x B, whose singular values are the products
@@ -734,7 +753,7 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
         if ratio > tol:
             return QualitativeVerdict(
                 kind,
-                a,
+                ldexp(a, bmap._exponent),
                 b,
                 reconstruction_error=err,
                 rank_ratio=ratio,

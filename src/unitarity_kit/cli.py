@@ -37,13 +37,7 @@ from .entropy_dynamics import (
     superop_from_conjugation,
     superop_transpose,
 )
-from .errors import (
-    DimMismatch,
-    ParamOutOfRange,
-    ParseError,
-    ShapeMismatch,
-    UnitarityKitError,
-)
+from .errors import ParamOutOfRange, ParseError, ShapeMismatch, UnitarityKitError
 from .generators import PRNG_NAME, cnot_map, haar_unitary, random_local_map
 from .linalg import DEFAULT_RANK_TOL, tolerance
 from .mapfile import (
@@ -433,7 +427,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ShapeMismatch, DimMismatch) as exc:
+    except ShapeMismatch as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return EXIT_DIM
     except UnitarityKitError as exc:

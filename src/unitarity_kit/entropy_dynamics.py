@@ -8,11 +8,19 @@ matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
 makes linearity over statistical mixtures automatic, so the analyzer only
 has to test preservation of disorder and extract the structure.
 
+Every decision is made at unit scale, on M * 2^-k, with k one binary
+exponent per map that the constructor takes from the sum of squares it
+already forms.  Scaling by a power of two is exact, so the fits, probe
+images and witnesses are the same bits for M and for M * 2^j whenever that
+product is exact, and no norm under- or overflows at any scale of the map.
+Only the gain, and the gains a reject reports, are multiplied back by 2^k.
+
 An accepted map is read twice: once by the constructor, whose one sum
-gives both finiteness and the squared norm, and once by the fit of the
-reading that accepts it, which takes the gain and the residual in the same
-pass over the map's own layout.  A wrong reading stops as soon as the slabs
-read so far leave no gain within tol, most often after its first slab.
+gives finiteness, the exponent and the unit-scale squared norm, and once by
+the fit of the reading that accepts it, which scales each slab into a
+buffer and takes the gain and the residual in the same pass over the map's
+own layout.  A wrong reading stops as soon as the slabs read so far leave
+no gain within tol, most often after its first slab.
 
 The closed-form helpers give the spectra of the two-state mixture argument,
 and the witness search runs on them.  Once every probe image is certified
@@ -32,11 +40,13 @@ import numpy as np
 
 from .errors import ParamOutOfRange, ShapeMismatch
 from .generators import random_pure_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, dag, tolerance
+from .linalg import DEFAULT_RANK_TOL, as_matrix, dag, ldexp, part_exponent, tolerance
 
 KIND_UNITARY = "UnitaryConjugation"
 KIND_ANTIUNITARY = "AntiunitaryConjugation"
 KIND_NOT_PRESERVING = "NotPreserving"
+
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +67,15 @@ class Superoperator:
 
     The matrix is stored C-contiguous, and construction reads it once: its
     squared Frobenius norm, one vdot, is finite exactly when every entry is,
-    as a sum of non-negative terms cannot cancel an inf or a NaN.  Only a
-    non-finite sum, which a finite map gives when the sum overflows, takes
-    an entrywise test to decide.  analyze reuses the sum, which is kept on
-    the instance, so the matrix must not be mutated after construction.
+    as a sum of non-negative terms cannot cancel an inf or a NaN.  When
+    the sum is finite and normal, it also gives the exponent k, with
+    ||M * 2^-k||_F^2 in [1/4, 1), and that unit-scale sum exactly.  Only a
+    sum outside the normal range (an overflow, a NaN, an inf, or a map so
+    small that its squares underflow) reads the largest and smallest real
+    or imaginary part, which refuse a non-finite entry and give a first
+    exponent, and sums the slabs at that scale once.  analyze works at the
+    scale kept on the instance, so the matrix must not be mutated after
+    construction.
     """
 
     matrix: np.ndarray
@@ -73,11 +88,17 @@ class Superoperator:
                 f"superoperator matrix is {m.shape}, dim {self.dim} needs "
                 f"{(self.dim**2, self.dim**2)}"
             )
-        total = np.vdot(m, m).real
-        if not total < np.inf and not np.isfinite(m).all():
-            raise ParamOutOfRange("superoperator has non-finite entries")
+        total, shift = float(np.vdot(m, m).real), 0
+        if not _TINY <= total < math.inf:
+            shift = part_exponent(m)
+            if shift is None:
+                raise ParamOutOfRange("superoperator has non-finite entries")
+            unit_slabs = (ldexp(rows, -shift) for rows in m.reshape(self.dim, -1))
+            total = float(sum(np.vdot(s, s).real for s in unit_slabs))
+        half = (math.frexp(total)[1] + 1) // 2
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_frobenius_sq", total)
+        object.__setattr__(self, "_exponent", shift + half)
+        object.__setattr__(self, "_unit_sq", math.ldexp(total, -2 * half))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec_density(self.matrix @ vec_density(rho), self.dim)
@@ -266,50 +287,24 @@ class SingleSystemVerdict:
     detail: str
 
 
-def _scaled_norm(m4: np.ndarray, total: float) -> tuple[float, float]:
-    """(top, ||M / top||_F^2), top the largest modulus of the first slab m4[0].
+def _fit_conjugation(superop: Superoperator, tol: float, transpose: bool = False):
+    """Fit one reading of the map; return (U, gain, error).
 
-    total is ||M||_F^2 as the Superoperator constructor summed it.  analyze
-    takes the pair once for both readings, which share the first slab.  The
-    scaled norm is total / top^2 when total lands in [1e-250, 1e250], where
-    nothing in the sum overflows and what underflows is below 1e-50 of it.
-    Otherwise (the sum is then inf or NaN, or too small to trust) it is
-    summed again one slab at a time, each scaled into a d x d x d buffer.
-    It is inf when the first slab is zero or subnormal, or the map dwarfs it.
-    """
-    top = float(np.abs(m4[0]).max())
-    unit = 1.0 / top if top > 0.0 else np.inf
-    if unit == np.inf:
-        return top, np.inf
-    if 1e-250 <= total <= 1e250:
-        return top, float(total * unit * unit)
-    buf = np.empty(m4.shape[1:], dtype=complex)
-    den = 0.0
-    for slab in m4:
-        np.multiply(slab, unit, out=buf)
-        den += np.vdot(buf, buf).real
-    return top, float(den)
+    With m4 = M.reshape(d, d, d, d), the unitary reading fits
+    m4[j, i, l, k] = gain * U[i, k] * conj(U[j, l]), the antiunitary one
+    (transpose) m4[j, i, a, b] = gain * U[i, a] * conj(U[j, b]), which is
+    the unitary reading of M T; both run on the map's own contiguous slabs.
+    U is the polar part of the largest slice of the first slab,
+    m4[0, :, l, :] (transpose: m4[0, :, :, b]), and the gain is the
+    least-squares one, Re<K, M> / d^2 with K the model at gain 1
+    (||K||_F^2 = d^2).  The error is ||M - gain K||_F / ||M||_F.  All of it
+    is taken at unit scale, on M * 2^-k against the squared norm the
+    constructor kept; only the gain is scaled back by 2^k.
 
-
-def _fit_conjugation(
-    m4: np.ndarray, tol: float, scale: tuple[float, float] | None = None, transpose: bool = False
-):
-    """Fit one reading of m4 = M.reshape(d, d, d, d); return (U, gain, error).
-
-    The unitary reading fits m4[j, i, l, k] = gain * U[i, k] * conj(U[j, l]),
-    the antiunitary one (transpose) m4[j, i, a, b] = gain * U[i, a] *
-    conj(U[j, b]), which is the unitary reading of M T; both run on the
-    map's own contiguous slabs.  U is the polar part of the largest slice
-    of the first slab, m4[0, :, l, :] (transpose: m4[0, :, :, b]), and the
-    gain is the least-squares one, Re<K, M> / d^2 with K the model at gain 1
-    (||K||_F^2 = d^2).  The error is ||M - gain K||_F / ||M||_F.  scale is
-    _scaled_norm(m4, ||M||_F^2), taken here when not given: every slab is
-    divided by the largest modulus of the first, so no norm under- or
-    overflows unless the map dwarfs that slab.
-
-    One pass, one slab at a time in a single d x d x d buffer (no d^4-sized
-    copy): slab j adds its part of Re<K, M> and its explicit residual at
-    the first slab's best non-negative gain g0 = max(Re<K_0, S_0>, 0) / d.
+    One pass, one slab at a time scaled into a single d x d x d buffer (no
+    d^4-sized copy): slab j adds its part of Re<K, M> and its explicit
+    residual at the first slab's best non-negative gain
+    g0 = max(Re<K_0, S_0>, 0) / d.
     The residual of the first J slabs is quadratic in the gain with
     curvature J d, so at gain g it is num - 2(g - g0)c + (g - g0)^2 J d,
     with num the residual at g0 and c = Re<K, S> - g0 J d over those slabs.
@@ -321,17 +316,20 @@ def _fit_conjugation(
     The subtraction does not cancel at tol^2: the first slab's residual at
     g is at least d (g - g0)^2, so the minimum is at least num / (J + 1).
     The expansion ||S||^2 - 2g<K, S> + g^2 ||K||^2 would cancel, which is
-    why num is formed explicitly.  The error is inf when no U (the first
-    slab is zero or subnormal), no positive gain or no finite norm can be
-    read.
+    why num is formed explicitly.  The error is inf when no positive gain
+    can be read.
     """
-    d = m4.shape[0]
-    top, den = _scaled_norm(m4, np.vdot(m4, m4).real) if scale is None else scale
-    if not den < np.inf:
-        return None, None, np.inf
-    unit, limit = 1.0 / top, tol**2 * den
+    d, k = superop.dim, superop._exponent
+    m4 = superop.matrix.reshape((d,) * 4)
+    den = superop._unit_sq
+    limit = tol**2 * den
     buf = np.empty((d, d, d), dtype=complex)
-    slab = np.multiply(m4[0], unit, out=buf)
+
+    def unit_slab(j):
+        np.ldexp(m4[j].view(np.float64), -k, out=buf.view(np.float64))
+        return buf
+
+    slab = unit_slab(0)
     if transpose:
         u_slice = slab[:, :, int(np.argmax(np.linalg.norm(slab, axis=(0, 1))))]
     else:
@@ -343,7 +341,7 @@ def _fit_conjugation(
     inner, num, g0 = 0.0, 0.0, 0.0
     for j in range(d):
         if j:
-            slab = np.multiply(m4[j], unit, out=buf)
+            slab = unit_slab(j)
         if transpose:
             inner += (flat_uc @ slab.reshape(d * d, d)) @ u[j]
         else:
@@ -364,7 +362,7 @@ def _fit_conjugation(
     gain = float(inner.real) / d**2
     if not gain > 0.0:
         return None, None, np.inf
-    return u, gain * top, float(np.sqrt(max(bound, 0.0) / den))
+    return u, float(np.ldexp(gain, k)), float(np.sqrt(max(bound, 0.0) / den))
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -460,11 +458,22 @@ def _fixed_probes(d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
 
 def _probe_images(superop: Superoperator, kets: np.ndarray) -> np.ndarray:
-    """Images of the pure projectors of the columns of kets, stacked as
-    [n, i, j], from one product of the map with their column-stacked forms."""
-    d = superop.dim
-    vecs = (kets.conj()[:, None, :] * kets[None, :, :]).reshape(d * d, -1)  # [i + j*d, n]
-    return np.ascontiguousarray((superop.matrix @ vecs).reshape(d, d, -1).transpose(2, 1, 0))
+    """Images of the pure projectors of the columns of kets under the
+    unit-scale map M * 2^-k, stacked as [n, i, j], from one product of the
+    map with their column-stacked forms.
+
+    The power of two goes on the forms, not on M: (M * 2^-k) V is
+    (M (V * 2^c)) * 2^(-k-c), with c = -k clipped to [-960, 960] so that
+    the entries of V * 2^c, at most 1 before, stay finite and, down to
+    2^-62 of the largest, normal.  Every scaling is exact, so the products
+    are those of the unit-scale map (for k beyond +-960, the same up to a
+    factor of at most 2^113), and no copy of M is made.
+    """
+    d, k = superop.dim, superop._exponent
+    c = min(max(-k, -960), 960)
+    vecs = ldexp((kets.conj()[:, None, :] * kets[None, :, :]).reshape(d * d, -1), c)  # [i + j*d, n]
+    images = ldexp(superop.matrix @ vecs, -k - c)
+    return np.ascontiguousarray(images.reshape(d, d, -1).transpose(2, 1, 0))
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -477,7 +486,8 @@ def _check_images(phis, images: np.ndarray, tol: float):
     """(failure, h, kets) for stacked images of the pure states phis.
 
     Each image m must be Hermitian, max|m - m^dag| <= tol * s with s its
-    largest modulus, and then positive rank 1: h = (m + m^dag) / (2 s) has a
+    largest modulus (floored at 1e-300, so a zero image stays zero and
+    fails), and then positive rank 1: h = (m + m^dag) / (2 s) has a
     largest eigenvalue lam > tol with ||h - lam vv^dag||_F <= tol ||h||_F.
     failure is (witness, detail) for the first image, in the order of phis,
     that fails, else None; h is the stack of Hermitian parts at unit scale
@@ -542,11 +552,12 @@ def _search_witness(superop: Superoperator, tol: float):
     names the witness, the failing state alone at the first stage and a
     pair after it.  If all pass, the pair and mixing weight with the
     largest entropy change win.
-    Every witness is built from the probe images computed here, in two
-    products with the map: the first probe alone, which decides most maps
-    that send pure states to mixed ones, then the rest at once.  The gains
-    stage picks its mixing weight from the closed-form spectra of the two
-    rank-1 images; the overlap stage compares the images' eigenvectors.
+    Every witness is built from the probe images computed here at unit
+    scale, in two products with the map: the first probe alone, which
+    decides most maps that send pure states to mixed ones, then the rest at
+    once.  The gains stage picks its mixing weight from the closed-form
+    spectra of the two rank-1 images and reports the gains at the map's
+    scale; the overlap stage compares the images' eigenvectors.
     """
     probes, columns = _fixed_probes(superop.dim)
     images, hs, kets = [], [], []
@@ -567,9 +578,10 @@ def _search_witness(superop: Superoperator, tol: float):
     if gains.max() - gains.min() > tol * float(gains.mean()):
         k, l = int(np.argmin(gains)), int(np.argmax(gains))
         mu2_sq = 1.0 - abs(np.vdot(kets[k], kets[l])) ** 2
+        lo, hi = ldexp(gains[[k, l]], superop._exponent)
         return (
             scan(k, l, rank_one=(gains[k], gains[l], mu2_sq)),
-            f"pure-state gains differ: {gains.min():.6g} vs {gains.max():.6g}",
+            f"pure-state gains differ: {lo:.6g} vs {hi:.6g}",
         )
 
     psi_cols = np.linalg.eigh(hs)[1][:, :, -1].T
@@ -597,18 +609,16 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     place of M), and a reading is accepted exactly when g > 0 and
     ||M - g * conj(U) x U||_F <= tol * ||M||_F, with tol in (0, 1); for d >= 2
     no map fits both readings, as the transpose is not completely positive.
-    Each reading is one pass over M's own slabs (the antiunitary one fits the
-    transposed model there, so no strided view of M is read), against the
-    ||M||_F^2 the constructor summed: an accepted map is read twice in all.
+    Each reading is one pass over M's own slabs at unit scale (the
+    antiunitary one fits the transposed model there, so no strided view of
+    M is read), against the squared norm the constructor summed: an
+    accepted map is read twice in all.
     A rejected map gets its witness from fixed-stream probe states, so the
     whole verdict depends only on (map, tol).
     """
     tol = tolerance(tol)
-    d = superop.dim
-    m4 = superop.matrix.reshape((d,) * 4)  # m4[j, i, l, k]: weight of rho[k, l] in entry (i, j)
-    scale = _scaled_norm(m4, superop._frobenius_sq)
     for kind, transpose in ((KIND_UNITARY, False), (KIND_ANTIUNITARY, True)):
-        u, gain, err = _fit_conjugation(m4, tol, scale, transpose)
+        u, gain, err = _fit_conjugation(superop, tol, transpose)
         if err <= tol:
             return SingleSystemVerdict(
                 kind=kind, unitary=u, gain=gain, witness=None, detail="certified by reconstruction"

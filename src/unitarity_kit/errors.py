@@ -5,10 +5,6 @@ class UnitarityKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NotHermitian(UnitarityKitError):
-    """Matrix fails the Hermitian symmetry precondition."""
-
-
 class NoConvergence(UnitarityKitError):
     """An iterative eigen/singular solver exceeded its iteration bound."""
 
@@ -17,24 +13,12 @@ class ShapeMismatch(UnitarityKitError):
     """Matrix dimensions are inconsistent with the declared bipartite shape."""
 
 
-class DimMismatch(UnitarityKitError):
-    """Two vectors that must live in the same space do not."""
-
-
 class InvalidDensityMatrix(UnitarityKitError):
     """Not Hermitian / positive semidefinite / unit trace within tolerance."""
 
 
 class InvalidPureState(UnitarityKitError):
     """Vector is not normalized within tolerance."""
-
-
-class ProbabilityOutOfRange(UnitarityKitError):
-    """Mixing probability outside [0, 1]."""
-
-
-class ParallelStates(UnitarityKitError):
-    """Relative decomposition requires two distinct states (up to phase)."""
 
 
 class ZeroVector(UnitarityKitError):

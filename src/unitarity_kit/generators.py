@@ -138,12 +138,6 @@ def random_schmidt_rank_state(shape, rank: int, seed=0) -> np.ndarray:
     return v
 
 
-def random_product_state(shape, seed=0) -> np.ndarray:
-    shape = as_shape(shape)
-    rng = as_rng(seed)
-    return np.kron(random_pure_state(shape.n, rng), random_pure_state(shape.m, rng))
-
-
 def perturb(bmap, eps: float, seed=0):
     """Add a Gaussian direction of relative size eps to a bipartite map.
 

@@ -7,11 +7,12 @@ flat index i*m + j.  All matrices are dense complex128, row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, ParamOutOfRange, ShapeMismatch
+from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 
 # Default tolerance: rank, parallelism and reconstruction decisions are
 # relative 1e-8.  Every operation takes it per call.
@@ -47,32 +48,24 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def hermitian_eigenvalues(
-    m,
-    tol: float = DEFAULT_RANK_TOL,
-    with_vectors: bool = False,
-):
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
+def part_exponent(a: np.ndarray) -> int | None:
+    """Binary exponent k of the largest real or imaginary part of a
+    contiguous float64 or complex128 array, read off its largest and
+    smallest part: a * 2^-k has every part below 1 in modulus and the
+    largest at least 1/2 (k = 0 for a zero array).  None when a part is not
+    finite, as a NaN or an inf shows up in one of the two."""
+    parts = a.view(np.float64)
+    hi, lo = float(parts.max()), float(parts.min())
+    if not -math.inf < lo <= hi < math.inf:
+        return None
+    return math.frexp(max(hi, -lo))[1]
 
-    Checks the symmetry precondition entrywise: max|M - M^dag| must not
-    exceed tol * max(1, max|M|).  With ``with_vectors=True`` also returns
-    the matrix whose columns are the matching orthonormal eigenvectors.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"matrix is {m.shape}, not square")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    if float(np.abs(m - dag(m)).max()) > tol * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    try:
-        if with_vectors:
-            w, v = np.linalg.eigh(m)
-            order = np.argsort(w)[::-1]
-            return w[order], v[:, order]
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return w[::-1]
+
+def ldexp(a, k: int) -> np.ndarray:
+    """a * 2**k for a float64 or complex128 array, taken on the real parts
+    and imaginary parts alike: exact unless a part under- or overflows."""
+    a = np.ascontiguousarray(a)
+    return np.ldexp(a.view(np.float64), k).view(a.dtype)
 
 
 @dataclass(frozen=True)
@@ -125,23 +118,3 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 def kron(a, b) -> np.ndarray:
     """Kronecker product, matching the (i, j) -> i*m + j product-basis order."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(m, shape: tuple[int, int], side: str) -> np.ndarray:
-    """Trace out the named factor of an (n*m) x (n*m) operator.
-
-    ``side="B"`` removes the second factor and returns an n x n matrix;
-    ``side="A"`` removes the first and returns m x m.  The full trace is
-    preserved.
-    """
-    n, m_dim = shape
-    mat = as_matrix(m)
-    d = n * m_dim
-    if mat.shape != (d, d):
-        raise ShapeMismatch(f"matrix is {mat.shape}, shape {shape} needs {(d, d)}")
-    t = mat.reshape(n, m_dim, n, m_dim)
-    if side == "B":
-        return np.einsum("ijkj->ik", t)
-    if side == "A":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")

@@ -33,14 +33,6 @@ from .schmidt import as_shape
 ROOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SingularSpectrumPair:
-    """Descending positive singular values of the two local factors."""
-
-    lambdas: np.ndarray
-    mus: np.ndarray
-
-
 def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
     """One SVD per factor.  Both factors must be square with dimension >= 2
     (ShapeMismatch) and invertible within tol (RankDeficient)."""
@@ -53,13 +45,6 @@ def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
         if s[0] == 0.0 or s[-1] <= tol * s[0]:
             raise RankDeficient(f"factor {name} is numerically singular")
     return ra, rb
-
-
-def singular_spectra(a, b, tol: float = DEFAULT_RANK_TOL) -> SingularSpectrumPair:
-    """Singular values of both factors.  Both must be square with dimension
-    >= 2 (ShapeMismatch) and invertible within tol (RankDeficient)."""
-    ra, rb = _factor_svds(a, b, tol)
-    return SingularSpectrumPair(lambdas=ra.singular_values, mus=rb.singular_values)
 
 
 def psi_c(c: float, shape, bases=None) -> np.ndarray:

@@ -157,8 +157,3 @@ def swap_operator(shape) -> np.ndarray:
         for j in range(m):
             s[j * n + i, i * m + j] = 1.0
     return s
-
-
-def product_state(a, b) -> np.ndarray:
-    """Kron of two kets, matching the flat index convention."""
-    return np.kron(as_vector(a), as_vector(b))

@@ -1,21 +1,14 @@
-"""Single-system state model: pure states, density matrices, entropy, mixing.
+"""Single-system state model: pure states, density matrices and entropy.
 
 Entropy is measured in bits (log base 2) throughout; that base is part of
-the public contract.  Pure-state equality is always up to a global phase,
-tested through the overlap modulus.
+the public contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    InvalidDensityMatrix,
-    InvalidPureState,
-    ParallelStates,
-    ProbabilityOutOfRange,
-)
+from .errors import InvalidDensityMatrix, InvalidPureState
 from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, dag
 
 
@@ -66,43 +59,3 @@ def shannon_bits(probs: np.ndarray) -> float:
 def von_neumann_entropy(rho, tol: float = DEFAULT_RANK_TOL) -> float:
     """Entropy of a density matrix in bits, from its eigenvalue spectrum."""
     return shannon_bits(check_density_matrix(rho, tol=tol))
-
-
-def mix(rho1, rho2, p: float) -> np.ndarray:
-    """Probabilistic mixture p*rho1 + (1-p)*rho2."""
-    if not 0.0 <= p <= 1.0:
-        raise ProbabilityOutOfRange(f"p must be in [0, 1], got {p}")
-    a = as_matrix(rho1)
-    b = as_matrix(rho2)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return p * a + (1.0 - p) * b
-
-
-def overlap_modulus(phi, psi) -> float:
-    """|<phi|psi>| for two kets of equal dimension."""
-    a = as_vector(phi)
-    b = as_vector(psi)
-    if a.shape != b.shape:
-        raise DimMismatch(f"dims {a.shape[0]} and {b.shape[0]} differ")
-    return float(abs(np.vdot(a, b)))
-
-
-def decompose_relative(phi1, phi2, tol: float = DEFAULT_RANK_TOL):
-    """Split phi2 into components parallel and orthogonal to phi1.
-
-    Returns (lam1, lam2, chi) with phi2 = lam1*phi1 + lam2*chi,
-    <phi1|chi> = 0, lam2 real non-negative (its phase is drawn into chi),
-    and |lam1| = sqrt(1 - lam2^2).  Raises ParallelStates when the two
-    states coincide up to a global phase (lam2 <= tol).
-    """
-    a = check_pure_state(phi1)
-    b = check_pure_state(phi2)
-    if a.shape != b.shape:
-        raise DimMismatch(f"dims {a.shape[0]} and {b.shape[0]} differ")
-    lam1 = complex(np.vdot(a, b))
-    resid = b - lam1 * a
-    lam2 = float(np.linalg.norm(resid))
-    if lam2 <= tol:
-        raise ParallelStates("states coincide up to a global phase")
-    return lam1, lam2, resid / lam2

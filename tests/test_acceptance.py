@@ -20,7 +20,7 @@ def test_criterion(criterion):
     assert result.passed, line
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200])
+@pytest.mark.parametrize("scale", [1e-312, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e307])
 def test_witness_reverifies_at_every_scale(scale):
     cnot = cnot_map()
     witness = classify(cnot).witness

@@ -389,6 +389,12 @@ def test_phase_grid_rejects_with_rank_two_witness():
     assert w.evidence.image_rank == 2
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_phase_grid_refuses_non_finite_entries(bad):
+    with pytest.raises(ParamOutOfRange):
+        factor_phase_grid(np.array([[1.0, 2.0], [3.0, bad]], dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -694,7 +700,7 @@ def test_accepted_map_never_computes_its_spectrum(scale, swap):
     v = classify(bmap)
     assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
     assert 1e-8 < v.rank_ratio <= 1.0
-    assert "singular_values" not in bmap.__dict__
+    assert "_spectrum" not in bmap.__dict__
 
 
 @pytest.mark.parametrize(
@@ -707,7 +713,7 @@ def test_vanishing_basis_image_decides_without_the_spectrum(matrix):
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING and v.rank_ratio is None
     assert v.witness.kind == WITNESS_KERNEL and v.detail == "map is rank deficient"
-    assert "singular_values" not in bmap.__dict__
+    assert "_spectrum" not in bmap.__dict__
     assert witness_checks_out(bmap, v.witness)
     assert witness_reverifies(bmap, v.witness)
 
@@ -766,7 +772,7 @@ def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient
     bmap = BipartiteMap(scale * base.matrix, base.shape)
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING and v.witness is not None
-    assert ("singular_values" in bmap.__dict__) == deficient
+    assert ("_spectrum" in bmap.__dict__) == deficient
     if deficient:
         assert v.witness.kind == WITNESS_KERNEL and v.detail == "map is rank deficient"
     else:
@@ -833,13 +839,14 @@ def test_vanishing_agrees_with_the_spectrum_rule(n, m, scale):
     rng = np.random.default_rng(n * m)
     for base in spectrum_family(n, m, seed=20 * n * m):
         bmap = BipartiteMap(scale * base, BipartiteShape(n, m))
-        norm2 = np.linalg.svd(bmap.matrix, compute_uv=False)[0]
+        # _vanishing judges images under the unit-scale map, against its norms
+        norm2 = np.linalg.svd(bmap._unit, compute_uv=False)[0]
         state = rng.normal(size=n * m) + 1j * rng.normal(size=n * m)
         direction = rng.normal(size=n * m) + 1j * rng.normal(size=n * m)
         direction /= np.linalg.norm(direction)
         for factor in (0.5, 1.0, 2.0):
             image = (factor * TOL * np.linalg.norm(state)) * norm2 * direction
-            expected = bool(np.linalg.norm(image / norm2) <= TOL * np.linalg.norm(state))
+            expected = bool(np.linalg.norm(image) <= TOL * np.linalg.norm(state) * norm2)
             assert classifier._vanishing(bmap, image, state, TOL) == expected
             assert expected == (factor < 1.0) or factor == 1.0
 

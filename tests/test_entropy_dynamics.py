@@ -416,7 +416,7 @@ def test_analyze_verdict_near_tolerance_does_not_depend_on_seed():
     rng = np.random.default_rng(1000 + k)
     noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
     m = m + 3e-9 * np.linalg.norm(m) / np.linalg.norm(noise) * noise
-    _, _, err = _fit_conjugation(m.reshape((3,) * 4), 1e-8)
+    _, _, err = _fit_conjugation(Superoperator(matrix=m, dim=3), 1e-8)
     assert err == pytest.approx(3.6e-9, rel=0.05)
     verdict = analyze(Superoperator(matrix=m, dim=3))
     assert verdict.kind == KIND_UNITARY
@@ -495,11 +495,11 @@ def test_fit_conjugation_allocates_far_less_than_the_map(d):
         superop_from_conjugation(u).matrix,
         superop_from_conjugation(u).matrix @ superop_transpose(d).matrix,
     ):
-        m4 = m.reshape((d,) * 4)
+        superop = Superoperator(matrix=m, dim=d)
         for transpose in (False, True):
             tracemalloc.start()
             try:
-                _fit_conjugation(m4, 1e-8, transpose=transpose)
+                _fit_conjugation(superop, 1e-8, transpose=transpose)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -567,8 +567,9 @@ def test_first_slab_bound_never_rejects_an_accepted_reading(d):
         noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
         m = m + float(rng.uniform(0.3, 0.99)) * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
         m4 = m.reshape((d,) * 4)
+        superop = Superoperator(matrix=m, dim=d)
         for reading, view in enumerate((m4, m4.swapaxes(2, 3))):
-            u, _, err = _fit_conjugation(m4, tol, transpose=bool(reading))
+            u, _, err = _fit_conjugation(superop, tol, transpose=bool(reading))
             reference = _dense_fit(view)[1]
             assert (err <= tol) == (reference <= tol)
             if reading == k % 2:
@@ -598,7 +599,7 @@ def test_one_pass_fit_matches_the_dense_fit_on_accepted_readings(d, transpose):
         m = m + level * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
         m4 = m.reshape((d,) * 4)
         reference_gain, reference = _dense_fit(m4.swapaxes(2, 3) if transpose else m4)
-        u, gain, err = _fit_conjugation(m4, tol, transpose=transpose)
+        u, gain, err = _fit_conjugation(Superoperator(matrix=m, dim=d), tol, transpose=transpose)
         assert (err <= tol) == (reference <= tol)
         if reference <= tol:
             accepted += 1
@@ -622,7 +623,7 @@ def test_one_pass_fit_rejects_a_late_departure(d, transpose):
         m4 = m.reshape((d,) * 4)
         noise = rng.standard_normal(m4[j].shape) + 1j * rng.standard_normal(m4[j].shape)
         m4[j] += 10.0 * tol * np.linalg.norm(m) / np.linalg.norm(noise) * noise
-        u, gain, err = _fit_conjugation(m4, tol, transpose=transpose)
+        u, gain, err = _fit_conjugation(Superoperator(matrix=m, dim=d), tol, transpose=transpose)
         assert u is None and gain is None
         assert tol < err < np.inf
         assert _dense_fit(m4.swapaxes(2, 3) if transpose else m4)[1] > tol
@@ -639,7 +640,7 @@ def test_one_pass_fit_rejects_a_gain_that_changes_after_the_first_slab(d, transp
     m = _conjugation_map(haar_unitary(d, seed=1000 + d), 1.0, transpose)
     m4 = m.reshape((d,) * 4)
     m4[1:] *= 2.0
-    u, gain, err = _fit_conjugation(m4, 1e-8, transpose=transpose)
+    u, gain, err = _fit_conjugation(Superoperator(matrix=m, dim=d), 1e-8, transpose=transpose)
     assert u is None and gain is None
     assert err == pytest.approx(np.sqrt(1.0 / (2.0 * (4 * d - 3))), rel=1e-9)
 

@@ -9,7 +9,6 @@ from unitarity_kit.generators import (
     random_density,
     random_invertible,
     random_local_map,
-    random_product_state,
     random_pure_state,
     random_schmidt_rank_state,
     split_rng,
@@ -106,11 +105,6 @@ def test_random_schmidt_rank_state_hits_requested_rank():
         v = random_schmidt_rank_state((3, 4), rank, seed=rng)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert schmidt_rank(v, (3, 4)) == rank
-
-
-def test_random_product_state_is_rank_one():
-    v = random_product_state((3, 3), seed=11)
-    assert schmidt_rank(v, (3, 3)) == 1
 
 
 def test_perturb_zero_is_identity():

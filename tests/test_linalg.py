@@ -5,15 +5,9 @@ from hypothesis import strategies as st
 
 from unitarity_kit.classifier import classify
 from unitarity_kit.entropy_dynamics import analyze, superop_from_conjugation
-from unitarity_kit.errors import NotHermitian, ParamOutOfRange, ShapeMismatch
-from unitarity_kit.generators import cnot_map, haar_unitary, random_density, split_rng
-from unitarity_kit.linalg import (
-    hermitian_eigenvalues,
-    kron,
-    numerical_rank,
-    partial_trace,
-    svd,
-)
+from unitarity_kit.errors import ParamOutOfRange
+from unitarity_kit.generators import cnot_map, haar_unitary, split_rng
+from unitarity_kit.linalg import kron, numerical_rank, svd
 from unitarity_kit.quantitative import check_E1, check_E2
 from unitarity_kit.schmidt import (
     entanglement_E,
@@ -22,46 +16,6 @@ from unitarity_kit.schmidt import (
     schmidt_decompose,
     schmidt_rank,
 )
-
-
-def test_hermitian_eigenvalues_diagonal():
-    np.testing.assert_allclose(hermitian_eigenvalues(np.diag([1.0, 0.0])), [1.0, 0.0])
-
-
-def test_hermitian_eigenvalues_rank_one_projector():
-    m = np.full((2, 2), 0.5)
-    np.testing.assert_allclose(hermitian_eigenvalues(m), [1.0, 0.0], atol=1e-14)
-
-
-def test_hermitian_eigenvalues_two_state_mixture():
-    # p=1/2 equal mixture of |0> and (|0>+|1>)/sqrt2, written in the
-    # {|0>, orthogonal} basis; closed form (1 +- sqrt(1/2))/2.
-    m = np.array([[0.75, 0.25], [0.25, 0.25]])
-    w = hermitian_eigenvalues(m)
-    np.testing.assert_allclose(w, [0.8535533905932737, 0.1464466094067262], atol=1e-12)
-
-
-def test_hermitian_eigenvalues_rejects_asymmetric():
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_eigenvalues_requires_square():
-    with pytest.raises(ShapeMismatch):
-        hermitian_eigenvalues(np.zeros((2, 3)))
-
-
-@given(st.integers(2, 12), st.integers(0, 50))
-@settings(max_examples=25, deadline=None)
-def test_hermitian_eigendecomposition_reconstructs(d, seed):
-    rng = split_rng(seed, 0)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = (g + g.conj().T) / 2
-    w, v = hermitian_eigenvalues(m, with_vectors=True)
-    rebuilt = (v * w) @ v.conj().T
-    assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
-    assert abs(w.sum() - np.trace(m).real) <= 1e-10 * max(1.0, abs(np.trace(m)))
-    assert all(x >= y for x, y in zip(w, w[1:]))
 
 
 def test_svd_identity():
@@ -163,38 +117,3 @@ def test_kron_associative(da, db, dc, seed):
     rng = split_rng(seed, 1)
     a, b, c = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (da, db, dc))
     np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-
-def test_partial_trace_product_state():
-    rho_a = random_density(2, 2, seed=1)
-    rho_b = random_density(3, 3, seed=2)
-    full = kron(rho_a, rho_b)
-    np.testing.assert_allclose(partial_trace(full, (2, 3), "B"), rho_a, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(full, (2, 3), "A"), rho_b, atol=1e-12)
-
-
-def test_partial_trace_bell_projector():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    rho = np.outer(bell, bell.conj())
-    np.testing.assert_allclose(partial_trace(rho, (2, 2), "B"), np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_two_term_state():
-    # c|00> + sqrt(1-c^2)|11> reduces to diag(c^2, 1-c^2) on the A side.
-    c = 0.6
-    v = np.array([c, 0.0, 0.0, np.sqrt(1 - c * c)], dtype=complex)
-    reduced = partial_trace(np.outer(v, v.conj()), (2, 2), "B")
-    np.testing.assert_allclose(reduced, np.diag([0.36, 0.64]), atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rho = random_density(6, 4, seed=5)
-    for side in ("A", "B"):
-        reduced = partial_trace(rho, (2, 3), side)
-        assert abs(np.trace(reduced) - np.trace(rho)) <= 1e-12
-
-
-def test_partial_trace_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        partial_trace(np.eye(5), (2, 3), "B")

@@ -12,43 +12,10 @@ from unitarity_kit.quantitative import (
     ratio_deficit,
     ratio_deficit_root,
     ratio_deficit_sign_changes,
-    singular_spectra,
 )
 from unitarity_kit.schmidt import entanglement_E, measure_E1, measure_E2
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def test_singular_spectra_scaled_unitary():
-    u = haar_unitary(3, seed=1)
-    pair = singular_spectra(2.0 * u, np.eye(2))
-    np.testing.assert_allclose(pair.lambdas, [2.0, 2.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(pair.mus, [1.0, 1.0], atol=1e-12)
-
-
-def test_singular_spectra_matches_svd_oracle():
-    a = random_invertible(4, seed=2, cond_cap=100)
-    pair = singular_spectra(a, np.eye(2))
-    np.testing.assert_allclose(pair.lambdas, svd(a).singular_values, atol=1e-12)
-
-
-def test_singular_spectra_rejects_singular_factor():
-    with pytest.raises(RankDeficient):
-        singular_spectra(np.diag([1.0, 0.0]), np.eye(2))
-
-
-@pytest.mark.parametrize(
-    "a,b",
-    [
-        ([[1, 0, 0], [0, 1, 0]], np.eye(2)),
-        (2.0 * np.eye(1), np.eye(2)),
-    ],
-)
-def test_singular_spectra_refuses_non_square_or_one_dimensional_factor(a, b):
-    with pytest.raises(ShapeMismatch):
-        singular_spectra(a, b)
-    with pytest.raises(ShapeMismatch):
-        singular_spectra(b, a)
 
 
 def test_psi_c_product_limit():
@@ -301,6 +268,14 @@ def test_checks_refuse_non_square_factor(check):
         check([[1, 0, 0], [0, 1, 0]], np.eye(2))
     with pytest.raises(ShapeMismatch):
         check(np.eye(2), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("check", [check_E1, check_E2])
+def test_checks_refuse_singular_factor(check):
+    with pytest.raises(RankDeficient):
+        check(np.diag([1.0, 0.0]), np.eye(2))
+    with pytest.raises(RankDeficient):
+        check(np.eye(2), np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("check", [check_E1, check_E2])

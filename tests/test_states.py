@@ -4,20 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitarity_kit.entropy_dynamics import input_spectrum
-from unitarity_kit.errors import (
-    DimMismatch,
-    InvalidDensityMatrix,
-    ParallelStates,
-    ProbabilityOutOfRange,
-)
+from unitarity_kit.errors import InvalidDensityMatrix
 from unitarity_kit.generators import haar_unitary, random_density, split_rng
-from unitarity_kit.states import (
-    decompose_relative,
-    mix,
-    overlap_modulus,
-    pure_projector,
-    von_neumann_entropy,
-)
+from unitarity_kit.states import pure_projector, von_neumann_entropy
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -54,16 +43,6 @@ def test_entropy_rejects_wrong_trace():
         von_neumann_entropy(np.diag([0.5, 0.1]))
 
 
-def test_mix_idempotent():
-    rho = random_density(3, 2, seed=0)
-    np.testing.assert_allclose(mix(rho, rho, 0.3), rho)
-
-
-def test_mix_orthogonal_pure_states():
-    out = mix(pure_projector(KET0), pure_projector(KET1), 0.5)
-    np.testing.assert_allclose(out, np.eye(2) / 2)
-
-
 def test_mix_spectrum_matches_closed_form():
     # eigensolver oracle vs the closed-form two-state spectrum
     rng = split_rng(3, 0)
@@ -72,61 +51,10 @@ def test_mix_spectrum_matches_closed_form():
         lam2 = float(rng.uniform(0.05, 1.0))
         phase = np.exp(2j * np.pi * rng.uniform())
         phi2 = np.sqrt(1 - lam2**2) * phase * KET0 + lam2 * KET1
-        rho = mix(pure_projector(KET0), pure_projector(phi2), p)
+        rho = p * pure_projector(KET0) + (1.0 - p) * pure_projector(phi2)
         w = np.linalg.eigvalsh(rho)
         spec = input_spectrum(p, lam2)
         np.testing.assert_allclose(w, [spec.lo, spec.hi], atol=1e-12)
-
-
-def test_mix_probability_out_of_range():
-    rho = np.eye(2) / 2
-    with pytest.raises(ProbabilityOutOfRange):
-        mix(rho, rho, 1.2)
-
-
-def test_overlap_modulus_basic():
-    assert overlap_modulus(PLUS, PLUS) == pytest.approx(1.0)
-    assert overlap_modulus(KET0, KET1) == 0.0
-    assert overlap_modulus(KET0, PLUS) == pytest.approx(0.7071067811865476)
-
-
-def test_overlap_modulus_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        overlap_modulus(KET0, np.array([1.0, 0.0, 0.0]) + 0j)
-
-
-def test_decompose_relative_orthogonal():
-    lam1, lam2, chi = decompose_relative(KET0, KET1)
-    assert lam1 == 0.0
-    assert lam2 == pytest.approx(1.0)
-    np.testing.assert_allclose(chi, KET1)
-
-
-def test_decompose_relative_plus_state():
-    lam1, lam2, chi = decompose_relative(KET0, PLUS)
-    assert lam1 == pytest.approx(1.0 / np.sqrt(2.0))
-    assert lam2 == pytest.approx(1.0 / np.sqrt(2.0))
-    np.testing.assert_allclose(chi, KET1, atol=1e-12)
-
-
-def test_decompose_relative_parallel_rejected():
-    with pytest.raises(ParallelStates):
-        decompose_relative(KET0, np.exp(0.4j) * KET0)
-
-
-@given(st.integers(2, 6), st.integers(0, 100))
-@settings(max_examples=30, deadline=None)
-def test_decompose_relative_roundtrip(d, seed):
-    rng = split_rng(seed, 2)
-    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    lam1, lam2, chi = decompose_relative(a, b)
-    np.testing.assert_allclose(lam1 * a + lam2 * chi, b, atol=1e-10)
-    assert abs(np.vdot(a, chi)) <= 1e-10
-    assert lam2 >= 0.0
-    assert abs(abs(lam1) - np.sqrt(1 - lam2**2)) <= 1e-10
 
 
 @given(st.integers(2, 8), st.integers(0, 100))
@@ -151,6 +79,6 @@ def test_entropy_concavity_spot_check():
         rho1 = random_density(4, 3, seed=rng)
         rho2 = random_density(4, 2, seed=rng)
         p = float(rng.uniform())
-        mixed = von_neumann_entropy(mix(rho1, rho2, p))
+        mixed = von_neumann_entropy(p * rho1 + (1 - p) * rho2)
         parts = p * von_neumann_entropy(rho1) + (1 - p) * von_neumann_entropy(rho2)
         assert mixed >= parts - 1e-12
