@@ -3,11 +3,15 @@
 
 For each epsilon, draws random (swap-)local maps, adds a Gaussian direction
 of that relative size, classifies the result, and reports the rejection
-fraction plus the reconstruction error of any survivors.
+fraction, how many rejects carry a witness that re-verifies from scratch
+(acceptance.witness_reverifies), plus the reconstruction error of any
+survivors.  Exits with status 1 when some reject lacks such a witness.
 """
 
 import argparse
+import sys
 
+from unitarity_kit.acceptance import witness_reverifies
 from unitarity_kit.classifier import KIND_NOT_PRESERVING, classify
 from unitarity_kit.generators import perturb, random_local_map, split_rng
 
@@ -27,9 +31,10 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = split_rng(args.seed, 0)
-    print(f"{'epsilon':>10}  {'rejected':>9}  {'accepted':>9}  worst recon err of accepted")
+    print(f"{'epsilon':>10}  {'rejected':>9}  {'verified':>9}  {'accepted':>9}  worst recon err of accepted")
+    unverified = 0
     for eps in args.epsilons:
-        rejected = 0
+        rejected = verified = 0
         worst_err = 0.0
         for _ in range(args.trials):
             shape = SHAPES[int(rng.integers(len(SHAPES)))]
@@ -39,11 +44,16 @@ def main() -> None:
             verdict = classify(noisy)
             if verdict.kind == KIND_NOT_PRESERVING:
                 rejected += 1
+                verified += verdict.witness is not None and witness_reverifies(noisy, verdict.witness)
             else:
                 worst_err = max(worst_err, verdict.reconstruction_error)
         accepted = args.trials - rejected
         err = f"{worst_err:.2e}" if accepted else "-"
-        print(f"{eps:>10.1e}  {rejected:>9}  {accepted:>9}  {err}")
+        print(f"{eps:>10.1e}  {rejected:>9}  {verified:>9}  {accepted:>9}  {err}")
+        unverified += rejected - verified
+    if unverified:
+        print(f"{unverified} rejects lack a witness that re-verifies", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

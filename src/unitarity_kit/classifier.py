@@ -9,23 +9,25 @@ The decision is one certificate per reading: L = A x B holds exactly when
 the realignment of L has rank 1 (Van Loan & Pitsianis, 1993), so a
 least-squares rank-1 fit of the realigned map and its relative residual
 decide Local, and the same fit of the relabeled map decides SwapLocal; the
-rank of A x B is read off the two small factors.  A rejected map gets its
-witness from the constructive stages of the paper's argument (product
-images of the product basis, the parallelism pattern of the image factors,
-extraction of the local factors and a rank-1 factorization of the leftover
-phase/length grid); every witness is re-verified through the Schmidt
-oracle before it is returned.  The rank check of the whole map runs only
-where a reading's phase grid factors, so that its images form A x B and
-only the rank can have failed, and once more before the random search.
+rank of A x B is read off the two small factors.  A map fails in one of
+two ways: a reading fits but the rank of A x B fails, so only
+invertibility is missing, or no reading fits.  The first goes to the rank
+check of the whole map, whose kernel vector is the witness.  The second
+gets its witness from the constructive stages of the paper's argument
+(product images of the product basis, the parallelism pattern of the image
+factors, extraction of the local factors and a rank-1 factorization of the
+leftover phase/length grid), then from the rank check once more before the
+random search; every witness is re-verified through the Schmidt oracle
+before it is returned.
 
 The reject path avoids full decompositions where a cheaper certificate
 exists.  The rank check reads the map's values-only spectrum, cached on
-the map.  A kernel vector on a simple null singular value comes from
-inverse iteration, and only another rank-deficient map pays for a full
-SVD.  The product-basis images of basis row 0 are decided by a values-only
-stacked SVD; past it, one vectorised rank-1 fit certifies rank 1 (Weyl's
-inequality turns its misfit into a bound on s_2), and only a row holding
-an image the fit cannot certify takes a values-only stacked SVD.
+the map, and only a rank-deficient map pays for one full SVD, for its
+kernel vector.  The product-basis images of basis row 0 are decided by a
+values-only stacked SVD; past it, one vectorised rank-1 fit certifies
+rank 1 (Weyl's inequality turns its misfit into a bound on s_2), and only
+a row holding an image the fit cannot certify takes a values-only stacked
+SVD.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -86,11 +88,10 @@ class BipartiteMap:
     only when first read and then cached on the instance, so the matrix
     must not be mutated after construction.  classify reads the copy on
     every map; it reads the spectrum on the reject path alone: in the rank
-    check, which runs only where a reading's images factor as A x B or
+    check, which runs where a reading fits but its rank ratio fails and
     before the random search, and for the 2-norm of an image too small for
     the vanishing test's Frobenius bound.  A full SVD runs only on a
-    rank-deficient map whose kernel is not one simple null direction (or
-    whose inverse iteration fails its check).
+    rank-deficient map, for its kernel vector.
     """
 
     matrix: np.ndarray
@@ -237,62 +238,18 @@ def _orthogonal_complement_column(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-# The null singular value counts as simple when s[-2] > tol * s[0] and
-# s[-1] <= _KERNEL_GAP * s[-2].  Each inverse-iteration solve then shrinks
-# every other right singular component against the null one by at least
-# that factor; on an exact kernel, where s[-1] is rounding, two solves
-# reach the kernel vector to rounding.
-_KERNEL_GAP = 1e-3
-_KERNEL_SOLVES = 2
-
-
-def _kernel_vector(bmap: BipartiteMap, tol: float) -> np.ndarray:
-    """A unit right null vector of a rank-deficient map.
-
-    On a simple null singular value it comes from inverse iteration: LU
-    solves with the unit-scale map from a fixed start, gauged with its
-    largest-modulus entry real positive.  It is kept when it is finite and
-    its image passes the vanishing test.  Otherwise (a kernel of dimension
-    > 1, the zero map, an exactly singular LU, a failed check) it is the
-    last right singular vector of the full SVD of the unit-scale map.
-    """
-    s = bmap._spectrum
-    if s[-2] > tol * s[0] and s[-1] <= _KERNEL_GAP * s[-2]:
-        x = _inverse_iteration(bmap._unit)
-        if x is not None and _vanishing(bmap, bmap._unit @ x, x, tol):
-            return x
-    return svd(bmap._unit).right_basis[-1, :].conj()
-
-
-def _inverse_iteration(unit: np.ndarray) -> np.ndarray | None:
-    """_KERNEL_SOLVES LU solves from a fixed start, each result rescaled to
-    unit norm; None on an exactly singular LU or a non-finite solve."""
-    x = np.exp(1j * np.arange(unit.shape[0]))
-    for _ in range(_KERNEL_SOLVES):
-        try:
-            x = np.linalg.solve(unit, x)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(x).all():
-            return None
-        x /= np.abs(x).max()
-        x /= np.linalg.norm(x)
-    return _fix_phases(x)
-
-
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
     """None when the map has full numerical rank; otherwise a verified witness.
 
     The rank rule is the spectrum's: full rank when s_min > tol * s_max,
     read off the cached values-only spectrum.  Only a rank-deficient map
-    computes its kernel vector (_kernel_vector: inverse iteration on a
-    simple null singular value, else the full SVD), whose witness is
-    _kernel_witness's.
+    takes a full SVD of its unit-scale copy; the last right singular
+    vector is the kernel vector, whose witness is _kernel_witness's.
     """
     s = bmap._spectrum
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
-    return _kernel_witness(bmap, _kernel_vector(bmap, tol), tol)
+    return _kernel_witness(bmap, svd(bmap._unit).right_basis[-1, :].conj(), tol)
 
 
 def _kernel_witness(bmap: BipartiteMap, kernel: np.ndarray, tol: float) -> Witness:
@@ -635,9 +592,11 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     deficit = 1.0 - np.vdot(va, va).real / total
     if deficit > tol:
         return None, None, float(np.sqrt(deficit))
-    resid = np.outer(va, vb)
-    resid -= r
-    err = float(np.sqrt(np.vdot(resid, resid).real / total))
+    # the residual R - vec(A) vec(B)^T goes into R itself, n rows at a time,
+    # so no second n^2 x m^2 array is made
+    for rows in range(0, n * n, n):
+        r[rows : rows + n] -= np.outer(va[rows : rows + n], vb)
+    err = float(np.sqrt(np.vdot(r, r).real / total))
     if not err <= tol:
         return None, None, err
     a, b = va.reshape(n, n), vb.reshape(m, m)
@@ -651,43 +610,34 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
     deficient: a witness built from a kernel vector (_kernel_witness, which
     also serves check_full_rank).
 
-    Per reading: the image table (a vanishing or entangled basis image in
-    the map's own layout), then the phase grid of a matching parallelism
-    pattern.  A grid that factors means the reading's images form A x B,
-    so only the rank can have failed: check_full_rank runs there, and its
-    witness comes first.  Otherwise the first witness of the readings
-    stands; a vanishing basis image, a product kernel vector, gives its
-    _kernel_witness at once.  Then the basis-pair parallelism scan of
-    every table built; then check_full_rank once more, on the cached
+    The first witness found, in reading order: the image table of the map's
+    own layout (a vanishing basis image, a product kernel vector, gives its
+    _kernel_witness; an entangled one is its own witness), then that
+    reading's phase grid of a matching parallelism pattern, then the
+    relabeled reading's table and grid.  Then the basis-pair parallelism
+    scan of every table built; then check_full_rank, on the cached
     spectrum; last the random search."""
     shape = bmap.shape
     # the relabeled reading's output layout is (m, n), the same table when n == m
     tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
-    found = None
     for out_shape, case in ((shape, CASE_I), (shape.flipped(), CASE_II)):
         key = out_shape.as_tuple()
         if key not in tables:
             tables[key] = build_image_table(bmap, tol, out_shape)
         table = tables[key]
         if isinstance(table, Witness):
-            if key == shape.as_tuple():
-                if table.kind == WITNESS_KERNEL:
-                    return _kernel_witness(bmap, table.state, tol), True
-                found = table
-            continue
+            if key != shape.as_tuple():
+                continue
+            if table.kind == WITNESS_KERNEL:
+                return _kernel_witness(bmap, table.state, tol), True
+            return table, False
         if not _pattern_holds(table, case, tol):
             continue
         factored = factor_phase_grid(extract_factors(table, case)[2], tol)
-        if not isinstance(factored, Witness):
-            deficient = check_full_rank(bmap, tol)
-            if deficient is not None:
-                return deficient, True
-        elif found is None:
+        if isinstance(factored, Witness):
             ev = _evidence(bmap, factored.state, out_shape, tol)
             if ev.input_rank == 1 and ev.image_rank >= 2:
-                found = Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
-    if found is not None:
-        return found, False
+                return Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev), False
     for table in tables.values():
         if not isinstance(table, Witness):
             witness = _parallelism_witness(bmap, table, tol)
@@ -701,8 +651,8 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
     """The realignment certificate for Local and then for SwapLocal; a map
-    that neither reading accepts gets its witness from the constructive
-    stages, with the rank check only where a reading's images factor.
+    that neither reading accepts gets its witness from the rank check when
+    some reading fitted, and from the constructive stages otherwise.
 
     A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
     SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
@@ -711,19 +661,20 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     values-only SVD of each factor, exceeds tol; as both factor ratios are
     at most 1, this implies the rank check of A and of B.  An accepted map
     never computes its own nm x nm spectrum.  Once both readings miss, the
-    verdict is NotPreserving and only its witness remains to be found
-    (_search_witness).  The rank check, which reads the spectrum, runs
-    where a reading's phase grid factors, so that the basis images form
-    A x B and only invertibility can have failed, and once more before the
-    random search.  A map whose witness comes from an entangled basis
-    image, the phase grid or the parallelism scan never computes its
-    spectrum unless some witness image falls below the vanishing test's
-    Frobenius bound.  A rank-deficient map takes its kernel vector by
-    inverse iteration when the null singular value is simple, and from a
-    full SVD otherwise; the image table certifies rank 1 by a rank-1 fit
-    and runs no full SVD.  detail reads "map is rank deficient" exactly
-    when the witness was built from a kernel vector: a KernelVector, or the
-    partner product state of a product kernel vector.
+    verdict is NotPreserving and only its witness remains to be found.  A
+    reading that fitted but failed its rank ratio shows that the map is
+    A x B (or S (A x B)) and only invertibility failed, so the rank check,
+    which reads the spectrum, gives the witness from the map's kernel
+    vector, the last right singular vector of one full SVD.  Otherwise,
+    and where the rank check finds full rank after all (near tol, below),
+    the constructive stages search for it (_search_witness), with the rank
+    check once more before the random search.  A map whose witness comes
+    from an entangled basis image, the phase grid or the parallelism scan
+    never computes its spectrum unless some witness image falls below the
+    vanishing test's Frobenius bound; the image table certifies rank 1 by
+    a rank-1 fit and runs no full SVD.  detail reads "map is rank
+    deficient" exactly when the witness was built from a kernel vector: a
+    KernelVector, or the partner product state of a product kernel vector.
 
     A map no reading accepts is NotPreserving with a re-verified witness;
     when no constructive stage finds one, a random search over a fixed
@@ -742,6 +693,7 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
+    factored = False
     for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
         a, b, err = _fit_local(bmap, swap, tol)
         if a is None:
@@ -760,6 +712,12 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
                 output_shape=(shape.flipped() if swap else shape).as_tuple(),
                 detail="factors certified by reconstruction",
             )
+        factored = True
+    if factored:
+        # the map factors and only its rank failed
+        witness = check_full_rank(bmap, tol)
+        if witness is not None:
+            return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail="map is rank deficient")
     witness, deficient = _search_witness(bmap, tol)
     detail = "map is rank deficient" if deficient else "no local or swap-local decomposition fits"
     return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=detail)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,18 +138,16 @@ def svd_calls(monkeypatch) -> list:
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
 @pytest.mark.parametrize("n,m", [(4, 4), (6, 6), (16, 16)])
-def test_simple_kernel_vector_matches_svd_up_to_phase(monkeypatch, n, m, scale):
+def test_simple_kernel_vector_matches_svd_up_to_phase(n, m, scale):
     bmap = kernel_entangled_map(n, m, seed=40 + n * m, scale=scale)
     reference = np.linalg.svd(bmap.matrix)[2][-1].conj()
-    calls = svd_calls(monkeypatch)
-    kernel = classifier._kernel_vector(bmap, 1e-8)
-    assert ((bmap.shape.dim, bmap.shape.dim), True) not in calls
-    overlap = np.vdot(reference, kernel)
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(kernel, overlap / abs(overlap) * reference, rtol=0, atol=1e-12)
     w = check_full_rank(bmap)
     assert w.kind == WITNESS_KERNEL and w.evidence.input_rank >= 2
+    overlap = np.vdot(reference, w.state)
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(w.state, overlap / abs(overlap) * reference, rtol=0, atol=1e-12)
     assert witness_checks_out(bmap, w)
+    assert witness_reverifies(bmap, w)
 
 
 def kernel_product_map() -> BipartiteMap:
@@ -168,13 +167,12 @@ def kernel_product_map() -> BipartiteMap:
     ],
     ids=["kernel-product", "zero-column", "diagonal-zero"],
 )
-def test_kernel_vector_falls_back_to_the_full_svd(monkeypatch, make):
-    # a kernel of dimension > 1 skips inverse iteration; an exactly singular
-    # LU fails it; either way the witness is the one of the full SVD
+def test_kernel_vector_comes_from_the_full_svd(monkeypatch, make):
+    # whatever the kernel's dimension, the kernel vector is the last right
+    # singular vector of one full SVD of the unit-scale map
     bmap = make()
-    with monkeypatch.context() as patch:
-        patch.setattr(classifier, "_inverse_iteration", lambda unit: None)
-        expected = check_full_rank(bmap)
+    kernel = np.linalg.svd(bmap._unit, full_matrices=False)[2][-1].conj()
+    expected = classifier._kernel_witness(bmap, kernel, 1e-8)
     calls = svd_calls(monkeypatch)
     w = check_full_rank(BipartiteMap(bmap.matrix, bmap.shape))
     assert ((bmap.shape.dim, bmap.shape.dim), True) in calls
@@ -182,6 +180,7 @@ def test_kernel_vector_falls_back_to_the_full_svd(monkeypatch, make):
     np.testing.assert_array_equal(w.state, expected.state)
     np.testing.assert_array_equal(w.evidence.image_coefficients, expected.evidence.image_coefficients)
     assert witness_checks_out(bmap, w)
+    assert witness_reverifies(bmap, w)
 
 
 def test_kernel_entangled_map_makes_no_full_svd_of_the_map(monkeypatch):
@@ -635,6 +634,21 @@ def realignment_tail(matrix, n, m, swap):
     return np.linalg.norm(s[1:]) / np.linalg.norm(s)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_accepted_reading_forms_its_residual_in_the_realigned_copy(swap):
+    # one map-sized realigned copy, with no second n^2 x m^2 array beside it
+    bmap = random_local_map((16, 16), swap=swap, seed=3)
+    bmap._unit  # the cached unit-scale copy is the map's, not the fit's
+    tracemalloc.start()
+    try:
+        a, _, err = classifier._fit_local(bmap, swap, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a is not None and err <= 1e-8
+    assert peak < 1.5 * bmap.matrix.nbytes
+
+
 def test_classify_accepts_map_the_cascade_left_without_witness():
     # the parallelism, phase-grid and factor thresholds rejected this map
     # with no witness at all; its certificate error is 8.3e-9
@@ -690,6 +704,59 @@ def test_classify_rank_gate_is_the_factor_product_ratio(swap, witness_kind):
         else:
             assert v.rank_ratio == pytest.approx(10 ** (2 * exponent), rel=1e-6)
             np.testing.assert_allclose(kron(v.a, v.b), product, atol=1e-10)
+
+
+def singular_local_map(n, m, seed, swap) -> BipartiteMap:
+    """A x B (or (A x B) S) with A singular and B invertible."""
+    p, q = (m, n) if swap else (n, m)
+    u, s, vh = np.linalg.svd(random_invertible(p, seed=seed, cond_cap=30))
+    s[-1] = 0.0
+    product = kron((u * s) @ vh, random_invertible(q, seed=seed + 1, cond_cap=30))
+    return BipartiteMap(product @ swap_operator((n, m)) if swap else product, BipartiteShape(n, m))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+def test_fitted_reading_with_a_singular_factor_decides_by_the_rank_check(monkeypatch, n, m, swap):
+    # the reading fits and only its rank ratio fails: no image table is built
+    bmap = singular_local_map(n, m, seed=80 + n * m, swap=swap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_image_table called")
+
+    monkeypatch.setattr(classifier, "build_image_table", refuse)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.rank_ratio is None
+    assert v.detail == "map is rank deficient"
+    assert witness_checks_out(bmap, v.witness)
+    assert witness_reverifies(bmap, v.witness)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BipartiteMap(haar_unitary(12, seed=31), BipartiteShape(3, 4)),
+        lambda: perturb(random_local_map((2, 3), seed=32), 1e-3, seed=33),
+    ],
+    ids=["haar/3x4", "perturbed/2x3"],
+)
+def test_entangled_basis_image_of_an_uneven_map_builds_one_table(monkeypatch, make):
+    # the own-layout table's witness is returned at once; the relabeled
+    # layout's table is never built
+    bmap = make()
+    layouts = []
+    real = classifier.build_image_table
+
+    def recorded(bmap, tol, output_shape):
+        layouts.append(output_shape.as_tuple())
+        return real(bmap, tol, output_shape)
+
+    monkeypatch.setattr(classifier, "build_image_table", recorded)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING
+    assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    assert layouts == [bmap.shape.as_tuple()]
+    assert witness_reverifies(bmap, v.witness)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])

@@ -826,3 +826,36 @@ def test_cached_probes_leave_each_witness_its_own_states():
         np.testing.assert_array_equal(second.witness.phi2, reference[1])
         assert second.witness.p == reference[2]
         assert second.witness.phi1.flags.writeable and second.witness.phi2.flags.writeable
+
+
+def _mixture_entropy(w) -> float:
+    return von_neumann_entropy(w.p * pure_projector(w.phi1) + (1.0 - w.p) * pure_projector(w.phi2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_replacement_channel_is_rejected_at_the_overlap_stage(d):
+    # rho -> tr(rho) |psi><psi|: every pure state maps to the same pure
+    # state with the same gain, so only the overlap moduli change
+    psi = random_pure_state(d, split_rng(90 + d, 0))
+    matrix = np.outer(vec_density(pure_projector(psi)), vec_density(np.eye(d)))
+    verdict = analyze(Superoperator(matrix, d))
+    assert verdict.kind == KIND_NOT_PRESERVING
+    assert verdict.detail.startswith("overlap modulus changes by ")
+    w = verdict.witness
+    assert w.entropy_out == pytest.approx(0.0, abs=1e-12)
+    assert w.entropy_in > 0.1
+    assert w.entropy_in == pytest.approx(_mixture_entropy(w), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d,eps,seeds", [(3, 1e-8, (1, 2)), (3, 1e-8, (3, 4)), (2, 2e-8, (1, 2))]
+)
+def test_conjugation_plus_a_small_other_one_reaches_the_pairwise_stage(d, eps, seeds):
+    # the added conjugation is just above tol: no reading fits, yet pure
+    # states map to rank-1 images with equal gains and overlap moduli
+    u, w = (haar_unitary(d, seed=s) for s in seeds)
+    matrix = superop_from_conjugation(u).matrix + eps * superop_from_conjugation(w).matrix
+    verdict = analyze(Superoperator(matrix, d))
+    assert verdict.kind == KIND_NOT_PRESERVING
+    assert verdict.detail == "no single conjugation reproduces the map"
+    assert verdict.witness.entropy_in == pytest.approx(_mixture_entropy(verdict.witness), abs=1e-12)

@@ -158,6 +158,22 @@ def test_classify_is_exact_under_powers_of_two(family, data):
         assert _same_bits(out_ev.image_coefficients, _scaled(ev.image_coefficients, j))
 
 
+def test_kernel_entangled_map_near_the_top_of_the_range_scales_only_its_witness():
+    # times 2^1025 the map's Frobenius norm is near the float maximum; the
+    # witness is the own-layout basis image, and no discarded evidence of
+    # the relabeled layout has its coefficients scaled back into overflow
+    matrix, shape = BIPARTITE["kernel-entangled"]()
+    ref = _classify_case("kernel-entangled")[2]
+    bmap = BipartiteMap(ldexp(matrix, 1025), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = classify(bmap)
+    assert (out.kind, out.detail) == (ref.kind, ref.detail)
+    assert out.witness.kind == ref.witness.kind
+    assert np.isfinite(out.witness.evidence.image_coefficients).all()
+    assert witness_reverifies(bmap, out.witness)
+
+
 def _without_numbers(detail: str) -> str:
     return re.sub(r"\d[\d.e+-]*", "#", detail)
 
