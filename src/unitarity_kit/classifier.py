@@ -17,8 +17,13 @@ gets its witness from the constructive stages of the paper's argument
 (product images of the product basis, the parallelism pattern of the image
 factors, extraction of the local factors and a rank-1 factorization of the
 leftover phase/length grid), then from the rank check once more before the
-random search; every witness is re-verified through the Schmidt oracle
-before it is returned.
+random search.  Every witness carries the Schmidt data of its state and of
+its image (_evidence), and a stage returns it only when those ranks show
+the violation, with two exceptions that the construction proves: an
+entangled basis image, whose rank the image table's spectrum decided, and
+an entangled kernel vector, which the map annihilates.  No independent
+re-check runs before a witness is returned; acceptance.witness_reverifies
+is that check.
 
 The reject path avoids full decompositions where a cheaper certificate
 exists.  The rank check reads the map's values-only spectrum, cached on
@@ -49,7 +54,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
+from .errors import ParamOutOfRange, ShapeMismatch
 from .generators import random_schmidt_rank_state, split_rng
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -239,7 +244,8 @@ def _orthogonal_complement_column(v: np.ndarray) -> np.ndarray:
 
 
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
-    """None when the map has full numerical rank; otherwise a verified witness.
+    """None when the map has full numerical rank; otherwise the kernel
+    vector's witness, or None when _kernel_witness finds none it can check.
 
     The rank rule is the spectrum's: full rank when s_min > tol * s_max,
     read off the cached values-only spectrum.  Only a rank-deficient map
@@ -252,16 +258,20 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     return _kernel_witness(bmap, svd(bmap._unit).right_basis[-1, :].conj(), tol)
 
 
-def _kernel_witness(bmap: BipartiteMap, kernel: np.ndarray, tol: float) -> Witness:
-    """The witness for a unit vector the map annihilates.
+def _kernel_witness(bmap: BipartiteMap, kernel: np.ndarray, tol: float) -> Witness | None:
+    """The witness for a unit vector the map annihilates, or None.
 
     An entangled kernel vector is its own witness, being annihilated
     outright.  A product one, a1 x b1, is upgraded to the constructive
-    violation: with a2, b2 unit and orthogonal to a1, b1, the
-    Schmidt-rank-2 combination (a1 x b1 + a2 x b2) / sqrt(2) maps to
-    L(a2 x b2) / sqrt(2); when that image has rank <= 1, the combination is
-    the witness, and otherwise the partner product state a2 x b2 itself,
-    which maps to an entangled vector.
+    violation, with a2, b2 unit and orthogonal to a1, b1.  The witness is
+    the first of three candidates whose image ranks show the violation:
+    the Schmidt-rank-2 combination (a1 x b1 + a2 x b2) / sqrt(2), whose
+    image has rank <= 1 when L(a1 x b1) is small enough against
+    L(a2 x b2); the partner product state a2 x b2, when its image is
+    entangled; and (sqrt(tol) a1 x b1 + a2 x b2) / sqrt(1 + tol), still of
+    rank 2 as sqrt(tol) > tol, whose image is a product wherever
+    L(a2 x b2) is one and ||L(a1 x b1)|| <= sqrt(tol) ||L(a2 x b2)||.
+    None when no candidate does.
     """
     dec = schmidt_decompose(kernel, bmap.shape, tol=tol)
     if dec.rank >= 2:
@@ -271,13 +281,20 @@ def _kernel_witness(bmap: BipartiteMap, kernel: np.ndarray, tol: float) -> Witne
     b1 = dec.right_vectors[:, 0]
     a2 = _orthogonal_complement_column(a1)
     b2 = _orthogonal_complement_column(b1)
+    product = np.outer(a1, b1).ravel()
     partner = np.outer(a2, b2).ravel()
-    combo = (np.outer(a1, b1).ravel() + partner) / np.sqrt(2)
+    combo = (product + partner) / np.sqrt(2)
     ev = _evidence(bmap, combo, bmap.shape, tol)
     if ev.input_rank >= 2 and ev.image_rank <= 1:
         return Witness(kind=WITNESS_KERNEL, state=combo, evidence=ev)
     ev = _evidence(bmap, partner, bmap.shape, tol)
-    return Witness(kind=WITNESS_PRODUCT_TO_ENTANGLED, state=partner, evidence=ev)
+    if ev.image_rank >= 2:
+        return Witness(kind=WITNESS_PRODUCT_TO_ENTANGLED, state=partner, evidence=ev)
+    weighted = (np.sqrt(tol) * product + partner) / np.sqrt(1.0 + tol)
+    ev = _evidence(bmap, weighted, bmap.shape, tol)
+    if ev.input_rank >= 2 and ev.image_rank <= 1:
+        return Witness(kind=WITNESS_KERNEL, state=weighted, evidence=ev)
+    return None
 
 
 @dataclass(frozen=True)
@@ -304,14 +321,6 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Divide each vector (last axis) by the phase of its largest-magnitude entry."""
     top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
     return v / (top / np.abs(top))
-
-
-def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix in a stack (last two axes), values only."""
-    try:
-        return np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
 
 
 def _schmidt_ranks(spectra: np.ndarray, tol: float) -> np.ndarray:
@@ -350,7 +359,7 @@ def _rank_one_fits(images: np.ndarray, tol: float):
 def _row_witness(bmap: BipartiteMap, images: np.ndarray, i: int, out, tol: float) -> Witness | None:
     """The first vanishing or entangled image of basis row i as a witness,
     from one values-only stacked SVD of the row; None when all have rank 1."""
-    ranks = _schmidt_ranks(_stacked_spectra(images[i]), tol)
+    ranks = _schmidt_ranks(singular_values(images[i]), tol)
     bad = np.flatnonzero(ranks != 1)
     if not bad.size:
         return None
@@ -612,7 +621,8 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
 
     The first witness found, in reading order: the image table of the map's
     own layout (a vanishing basis image, a product kernel vector, gives its
-    _kernel_witness; an entangled one is its own witness), then that
+    _kernel_witness when that finds one; an entangled one is its own
+    witness), then that
     reading's phase grid of a matching parallelism pattern, then the
     relabeled reading's table and grid.  Then the basis-pair parallelism
     scan of every table built; then check_full_rank, on the cached
@@ -626,11 +636,16 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
             tables[key] = build_image_table(bmap, tol, out_shape)
         table = tables[key]
         if isinstance(table, Witness):
-            if key != shape.as_tuple():
+            # an entangled (m, n) image refutes no Local reading; when
+            # n == m this table is the own layout's, decided on the first pass
+            if case == CASE_II:
                 continue
-            if table.kind == WITNESS_KERNEL:
-                return _kernel_witness(bmap, table.state, tol), True
-            return table, False
+            if table.kind != WITNESS_KERNEL:
+                return table, False
+            witness = _kernel_witness(bmap, table.state, tol)
+            if witness is not None:
+                return witness, True
+            continue
         if not _pattern_holds(table, case, tol):
             continue
         factored = factor_phase_grid(extract_factors(table, case)[2], tol)
@@ -676,10 +691,12 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     deficient" exactly when the witness was built from a kernel vector: a
     KernelVector, or the partner product state of a product kernel vector.
 
-    A map no reading accepts is NotPreserving with a re-verified witness;
-    when no constructive stage finds one, a random search over a fixed
-    stream does.  The whole verdict, witness included, depends on the map
-    and tol alone; tol must lie in (0, 1) (ParamOutOfRange otherwise).
+    A map no reading accepts is NotPreserving with a witness whose Schmidt
+    evidence shows the violation (see the module docstring); when no
+    constructive stage finds one, a random search over a fixed stream
+    does, and when that fails too the witness is None.  The whole verdict,
+    witness included, depends on the map and tol alone; tol must lie in
+    (0, 1) (ParamOutOfRange otherwise).
 
     The factor rank test can differ from the map's own only near tol: the fit
     residual, at most tol * ||L||_F, can move s_min(L) and s_max(L) that

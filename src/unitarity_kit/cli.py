@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -155,37 +156,17 @@ def _base_report(command: str, tolerances: dict) -> dict:
     }
 
 
-def _witness_dict(w: Witness) -> dict:
-    ev = w.evidence
-    return {
-        "kind": w.kind,
-        "state": complex_to_pairs(w.state),
-        "evidence": {
-            "input_coefficients": [float(x) for x in ev.input_coefficients],
-            "input_rank": ev.input_rank,
-            "input_shape": list(ev.input_shape),
-            "image_coefficients": [float(x) for x in ev.image_coefficients],
-            "image_rank": ev.image_rank,
-            "image_shape": list(ev.image_shape),
-        },
-    }
-
-
-def _quant_dict(verdict) -> dict:
-    out = {"measure": verdict.measure, "preserved": verdict.preserved}
-    if verdict.certificate is not None:
-        out["certificate"] = {
-            "scalar": verdict.certificate.scalar,
-            "unitary_a": complex_to_pairs(verdict.certificate.unitary_a),
-            "unitary_b": complex_to_pairs(verdict.certificate.unitary_b),
-        }
-    if verdict.witness is not None:
-        out["witness"] = {
-            "state": complex_to_pairs(verdict.witness.state),
-            "value_in": verdict.witness.value_in,
-            "value_out": verdict.witness.value_out,
-        }
-    return out
+def _jsonable(x):
+    """x for json.dumps: a dataclass as a dict of its fields in field order,
+    None fields left out; a complex array as [re, im] pairs, a real one as a
+    list of floats; a tuple as a list; anything else as it is."""
+    if is_dataclass(x):
+        return {f.name: _jsonable(v) for f in fields(x) if (v := getattr(x, f.name)) is not None}
+    if isinstance(x, np.ndarray):
+        return complex_to_pairs(x) if np.iscomplexobj(x) else x.tolist()
+    if isinstance(x, tuple):
+        return [_jsonable(v) for v in x]
+    return x
 
 
 def _print_witness_human(w: Witness) -> None:
@@ -217,7 +198,7 @@ def _cmd_classify(args) -> int:
     report["verdict"] = {
         "kind": verdict.kind,
         "detail": verdict.detail,
-        "output_shape": list(verdict.output_shape) if verdict.output_shape else None,
+        "output_shape": _jsonable(verdict.output_shape),
         "reconstruction_error": verdict.reconstruction_error,
         "rank_ratio": verdict.rank_ratio,
     }
@@ -225,11 +206,11 @@ def _cmd_classify(args) -> int:
         report["verdict"]["factor_a"] = complex_to_pairs(verdict.a)
         report["verdict"]["factor_b"] = complex_to_pairs(verdict.b)
     if verdict.witness is not None:
-        report["verdict"]["witness"] = _witness_dict(verdict.witness)
+        report["verdict"]["witness"] = _jsonable(verdict.witness)
     if verdict.kind != KIND_NOT_PRESERVING:
         report["quantitative"] = {
-            "E1": _quant_dict(check_E1(verdict.a, verdict.b, tol=args.tol)),
-            "E2": _quant_dict(check_E2(verdict.a, verdict.b, tol=args.tol)),
+            "E1": _jsonable(check_E1(verdict.a, verdict.b, tol=args.tol)),
+            "E2": _jsonable(check_E2(verdict.a, verdict.b, tol=args.tol)),
         }
 
     if args.json:
@@ -264,14 +245,7 @@ def _cmd_verify_entropy(args) -> int:
     if verdict.unitary is not None:
         report["verdict"]["unitary"] = complex_to_pairs(verdict.unitary)
     if verdict.witness is not None:
-        w = verdict.witness
-        report["verdict"]["witness"] = {
-            "phi1": complex_to_pairs(w.phi1),
-            "phi2": complex_to_pairs(w.phi2),
-            "p": w.p,
-            "entropy_in": w.entropy_in,
-            "entropy_out": w.entropy_out,
-        }
+        report["verdict"]["witness"] = _jsonable(verdict.witness)
 
     if args.json:
         print(json.dumps(report, indent=2))
@@ -311,7 +285,7 @@ def _cmd_schmidt(args) -> int:
         report = _base_report("schmidt", {"tol": args.tol})
         report["input"] = args.path
         report["rank"] = dec.rank
-        report["coefficients"] = [float(x) for x in dec.coefficients]
+        report["coefficients"] = _jsonable(dec.coefficients)
         if args.bases:
             report["left_vectors"] = complex_to_pairs(dec.left_vectors)
             report["right_vectors"] = complex_to_pairs(dec.right_vectors)
@@ -433,8 +407,6 @@ def main(argv=None) -> int:
     except UnitarityKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,8 +1,9 @@
 """Seeded random instance generators for property tests and the CLI.
 
-All generators accept either an integer seed or a numpy Generator.  Streams
-are split by deriving child generators from (seed, stream-id); identical
-seeds reproduce identical outputs within one build.
+All generators accept either an integer seed or a numpy Generator, which
+np.random.default_rng passes through unchanged.  Streams are split by
+deriving child generators from (seed, stream-id); identical seeds
+reproduce identical outputs within one build.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from .schmidt import as_shape, swap_operator
 
 # Recorded in reports so a run can be reproduced bit-for-bit.
 PRNG_NAME = "numpy-PCG64"
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Accepts an int seed or an existing Generator (passed through)."""
-    return np.random.default_rng(seed)
 
 
 def split_rng(seed: int, stream: int) -> np.random.Generator:
@@ -39,7 +35,7 @@ def haar_unitary(d: int, seed=0) -> np.ndarray:
     """
     if d < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {d}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(_ginibre(rng, d, d))
     diag = np.diagonal(r)
     phases = diag / np.abs(diag)
@@ -54,7 +50,7 @@ def random_invertible(d: int, seed=0, cond_cap: float = 1e3) -> np.ndarray:
     """
     if cond_cap < 1.0:
         raise ParamOutOfRange(f"cond_cap must be >= 1, got {cond_cap}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     u = haar_unitary(d, rng)
     v = haar_unitary(d, rng)
     s = rng.uniform(1.0 / cond_cap, 1.0, size=d)
@@ -65,7 +61,7 @@ def random_pure_state(d: int, seed=0) -> np.ndarray:
     """Haar-uniform unit vector in C^d."""
     if d < 1:
         raise ParamOutOfRange(f"dimension must be >= 1, got {d}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     v = _ginibre(rng, d, 1)[:, 0]
     return v / np.linalg.norm(v)
 
@@ -78,7 +74,7 @@ def random_density(d: int, rank: int, seed=0) -> np.ndarray:
     """
     if not 1 <= rank <= d:
         raise ParamOutOfRange(f"rank must be in [1, {d}], got {rank}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(_ginibre(rng, d, rank))
     w = rng.uniform(0.1, 1.0, size=rank)
     w /= w.sum()
@@ -95,7 +91,7 @@ def random_local_map(shape, swap: bool = False, seed=0, cond_cap: float = 1e3):
     from .classifier import BipartiteMap
 
     shape = as_shape(shape)
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     if swap:
         a = random_invertible(shape.m, rng, cond_cap)
         b = random_invertible(shape.n, rng, cond_cap)
@@ -127,7 +123,7 @@ def random_schmidt_rank_state(shape, rank: int, seed=0) -> np.ndarray:
     shape = as_shape(shape)
     if not 1 <= rank <= min(shape.n, shape.m):
         raise ParamOutOfRange(f"rank must be in [1, {min(shape.n, shape.m)}], got {rank}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     qa, _ = np.linalg.qr(_ginibre(rng, shape.n, rank))
     qb, _ = np.linalg.qr(_ginibre(rng, shape.m, rank))
     lam = rng.uniform(0.5, 1.0, size=rank)
@@ -149,7 +145,7 @@ def perturb(bmap, eps: float, seed=0):
         raise ParamOutOfRange(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
         return BipartiteMap(matrix=bmap.matrix.copy(), shape=bmap.shape)
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = _ginibre(rng, *bmap.matrix.shape)
     g /= np.linalg.norm(g)
     scale = np.linalg.norm(bmap.matrix)

@@ -96,9 +96,10 @@ def svd(m) -> SVDResult:
 
 
 def singular_values(m) -> np.ndarray:
-    m = as_matrix(m)
+    """Singular values, non-increasing, of a matrix or of each matrix in a
+    stack (last two axes), values only, computed in complex128."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
@@ -106,10 +107,11 @@ def singular_values(m) -> np.ndarray:
 def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above rel_tol times the largest one.
 
-    The zero matrix has rank 0.  rel_tol must lie in (0, 1).
+    The zero matrix has rank 0.  rel_tol must lie in (0, 1), and m must be
+    a matrix (ShapeMismatch otherwise).
     """
     rel_tol = tolerance(rel_tol)
-    s = singular_values(m)
+    s = singular_values(as_matrix(m))
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -193,6 +193,34 @@ def test_kernel_entangled_map_makes_no_full_svd_of_the_map(monkeypatch):
     assert witness_checks_out(bmap, v.witness)
 
 
+def near_singular_local_maps():
+    """A x B maps, A with s_min / s_max in {0, 1e-12, 1e-9, 1e-7} and
+    complex Gaussian directions, shapes from (2, 2) to (4, 4)."""
+    rng = np.random.default_rng(99)
+    for k in range(200):
+        n, m = (int(x) for x in rng.integers(2, 5, size=2))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        u, s, vh = np.linalg.svd(a)
+        s = s / s[0]
+        s[-1] = (0.0, 1e-12, 1e-9, 1e-7)[k % 4]
+        yield BipartiteMap(kron((u * s) @ vh, b), BipartiteShape(n, m))
+
+
+def test_rank_deficient_local_map_witness_reverifies():
+    # the kernel vector is a product; near the rank gate neither the
+    # equal-weight combination nor the partner product state need check out
+    rejects = 0
+    for bmap in near_singular_local_maps():
+        v = classify(bmap)
+        if v.kind != KIND_NOT_PRESERVING:
+            continue
+        rejects += 1
+        assert v.witness is not None and v.detail == "map is rank deficient"
+        assert witness_reverifies(bmap, v.witness)
+    assert rejects > 100
+
+
 # ---------------------------------------------------------------------------
 # image table and case detection
 

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from unitarity_kit.classifier import BipartiteMap, classify
 from unitarity_kit.cli import main
-from unitarity_kit.mapfile import KIND_STATE, save_map_file
+from unitarity_kit.entropy_dynamics import Superoperator, analyze
+from unitarity_kit.generators import haar_unitary
+from unitarity_kit.linalg import kron
+from unitarity_kit.mapfile import KIND_BIPARTITE_MAP, KIND_STATE, load_map_file, save_map_file
+from unitarity_kit.quantitative import check_E1, check_E2
 from unitarity_kit.schmidt import schmidt_rank
 
 
@@ -219,6 +225,61 @@ def test_verify_entropy_depolarizer(capsys, tmp_path):
     assert code == 3
     witness = json.loads(out)["verdict"]["witness"]
     assert abs(witness["entropy_out"] - 0.8112781244591328) <= 1e-6
+
+
+def assert_record_matches(record, obj):
+    """record, a --json object, holds exactly obj's non-None dataclass
+    fields, in field order, with the same values."""
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None]
+        assert list(record) == names
+        for name in names:
+            assert_record_matches(record[name], getattr(obj, name))
+    elif isinstance(obj, np.ndarray):
+        pairs = np.asarray(record, dtype=float)
+        if np.iscomplexobj(obj):
+            pairs = pairs[..., 0] + 1j * pairs[..., 1]
+        np.testing.assert_array_equal(pairs, obj)
+    elif isinstance(obj, tuple):
+        assert record == list(obj)
+    else:
+        assert record == obj
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("cnot", ()), ("local", ("3", "3")), ("swap_local", ("2", "3")), ("scaled_unitary", ())],
+)
+def test_classify_json_objects_are_the_result_dataclasses(capsys, tmp_path, kind, params):
+    if kind == "scaled_unitary":
+        # E1 holds (a certificate) and E2 fails (a witness)
+        path = str(tmp_path / "scaled_unitary.json")
+        save_map_file(path, KIND_BIPARTITE_MAP, (2, 3), kron(2 * haar_unitary(2, 1), haar_unitary(3, 2)))
+    else:
+        path = gen(capsys, tmp_path, kind, *params)
+    code, out, _ = run(capsys, ["classify", path, "--json"])
+    report = json.loads(out)
+    loaded = load_map_file(path)
+    verdict = classify(BipartiteMap(loaded.array, loaded.shape))
+    if verdict.witness is not None:
+        assert code == 3 and "quantitative" not in report
+        assert_record_matches(report["verdict"]["witness"], verdict.witness)
+        return
+    assert code == 0 and "witness" not in report["verdict"]
+    for name, check in (("E1", check_E1), ("E2", check_E2)):
+        assert_record_matches(report["quantitative"][name], check(verdict.a, verdict.b))
+    if kind == "scaled_unitary":
+        assert "certificate" in report["quantitative"]["E1"]
+        assert "witness" in report["quantitative"]["E2"]
+
+
+def test_verify_entropy_json_witness_is_the_result_dataclass(capsys, tmp_path):
+    path = gen(capsys, tmp_path, "superop_depolarize", "2")
+    code, out, _ = run(capsys, ["verify-entropy", path, "--json"])
+    assert code == 3
+    loaded = load_map_file(path)
+    verdict = analyze(Superoperator(loaded.array, loaded.shape))
+    assert_record_matches(json.loads(out)["verdict"]["witness"], verdict.witness)
 
 
 def test_gen_unitary_is_generically_rejected(capsys, tmp_path):
