@@ -22,7 +22,6 @@ from .classifier import (
     KIND_LOCAL,
     KIND_NOT_PRESERVING,
     KIND_SWAP_LOCAL,
-    WITNESS_ENTANGLED_TO_PRODUCT,
     WITNESS_KERNEL,
     WITNESS_NONFACTORIZABLE_PHASE,
     WITNESS_PRODUCT_TO_ENTANGLED,
@@ -89,8 +88,6 @@ def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = 1e-8) 
         return in_rank >= 2 and img_rank < in_rank and img_rank <= 1
     if witness.kind in (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE):
         return in_rank == 1 and img_rank >= 2
-    if witness.kind == WITNESS_ENTANGLED_TO_PRODUCT:
-        return in_rank >= 2 and img_rank <= 1
     return False
 
 

@@ -16,14 +16,18 @@ check of the whole map, whose kernel vector is the witness.  The second
 gets its witness from the constructive stages of the paper's argument
 (product images of the product basis, the parallelism pattern of the image
 factors, extraction of the local factors and a rank-1 factorization of the
-leftover phase/length grid), then from the rank check once more before the
-random search.  Every witness carries the Schmidt data of its state and of
-its image (_evidence), and a stage returns it only when those ranks show
-the violation, with two exceptions that the construction proves: an
-entangled basis image, whose rank the image table's spectrum decided, and
-an entangled kernel vector, which the map annihilates.  No independent
-re-check runs before a witness is returned; acceptance.witness_reverifies
-is that check.
+leftover phase/length grid), then from the rank check once more, and last
+from a deterministic search over product states.  By the paper's theorem an
+invertible map that sends every product state to a product is Local or
+SwapLocal, so a full-rank reject has a product state with an entangled
+image and a rank-deficient one has its kernel: a witness makes one of
+those two claims, and classify draws no random numbers.  Every witness
+carries the Schmidt data of its state and of its image (_evidence), and a
+stage returns it only when those ranks show the violation, with two
+exceptions that the construction proves: an entangled basis image, whose
+rank the image table's spectrum decided, and an entangled kernel vector,
+which the map annihilates.  No independent re-check runs before a witness
+is returned; acceptance.witness_reverifies is that check.
 
 The reject path avoids full decompositions where a cheaper certificate
 exists.  The rank check reads the map's values-only spectrum, cached on
@@ -36,6 +40,10 @@ SVD.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
+As every SwapLocal map entangles some product states in the own layout
+(n, m), a product-state witness of an n != m map shows an entangled image
+in both layouts; only the partner state of a product kernel vector, on a
+rank-deficient map, is judged in (n, m) alone.
 
 Every decision is made on one copy of the map, L * 2^-k, with k the binary
 exponent of its largest real or imaginary part, which the constructor reads
@@ -55,7 +63,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParamOutOfRange, ShapeMismatch
-from .generators import random_schmidt_rank_state, split_rng
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_matrix,
@@ -73,11 +80,13 @@ KIND_NOT_PRESERVING = "NotPreserving"
 
 WITNESS_KERNEL = "KernelVector"
 WITNESS_PRODUCT_TO_ENTANGLED = "ProductToEntangled"
-WITNESS_ENTANGLED_TO_PRODUCT = "EntangledToProduct"
 WITNESS_NONFACTORIZABLE_PHASE = "NonFactorizablePhase"
 
 CASE_I = "I"
 CASE_II = "II"
+
+# sweeps of the product-state search per output layout
+PRODUCT_SEARCH_SWEEPS = 4
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,9 @@ class BipartiteMap:
     must not be mutated after construction.  classify reads the copy on
     every map; it reads the spectrum on the reject path alone: in the rank
     check, which runs where a reading fits but its rank ratio fails and
-    before the random search, and for the 2-norm of an image too small for
-    the vanishing test's Frobenius bound.  A full SVD runs only on a
-    rank-deficient map, for its kernel vector.
+    before the product-state search, and for the 2-norm of an image too
+    small for the vanishing test's Frobenius bound.  A full SVD runs only on
+    a rank-deficient map, for its kernel vector.
     """
 
     matrix: np.ndarray
@@ -507,12 +516,14 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
 
 
 def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: float) -> Witness | None:
-    """Search basis pairs for a verified preservation violation.
+    """The first same-row or same-column basis pair whose image factors are
+    both non-parallel and whose product state (|p> + |q>) / sqrt(2) has an
+    image of Schmidt rank >= 2 in the table's layout, in row-then-column
+    order; None when no pair shows it.
 
-    A same-row or same-column pair whose image factors are both
-    non-parallel sends a product state to a rank-2 image; a both-indices
-    differ pair with a parallel factor sends a rank-2 state to a product.
-    When the parallelism cascade fails, one of these must exist.
+    Such a pair exists wherever the parallelism pattern fails on a
+    full-rank map; a rank-deficient map may offer only an entangled state
+    with a product image, and gets its witness from the rank check instead.
     """
     n, m = table.shape_in.n, table.shape_in.m
     out = table.shape_out
@@ -540,32 +551,77 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
         ev = _evidence(bmap, state, out, tol)
         if ev.input_rank == 1 and ev.image_rank >= 2:
             return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
-    # both indices differ and some factor is parallel, in (i, k, j, l) order
-    joined = ~apart.transpose(0, 2, 1, 3)
-    joined[rows, rows] = False
-    joined[:, :, cols, cols] = False
-    for i, k, j, l in np.argwhere(joined):
-        state = pair_state(i * m + j, k * m + l)
-        ev = _evidence(bmap, state, out, tol)
-        if ev.input_rank >= 2 and ev.image_rank <= 1:
-            return Witness(WITNESS_ENTANGLED_TO_PRODUCT, state, ev)
     return None
 
 
-def _random_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
-    """Fallback: product and rank-2 states from a fixed stream through the map."""
-    rng = split_rng(0, 11)
+def _image_ratio(image: np.ndarray, layouts) -> float:
+    """The smallest s_2 / s_1 of an image over the given output layouts; 0.0
+    for the zero image."""
+    spectra = [singular_values(image.reshape(out.n, out.m)) for out in layouts]
+    return float(min(s[1] / s[0] if s[0] > 0.0 else 0.0 for s in spectra))
+
+
+def _entangled_in_both_layouts(bmap: BipartiteMap, witness: Witness, tol: float) -> bool:
+    """Whether a product-to-entangled witness's image is entangled in the
+    flipped layout too; always true for n == m.  The rank is read off the
+    unit-scale image and no coefficient is scaled back."""
+    if bmap.shape.n == bmap.shape.m:
+        return True
+    other = witness.evidence.image_shape[::-1]
+    return bool(_schmidt_ranks(singular_values((bmap._unit @ witness.state).reshape(other)), tol) >= 2)
+
+
+def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
+    """Backstop: a product state a x b whose image is entangled in every
+    output layout, by a fixed alternating ascent; None when none is found.
+
+    From a ~ (1, ..., n), b ~ (1, ..., m), each half-step fixes one factor
+    and sets the other to the maximiser of ||P X Q||_F / ||X||_F, with X the
+    image as a matrix in the layout being refined and P, Q the projectors
+    off the current image's top singular pair.  With W = QR the stacked
+    images of that factor's basis kets, the maximiser is R^+ c, c the top
+    right singular vector of (P W Q) R^+; the pseudo-inverse keeps a
+    singular R, and a factor that would vanish stays as it was.
+    PRODUCT_SEARCH_SWEEPS sweeps run in the layout (n, m), and as many in
+    (m, n) when n != m.  The witness is the visited state whose smallest
+    s_2 / s_1 over every layout is largest, once that exceeds tol and its
+    evidence confirms the claim.
+    """
     shape = bmap.shape
-    shapes_out = [shape] if shape.n == shape.m else [shape, shape.flipped()]
-    for _ in range(200):
-        state = random_schmidt_rank_state(shape, 1, rng)
-        evs = [_evidence(bmap, state, out, tol) for out in shapes_out]
-        if all(ev.image_rank >= 2 for ev in evs):
-            return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, evs[0])
-        state = random_schmidt_rank_state(shape, 2, rng)
-        evs = [_evidence(bmap, state, out, tol) for out in shapes_out]
-        if all(ev.image_rank <= 1 for ev in evs):
-            return Witness(WITNESS_ENTANGLED_TO_PRODUCT, state, evs[0])
+    n, m = shape.n, shape.m
+    layouts = [shape] if n == m else [shape, shape.flipped()]
+    # columns[i, j] is the unit-scale image of |i, j>
+    columns = bmap._unit.T.reshape(n, m, shape.dim)
+    ramps = [np.arange(1.0, d + 1, dtype=complex) for d in (n, m)]
+    start = [f / np.linalg.norm(f) for f in ramps]
+    best = np.kron(*start)
+    best_ratio = _image_ratio(bmap._unit @ best, layouts)
+    for out in layouts:
+        factors = list(start)
+        for step in range(2 * PRODUCT_SEARCH_SWEEPS):
+            side = step % 2
+            # rows[k]: the image of the refined factor's k-th basis ket
+            # times the fixed factor
+            rows = np.tensordot(factors[1 - side], columns, axes=(0, 1 - side))
+            res = svd((factors[side] @ rows).reshape(out.n, out.m))
+            u1, v1h = res.left_basis[:, 0], res.right_basis[0, :]
+            p = np.eye(out.n) - np.outer(u1, u1.conj())
+            q = np.eye(out.m) - np.outer(v1h.conj(), v1h)
+            off_top = (p @ rows.reshape(-1, out.n, out.m) @ q).reshape(len(rows), -1)
+            r_plus = np.linalg.pinv(np.linalg.qr(rows.T, mode="r"))
+            f = r_plus @ svd(off_top.T @ r_plus).right_basis[0, :].conj()
+            norm = np.linalg.norm(f)
+            if norm > 0.0:
+                factors[side] = f / norm
+            ratio = _image_ratio(factors[side] @ rows, layouts)
+            if ratio > best_ratio:
+                best, best_ratio = np.kron(*factors), ratio
+    if not best_ratio > tol:
+        return None
+    ev = _evidence(bmap, best, shape, tol)
+    witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, best, ev)
+    if ev.input_rank == 1 and ev.image_rank >= 2 and _entangled_in_both_layouts(bmap, witness, tol):
+        return witness
     return None
 
 
@@ -622,12 +678,18 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
     The first witness found, in reading order: the image table of the map's
     own layout (a vanishing basis image, a product kernel vector, gives its
     _kernel_witness when that finds one; an entangled one is its own
-    witness), then that
-    reading's phase grid of a matching parallelism pattern, then the
-    relabeled reading's table and grid.  Then the basis-pair parallelism
-    scan of every table built; then check_full_rank, on the cached
-    spectrum; last the random search."""
+    witness), then that reading's phase grid of a matching parallelism
+    pattern, then the relabeled reading's table and grid.  Then the
+    basis-pair parallelism scan of every table built; then check_full_rank,
+    on the cached spectrum; last the product-state search.  For n != m a
+    product-to-entangled witness of these stages is taken only when its
+    image is entangled in both layouts (a SwapLocal map entangles product
+    states in the own layout too); otherwise the search goes on."""
     shape = bmap.shape
+
+    def refutes(witness: Witness | None) -> bool:
+        return witness is not None and _entangled_in_both_layouts(bmap, witness, tol)
+
     # the relabeled reading's output layout is (m, n), the same table when n == m
     tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
     for out_shape, case in ((shape, CASE_I), (shape.flipped(), CASE_II)):
@@ -641,7 +703,9 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
             if case == CASE_II:
                 continue
             if table.kind != WITNESS_KERNEL:
-                return table, False
+                if refutes(table):
+                    return table, False
+                continue
             witness = _kernel_witness(bmap, table.state, tol)
             if witness is not None:
                 return witness, True
@@ -651,17 +715,18 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
         factored = factor_phase_grid(extract_factors(table, case)[2], tol)
         if isinstance(factored, Witness):
             ev = _evidence(bmap, factored.state, out_shape, tol)
-            if ev.input_rank == 1 and ev.image_rank >= 2:
-                return Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev), False
+            witness = Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
+            if ev.input_rank == 1 and ev.image_rank >= 2 and refutes(witness):
+                return witness, False
     for table in tables.values():
         if not isinstance(table, Witness):
             witness = _parallelism_witness(bmap, table, tol)
-            if witness is not None:
+            if refutes(witness):
                 return witness, False
     deficient = check_full_rank(bmap, tol)
     if deficient is not None:
         return deficient, True
-    return _random_search_witness(bmap, tol), False
+    return _product_search_witness(bmap, tol), False
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
@@ -683,8 +748,8 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     vector, the last right singular vector of one full SVD.  Otherwise,
     and where the rank check finds full rank after all (near tol, below),
     the constructive stages search for it (_search_witness), with the rank
-    check once more before the random search.  A map whose witness comes
-    from an entangled basis image, the phase grid or the parallelism scan
+    check once more before the product-state search.  A map whose witness
+    comes from an entangled basis image, the phase grid or the parallelism scan
     never computes its spectrum unless some witness image falls below the
     vanishing test's Frobenius bound; the image table certifies rank 1 by
     a rank-1 fit and runs no full SVD.  detail reads "map is rank
@@ -692,11 +757,13 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     KernelVector, or the partner product state of a product kernel vector.
 
     A map no reading accepts is NotPreserving with a witness whose Schmidt
-    evidence shows the violation (see the module docstring); when no
-    constructive stage finds one, a random search over a fixed stream
-    does, and when that fails too the witness is None.  The whole verdict,
-    witness included, depends on the map and tol alone; tol must lie in
-    (0, 1) (ParamOutOfRange otherwise).
+    evidence shows the violation (see the module docstring): a kernel
+    state, or a product state with an entangled image.  When no
+    constructive stage finds one, the product-state search does; when that
+    fails too the witness is None and detail ends in "; no witness found".
+    No random number is drawn: the whole verdict, witness included, depends
+    on the map and tol alone; tol must lie in (0, 1) (ParamOutOfRange
+    otherwise).
 
     The factor rank test can differ from the map's own only near tol: the fit
     residual, at most tol * ||L||_F, can move s_min(L) and s_max(L) that
@@ -737,4 +804,6 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
             return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail="map is rank deficient")
     witness, deficient = _search_witness(bmap, tol)
     detail = "map is rank deficient" if deficient else "no local or swap-local decomposition fits"
+    if witness is None:
+        detail += "; no witness found"
     return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=detail)

@@ -9,10 +9,11 @@ human-readable or JSON report.  Exit codes are stable API:
     3  not preserving
     4  internal error (also: selfcheck found a failing criterion)
 
-Only `gen` takes a seed (--seed, default 0); the witness searches use fixed
-streams, so a report depends only on the input and --tol, which must lie
-in (0, 1).  A file entry that is not a JSON number (a bool, a string, null,
-a non-finite value or an integer beyond float range) is a parse error.
+Only `gen` takes a seed (--seed, default 0); `classify` draws no random
+numbers and the probes of `verify-entropy` come from one fixed stream, so a
+report depends only on the input and --tol, which must lie in (0, 1).  A
+file entry that is not a JSON number (a bool, a string, null, a non-finite
+value or an integer beyond float range) is a parse error.
 """
 
 from __future__ import annotations

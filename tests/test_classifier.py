@@ -60,8 +60,6 @@ def witness_checks_out(bmap: BipartiteMap, w: Witness) -> bool:
         img_rank = schmidt_rank(img, w.evidence.image_shape)
     if w.kind == WITNESS_KERNEL:
         return in_rank >= 2 and img_rank <= 1
-    if w.kind == "EntangledToProduct":
-        return in_rank >= 2 and img_rank <= 1
     return in_rank == 1 and img_rank >= 2
 
 
@@ -521,17 +519,22 @@ def test_verdict_near_tolerance_does_not_depend_on_seed():
 
 
 def test_classify_reject_is_deterministic(monkeypatch):
-    # just above tol no constructive stage finds a witness, so the random
-    # search does; it draws from a fixed stream, the same on every call
+    # just above tol no constructive stage finds a witness, so the
+    # product-state search does; it draws no random numbers and gives the
+    # same witness on every call
     bmap = perturb(random_local_map((2, 2), seed=1007, cond_cap=1e3), 1.5e-8, seed=32)
     found = []
-    search = classifier._random_search_witness
+    search = classifier._product_search_witness
 
     def recorded_search(*args):
         found.append(search(*args))
         return found[-1]
 
-    monkeypatch.setattr(classifier, "_random_search_witness", recorded_search)
+    def no_rng(*args, **kwargs):
+        raise AssertionError("classify drew random numbers")
+
+    monkeypatch.setattr(classifier, "_product_search_witness", recorded_search)
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
     v1, v2 = classify(bmap), classify(bmap)
     assert len(found) == 2 and found[0] is v1.witness
     assert v1.kind == v2.kind == KIND_NOT_PRESERVING
@@ -546,6 +549,84 @@ def test_classify_reject_is_deterministic(monkeypatch):
 def test_classify_has_no_seed():
     with pytest.raises(TypeError):
         classify(cnot_map(), seed=1)
+
+
+def entangled_in_every_layout(bmap: BipartiteMap, state: np.ndarray) -> bool:
+    image = bmap.matrix @ state
+    n, m = bmap.shape.n, bmap.shape.m
+    return all(schmidt_rank(image, out) >= 2 for out in {(n, m), (m, n)})
+
+
+def controlled_shift(n: int, m: int) -> np.ndarray:
+    """|i, j> -> |i, j + i mod m>: the generalized CNOT on n x m."""
+    c = np.zeros((n * m, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(m):
+            c[i * m + (i + j) % m, i * m + j] = 1.0
+    return c
+
+
+def search_maps():
+    """Maps every product-state search must refute: generalized CNOTs and
+    their transposes, controlled-phase diagonals and Haar unitaries."""
+    for n in range(2, 5):
+        for m in range(2, 9):
+            shape = BipartiteShape(n, m)
+            cnot = controlled_shift(n, m)
+            phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(m)).ravel() / (n * m))
+            yield pytest.param(BipartiteMap(cnot, shape), id=f"cnot-{n}x{m}")
+            yield pytest.param(BipartiteMap(cnot.T, shape), id=f"cnot-transposed-{n}x{m}")
+            yield pytest.param(BipartiteMap(np.diag(phases), shape), id=f"cphase-{n}x{m}")
+            yield pytest.param(BipartiteMap(haar_unitary(n * m, seed=10 * n + m), shape), id=f"haar-{n}x{m}")
+
+
+@pytest.mark.parametrize("bmap", search_maps())
+def test_product_search_finds_a_witness_entangled_in_every_layout(bmap):
+    w = classifier._product_search_witness(bmap, 1e-8)
+    assert w is not None and w.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    assert w.evidence.input_rank == 1 and w.evidence.image_rank >= 2
+    assert witness_reverifies(bmap, w)
+    assert entangled_in_every_layout(bmap, w.state)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e-12, 1e-3])
+@pytest.mark.parametrize("seed", range(4))
+def test_product_search_on_a_singular_product_map_finds_nothing(ratio, seed):
+    # A (x) B sends every product state to a product, so no witness exists;
+    # with A singular the search's triangular factors are singular too
+    u, s, vh = np.linalg.svd(random_invertible(2, seed=seed))
+    s[-1] = ratio * s[0]
+    bmap = BipartiteMap(kron((u * s) @ vh, random_invertible(3, seed=seed + 7)), BipartiteShape(2, 3))
+    w = classifier._product_search_witness(bmap, 1e-8)
+    assert w is None or witness_reverifies(bmap, w) and entangled_in_every_layout(bmap, w.state)
+
+
+def test_product_search_on_the_zero_map_finds_nothing():
+    zero = BipartiteMap(np.zeros((6, 6), dtype=complex), BipartiteShape(2, 3))
+    assert classifier._product_search_witness(zero, 1e-8) is None
+
+
+def test_classify_without_a_witness_says_so(monkeypatch):
+    bmap = perturb(random_local_map((2, 2), seed=1007, cond_cap=1e3), 1.5e-8, seed=32)
+    monkeypatch.setattr(classifier, "_product_search_witness", lambda *args: None)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.witness is None
+    assert v.detail == "no local or swap-local decomposition fits; no witness found"
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("eps", [1.5e-8, 2e-8])
+def test_uneven_witnesses_refute_both_layouts(shape, eps):
+    # every SwapLocal map entangles product states in its own layout, so a
+    # witness of an n != m map must be entangled in (m, n) as well
+    for s in range(15):
+        bmap = perturb(random_local_map(shape, swap=True, seed=s), eps, seed=s + 1000)
+        v = classify(bmap)
+        if v.kind != KIND_NOT_PRESERVING:
+            continue
+        assert witness_reverifies(bmap, v.witness)
+        if v.witness.kind != WITNESS_KERNEL:
+            assert entangled_in_every_layout(bmap, v.witness.state)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-180, 1e200, 1e300])
@@ -1053,17 +1134,6 @@ def reference_parallelism_witness(bmap, table, tol):
                     ev = _evidence(bmap, state, out, tol)
                     if ev.input_rank == 1 and ev.image_rank >= 2:
                         return WITNESS_PRODUCT_TO_ENTANGLED, state
-    for i in range(n):
-        for k in range(n):
-            for j in range(m):
-                for l in range(m):
-                    if k == i or l == j:
-                        continue
-                    if parallel(d[i, j], d[k, l]) or parallel(e[i, j], e[k, l]):
-                        state = ket(i * m + j, k * m + l)
-                        ev = _evidence(bmap, state, out, tol)
-                        if ev.input_rank >= 2 and ev.image_rank <= 1:
-                            return "EntangledToProduct", state
     return None
 
 
@@ -1081,8 +1151,8 @@ def product_image_maps():
                 for _ in range(n * m)
             ]
             yield BipartiteMap(np.array(cols).T, BipartiteShape(n, m))
-    # one factor the same for every image: only a both-indices-differ pair
-    # can witness, by mapping an entangled state to a product
+    # one factor the same for every image: no basis pair witnesses (only an
+    # entangled state with a product image, which the rank check covers)
     for n, m in [(2, 2), (2, 3), (3, 3)]:
         pool_b = [haar_unitary(m, rng)[:, 0] for _ in range(2)]
         cols = [np.kron(np.eye(n)[0], pool_b[(i + j) % 2]) for i in range(n) for j in range(m)]
@@ -1111,4 +1181,4 @@ def test_parallelism_scan_matches_loop_reference():
             assert w.kind == ref[0]
             np.testing.assert_array_equal(w.state, ref[1])
             kinds.add(w.kind)
-    assert kinds == {WITNESS_PRODUCT_TO_ENTANGLED, "EntangledToProduct"}
+    assert kinds == {WITNESS_PRODUCT_TO_ENTANGLED}

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from unitarity_kit import classifier
 from unitarity_kit.classifier import BipartiteMap, classify
 from unitarity_kit.cli import main
 from unitarity_kit.entropy_dynamics import Superoperator, analyze
-from unitarity_kit.generators import haar_unitary
+from unitarity_kit.generators import haar_unitary, perturb, random_local_map
 from unitarity_kit.linalg import kron
 from unitarity_kit.mapfile import KIND_BIPARTITE_MAP, KIND_STATE, load_map_file, save_map_file
 from unitarity_kit.quantitative import check_E1, check_E2
@@ -83,6 +84,19 @@ def test_classify_report_witness_reverifies(capsys, tmp_path):
     image = matrix @ state
     image_shape = tuple(witness["evidence"]["image_shape"])
     assert schmidt_rank(image, image_shape) == witness["evidence"]["image_rank"] == 2
+
+
+def test_classify_report_without_a_witness_says_so(capsys, tmp_path, monkeypatch):
+    # a map just above tol reaches the product-state search, patched to fail
+    bmap = perturb(random_local_map((2, 2), seed=1007, cond_cap=1e3), 1.5e-8, seed=32)
+    path = tmp_path / "near_tol.json"
+    save_map_file(path, KIND_BIPARTITE_MAP, (2, 2), bmap.matrix)
+    monkeypatch.setattr(classifier, "_product_search_witness", lambda *args: None)
+    code, out, _ = run(capsys, ["classify", str(path), "--json"])
+    assert code == 3
+    verdict = json.loads(out)["verdict"]
+    assert verdict["detail"] == "no local or swap-local decomposition fits; no witness found"
+    assert "witness" not in verdict
 
 
 def test_malformed_json_exits_1(capsys, tmp_path):

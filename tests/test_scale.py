@@ -68,6 +68,9 @@ BIPARTITE = {
     "haar": lambda: (haar_unitary(4, seed=23), (2, 2)),
     "kernel-entangled": lambda: (_kernel_map(2, 3, seed=11, entangled=True), (2, 3)),
     "kernel-product": lambda: (_kernel_map(3, 2, seed=12, entangled=False), (3, 2)),
+    # just above tol: no constructive stage refutes both layouts, the
+    # product-state search does
+    "near-tol": lambda: (perturb(random_local_map((3, 2), swap=True, seed=0), 1.5e-8, seed=1000).matrix, (3, 2)),
 }
 
 
