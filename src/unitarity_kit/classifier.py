@@ -657,10 +657,11 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     deficit = 1.0 - np.vdot(va, va).real / total
     if deficit > tol:
         return None, None, float(np.sqrt(deficit))
-    # the residual R - vec(A) vec(B)^T goes into R itself, n rows at a time,
-    # so no second n^2 x m^2 array is made
-    for rows in range(0, n * n, n):
-        r[rows : rows + n] -= np.outer(va[rows : rows + n], vb)
+    # the residual R - vec(A) vec(B)^T goes into R itself, in blocks of at
+    # least n rows and about 4096 entries, so no second n^2 x m^2 array is made
+    block = max(n, 4096 // (m * m))
+    for rows in range(0, n * n, block):
+        r[rows : rows + block] -= np.outer(va[rows : rows + block], vb)
     err = float(np.sqrt(np.vdot(r, r).real / total))
     if not err <= tol:
         return None, None, err

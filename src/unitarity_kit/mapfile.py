@@ -40,9 +40,12 @@ class LoadedFile:
 
 
 def complex_to_pairs(array: np.ndarray):
-    """Nested lists with [re, im] innermost elements."""
+    """Nested lists with [re, im] innermost elements.
+
+    The parts are read through a float64 view, so a contiguous complex128
+    array is not copied; every bit is kept, signed zeros included."""
     a = np.asarray(array, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    return np.ascontiguousarray(a).view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 def _stray_type(items, types):

@@ -18,6 +18,13 @@ already Schmidt-decomposed: its E1 is the binary entropy h(q) of
 q = y^2 / (x^2 + y^2) and its E2 is h(q) (x^2 + y^2) / 2, while the probe
 has value 1 under both measures.  As in the Schmidt helpers, a ratio
 y / x at or below DEFAULT_RANK_TOL counts as rank 1 and gives 0.
+
+One decomposition per factor pair serves both checks: the module keeps the
+SVDs of the last pair it decomposed, keyed by the two shapes and the bytes
+of both factors as complex128 matrices (not by tol), with read-only arrays.
+check_E2 after check_E1 on the same factors decomposes nothing; a pair with
+other entries, or a factor changed in place, is decomposed again.  The
+shape and rank checks run on every call, so a hit raises what a miss does.
 """
 
 from __future__ import annotations
@@ -32,19 +39,48 @@ from .schmidt import as_shape
 
 ROOT_TOL = 1e-9
 
+# c of the witness probe psi_c(1/sqrt 2)
+_BALANCED = 1.0 / np.sqrt(2.0)
+
+# (key, (SVD of A, SVD of B)) of the last pair _factor_svds decomposed
+_last_svds: tuple[tuple, tuple[SVDResult, SVDResult]] | None = None
+
+
+def _read_only_svd(f: np.ndarray) -> SVDResult:
+    result = svd(f)
+    for part in (result.left_basis, result.singular_values, result.right_basis):
+        part.flags.writeable = False
+    return result
+
 
 def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
-    """One SVD per factor.  Both factors must be square with dimension >= 2
+    """One SVD per factor, or the last pair's when a and b have its shapes
+    and bytes.  Both factors must be square with dimension >= 2
     (ShapeMismatch) and invertible within tol (RankDeficient)."""
+    global _last_svds
     a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
     for name, f in (("A", a), ("B", b)):
         if f.shape[0] != f.shape[1] or f.shape[0] < 2:
             raise ShapeMismatch(f"factor {name} is {f.shape}; it must be square with dim >= 2")
-    ra, rb = svd(a), svd(b)
+    key = (a.shape, b.shape, a.tobytes(), b.tobytes())
+    cached = _last_svds
+    if cached is not None and cached[0] == key:
+        ra, rb = cached[1]
+    else:
+        ra, rb = _read_only_svd(a), _read_only_svd(b)
+        _last_svds = key, (ra, rb)
     for name, s in (("A", ra.singular_values), ("B", rb.singular_values)):
         if s[0] == 0.0 or s[-1] <= tol * s[0]:
             raise RankDeficient(f"factor {name} is numerically singular")
     return ra, rb
+
+
+def _psi_c_state(c, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """psi_c's state for c in [0, 1] and complex128 bases, unchecked."""
+    # |a_1> and |a_n> are the first and last columns of U_A^dag
+    first = np.outer(ua[0].conj(), ub[0].conj()).ravel()
+    last = np.outer(ua[-1].conj(), ub[-1].conj()).ravel()
+    return c * first + np.sqrt(1.0 - c**2) * last
 
 
 def psi_c(c: float, shape, bases=None) -> np.ndarray:
@@ -62,10 +98,7 @@ def psi_c(c: float, shape, bases=None) -> np.ndarray:
         ub = np.eye(shape.m, dtype=complex)
     else:
         ua, ub = (as_matrix(u) for u in bases)
-    # |a_1> and |a_n> are the first and last columns of U_A^dag
-    first = np.outer(ua[0].conj(), ub[0].conj()).ravel()
-    last = np.outer(ua[-1].conj(), ub[-1].conj()).ravel()
-    return c * first + np.sqrt(1.0 - c**2) * last
+    return _psi_c_state(c, ua, ub)
 
 
 @dataclass(frozen=True)
@@ -103,15 +136,23 @@ def _witness_value(lambdas, mus, weighted: bool) -> float:
 
     h(q) with q = r^2 / (1 + r^2) and r = y / x (module docstring), times
     (x^2 + y^2) / 2 = x^2 (1 + r^2) / 2 when weighted; r <= DEFAULT_RANK_TOL
-    reads as a product image.  Python floats carry the scale, which enters
+    reads as a product image.  h(q) is psi_c_entanglement's arithmetic on
+    numpy scalars, bit for bit.  Python floats carry the scale, which enters
     last as in measure_E2, so the value overflows or underflows only where
     the true value does, and without a RuntimeWarning.
     """
     r = float(lambdas[-1] / lambdas[0]) * float(mus[-1] / mus[0])
     if r <= DEFAULT_RANK_TOL:
         return 0.0
-    # psi_c_entanglement(c) is h(c^2); c^2 = q keeps the small weight exact
-    value = psi_c_entanglement(r / np.sqrt(1.0 + r * r))
+    # h(c^2) with c^2 = q keeps the small weight exact; c * c rounds as the
+    # array square does, where a numpy scalar's c**2 can differ by an ulp
+    c = r / np.sqrt(1.0 + r * r)
+    x = c * c
+    value = 0.0
+    for p in (x, 1.0 - x):
+        if p > 0.0:
+            value = value - p * np.log2(p)
+    value = float(value)
     if weighted:
         x = float(lambdas[0]) * float(mus[0])
         value = (1.0 + r * r) / 2.0 * value * x * x
@@ -132,8 +173,7 @@ def _check(measure, a, b, tol, preserved, scalar) -> QuantitativeVerdict:
         unitaries = (ra.left_basis @ ra.right_basis, rb.left_basis @ rb.right_basis)
         cert = QuantitativeCertificate(float(scalar(lambdas, mus)), *unitaries)
         return QuantitativeVerdict(measure, True, cert, None)
-    shape = (len(lambdas), len(mus))
-    state = psi_c(1.0 / np.sqrt(2.0), shape, (ra.right_basis, rb.right_basis))
+    state = _psi_c_state(_BALANCED, ra.right_basis, rb.right_basis)
     witness = QuantitativeWitness(state, 1.0, _witness_value(lambdas, mus, measure == "E2"))
     return QuantitativeVerdict(measure, False, None, witness)
 

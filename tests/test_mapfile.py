@@ -9,6 +9,7 @@ from unitarity_kit.mapfile import (
     KIND_BIPARTITE_MAP,
     KIND_STATE,
     KIND_SUPEROPERATOR,
+    complex_to_pairs,
     load_map_file,
     parse_map_data,
     save_map_file,
@@ -148,3 +149,25 @@ def test_files_are_plain_decimal_json(tmp_path):
     save_map_file(path, KIND_STATE, 2, np.array([1.0, 0.0], dtype=complex))
     data = json.loads(path.read_text())
     assert data["matrix"] == [[1.0, 0.0], [0.0, 0.0]]
+
+
+def test_complex_to_pairs_matches_the_stacked_parts_bit_for_bit():
+    tiny = np.finfo(float).smallest_subnormal
+    parts = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.5e-308, 1.0, -np.pi, 1e308])
+    grid = np.empty((parts.size, parts.size), dtype=complex)
+    grid.real, grid.imag = parts[:, None], parts[None, :]
+    samples = [
+        grid,
+        grid.T,  # non-contiguous
+        grid[::2, 1::3],
+        grid[:, 4],
+        np.asarray(grid[2, 3]),  # 0-d
+        parts,  # real input
+        -parts[::-1],
+        np.zeros((0, 3), dtype=complex),
+    ]
+    for array in samples:
+        a = np.asarray(array, dtype=complex)
+        stacked = np.stack([a.real, a.imag], axis=-1).tolist()
+        # json keeps the sign of a zero and every digit of a float
+        assert json.dumps(complex_to_pairs(array)) == json.dumps(stacked)

@@ -1,9 +1,20 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from unitarity_kit import quantitative
+from unitarity_kit.classifier import classify
 from unitarity_kit.errors import ParamOutOfRange, RankDeficient, ShapeMismatch
-from unitarity_kit.generators import haar_unitary, random_invertible, random_pure_state, split_rng
-from unitarity_kit.linalg import kron, svd
+from unitarity_kit.generators import (
+    haar_unitary,
+    random_invertible,
+    random_local_map,
+    random_pure_state,
+    split_rng,
+)
+from unitarity_kit.linalg import DEFAULT_RANK_TOL, kron, svd
 from unitarity_kit.quantitative import (
     check_E1,
     check_E2,
@@ -284,6 +295,178 @@ def test_checks_refuse_one_dimensional_factor(check):
         check(2.0 * np.eye(1), np.diag([1.0, 2.0]))
     with pytest.raises(ShapeMismatch):
         check(np.diag([1.0, 2.0]), np.eye(1))
+
+
+def _reference_witness_value(lambdas, mus, weighted):
+    # the array form _witness_value replaced: psi_c_entanglement on a 0-d array
+    r = float(lambdas[-1] / lambdas[0]) * float(mus[-1] / mus[0])
+    if r <= DEFAULT_RANK_TOL:
+        return 0.0
+    value = psi_c_entanglement(r / np.sqrt(1.0 + r * r))
+    if weighted:
+        x = float(lambdas[0]) * float(mus[0])
+        value = (1.0 + r * r) / 2.0 * value * x * x
+    return value
+
+
+def test_witness_value_on_scalars_matches_the_array_form_bit_for_bit():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, 1.0, tiny, 2 * tiny, 1e-310, np.finfo(float).tiny, 1e-200,
+             np.nextafter(DEFAULT_RANK_TOL, 0.0), DEFAULT_RANK_TOL,
+             np.nextafter(DEFAULT_RANK_TOL, 1.0), np.nextafter(1.0, 0.0)]
+    grid = np.concatenate([edges, np.geomspace(tiny, 1.0, 6001), np.geomspace(1e-8, 1.0, 6001),
+                           np.linspace(0.0, 1.0, 6001)])
+    for i, r in enumerate(grid):
+        lambdas, mus = np.array([1.0, r]), np.ones(2)
+        got = quantitative._witness_value(lambdas, mus, False)
+        assert got.hex() == _reference_witness_value(lambdas, mus, False).hex(), r
+        # the weighted form, at a scale that moves with the grid
+        lambdas = lambdas * 10.0 ** (i % 7 - 3)
+        got = quantitative._witness_value(lambdas, mus, True)
+        assert got.hex() == _reference_witness_value(lambdas, mus, True).hex(), r
+
+
+# ---------------------------------------------------------------------------
+# the factor-SVD memo
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(quantitative, "_last_svds", None)
+
+
+def _count_svds(monkeypatch) -> list:
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or real_svd(*args, **kw))
+    return calls
+
+
+def _bits(verdict) -> tuple:
+    """Every output of a verdict, floats as hex and arrays as bytes."""
+    cert, w = verdict.certificate, verdict.witness
+    return (
+        verdict.measure, verdict.preserved,
+        cert and (float(cert.scalar).hex(), cert.unitary_a.tobytes(), cert.unitary_b.tobytes()),
+        w and (w.state.tobytes(), w.value_in.hex(), float(w.value_out).hex()),
+    )
+
+
+def test_classify_then_both_checks_decompose_each_factor_twice(monkeypatch, cold_memo):
+    calls = _count_svds(monkeypatch)
+    verdict = classify(random_local_map((3, 3), seed=2))
+    assert len(calls) == 2  # values only, in classify's rank ratio
+    check_E1(verdict.a, verdict.b)
+    assert len(calls) == 4
+    check_E2(verdict.a, verdict.b)
+    assert len(calls) == 4
+
+
+def test_memo_decomposes_a_pair_with_other_entries_again(monkeypatch, cold_memo):
+    a = random_invertible(3, seed=60, cond_cap=10)
+    b = random_invertible(2, seed=61, cond_cap=10)
+    calls = _count_svds(monkeypatch)
+    check_E1(a, b)
+    check_E2(a, b)
+    assert len(calls) == 2
+    # same shapes and other entries, other shapes, then the first pair again
+    for other in ((a, 2.0 * b), (a.T, b), (b, b), (a, a), (a, b)):
+        calls.clear()
+        check_E2(*other)
+        assert len(calls) == 2
+
+
+def test_memo_sees_a_factor_changed_in_place(monkeypatch, cold_memo):
+    a = random_invertible(3, seed=62, cond_cap=10)
+    b = random_invertible(3, seed=63, cond_cap=10)
+    calls = _count_svds(monkeypatch)
+    before = check_E1(a, b)
+    a[0, 0] += 0.5
+    after = check_E2(a, b)
+    assert len(calls) == 4
+    quantitative._last_svds = None
+    assert _bits(after) == _bits(check_E2(a.copy(), b))
+    assert before.witness.value_out != check_E1(a, b).witness.value_out
+
+
+def test_memo_arrays_are_read_only(cold_memo):
+    a, b = random_invertible(3, seed=64), haar_unitary(2, seed=65)
+    first = quantitative._factor_svds(a, b, DEFAULT_RANK_TOL)
+    assert quantitative._factor_svds(a, b, DEFAULT_RANK_TOL) == first
+    for result in first:
+        for part in (result.left_basis, result.singular_values, result.right_basis):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+
+def _raised(call):
+    try:
+        call()
+    except (RankDeficient, ShapeMismatch) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("check", [check_E1, check_E2])
+def test_memo_hit_raises_as_a_miss_does(monkeypatch, check):
+    # tol is not part of the key: the rank check runs on every call
+    near_singular, b = np.diag([1.0, 1e-9]), haar_unitary(2, seed=66)
+    cases = [
+        lambda: check(near_singular, b),
+        lambda: check(b, near_singular),
+        lambda: check(near_singular, b, tol=1e-10),
+        lambda: check(b, np.ones((2, 3))),
+        lambda: check(np.eye(1), b),
+    ]
+    for case in cases:
+        monkeypatch.setattr(quantitative, "_last_svds", None)
+        cold = _raised(case)
+        warm = _raised(case)
+        assert warm == cold
+    # a pair stored by a passing call still refuses a stricter tol
+    monkeypatch.setattr(quantitative, "_last_svds", None)
+    assert _raised(lambda: check(near_singular, b, tol=1e-10)) is None
+    assert _raised(lambda: check(near_singular, b))[0] is RankDeficient
+
+
+def test_warm_and_cold_verdicts_agree_bit_for_bit(monkeypatch):
+    pairs = list(_factor_pairs(count=40))
+    pairs += [(2.0 * haar_unitary(3, seed=67), 0.5 * haar_unitary(2, seed=68)),
+              (3.0 * haar_unitary(2, seed=69), haar_unitary(4, seed=70))]
+    for a, b in pairs:
+        cold = []
+        for check in (check_E1, check_E2):
+            monkeypatch.setattr(quantitative, "_last_svds", None)
+            cold.append(_bits(check(a, b)))
+        warm = [_bits(check_E1(a, b)), _bits(check_E2(a, b)), _bits(check_E1(a, b))]
+        assert warm == cold + cold[:1]
+
+
+def test_memo_under_threads_keeps_every_verdict():
+    # four threads share the one-pair memo; each keeps to its own pair
+    pairs = [(random_invertible(3, seed=71 + k, cond_cap=10), haar_unitary(2, seed=81 + k))
+             for k in range(4)]
+    expected = [(_bits(check_E1(a, b)), _bits(check_E2(a, b))) for a, b in pairs]
+    wrong = []
+
+    def work(k):
+        a, b = pairs[k]
+        for _ in range(150):
+            if (_bits(check_E1(a, b)), _bits(check_E2(a, b))) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
