@@ -26,15 +26,17 @@ The closed-form helpers give the spectra of the two-state mixture argument,
 and the witness search runs on them.  Once every probe image is certified
 as a positive rank-1 matrix (by a rank-1 fit, without an eigensolve), a
 mixture of two images has the closed-form output spectrum of its two gains
-and one overlap, as its input mixture has the input one; the search then
-diagonalizes only the mixture it reports.
+and one overlap, as its input mixture has the input one.  Every pair stage
+(gains, overlap moduli, all pairs) scans its pairs in that closed form and
+diagonalizes only the one mixture it reports.  A reject whose reported
+image leaves no state after normalization carries no witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -141,8 +143,9 @@ class MixtureSpectrum:
     hi: float
 
 
-def _input_spectra(ps, lam2_sq: float):
-    """(lo, hi) eigenvalues of p|phi1><phi1| + (1-p)|phi2><phi2| for each p.
+def _input_spectra(ps, lam2_sq):
+    """(lo, hi) eigenvalues of p|phi1><phi1| + (1-p)|phi2><phi2| for each p
+    and each lam2_sq, broadcast against ps.
 
     lam2_sq = 1 - |<phi1|phi2>|^2 (clipped at 0) is the squared component of
     phi2 orthogonal to phi1.  With x = 4p(1-p) lam2_sq the eigenvalues are
@@ -150,7 +153,7 @@ def _input_spectra(ps, lam2_sq: float):
     has no cancellation, and hi = 1 - lo.
     """
     ps = np.asarray(ps, dtype=float)
-    x = 4.0 * ps * (1.0 - ps) * max(lam2_sq, 0.0)
+    x = 4.0 * ps * (1.0 - ps) * np.maximum(lam2_sq, 0.0)
     lo = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
     return lo, 1.0 - lo
 
@@ -168,8 +171,9 @@ def input_spectrum(p: float, lam2: float) -> MixtureSpectrum:
     return MixtureSpectrum(lo=float(lo), hi=float(hi))
 
 
-def _output_spectra(ps, d1: float, d2: float, mu2_sq: float):
-    """(lo, hi) eigenvalues of p*d1|psi1><psi1| + (1-p)*d2|psi2><psi2| for each p.
+def _output_spectra(ps, d1, d2, mu2_sq):
+    """(lo, hi) eigenvalues of p*d1|psi1><psi1| + (1-p)*d2|psi2><psi2| for each
+    p and each (d1, d2, mu2_sq), broadcast against ps.
 
     mu2_sq = 1 - |<psi1|psi2>|^2 (clipped at 0); d1, d2 > 0.  The mixture is
     alpha * (t|psi1><psi1| + (1-t)|psi2><psi2|) with alpha = p*d1 + (1-p)*d2
@@ -182,7 +186,7 @@ def _output_spectra(ps, d1: float, d2: float, mu2_sq: float):
     a = ps * d1
     b = (1.0 - ps) * d2
     alpha = a + b
-    x = np.minimum(4.0 * (a / alpha) * (b / alpha) * max(mu2_sq, 0.0), 1.0)
+    x = np.minimum(4.0 * (a / alpha) * (b / alpha) * np.maximum(mu2_sq, 0.0), 1.0)
     lo = alpha * x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
     return lo, alpha - lo
 
@@ -375,62 +379,54 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
     return np.where(totals[..., 0] > 0.0, -terms.sum(axis=-1) + 0.0, np.nan)
 
 
-def _mixture_spectra(ps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Clipped eigenvalues of p*a + (1-p)*b for each p, a and b Hermitian."""
-    w = ps[:, None, None]
-    m = w * a
-    m += (1.0 - w) * b
-    return np.clip(np.linalg.eigvalsh(m), 0.0, None)
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + dag(m)) / 2
 
 
-def _state_witness(phi, image) -> EntropyWitness:
-    """The witness of one pure state, given its image: p = 1, entropy 0 in,
-    and out the entropy of the image's Hermitian part (one eigensolve).
-    The witness holds its own copy of phi."""
-    spectrum = np.clip(np.linalg.eigvalsh(_hermitian_part(image)), 0.0, None)
-    phi = np.array(phi)
-    return EntropyWitness(
-        phi1=phi, phi2=phi, p=1.0, entropy_in=0.0, entropy_out=float(_entropies(spectrum))
-    )
-
-
-def _scan_witness(phi1, q1, phi2, q2, grid_size: int = 101, rank_one=None) -> EntropyWitness:
-    """Pick the mixing weight with the largest entropy mismatch for the pair.
-
-    q1 and q2 are the map's images of the two pure projectors.  The input
-    spectra over the grid are the closed form of the two-state mixture
-    argument, which needs only the overlap <phi1|phi2>.  The map is linear,
-    so the Hermitian part of each mixture's image is the same mixture of
-    q1's and q2's Hermitian parts: the grid's output spectra need no further
-    application of the map, and without rank_one each is one eigensolve.
-    rank_one = (g1, g2, mu2_sq) says the images are g1|psi1><psi1| and
-    g2|psi2><psi2| within tol, mu2_sq = 1 - |<psi1|psi2>|^2; the grid's
-    output spectra are then the closed form too (_output_spectra), and only
-    the chosen mixture is diagonalized, so the reported entropies stay exact.
-    An image with no valid normalized spectrum counts as an infinite mismatch.
-    The witness holds its own copies of phi1 and phi2.
-    """
-    ps = np.linspace(0.0, 1.0, grid_size)
-    lo, hi = _input_spectra(ps, 1.0 - abs(np.vdot(phi1, phi2)) ** 2)
-    s_in = _entropies(np.stack([lo, hi], axis=-1))
-    h1, h2 = _hermitian_part(q1), _hermitian_part(q2)
-    if rank_one is None:
-        s_out = _entropies(_mixture_spectra(ps, h1, h2))
-    else:
-        s_out = _entropies(np.stack(_output_spectra(ps, *rank_one), axis=-1))
-    k = int(np.argmax(np.where(np.isnan(s_out), np.inf, np.abs(s_in - s_out))))
-    out = s_out[k] if rank_one is None else _entropies(_mixture_spectra(ps[k : k + 1], h1, h2))[0]
+def _witness(phi1, phi2, p, entropy_in, h) -> EntropyWitness | None:
+    """The witness of the mixture p|phi1><phi1| + (1-p)|phi2><phi2|, given
+    the Hermitian part h of its image, whose clipped spectrum (one
+    eigensolve) gives entropy_out; None when that spectrum sums to 0 and
+    leaves no state after normalization (the image of -|phi><phi|, say).
+    The witness holds its own copies of phi1 and phi2."""
+    spectrum = np.clip(np.linalg.eigvalsh(h), 0.0, None)
+    if not spectrum.sum() > 0.0:
+        return None
     return EntropyWitness(
         phi1=np.array(phi1),
         phi2=np.array(phi2),
-        p=float(ps[k]),
-        entropy_in=float(s_in[k]),
-        entropy_out=float(out),
+        p=float(p),
+        entropy_in=float(entropy_in),
+        entropy_out=float(_entropies(spectrum)),
     )
+
+
+def _scan_pairs(probes, images, kets, gains, first, second) -> EntropyWitness | None:
+    """The witness of the probe pair (first[n], second[n]) and the mixing
+    weight on a 101-point grid with the largest entropy mismatch.
+
+    The images are certified positive rank 1, with traces gains and top
+    eigenvectors kets, so every mixture on the grid has the closed-form
+    spectra of the two-state mixture argument: the input one of the probes'
+    overlap, the output one of the two gains and the kets' overlap.  The
+    map is linear, so the Hermitian part of the chosen mixture's image is
+    the same mixture of the two images' Hermitian parts; only that one is
+    diagonalized, so the reported entropies are exact.  An output spectrum
+    with no valid normalization counts as an infinite mismatch.
+    """
+    pairs = list(zip(first, second))
+    ps = np.linspace(0.0, 1.0, 101)
+    lam2_sq = np.array([1.0 - abs(np.vdot(probes[k], probes[l])) ** 2 for k, l in pairs])
+    mu2_sq = np.array([1.0 - abs(np.vdot(kets[k], kets[l])) ** 2 for k, l in pairs])
+    s_in = _entropies(np.stack(_input_spectra(ps, lam2_sq[:, None]), axis=-1))
+    spectra = _output_spectra(ps, gains[first][:, None], gains[second][:, None], mu2_sq[:, None])
+    s_out = _entropies(np.stack(spectra, axis=-1))
+    mismatch = np.where(np.isnan(s_out), np.inf, np.abs(s_in - s_out))
+    n, i = np.unravel_index(np.argmax(mismatch), mismatch.shape)
+    (k, l), p = pairs[n], ps[i]
+    h = p * _hermitian_part(images[k])
+    h += (1.0 - p) * _hermitian_part(images[l])
+    return _witness(probes[k], probes[l], p, s_in[n, i], h)
 
 
 def _probe_states(d: int, rng) -> list[np.ndarray]:
@@ -490,9 +486,10 @@ def _check_images(phis, images: np.ndarray, tol: float):
     fails), and then positive rank 1: h = (m + m^dag) / (2 s) has a
     largest eigenvalue lam > tol with ||h - lam vv^dag||_F <= tol ||h||_F.
     failure is (witness, detail) for the first image, in the order of phis,
-    that fails, else None; h is the stack of Hermitian parts at unit scale
-    and kets[n] the unit top eigenvector of h[n] (up to a phase, within
-    tol) for every image that passes.
+    that fails (the witness None as _witness says), else None; h is the
+    stack of Hermitian parts at unit scale and kets[n] the unit top
+    eigenvector of h[n] (up to a phase, within tol) for every image that
+    passes.
 
     One stacked rank-1 fit decides most images without an eigensolve: w is
     the column of h at its largest diagonal entry, divided by that entry's
@@ -531,15 +528,17 @@ def _check_images(phis, images: np.ndarray, tol: float):
         certified = hermitian & (misfit <= tol * norms) & (w_sq - misfit > tol)
         kets = w / np.sqrt(np.maximum(w_sq, tol))[:, None]
     for i in np.flatnonzero(~certified):
-        phi, m = phis[i], images[i]
-        if not hermitian[i]:
-            return (_state_witness(phi, m), "image of a pure state is not Hermitian"), h, kets
-        lam, vecs = np.linalg.eigh(h[i])
-        residual = np.linalg.norm(h[i] - lam[-1] * np.outer(vecs[:, -1], vecs[:, -1].conj()))
-        if lam[-1] <= tol or residual > tol * np.linalg.norm(h[i]):
-            failure = _state_witness(phi, m), "image of a pure state is not a positive rank-1 matrix"
-            return failure, h, kets
-        kets[i] = vecs[:, -1]
+        if hermitian[i]:
+            lam, vecs = np.linalg.eigh(h[i])
+            residual = np.linalg.norm(h[i] - lam[-1] * np.outer(vecs[:, -1], vecs[:, -1].conj()))
+            if lam[-1] > tol and residual <= tol * np.linalg.norm(h[i]):
+                kets[i] = vecs[:, -1]
+                continue
+            detail = "image of a pure state is not a positive rank-1 matrix"
+        else:
+            detail = "image of a pure state is not Hermitian"
+        witness = _witness(phis[i], phis[i], 1.0, 0.0, _hermitian_part(images[i]))
+        return (witness, detail), h, kets
     return None, h, kets
 
 
@@ -551,14 +550,18 @@ def _search_witness(superop: Superoperator, tol: float):
     pairwise overlap moduli must be preserved; the first stage that fails
     names the witness, the failing state alone at the first stage and a
     pair after it.  If all pass, the pair and mixing weight with the
-    largest entropy change win.
+    largest entropy change among all pairs win.
     Every witness is built from the probe images computed here at unit
     scale, in two products with the map: the first probe alone, which
     decides most maps that send pure states to mixed ones, then the rest at
-    once.  The gains stage picks its mixing weight from the closed-form
-    spectra of the two rank-1 images and reports the gains at the map's
-    scale; the overlap stage compares the kets _check_images certified,
-    the images' top eigenvectors within tol, with no further eigensolve.
+    once.  Past the first stage every image is certified rank 1, so each
+    pair stage picks its mixing weight by one closed-form scan
+    (_scan_pairs) and diagonalizes one mixture: the gains stage scans its
+    smallest- and largest-gain probes and reports those gains at the map's
+    scale, the overlap stage its pair of largest gap, the last stage every
+    pair.  The overlap stage compares the kets _check_images certified, the
+    images' top eigenvectors within tol, with no further eigensolve.  The
+    witness is None when the reported image leaves no state (_witness).
     """
     probes, columns = _fixed_probes(superop.dim)
     images, kets = [], []
@@ -570,33 +573,19 @@ def _search_witness(superop: Superoperator, tol: float):
         images.append(m)
         kets.append(w)
     images, kets = np.concatenate(images), np.concatenate(kets)
-
-    def scan(k, l, grid_size=101, rank_one=None):
-        return _scan_witness(probes[k], images[k], probes[l], images[l], grid_size, rank_one)
-
     gains = np.trace(images, axis1=1, axis2=2).real
+    scan = partial(_scan_pairs, probes, images, kets, gains)
     if gains.max() - gains.min() > tol * float(gains.mean()):
         k, l = int(np.argmin(gains)), int(np.argmax(gains))
-        mu2_sq = 1.0 - abs(np.vdot(kets[k], kets[l])) ** 2
         lo, hi = ldexp(gains[[k, l]], superop._exponent)
-        return (
-            scan(k, l, rank_one=(gains[k], gains[l], mu2_sq)),
-            f"pure-state gains differ: {lo:.6g} vs {hi:.6g}",
-        )
+        return scan([k], [l]), f"pure-state gains differ: {lo:.6g} vs {hi:.6g}"
 
     gap = np.abs(np.abs(kets.conj() @ kets.T) - np.abs(dag(columns) @ columns))
     if float(gap.max()) > tol:
         k, l = np.unravel_index(np.argmax(gap), gap.shape)
-        return scan(k, l), f"overlap modulus changes by {float(gap.max()):.3g}"
+        return scan([k], [l]), f"overlap modulus changes by {float(gap.max()):.3g}"
 
-    worst = None
-    for k in range(len(probes)):
-        for l in range(k + 1, len(probes)):
-            w = scan(k, l, grid_size=21)
-            change = abs(w.entropy_in - w.entropy_out)
-            if worst is None or change > worst[0]:
-                worst = (change, w)
-    return worst[1], "no single conjugation reproduces the map"
+    return scan(*np.triu_indices(len(probes), 1)), "no single conjugation reproduces the map"
 
 
 def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSystemVerdict:
@@ -613,7 +602,9 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     M is read), against the squared norm the constructor summed: an
     accepted map is read twice in all.
     A rejected map gets its witness from fixed-stream probe states, so the
-    whole verdict depends only on (map, tol).
+    whole verdict depends only on (map, tol).  A reject whose reported
+    image leaves no state after normalization (the image of -|phi><phi|,
+    say) carries no witness, and its detail ends in "; no witness found".
     """
     tol = tolerance(tol)
     for kind, transpose in ((KIND_UNITARY, False), (KIND_ANTIUNITARY, True)):
@@ -623,6 +614,8 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
                 kind=kind, unitary=u, gain=gain, witness=None, detail="certified by reconstruction"
             )
     witness, detail = _search_witness(superop, tol)
+    if witness is None:
+        detail += "; no witness found"
     return SingleSystemVerdict(
         kind=KIND_NOT_PRESERVING, unitary=None, gain=None, witness=witness, detail=detail
     )

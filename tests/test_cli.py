@@ -7,10 +7,16 @@ import pytest
 from unitarity_kit import classifier
 from unitarity_kit.classifier import BipartiteMap, classify
 from unitarity_kit.cli import main
-from unitarity_kit.entropy_dynamics import Superoperator, analyze
+from unitarity_kit.entropy_dynamics import Superoperator, analyze, superop_from_conjugation
 from unitarity_kit.generators import haar_unitary, perturb, random_local_map
 from unitarity_kit.linalg import kron
-from unitarity_kit.mapfile import KIND_BIPARTITE_MAP, KIND_STATE, load_map_file, save_map_file
+from unitarity_kit.mapfile import (
+    KIND_BIPARTITE_MAP,
+    KIND_STATE,
+    KIND_SUPEROPERATOR,
+    load_map_file,
+    save_map_file,
+)
 from unitarity_kit.quantitative import check_E1, check_E2
 from unitarity_kit.schmidt import schmidt_rank
 
@@ -294,6 +300,22 @@ def test_verify_entropy_json_witness_is_the_result_dataclass(capsys, tmp_path):
     loaded = load_map_file(path)
     verdict = analyze(Superoperator(loaded.array, loaded.shape))
     assert_record_matches(json.loads(out)["verdict"]["witness"], verdict.witness)
+
+
+def _refuse(name):
+    raise ValueError(f"non-finite constant {name} in the report")
+
+
+def test_verify_entropy_report_without_a_witness_is_strict_json(capsys, tmp_path):
+    # -conj(U) x U maps the first probe to minus a projector whose clipped
+    # spectrum sums to 0: no state is left to take an entropy of
+    path = tmp_path / "negated.json"
+    save_map_file(path, KIND_SUPEROPERATOR, 2, -superop_from_conjugation(haar_unitary(2, seed=0)).matrix)
+    code, out, _ = run(capsys, ["verify-entropy", str(path), "--json"])
+    assert code == 3
+    verdict = json.loads(out, parse_constant=_refuse)["verdict"]
+    assert verdict["detail"] == "image of a pure state is not a positive rank-1 matrix; no witness found"
+    assert "witness" not in verdict
 
 
 def test_gen_unitary_is_generically_rejected(capsys, tmp_path):

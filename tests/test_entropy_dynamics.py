@@ -14,7 +14,7 @@ from unitarity_kit.entropy_dynamics import (
     _fit_conjugation,
     _input_spectra,
     _probe_states,
-    _scan_witness,
+    _scan_pairs,
     analyze,
     gain_equality_deficit,
     input_spectrum,
@@ -423,11 +423,11 @@ def test_analyze_verdict_near_tolerance_does_not_depend_on_seed():
     assert verdict.detail == "certified by reconstruction"
 
 
-def _scan_witness_per_p(superop, phi1, phi2, grid_size):
-    # reference: apply the map to every mixture on the grid
+def _scan_per_p(superop, phi1, phi2):
+    # reference: apply the map to every mixture on the scan's grid
     p1, p2 = pure_projector(phi1), pure_projector(phi2)
     rows = []
-    for p in np.linspace(0.0, 1.0, grid_size):
+    for p in np.linspace(0.0, 1.0, 101):
         rho = p * p1 + (1.0 - p) * p2
         s_in = von_neumann_entropy(rho)
         out = superop.apply(rho)
@@ -436,31 +436,6 @@ def _scan_witness_per_p(superop, phi1, phi2, grid_size):
         s_out = -sum(x * np.log2(x) for x in w / w.sum() if x > 0.0)
         rows.append((abs(s_in - s_out), p, s_in, s_out))
     return rows
-
-
-@pytest.mark.parametrize("grid_size", [21, 101])
-def test_scan_witness_by_linearity_matches_per_p_application(grid_size):
-    rng = split_rng(53, 0)
-    phi1, phi2 = (random_pure_state(3, rng) for _ in range(2))
-    depolarizer = superop_depolarizing(3, 0.6)
-    m = np.diag([1.0, 2.0, 0.5]).astype(complex)
-    unequal_gains = Superoperator(matrix=np.kron(m.conj(), m), dim=3)
-    for superop in (depolarizer, unequal_gains):
-        q1 = superop.apply(pure_projector(phi1))
-        q2 = superop.apply(pure_projector(phi2))
-        w = _scan_witness(phi1, q1, phi2, q2, grid_size=grid_size)
-        rows = _scan_witness_per_p(superop, phi1, phi2, grid_size)
-        top = max(r[0] for r in rows)
-        if sorted(r[0] for r in rows)[-2] < top - 1e-12:
-            # a unique maximum: the same mixing weight
-            assert w.p == max(rows)[1]
-        else:
-            # tied to within rounding (the depolarizer gives p = 0 and p = 1
-            # the same mismatch): any maximizer will do
-            assert abs(w.entropy_in - w.entropy_out) == pytest.approx(top, abs=1e-12)
-        _, _, s_in, s_out = next(r for r in rows if r[1] == w.p)
-        assert w.entropy_in == pytest.approx(s_in, abs=1e-12)
-        assert w.entropy_out == pytest.approx(s_out, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
@@ -721,9 +696,8 @@ def test_lone_image_that_cannot_pass_skips_the_rank_one_fit(monkeypatch):
     assert _check_images([psi], edge[None], tol)[0] is None
 
 
-def test_gains_stage_reject_makes_one_eigensolve(monkeypatch):
-    a = np.diag([1.0, 1.3, 0.7, 2.0, 0.5, 1.1, 0.9, 1.6]).astype(complex) @ haar_unitary(8, seed=73)
-    superop = Superoperator(matrix=np.kron(a.conj(), a), dim=8)
+def _count_eigensolves(monkeypatch, superop):
+    """analyze(superop) and the shapes of its eigh and eigvalsh inputs."""
     calls = {"eigh": [], "eigvalsh": []}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -735,6 +709,13 @@ def test_gains_stage_reject_makes_one_eigensolve(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     verdict = analyze(superop)
     monkeypatch.undo()
+    return verdict, calls
+
+
+def test_gains_stage_reject_makes_one_eigensolve(monkeypatch):
+    a = np.diag([1.0, 1.3, 0.7, 2.0, 0.5, 1.1, 0.9, 1.6]).astype(complex) @ haar_unitary(8, seed=73)
+    superop = Superoperator(matrix=np.kron(a.conj(), a), dim=8)
+    verdict, calls = _count_eigensolves(monkeypatch, superop)
     assert verdict.kind == KIND_NOT_PRESERVING
     assert verdict.detail.startswith("pure-state gains differ")
     # one eigensolve of one 8 x 8 matrix: the reported mixture
@@ -744,28 +725,38 @@ def test_gains_stage_reject_makes_one_eigensolve(monkeypatch):
     assert abs(w.entropy_in - w.entropy_out) > 1e-3
 
 
-@pytest.mark.parametrize("grid_size", [21, 101])
-def test_closed_form_scan_matches_per_p_application(grid_size):
+@pytest.mark.parametrize("all_pairs", [False, True])
+def test_closed_form_scan_matches_per_p_application(all_pairs):
     rng = split_rng(74, 0)
     diagonal = np.diag([1.0, 2.0, 0.5]).astype(complex)
     skewed = np.diag([1.0, 3.0, 0.2]).astype(complex) @ haar_unitary(3, seed=75)
     for a in (diagonal, skewed):
         superop = Superoperator(matrix=np.kron(a.conj(), a), dim=3)
-        for _ in range(4):
-            phi1, phi2 = (random_pure_state(3, rng) for _ in range(2))
-            q1 = superop.apply(pure_projector(phi1))
-            q2 = superop.apply(pure_projector(phi2))
-            psi1, psi2 = a @ phi1, a @ phi2
-            mu2_sq = 1.0 - abs(np.vdot(psi1, psi2)) ** 2 / (np.vdot(psi1, psi1).real * np.vdot(psi2, psi2).real)
-            rank_one = (np.trace(q1).real, np.trace(q2).real, mu2_sq)
-            w = _scan_witness(phi1, q1, phi2, q2, grid_size=grid_size, rank_one=rank_one)
-            rows = _scan_witness_per_p(superop, phi1, phi2, grid_size)
+        phis = [random_pure_state(3, rng) for _ in range(6)]
+        images = np.stack([superop.apply(pure_projector(phi)) for phi in phis])
+        kets = np.stack([a @ phi / np.linalg.norm(a @ phi) for phi in phis])
+        gains = np.trace(images, axis1=1, axis2=2).real
+        pairs = [np.triu_indices(len(phis), 1)] if all_pairs else [([k], [k + 1]) for k in (0, 2, 4)]
+        for first, second in pairs:
+            w = _scan_pairs(phis, images, kets, gains, first, second)
+            rows = [
+                (*row, (k, l))
+                for k, l in zip(first, second)
+                for row in _scan_per_p(superop, phis[k], phis[l])
+            ]
+            pair = next(
+                (k, l)
+                for k, l in zip(first, second)
+                if np.array_equal(w.phi1, phis[k]) and np.array_equal(w.phi2, phis[l])
+            )
             top = max(r[0] for r in rows)
             if sorted(r[0] for r in rows)[-2] < top - 1e-12:
-                assert w.p == max(rows)[1]
+                # a unique maximum: the same pair and mixing weight
+                _, p, _, _, best = max(rows)
+                assert (w.p, pair) == (p, best)
             else:
                 assert abs(w.entropy_in - w.entropy_out) == pytest.approx(top, abs=1e-12)
-            _, _, s_in, s_out = next(r for r in rows if r[1] == w.p)
+            _, _, s_in, s_out, _ = next(r for r in rows if r[4] == pair and r[1] == w.p)
             assert w.entropy_in == pytest.approx(s_in, abs=1e-12)
             assert w.entropy_out == pytest.approx(s_out, abs=1e-12)
 
@@ -832,13 +823,23 @@ def _mixture_entropy(w) -> float:
     return von_neumann_entropy(w.p * pure_projector(w.phi1) + (1.0 - w.p) * pure_projector(w.phi2))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_replacement_channel_is_rejected_at_the_overlap_stage(d):
+def _replacement_channel(d):
     # rho -> tr(rho) |psi><psi|: every pure state maps to the same pure
     # state with the same gain, so only the overlap moduli change
     psi = random_pure_state(d, split_rng(90 + d, 0))
-    matrix = np.outer(vec_density(pure_projector(psi)), vec_density(np.eye(d)))
-    verdict = analyze(Superoperator(matrix, d))
+    return Superoperator(np.outer(vec_density(pure_projector(psi)), vec_density(np.eye(d))), d)
+
+
+def _conjugation_plus_another(d, eps, seeds):
+    # the added conjugation is just above tol: no reading fits, yet pure
+    # states map to rank-1 images with equal gains and overlap moduli
+    u, w = (haar_unitary(d, seed=s) for s in seeds)
+    return Superoperator(superop_from_conjugation(u).matrix + eps * superop_from_conjugation(w).matrix, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_replacement_channel_is_rejected_at_the_overlap_stage(d):
+    verdict = analyze(_replacement_channel(d))
     assert verdict.kind == KIND_NOT_PRESERVING
     assert verdict.detail.startswith("overlap modulus changes by ")
     w = verdict.witness
@@ -851,11 +852,46 @@ def test_replacement_channel_is_rejected_at_the_overlap_stage(d):
     "d,eps,seeds", [(3, 1e-8, (1, 2)), (3, 1e-8, (3, 4)), (2, 2e-8, (1, 2))]
 )
 def test_conjugation_plus_a_small_other_one_reaches_the_pairwise_stage(d, eps, seeds):
-    # the added conjugation is just above tol: no reading fits, yet pure
-    # states map to rank-1 images with equal gains and overlap moduli
-    u, w = (haar_unitary(d, seed=s) for s in seeds)
-    matrix = superop_from_conjugation(u).matrix + eps * superop_from_conjugation(w).matrix
-    verdict = analyze(Superoperator(matrix, d))
+    verdict = analyze(_conjugation_plus_another(d, eps, seeds))
     assert verdict.kind == KIND_NOT_PRESERVING
     assert verdict.detail == "no single conjugation reproduces the map"
     assert verdict.witness.entropy_in == pytest.approx(_mixture_entropy(verdict.witness), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "superop,stage",
+    [
+        (_replacement_channel(8), "overlap modulus changes by "),
+        (_conjugation_plus_another(8, 1e-8, (1, 2)), "no single conjugation reproduces the map"),
+    ],
+    ids=["overlap", "pairwise"],
+)
+def test_pair_stage_reject_makes_one_eigensolve(monkeypatch, superop, stage):
+    verdict, calls = _count_eigensolves(monkeypatch, superop)
+    assert verdict.kind == KIND_NOT_PRESERVING
+    assert verdict.detail.startswith(stage)
+    # every pair is scanned in closed form; only the reported mixture, one
+    # 8 x 8 matrix, has its eigenvalues taken (an image the rank-1 fit
+    # leaves uncertified near tol still takes its own eigh)
+    assert calls["eigvalsh"] == [(8, 8)]
+    assert verdict.witness.entropy_in == pytest.approx(_mixture_entropy(verdict.witness), abs=1e-12)
+
+
+def test_negated_conjugation_never_reports_a_nan_witness():
+    # -conj(U) x U maps every pure state to minus a projector: the first
+    # probe fails the rank-1 stage, and when its image's clipped spectrum
+    # sums to 0 no state is left after normalization, so there is no witness
+    missing = 0
+    for d in (2, 3, 4):
+        for k in range(20):
+            superop = Superoperator(-superop_from_conjugation(haar_unitary(d, seed=k)).matrix, d)
+            verdict = analyze(superop)
+            assert verdict.kind == KIND_NOT_PRESERVING
+            assert verdict.detail.startswith("image of a pure state is not a positive rank-1 matrix")
+            w = verdict.witness
+            assert (w is None) == verdict.detail.endswith("; no witness found")
+            if w is None:
+                missing += 1
+            else:
+                assert np.isfinite([w.p, w.entropy_in, w.entropy_out]).all()
+    assert missing > 0

@@ -24,12 +24,14 @@ from unitarity_kit.entropy_dynamics import (
     superop_depolarizing,
     superop_from_conjugation,
     superop_transpose,
+    vec_density,
 )
 from unitarity_kit.generators import (
     cnot_map,
     haar_unitary,
     perturb,
     random_invertible,
+    random_pure_state,
     random_local_map,
     random_schmidt_rank_state,
 )
@@ -79,6 +81,11 @@ def _nonunitary(d, seed):
     return np.kron(a.conj(), a)
 
 
+def _replacement(d, seed):
+    psi = random_pure_state(d, seed=seed)
+    return np.outer(vec_density(np.outer(psi, psi.conj())), vec_density(np.eye(d)))
+
+
 # analyze inputs of every accept and reject stage: (matrix, d)
 SUPEROPERATORS = {
     "unitary": lambda: (superop_from_conjugation(haar_unitary(3, seed=13), 1.3).matrix, 3),
@@ -92,6 +99,14 @@ SUPEROPERATORS = {
     "mixture": lambda: (
         0.4 * superop_from_conjugation(haar_unitary(3, seed=18)).matrix
         + 0.6 * superop_from_conjugation(haar_unitary(3, seed=19)).matrix,
+        3,
+    ),
+    # rho -> tr(rho) |psi><psi|: reaches the overlap stage
+    "replacement": lambda: (_replacement(3, seed=20), 3),
+    # a second conjugation just above tol: reaches the pairwise stage
+    "conjugation-plus-another": lambda: (
+        superop_from_conjugation(haar_unitary(3, seed=1)).matrix
+        + 1e-8 * superop_from_conjugation(haar_unitary(3, seed=2)).matrix,
         3,
     ),
 }
