@@ -13,13 +13,20 @@ Only `gen` takes a seed (--seed, default 0); `classify` draws no random
 numbers and the probes of `verify-entropy` come from one fixed stream, so a
 report depends only on the input and --tol, which must lie in (0, 1).  A
 file entry that is not a JSON number (a bool, a string, null, a non-finite
-value or an integer beyond float range) is a parse error.
+value or an integer beyond float range) is a parse error.  A --json report
+writes a non-finite float as null.
+
+The parser is built once per process, on the first call of `main`, and
+reused: parsing does not change it, so `main` can be called again and
+again in one process, and each call sees only its own arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import fields, is_dataclass
 
@@ -48,7 +55,7 @@ from .mapfile import (
     KIND_SUPEROPERATOR,
     complex_to_pairs,
     load_map_file,
-    map_file_dict,
+    map_file_chunks,
     save_map_file,
 )
 from .quantitative import check_E1, check_E2, psi_c
@@ -83,7 +90,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on the first call and then shared by every
+    call in the process; parse_args does not change it."""
     p = _Parser(
         prog="unitarity-kit",
         description=(
@@ -160,7 +170,10 @@ def _base_report(command: str, tolerances: dict) -> dict:
 def _jsonable(x):
     """x for json.dumps: a dataclass as a dict of its fields in field order,
     None fields left out; a complex array as [re, im] pairs, a real one as a
-    list of floats; a tuple as a list; anything else as it is."""
+    list of floats; a tuple as a list; a non-finite float as None; anything
+    else as it is."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
     if is_dataclass(x):
         return {f.name: _jsonable(v) for f in fields(x) if (v := getattr(x, f.name)) is not None}
     if isinstance(x, np.ndarray):
@@ -168,6 +181,12 @@ def _jsonable(x):
     if isinstance(x, tuple):
         return [_jsonable(v) for v in x]
     return x
+
+
+def _print_report(report: dict) -> None:
+    # a non-finite float that reaches here is a fault: it raises, where it
+    # would print Infinity or NaN, which are not JSON
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _print_witness_human(w: Witness) -> None:
@@ -215,7 +234,7 @@ def _cmd_classify(args) -> int:
         }
 
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_report(report)
     else:
         print(f"kind: {verdict.kind}")
         if verdict.output_shape:
@@ -249,7 +268,7 @@ def _cmd_verify_entropy(args) -> int:
         report["verdict"]["witness"] = _jsonable(verdict.witness)
 
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_report(report)
     else:
         print(f"kind: {verdict.kind}")
         if verdict.gain is not None:
@@ -290,7 +309,7 @@ def _cmd_schmidt(args) -> int:
         if args.bases:
             report["left_vectors"] = complex_to_pairs(dec.left_vectors)
             report["right_vectors"] = complex_to_pairs(dec.right_vectors)
-        print(json.dumps(report, indent=2))
+        _print_report(report)
     else:
         print(f"rank: {dec.rank}")
         print("coefficients: " + ", ".join(f"{x:.9f}" for x in dec.coefficients))
@@ -366,7 +385,7 @@ def _cmd_gen(args) -> int:
         save_map_file(args.out, kind, shape, array)
         print(f"wrote {kind} to {args.out}")
     else:
-        print(json.dumps(map_file_dict(kind, shape, array)))
+        sys.stdout.writelines(map_file_chunks(kind, shape, array))
     return EXIT_OK
 
 

@@ -9,6 +9,11 @@ A file is one JSON object with three fields:
 
 All numerics are plain decimal floats.  Files are written compactly on one
 line; `python -m json.tool FILE` pretty-prints one for reading or diffing.
+The writer streams the text a matrix row at a time, without building the
+nested lists or the whole string, and its bytes equal those of compact
+`json.dumps` of the object plus a newline.  It refuses a non-finite entry,
+as the parser does.
+
 Parsing validates structure (ParseError) and dimension consistency
 (ShapeMismatch); these map to CLI exit codes 1 and 2.  Every entry must be
 a JSON number: a bool, a string, null, a non-finite value or an integer
@@ -136,15 +141,45 @@ def load_map_file(path) -> LoadedFile:
     return parse_map_data(data)
 
 
-def map_file_dict(kind: str, shape, array: np.ndarray) -> dict:
+def map_file_chunks(kind: str, shape, array: np.ndarray):
+    """The text of the file of (kind, shape, array), newline included, as an
+    iterator of strings for a text stream's writelines.
+
+    Every check runs on the call, before the first string is made: an
+    unknown kind or a non-finite entry is a ParseError, an array whose ndim
+    does not fit the kind a ShapeMismatch.  The text equals
+    `json.dumps({"kind": kind, "shape": shape, "matrix":
+    complex_to_pairs(array)}) + "\\n"` byte for byte.
+    """
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     shape_field = list(shape) if isinstance(shape, (tuple, list)) else int(shape)
-    return {"kind": kind, "shape": shape_field, "matrix": complex_to_pairs(array)}
+    a = np.asarray(array, dtype=complex)
+    ndim = 1 if kind == KIND_STATE else 2
+    if a.ndim != ndim:
+        raise ShapeMismatch(f"a {kind} is written from a {ndim}-D array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParseError("non-finite matrix entry")
+    head = '{"kind": %s, "shape": %s, "matrix": ' % (json.dumps(kind), json.dumps(shape_field))
+    return _chunks(head, np.atleast_2d(a), ndim == 2)
+
+
+def _chunks(head: str, rows: np.ndarray, nested: bool):
+    """head, then rows as lists of [re, im] pairs, in brackets if nested.
+
+    Each row is one %-format of its floats: %r is the float repr that the
+    json encoder writes, and the format holds json's ", " separators.
+    """
+    row = "[" + ", ".join(["[%r, %r]"] * rows.shape[1]) + "]"
+    yield head + "[" if nested else head
+    for i, parts in enumerate(np.ascontiguousarray(rows).view(np.float64)):
+        yield (", " + row if i else row) % tuple(parts.tolist())
+    yield "]}\n" if nested else "}\n"
 
 
 def save_map_file(path, kind: str, shape, array: np.ndarray) -> None:
-    # compact json.dumps runs the C encoder; indent= or json.dump would not
+    """Write the file of (kind, shape, array) to path.  The rows are streamed
+    to the file; nothing is opened unless map_file_chunks takes the input."""
+    chunks = map_file_chunks(kind, shape, array)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(map_file_dict(kind, shape, array)))
-        fh.write("\n")
+        fh.writelines(chunks)

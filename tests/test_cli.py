@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from unitarity_kit import classifier
+from unitarity_kit import classifier, cli
 from unitarity_kit.classifier import BipartiteMap, classify
-from unitarity_kit.cli import main
+from unitarity_kit.cli import build_parser, main
 from unitarity_kit.entropy_dynamics import Superoperator, analyze, superop_from_conjugation
 from unitarity_kit.generators import haar_unitary, perturb, random_local_map
-from unitarity_kit.linalg import kron
+from unitarity_kit.linalg import DEFAULT_RANK_TOL, kron
 from unitarity_kit.mapfile import (
     KIND_BIPARTITE_MAP,
     KIND_STATE,
@@ -318,6 +318,32 @@ def test_verify_entropy_report_without_a_witness_is_strict_json(capsys, tmp_path
     assert "witness" not in verdict
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_classify_report_writes_an_overflowing_witness_value_as_null(capsys, tmp_path, scale):
+    # check_E2's norm-weighted witness value overflows at the map's scale
+    path = tmp_path / "scaled.json"
+    save_map_file(path, KIND_BIPARTITE_MAP, (3, 3), random_local_map((3, 3), seed=2).matrix * scale)
+    code, out, _ = run(capsys, ["classify", str(path), "--json"])
+    assert code == 0
+    e2 = json.loads(out, parse_constant=_refuse)["quantitative"]["E2"]
+    assert e2["preserved"] is False
+    assert e2["witness"]["value_in"] == 1.0 and e2["witness"]["value_out"] is None
+
+
+def test_non_finite_report_value_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # a non-finite float that _jsonable does not see is refused, not printed
+    path = gen(capsys, tmp_path, "superop_unitary", "2")
+    real_analyze = cli.analyze
+
+    def overflowing_gain(*args, **kwargs):
+        return dataclasses.replace(real_analyze(*args, **kwargs), gain=float("inf"))
+
+    monkeypatch.setattr(cli, "analyze", overflowing_gain)
+    code, out, err = run(capsys, ["verify-entropy", path, "--json"])
+    assert (code, out) == (4, "")
+    assert "internal error" in err
+
+
 def test_gen_unitary_is_generically_rejected(capsys, tmp_path):
     path = gen(capsys, tmp_path, "unitary", "2", "2", seed=21)
     code, out, _ = run(capsys, ["classify", path, "--json"])
@@ -339,6 +365,41 @@ def test_gen_without_out_prints_document(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["kind"] == "state" and data["shape"] == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("unitary", "16", "16"), ("bell",), ("psi_c", "0.6", "2", "3"), ("superop_depolarize", "2")],
+)
+def test_gen_prints_the_bytes_it_writes(capsys, tmp_path, params):
+    code, out, _ = run(capsys, ["gen", *params])
+    assert code == 0
+    path = gen(capsys, tmp_path, *params)
+    with open(path, "rb") as f:
+        assert f.read() == out.encode()
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    psi = gen(capsys, tmp_path, "psi_c", "0.6", "2", "3")
+    bell = gen(capsys, tmp_path, "bell")
+    code, out, _ = run(capsys, ["schmidt", psi, "--shape", "2", "3", "--bases", "--json"])
+    assert code == 0 and "left_vectors" in json.loads(out)
+    # the file's own shape [2, 2], no bases, no JSON
+    code, out, _ = run(capsys, ["schmidt", bell])
+    assert code == 0
+    assert out.startswith("rank: 2\n") and "left vectors" not in out
+
+    local = gen(capsys, tmp_path, "local", "2", "2")
+    code, out, _ = run(capsys, ["classify", local, "--tol", "1e-6", "--json"])
+    assert code == 0 and json.loads(out)["tolerances"]["tol"] == 1e-6
+    code, out, _ = run(capsys, ["classify", local, "--json"])
+    assert code == 0 and json.loads(out)["tolerances"]["tol"] == DEFAULT_RANK_TOL
+
+    code, out, err = run(capsys, ["classify", local, "--tol", "5"])
+    assert (code, out) == (1, "") and "tol must be in (0, 1)" in err
+    code, out, err = run(capsys, ["classify", local])
+    assert (code, err) == (0, "") and out.startswith("kind: Local\n")
 
 
 def _gen_bytes(capsys, tmp_path, name, *flags):

@@ -11,6 +11,7 @@ from unitarity_kit.mapfile import (
     KIND_SUPEROPERATOR,
     complex_to_pairs,
     load_map_file,
+    map_file_chunks,
     parse_map_data,
     save_map_file,
 )
@@ -151,19 +152,21 @@ def test_files_are_plain_decimal_json(tmp_path):
     assert data["matrix"] == [[1.0, 0.0], [0.0, 0.0]]
 
 
+_TINY = np.finfo(float).smallest_subnormal
+_PARTS = np.array([0.0, -0.0, _TINY, -_TINY, 1e-310, -2.5e-308, 1.0, -np.pi, 1e308])
+_GRID = np.empty((_PARTS.size, _PARTS.size), dtype=complex)
+_GRID.real, _GRID.imag = _PARTS[:, None], _PARTS[None, :]
+
+
 def test_complex_to_pairs_matches_the_stacked_parts_bit_for_bit():
-    tiny = np.finfo(float).smallest_subnormal
-    parts = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.5e-308, 1.0, -np.pi, 1e308])
-    grid = np.empty((parts.size, parts.size), dtype=complex)
-    grid.real, grid.imag = parts[:, None], parts[None, :]
     samples = [
-        grid,
-        grid.T,  # non-contiguous
-        grid[::2, 1::3],
-        grid[:, 4],
-        np.asarray(grid[2, 3]),  # 0-d
-        parts,  # real input
-        -parts[::-1],
+        _GRID,
+        _GRID.T,  # non-contiguous
+        _GRID[::2, 1::3],
+        _GRID[:, 4],
+        np.asarray(_GRID[2, 3]),  # 0-d
+        _PARTS,  # real input
+        -_PARTS[::-1],
         np.zeros((0, 3), dtype=complex),
     ]
     for array in samples:
@@ -171,3 +174,46 @@ def test_complex_to_pairs_matches_the_stacked_parts_bit_for_bit():
         stacked = np.stack([a.real, a.imag], axis=-1).tolist()
         # json keeps the sign of a zero and every digit of a float
         assert json.dumps(complex_to_pairs(array)) == json.dumps(stacked)
+
+
+@pytest.mark.parametrize(
+    "kind,shape,array",
+    [
+        (KIND_BIPARTITE_MAP, (3, 3), _GRID),
+        (KIND_SUPEROPERATOR, 3, _GRID.T),  # non-contiguous
+        (KIND_STATE, (3, 3), _GRID[:, 4]),  # strided
+        (KIND_STATE, 9, _PARTS),  # real input
+        (KIND_STATE, [3, 3], -_PARTS[::-1]),
+        (KIND_STATE, (1, 1), np.array([-0.0 - 0.0j])),
+        (KIND_SUPEROPERATOR, 1, np.array([[1e300 - 1e-300j]])),
+        (KIND_BIPARTITE_MAP, (16, 16), haar_unitary(256, seed=4)),
+    ],
+    ids=["grid", "transposed", "column", "real", "reversed", "signed-zero", "d1", "256x256"],
+)
+def test_written_file_is_compact_json_byte_for_byte(tmp_path, kind, shape, array):
+    shape_field = list(shape) if isinstance(shape, (tuple, list)) else shape
+    reference = json.dumps({"kind": kind, "shape": shape_field, "matrix": complex_to_pairs(array)})
+    path = tmp_path / "written.json"
+    save_map_file(path, kind, shape, array)
+    assert path.read_bytes() == (reference + "\n").encode()
+    assert "".join(map_file_chunks(kind, shape, array)) == reference + "\n"
+    np.testing.assert_array_equal(load_map_file(path).array, array)
+
+
+@pytest.mark.parametrize(
+    "kind,shape,array,error",
+    [
+        (KIND_STATE, 2, np.array([np.nan, 0.0]), ParseError),
+        (KIND_STATE, 2, np.array([0.0, complex(0.0, -np.inf)]), ParseError),
+        (KIND_BIPARTITE_MAP, (1, 2), np.array([[1.0, 0.0], [0.0, np.inf]]), ParseError),
+        ("channel", 1, np.eye(1), ParseError),
+        (KIND_STATE, (1, 2), np.eye(2), ShapeMismatch),
+        (KIND_SUPEROPERATOR, 2, np.ones(4), ShapeMismatch),
+    ],
+    ids=["nan", "complex-inf", "matrix-inf", "kind", "state-matrix", "superop-vector"],
+)
+def test_refused_input_creates_no_file(tmp_path, kind, shape, array, error):
+    path = tmp_path / "refused.json"
+    with pytest.raises(error):
+        save_map_file(path, kind, shape, array)
+    assert not path.exists()
