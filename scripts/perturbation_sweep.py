@@ -4,34 +4,20 @@
 For each epsilon, draws random (swap-)local maps, adds a Gaussian direction
 of that relative size, classifies the result, and reports the rejection
 fraction, how many rejects carry a witness that re-verifies from scratch
-(acceptance.witness_reverifies) and, for n != m, whose product state has an
-entangled image in both layouts (n, m) and (m, n), plus the reconstruction
-error of any survivors.  Exits with status 1 when some reject lacks such a
-witness.
+(unitarity_kit.witness_reverifies: a kernel state the map annihilates, or
+a product state whose image is entangled, for n != m in both layouts
+(n, m) and (m, n)), plus the reconstruction error of any survivors.  Exits
+with status 1 when some reject lacks such a witness.
 """
 
 import argparse
 import sys
 
-from unitarity_kit.acceptance import witness_reverifies
-from unitarity_kit.classifier import KIND_NOT_PRESERVING, WITNESS_KERNEL, classify
+from unitarity_kit import witness_reverifies
+from unitarity_kit.classifier import KIND_NOT_PRESERVING, classify
 from unitarity_kit.generators import perturb, random_local_map, split_rng
-from unitarity_kit.schmidt import schmidt_rank
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
-
-
-def refuted(bmap, witness) -> bool:
-    """witness_reverifies, and for a product state of an n != m map an image
-    that is entangled in both layouts: every SwapLocal map entangles product
-    states in (n, m), so that layout alone refutes no SwapLocal reading."""
-    if witness is None or not witness_reverifies(bmap, witness):
-        return False
-    n, m = bmap.shape.n, bmap.shape.m
-    if witness.kind == WITNESS_KERNEL or n == m:
-        return True
-    image = bmap._unit @ witness.state
-    return schmidt_rank(image, (n, m)) >= 2 and schmidt_rank(image, (m, n)) >= 2
 
 
 def main() -> None:
@@ -60,7 +46,7 @@ def main() -> None:
             verdict = classify(noisy)
             if verdict.kind == KIND_NOT_PRESERVING:
                 rejected += 1
-                verified += refuted(noisy, verdict.witness)
+                verified += verdict.witness is not None and witness_reverifies(noisy, verdict.witness)
             else:
                 worst_err = max(worst_err, verdict.reconstruction_error)
         accepted = args.trials - rejected
@@ -68,7 +54,7 @@ def main() -> None:
         print(f"{eps:>10.1e}  {rejected:>9}  {verified:>9}  {accepted:>9}  {err}")
         unverified += rejected - verified
     if unverified:
-        print(f"{unverified} rejects lack a witness that re-verifies in every layout", file=sys.stderr)
+        print(f"{unverified} rejects lack a witness that re-verifies", file=sys.stderr)
         sys.exit(1)
 
 

@@ -15,6 +15,7 @@ from .classifier import (
     classify,
     extract_factors,
     factor_phase_grid,
+    witness_reverifies,
 )
 from .entropy_dynamics import (
     EntropyWitness,

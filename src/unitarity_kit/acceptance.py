@@ -22,13 +22,11 @@ from .classifier import (
     KIND_LOCAL,
     KIND_NOT_PRESERVING,
     KIND_SWAP_LOCAL,
-    WITNESS_KERNEL,
-    WITNESS_NONFACTORIZABLE_PHASE,
-    WITNESS_PRODUCT_TO_ENTANGLED,
     BipartiteMap,
     Witness,
     classify,
     factor_phase_grid,
+    witness_reverifies,
 )
 from .entropy_dynamics import (
     KIND_ANTIUNITARY,
@@ -67,28 +65,6 @@ class CriterionResult:
 
 def _finish(name: str, t0: float, passed: bool, detail: str) -> CriterionResult:
     return CriterionResult(name=name, passed=passed, detail=detail, seconds=time.perf_counter() - t0)
-
-
-def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = 1e-8) -> bool:
-    """Recompute the witness claim from scratch through the Schmidt oracle.
-
-    The image is taken under the map's unit-scale copy and vanishes when it
-    is at most tol * ||L||_2 * ||state|| there, so no norm under- or
-    overflows at any scale of the map.
-    """
-    ev = witness.evidence
-    state = witness.state
-    in_rank = schmidt_rank(state, ev.input_shape, tol=tol)
-    img = bmap._unit @ state
-    if np.linalg.norm(img) <= tol * np.linalg.norm(state) * bmap._spectrum[0]:
-        img_rank = 0
-    else:
-        img_rank = schmidt_rank(img, ev.image_shape, tol=tol)
-    if witness.kind == WITNESS_KERNEL:
-        return in_rank >= 2 and img_rank < in_rank and img_rank <= 1
-    if witness.kind in (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE):
-        return in_rank == 1 and img_rank >= 2
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,14 @@ factors, extraction of the local factors and a rank-1 factorization of the
 leftover phase/length grid), then from the rank check once more, and last
 from a deterministic search over product states.  By the paper's theorem an
 invertible map that sends every product state to a product is Local or
-SwapLocal, so a full-rank reject has a product state with an entangled
-image and a rank-deficient one has its kernel: a witness makes one of
-those two claims, and classify draws no random numbers.  Every witness
-carries the Schmidt data of its state and of its image (_evidence), and a
-stage returns it only when those ranks show the violation, with two
-exceptions that the construction proves: an entangled basis image, whose
-rank the image table's spectrum decided, and an entangled kernel vector,
-which the map annihilates.  No independent re-check runs before a witness
-is returned; acceptance.witness_reverifies is that check.
+SwapLocal, so a witness makes one of two claims: the map annihilates its
+state (KernelVector), or its state is a product whose image is entangled
+(ProductToEntangled, and NonFactorizablePhase from the phase grid).  Every
+witness carries the Schmidt data of its state and of its image
+(_evidence), and one rule, _claims, decides whether that data shows the
+claim: a stage returns a witness only when it does, and
+witness_reverifies recomputes the data from the state alone and applies
+the same rule.  classify draws no random numbers.
 
 The reject path avoids full decompositions where a cheaper certificate
 exists.  The rank check reads the map's values-only spectrum, cached on
@@ -41,9 +40,8 @@ SVD.
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
 As every SwapLocal map entangles some product states in the own layout
-(n, m), a product-state witness of an n != m map shows an entangled image
-in both layouts; only the partner state of a product kernel vector, on a
-rank-deficient map, is judged in (n, m) alone.
+(n, m), a product-state witness of an n != m map must show an entangled
+image in both layouts.
 
 Every decision is made on one copy of the map, L * 2^-k, with k the binary
 exponent of its largest real or imaginary part, which the constructor reads
@@ -52,7 +50,8 @@ two is exact, so the fits, spectra, kernel vectors and images that decide a
 verdict are the same bits for L and for L * 2^j whenever that product is
 exact, and no norm under- or overflows at any scale of the map.  Only the
 outputs that carry the map's scale, A, the image Schmidt coefficients and
-singular_values, are multiplied back by 2^k.
+singular_values, are multiplied back by 2^k; where A times 2^k would
+overflow, A and B take about half of k each.
 """
 
 from __future__ import annotations
@@ -242,68 +241,60 @@ def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
     )
 
 
-def _orthogonal_complement_column(v: np.ndarray) -> np.ndarray:
-    """Some unit vector orthogonal to v (dim >= 2)."""
-    d = v.shape[0]
-    basis = np.eye(d, dtype=complex)
-    overlaps = np.abs(v.conj() @ basis)
-    e = basis[:, int(np.argmin(overlaps))]
-    w = e - np.vdot(v, e) * v
-    return w / np.linalg.norm(w)
+def _claims(bmap: BipartiteMap, witness: Witness, tol: float) -> bool:
+    """Whether a witness's Schmidt evidence shows the claim of its kind: the
+    one rule by which every classify stage returns a witness and
+    witness_reverifies judges one.
+
+    A KernelVector claims that the map annihilates its state: the image
+    vanishes (rank 0), whatever the state's Schmidt rank.  A
+    ProductToEntangled or NonFactorizablePhase witness claims a product
+    state with an entangled image: input rank 1 and image rank >= 2, and
+    for n != m an image entangled in the flipped layout too, as every
+    SwapLocal map entangles product states in its own layout.  That rank
+    is read off the unit-scale image; no coefficient is scaled back.
+    """
+    ev = witness.evidence
+    if witness.kind == WITNESS_KERNEL:
+        return ev.image_rank == 0
+    product_to_entangled = (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE)
+    claim = witness.kind in product_to_entangled and ev.input_rank == 1 and ev.image_rank >= 2
+    if not claim or bmap.shape.n == bmap.shape.m:
+        return claim
+    image = (bmap._unit @ witness.state).reshape(ev.image_shape[::-1])
+    return bool(_schmidt_ranks(singular_values(image), tol) >= 2)
+
+
+def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Whether a witness's claim holds on the map, from its state alone.
+
+    The Schmidt evidence is recomputed (_evidence, in the witness's image
+    layout) and judged by the rule every classify witness passed,
+    _claims, so for n != m a product-state witness must show an entangled
+    image in both layouts.  Images are taken under the unit-scale map, so
+    no norm under- or overflows at any scale of the map.
+    """
+    tol = tolerance(tol)
+    ev = _evidence(bmap, witness.state, witness.evidence.image_shape, tol)
+    return _claims(bmap, Witness(witness.kind, witness.state, ev), tol)
 
 
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
-    """None when the map has full numerical rank; otherwise the kernel
-    vector's witness, or None when _kernel_witness finds none it can check.
+    """None when the map has full numerical rank; otherwise its kernel
+    vector as a KernelVector witness, or None when that vector's image does
+    not vanish after all.
 
     The rank rule is the spectrum's: full rank when s_min > tol * s_max,
     read off the cached values-only spectrum.  Only a rank-deficient map
     takes a full SVD of its unit-scale copy; the last right singular
-    vector is the kernel vector, whose witness is _kernel_witness's.
+    vector is the kernel vector, a product state or an entangled one.
     """
     s = bmap._spectrum
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
-    return _kernel_witness(bmap, svd(bmap._unit).right_basis[-1, :].conj(), tol)
-
-
-def _kernel_witness(bmap: BipartiteMap, kernel: np.ndarray, tol: float) -> Witness | None:
-    """The witness for a unit vector the map annihilates, or None.
-
-    An entangled kernel vector is its own witness, being annihilated
-    outright.  A product one, a1 x b1, is upgraded to the constructive
-    violation, with a2, b2 unit and orthogonal to a1, b1.  The witness is
-    the first of three candidates whose image ranks show the violation:
-    the Schmidt-rank-2 combination (a1 x b1 + a2 x b2) / sqrt(2), whose
-    image has rank <= 1 when L(a1 x b1) is small enough against
-    L(a2 x b2); the partner product state a2 x b2, when its image is
-    entangled; and (sqrt(tol) a1 x b1 + a2 x b2) / sqrt(1 + tol), still of
-    rank 2 as sqrt(tol) > tol, whose image is a product wherever
-    L(a2 x b2) is one and ||L(a1 x b1)|| <= sqrt(tol) ||L(a2 x b2)||.
-    None when no candidate does.
-    """
-    dec = schmidt_decompose(kernel, bmap.shape, tol=tol)
-    if dec.rank >= 2:
-        ev = _evidence(bmap, kernel, bmap.shape, tol)
-        return Witness(kind=WITNESS_KERNEL, state=kernel, evidence=ev)
-    a1 = dec.left_vectors[:, 0]
-    b1 = dec.right_vectors[:, 0]
-    a2 = _orthogonal_complement_column(a1)
-    b2 = _orthogonal_complement_column(b1)
-    product = np.outer(a1, b1).ravel()
-    partner = np.outer(a2, b2).ravel()
-    combo = (product + partner) / np.sqrt(2)
-    ev = _evidence(bmap, combo, bmap.shape, tol)
-    if ev.input_rank >= 2 and ev.image_rank <= 1:
-        return Witness(kind=WITNESS_KERNEL, state=combo, evidence=ev)
-    ev = _evidence(bmap, partner, bmap.shape, tol)
-    if ev.image_rank >= 2:
-        return Witness(kind=WITNESS_PRODUCT_TO_ENTANGLED, state=partner, evidence=ev)
-    weighted = (np.sqrt(tol) * product + partner) / np.sqrt(1.0 + tol)
-    ev = _evidence(bmap, weighted, bmap.shape, tol)
-    if ev.input_rank >= 2 and ev.image_rank <= 1:
-        return Witness(kind=WITNESS_KERNEL, state=weighted, evidence=ev)
-    return None
+    kernel = svd(bmap._unit).right_basis[-1, :].conj()
+    witness = Witness(WITNESS_KERNEL, kernel, _evidence(bmap, kernel, bmap.shape, tol))
+    return witness if _claims(bmap, witness, tol) else None
 
 
 @dataclass(frozen=True)
@@ -519,11 +510,12 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
     """The first same-row or same-column basis pair whose image factors are
     both non-parallel and whose product state (|p> + |q>) / sqrt(2) has an
     image of Schmidt rank >= 2 in the table's layout, in row-then-column
-    order; None when no pair shows it.
+    order; None when no pair shows it.  For n != m the caller still asks
+    _claims for the flipped layout.
 
     Such a pair exists wherever the parallelism pattern fails on a
-    full-rank map; a rank-deficient map may offer only an entangled state
-    with a product image, and gets its witness from the rank check instead.
+    full-rank map; a rank-deficient map may offer none, and gets its
+    witness, a kernel vector, from the rank check instead.
     """
     n, m = table.shape_in.n, table.shape_in.m
     out = table.shape_out
@@ -544,12 +536,12 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
     for i, q in np.argwhere(apart[rows[:, None], j_lo, rows[:, None], j_hi]):
         state = pair_state(i * m + j_lo[q], i * m + j_hi[q])
         ev = _evidence(bmap, state, out, tol)
-        if ev.input_rank == 1 and ev.image_rank >= 2:
+        if ev.image_rank >= 2:
             return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
     for j, p in np.argwhere(apart[i_lo, cols[:, None], i_hi, cols[:, None]]):
         state = pair_state(i_lo[p] * m + j, i_hi[p] * m + j)
         ev = _evidence(bmap, state, out, tol)
-        if ev.input_rank == 1 and ev.image_rank >= 2:
+        if ev.image_rank >= 2:
             return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
     return None
 
@@ -559,16 +551,6 @@ def _image_ratio(image: np.ndarray, layouts) -> float:
     for the zero image."""
     spectra = [singular_values(image.reshape(out.n, out.m)) for out in layouts]
     return float(min(s[1] / s[0] if s[0] > 0.0 else 0.0 for s in spectra))
-
-
-def _entangled_in_both_layouts(bmap: BipartiteMap, witness: Witness, tol: float) -> bool:
-    """Whether a product-to-entangled witness's image is entangled in the
-    flipped layout too; always true for n == m.  The rank is read off the
-    unit-scale image and no coefficient is scaled back."""
-    if bmap.shape.n == bmap.shape.m:
-        return True
-    other = witness.evidence.image_shape[::-1]
-    return bool(_schmidt_ranks(singular_values((bmap._unit @ witness.state).reshape(other)), tol) >= 2)
 
 
 def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
@@ -585,7 +567,7 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     PRODUCT_SEARCH_SWEEPS sweeps run in the layout (n, m), and as many in
     (m, n) when n != m.  The witness is the visited state whose smallest
     s_2 / s_1 over every layout is largest, once that exceeds tol and its
-    evidence confirms the claim.
+    evidence makes the claim (_claims).
     """
     shape = bmap.shape
     n, m = shape.n, shape.m
@@ -618,11 +600,8 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
                 best, best_ratio = np.kron(*factors), ratio
     if not best_ratio > tol:
         return None
-    ev = _evidence(bmap, best, shape, tol)
-    witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, best, ev)
-    if ev.input_rank == 1 and ev.image_rank >= 2 and _entangled_in_both_layouts(bmap, witness, tol):
-        return witness
-    return None
+    witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, best, _evidence(bmap, best, shape, tol))
+    return witness if _claims(bmap, witness, tol) else None
 
 
 def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
@@ -671,26 +650,18 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     return a / phase, b * phase, err
 
 
-def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, bool]:
-    """A witness for a rejected map, and whether it proves the map rank
-    deficient: a witness built from a kernel vector (_kernel_witness, which
-    also serves check_full_rank).
-
-    The first witness found, in reading order: the image table of the map's
-    own layout (a vanishing basis image, a product kernel vector, gives its
-    _kernel_witness when that finds one; an entangled one is its own
-    witness), then that reading's phase grid of a matching parallelism
-    pattern, then the relabeled reading's table and grid.  Then the
-    basis-pair parallelism scan of every table built; then check_full_rank,
-    on the cached spectrum; last the product-state search.  For n != m a
-    product-to-entangled witness of these stages is taken only when its
-    image is entangled in both layouts (a SwapLocal map entangles product
-    states in the own layout too); otherwise the search goes on."""
+def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
+    """The first witness found for a rejected map, in reading order: the
+    image table of the map's own layout (its vanishing basis image, a
+    KernelVector, or its entangled one), then that reading's phase grid of
+    a matching parallelism pattern, then the relabeled reading's table and
+    grid.  Then the basis-pair parallelism scan of every table built; then
+    check_full_rank, on the cached spectrum; last the product-state search.
+    Each stage's witness is taken only when it makes its claim (_claims):
+    for n != m a product-state witness must be entangled in both layouts,
+    as a SwapLocal map entangles product states in the own layout too;
+    otherwise the search goes on."""
     shape = bmap.shape
-
-    def refutes(witness: Witness | None) -> bool:
-        return witness is not None and _entangled_in_both_layouts(bmap, witness, tol)
-
     # the relabeled reading's output layout is (m, n), the same table when n == m
     tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
     for out_shape, case in ((shape, CASE_I), (shape.flipped(), CASE_II)):
@@ -701,15 +672,8 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
         if isinstance(table, Witness):
             # an entangled (m, n) image refutes no Local reading; when
             # n == m this table is the own layout's, decided on the first pass
-            if case == CASE_II:
-                continue
-            if table.kind != WITNESS_KERNEL:
-                if refutes(table):
-                    return table, False
-                continue
-            witness = _kernel_witness(bmap, table.state, tol)
-            if witness is not None:
-                return witness, True
+            if case == CASE_I and _claims(bmap, table, tol):
+                return table
             continue
         if not _pattern_holds(table, case, tol):
             continue
@@ -717,17 +681,15 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> tuple[Witness | None, boo
         if isinstance(factored, Witness):
             ev = _evidence(bmap, factored.state, out_shape, tol)
             witness = Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
-            if ev.input_rank == 1 and ev.image_rank >= 2 and refutes(witness):
-                return witness, False
+            if _claims(bmap, witness, tol):
+                return witness
     for table in tables.values():
         if not isinstance(table, Witness):
             witness = _parallelism_witness(bmap, table, tol)
-            if refutes(witness):
-                return witness, False
-    deficient = check_full_rank(bmap, tol)
-    if deficient is not None:
-        return deficient, True
-    return _product_search_witness(bmap, tol), False
+            if witness is not None and _claims(bmap, witness, tol):
+                return witness
+    witness = check_full_rank(bmap, tol)
+    return witness if witness is not None else _product_search_witness(bmap, tol)
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
@@ -740,8 +702,10 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     relabeling from the recorded output shape.  A fitted reading is
     accepted exactly when its rank_ratio, s_min / s_max of A x B from one
     values-only SVD of each factor, exceeds tol; as both factor ratios are
-    at most 1, this implies the rank check of A and of B.  An accepted map
-    never computes its own nm x nm spectrum.  Once both readings miss, the
+    at most 1, this implies the rank check of A and of B.  A carries the
+    map's scale and ||B||_F = 1, unless A times that scale would overflow:
+    then A and B each take about half of it.  An accepted map never
+    computes its own nm x nm spectrum.  Once both readings miss, the
     verdict is NotPreserving and only its witness remains to be found.  A
     reading that fitted but failed its rank ratio shows that the map is
     A x B (or S (A x B)) and only invertibility failed, so the rank check,
@@ -754,8 +718,7 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     never computes its spectrum unless some witness image falls below the
     vanishing test's Frobenius bound; the image table certifies rank 1 by
     a rank-1 fit and runs no full SVD.  detail reads "map is rank
-    deficient" exactly when the witness was built from a kernel vector: a
-    KernelVector, or the partner product state of a product kernel vector.
+    deficient" exactly when the witness is a KernelVector.
 
     A map no reading accepts is NotPreserving with a witness whose Schmidt
     evidence shows the violation (see the module docstring): a kernel
@@ -788,9 +751,13 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
         sa, sb = singular_values(a), singular_values(b)
         ratio = float(sa[-1] / sa[0] * (sb[-1] / sb[0]))
         if ratio > tol:
+            k = k_a = bmap._exponent
+            if k + part_exponent(a) > 1024:  # a part of A * 2^k would overflow
+                k_a = k - k // 2
+                b = ldexp(b, k // 2)
             return QualitativeVerdict(
                 kind,
-                ldexp(a, bmap._exponent),
+                ldexp(a, k_a),
                 b,
                 reconstruction_error=err,
                 rank_ratio=ratio,
@@ -798,13 +765,14 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
                 detail="factors certified by reconstruction",
             )
         factored = True
-    if factored:
-        # the map factors and only its rank failed
-        witness = check_full_rank(bmap, tol)
-        if witness is not None:
-            return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail="map is rank deficient")
-    witness, deficient = _search_witness(bmap, tol)
-    detail = "map is rank deficient" if deficient else "no local or swap-local decomposition fits"
+    # a map that factors failed only its rank
+    witness = check_full_rank(bmap, tol) if factored else None
     if witness is None:
-        detail += "; no witness found"
+        witness = _search_witness(bmap, tol)
+    if witness is None:
+        detail = "no local or swap-local decomposition fits; no witness found"
+    elif witness.kind == WITNESS_KERNEL:
+        detail = "map is rank deficient"
+    else:
+        detail = "no local or swap-local decomposition fits"
     return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=detail)

@@ -56,7 +56,9 @@ def _read_only_svd(f: np.ndarray) -> SVDResult:
 def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
     """One SVD per factor, or the last pair's when a and b have its shapes
     and bytes.  Both factors must be square with dimension >= 2
-    (ShapeMismatch) and invertible within tol (RankDeficient)."""
+    (ShapeMismatch), finite (ParamOutOfRange, checked before any SVD, which
+    may not return on an inf; a cached pair passed that check) and
+    invertible within tol (RankDeficient)."""
     global _last_svds
     a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
     for name, f in (("A", a), ("B", b)):
@@ -67,6 +69,8 @@ def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
     if cached is not None and cached[0] == key:
         ra, rb = cached[1]
     else:
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ParamOutOfRange("a factor has non-finite entries")
         ra, rb = _read_only_svd(a), _read_only_svd(b)
         _last_svds = key, (ra, rb)
     for name, s in (("A", ra.singular_values), ("B", rb.singular_values)):
@@ -186,7 +190,8 @@ def check_E1(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
     entangled probe (E1 = 1) maps to an image of E1 = h(q) < 1, the binary
     entropy of q = (lambda_n mu_m)^2 / ((lambda_1 mu_1)^2 + (lambda_n mu_m)^2),
     read off the spectra (0 when lambda_n mu_m / lambda_1 mu_1 <=
-    DEFAULT_RANK_TOL).  Non-square factors or dimension < 2: ShapeMismatch.
+    DEFAULT_RANK_TOL).  Non-square factors or dimension < 2: ShapeMismatch;
+    a non-finite entry: ParamOutOfRange.
     """
     return _check(
         "E1", a, b, tol,
@@ -202,7 +207,8 @@ def check_E2(a, b, tol: float = DEFAULT_RANK_TOL) -> QuantitativeVerdict:
     i.e. A = c U and B = V / c; the certificate records c = lambda_1.  On
     failure the probe (E2 = 1) maps to an image of E2 = h(q) (x^2 + y^2) / 2
     with x = lambda_1 mu_1, y = lambda_n mu_m and q as in check_E1, read off
-    the spectra.  Non-square factors or dimension < 2: ShapeMismatch.
+    the spectra.  Non-square factors or dimension < 2: ShapeMismatch;
+    a non-finite entry: ParamOutOfRange.
     """
     return _check(
         "E2", a, b, tol,

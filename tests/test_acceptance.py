@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from unitarity_kit import acceptance
+from unitarity_kit import acceptance, witness_reverifies
 from unitarity_kit.classifier import BipartiteMap, classify
 from unitarity_kit.cli import main
 from unitarity_kit.generators import cnot_map
@@ -25,10 +25,10 @@ def test_witness_reverifies_at_every_scale(scale):
     cnot = cnot_map()
     witness = classify(cnot).witness
     scaled = BipartiteMap(scale * cnot.matrix, cnot.shape)
-    assert acceptance.witness_reverifies(scaled, witness)
+    assert witness_reverifies(scaled, witness)
     # the identity sends the product witness to a product image
     identity = BipartiteMap(scale * np.eye(4, dtype=complex), cnot.shape)
-    assert not acceptance.witness_reverifies(identity, witness)
+    assert not witness_reverifies(identity, witness)
 
 
 def test_criterion_selfcheck_cli(capsys):

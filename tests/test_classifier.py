@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unitarity_kit import classifier
-from unitarity_kit.acceptance import witness_reverifies
+from unitarity_kit import classifier, witness_reverifies
 from unitarity_kit.classifier import (
     CASE_I,
     CASE_II,
@@ -13,6 +12,7 @@ from unitarity_kit.classifier import (
     KIND_NOT_PRESERVING,
     KIND_SWAP_LOCAL,
     WITNESS_KERNEL,
+    WITNESS_NONFACTORIZABLE_PHASE,
     WITNESS_PRODUCT_TO_ENTANGLED,
     BipartiteMap,
     Witness,
@@ -35,7 +35,8 @@ from unitarity_kit.generators import (
     random_schmidt_rank_state,
     split_rng,
 )
-from unitarity_kit.linalg import kron
+from unitarity_kit.linalg import kron, ldexp
+from unitarity_kit.quantitative import check_E1, check_E2
 from unitarity_kit.schmidt import (
     BipartiteShape,
     schmidt_decompose,
@@ -49,18 +50,18 @@ def local_map(n, m, seed, swap=False) -> BipartiteMap:
 
 
 def witness_checks_out(bmap: BipartiteMap, w: Witness) -> bool:
-    # the image is taken under L / ||L||_2, so no norm under- or overflows
+    # the image is taken under L / ||L||_2, so no norm under- or overflows;
+    # a kernel witness is a state the map annihilates, whatever its rank,
+    # and a product-state witness has an image entangled in every layout
     in_rank = schmidt_rank(w.state, w.evidence.input_shape)
     norm2 = bmap.singular_values[0]
     unit = bmap.matrix / norm2 if norm2 > 0.0 else bmap.matrix
     img = unit @ w.state
     if np.linalg.norm(img) <= 1e-8 * np.linalg.norm(unit):
-        img_rank = 0
-    else:
-        img_rank = schmidt_rank(img, w.evidence.image_shape)
-    if w.kind == WITNESS_KERNEL:
-        return in_rank >= 2 and img_rank <= 1
-    return in_rank == 1 and img_rank >= 2
+        return w.kind == WITNESS_KERNEL
+    n, m = bmap.shape.n, bmap.shape.m
+    img_rank = min(schmidt_rank(img, out) for out in {(n, m), (m, n)})
+    return w.kind != WITNESS_KERNEL and in_rank == 1 and img_rank >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +73,25 @@ def test_full_rank_accepts_identity():
 
 
 def test_rank_deficient_projector_yields_kernel_witness():
+    # the projector kills |1,1>, which is the witness up to a phase
     bmap = BipartiteMap(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex), BipartiteShape(2, 2))
     w = check_full_rank(bmap)
     assert w is not None and w.kind == WITNESS_KERNEL
+    np.testing.assert_allclose(np.abs(w.state), [0, 0, 0, 1])
     assert witness_checks_out(bmap, w)
 
 
-def test_product_kernel_vector_gives_rank_two_combination():
-    # L kills |0,0> but keeps |1,1>: the combination has rank 2, its image rank <= 1
+def test_product_kernel_vector_is_its_own_witness():
+    # L kills the product state |0,0>: the claim is that the map annihilates
+    # it, so the kernel vector itself is the witness, with image rank 0
     bmap = BipartiteMap(np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex), BipartiteShape(2, 2))
     w = check_full_rank(bmap)
     assert w is not None and w.kind == WITNESS_KERNEL
-    assert w.evidence.input_rank == 2
-    assert w.evidence.image_rank <= 1
+    np.testing.assert_allclose(np.abs(w.state), [1, 0, 0, 0])
+    assert (w.evidence.input_rank, w.evidence.image_rank) == (1, 0)
+    assert w.evidence.image_coefficients.size == 0
     assert witness_checks_out(bmap, w)
+    assert witness_reverifies(bmap, w)
 
 
 def test_spectrum_is_cached_on_the_map():
@@ -106,7 +112,8 @@ def test_bipartite_map_refuses_non_finite_entries(bad):
 def test_zero_map_is_rejected_with_witness():
     bmap = BipartiteMap(np.zeros((4, 4), dtype=complex), BipartiteShape(2, 2))
     w = check_full_rank(bmap)
-    assert w is not None
+    assert w is not None and w.kind == WITNESS_KERNEL
+    assert w.evidence.image_rank == 0
     assert witness_checks_out(bmap, w)
 
 
@@ -166,17 +173,18 @@ def kernel_product_map() -> BipartiteMap:
     ids=["kernel-product", "zero-column", "diagonal-zero"],
 )
 def test_kernel_vector_comes_from_the_full_svd(monkeypatch, make):
-    # whatever the kernel's dimension, the kernel vector is the last right
-    # singular vector of one full SVD of the unit-scale map
+    # whatever the kernel's dimension, the witness is the last right
+    # singular vector of one full SVD of the unit-scale map, product or
+    # entangled, with a vanishing image
     bmap = make()
     kernel = np.linalg.svd(bmap._unit, full_matrices=False)[2][-1].conj()
-    expected = classifier._kernel_witness(bmap, kernel, 1e-8)
     calls = svd_calls(monkeypatch)
     w = check_full_rank(BipartiteMap(bmap.matrix, bmap.shape))
     assert ((bmap.shape.dim, bmap.shape.dim), True) in calls
-    assert w.kind == expected.kind
-    np.testing.assert_array_equal(w.state, expected.state)
-    np.testing.assert_array_equal(w.evidence.image_coefficients, expected.evidence.image_coefficients)
+    assert w.kind == WITNESS_KERNEL
+    np.testing.assert_array_equal(w.state, kernel)
+    assert w.evidence.image_rank == 0 and w.evidence.image_coefficients.size == 0
+    assert w.evidence.input_rank == schmidt_rank(kernel, bmap.shape)
     assert witness_checks_out(bmap, w)
     assert witness_reverifies(bmap, w)
 
@@ -206,8 +214,7 @@ def near_singular_local_maps():
 
 
 def test_rank_deficient_local_map_witness_reverifies():
-    # the kernel vector is a product; near the rank gate neither the
-    # equal-weight combination nor the partner product state need check out
+    # the kernel vector is a product, and the map annihilates it
     rejects = 0
     for bmap in near_singular_local_maps():
         v = classify(bmap)
@@ -215,8 +222,64 @@ def test_rank_deficient_local_map_witness_reverifies():
             continue
         rejects += 1
         assert v.witness is not None and v.detail == "map is rank deficient"
+        assert v.witness.kind == WITNESS_KERNEL and v.witness.evidence.image_rank == 0
         assert witness_reverifies(bmap, v.witness)
     assert rejects > 100
+
+
+def kernel_entangled_maps():
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3)):
+        for seed in range(4):
+            yield kernel_entangled_map(n, m, seed=10 * seed + n * m)
+
+
+def test_every_classify_witness_reverifies_in_both_layouts():
+    # near-singular local maps, kernel-entangled maps and maps whose basis
+    # images are products: every witness makes its claim, for n != m in
+    # both layouts
+    shapes, kinds = set(), set()
+    for bmap in (*near_singular_local_maps(), *kernel_entangled_maps(), *product_image_maps()):
+        v = classify(bmap)
+        if v.kind != KIND_NOT_PRESERVING:
+            continue
+        assert v.witness is not None, bmap.shape
+        assert witness_reverifies(bmap, v.witness)
+        assert witness_checks_out(bmap, v.witness)
+        shapes.add(bmap.shape.as_tuple())
+        kinds.add(v.witness.kind)
+    assert {(2, 3), (3, 2)} <= shapes
+    assert {WITNESS_KERNEL, WITNESS_PRODUCT_TO_ENTANGLED} <= kinds
+
+
+@pytest.mark.parametrize("image_shape", [(2, 3), (3, 2)])
+def test_witness_reverifies_refuses_an_image_entangled_in_one_layout(image_shape):
+    # a SwapLocal 2x3 map sends every product state to a product in (3, 2),
+    # while in its own layout (2, 3) it entangles a generic one
+    bmap = local_map(2, 3, seed=9, swap=True)
+    state = np.kron([1.0, 2.0], [1.0, 2.0, 3.0]).astype(complex)
+    state /= np.linalg.norm(state)
+    image = bmap.matrix @ state
+    assert schmidt_rank(image, (2, 3)) == 2 and schmidt_rank(image, (3, 2)) == 1
+    ev = _evidence(bmap, state, (2, 3), 1e-8)
+    assert (ev.input_rank, ev.image_rank) == (1, 2)
+    ev = _evidence(bmap, state, image_shape, 1e-8)
+    for kind in (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE, WITNESS_KERNEL):
+        assert not witness_reverifies(bmap, Witness(kind, state, ev))
+
+
+def test_witness_reverifies_takes_any_state_the_map_annihilates():
+    # a kernel witness claims a vanishing image, whatever the state's rank
+    bmap = BipartiteMap(np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex), BipartiteShape(2, 2))
+    for state in ([1, 0, 0, 0], np.array([1, 0, 0, 1]) / np.sqrt(2)):
+        state = np.asarray(state, dtype=complex)
+        w = Witness(WITNESS_KERNEL, state, _evidence(bmap, state, (2, 2), 1e-8))
+        assert witness_reverifies(bmap, w)
+        assert not witness_reverifies(bmap, Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, w.evidence))
+    # |0,1> keeps a nonzero product image: no claim of either kind
+    state = np.array([0, 1, 0, 0], dtype=complex)
+    ev = _evidence(bmap, state, (2, 2), 1e-8)
+    for kind in (WITNESS_KERNEL, WITNESS_PRODUCT_TO_ENTANGLED):
+        assert not witness_reverifies(bmap, Witness(kind, state, ev))
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +704,26 @@ def test_classify_local_map_at_extreme_scale(scale, n, m, swap):
     np.testing.assert_allclose(kron(v.a, v.b) / scale, reference, atol=1e-8)
 
 
+def test_classify_splits_the_scale_where_a_would_overflow():
+    # largest part 9.4e307: A at unit scale times 2^1024 would overflow, so A
+    # and B take 2^512 each, and the checks the CLI runs on them return
+    base = random_local_map((3, 3), seed=0).matrix
+    bmap = BipartiteMap(base * 1.7e308, BipartiteShape(3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = classify(bmap)
+    assert v.kind == KIND_LOCAL
+    assert np.isfinite(v.a).all() and np.isfinite(v.b).all()
+    assert np.linalg.norm(v.b) == pytest.approx(2.0**512, rel=1e-12)
+    np.testing.assert_allclose(kron(v.a, v.b) / 1.7e308, base, atol=1e-10)
+    for check in (check_E1, check_E2):
+        assert not check(v.a, v.b).preserved
+    # two binades lower A takes the whole scale, as wherever it stays finite
+    lower = classify(BipartiteMap(ldexp(bmap.matrix, -2), bmap.shape))
+    np.testing.assert_array_equal(lower.b, classify(BipartiteMap(ldexp(bmap.matrix, -600), bmap.shape)).b)
+    assert np.linalg.norm(lower.b) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e-180, 1e200])
 def test_classify_phase_witness_at_extreme_scale(scale):
     grid = np.array([[1.0, 2.0], [3.0, 5.0]])
@@ -792,10 +875,8 @@ def test_classify_accepts_exactly_when_realignment_tail_is_within_tol(n, m):
     assert {KIND_LOCAL, KIND_SWAP_LOCAL, KIND_NOT_PRESERVING} <= set(seen)
 
 
-@pytest.mark.parametrize(
-    "swap,witness_kind", [(False, WITNESS_KERNEL), (True, WITNESS_PRODUCT_TO_ENTANGLED)]
-)
-def test_classify_rank_gate_is_the_factor_product_ratio(swap, witness_kind):
+@pytest.mark.parametrize("swap", [False, True])
+def test_classify_rank_gate_is_the_factor_product_ratio(swap):
     # each factor passes its own rank check (ratio 10^-4.5 > tol), but the
     # product, s_min / s_max of A x B, is 1e-9 < tol; at 10^-3.9 it is 1.6e-8
     accepted = KIND_SWAP_LOCAL if swap else KIND_LOCAL
@@ -808,8 +889,10 @@ def test_classify_rank_gate_is_the_factor_product_ratio(swap, witness_kind):
         assert v.kind == want
         if want == KIND_NOT_PRESERVING:
             assert v.rank_ratio is None and v.detail == "map is rank deficient"
-            assert v.witness.kind == witness_kind
+            # the swapped reading's kernel vector is its own witness too
+            assert v.witness.kind == WITNESS_KERNEL
             assert witness_checks_out(bmap, v.witness)
+            assert witness_reverifies(bmap, v.witness)
         else:
             assert v.rank_ratio == pytest.approx(10 ** (2 * exponent), rel=1e-6)
             np.testing.assert_allclose(kron(v.a, v.b), product, atol=1e-10)
@@ -837,6 +920,9 @@ def test_fitted_reading_with_a_singular_factor_decides_by_the_rank_check(monkeyp
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING and v.rank_ratio is None
     assert v.detail == "map is rank deficient"
+    # the kernel vector ker(A) x b is a product; the map annihilates it
+    assert v.witness.kind == WITNESS_KERNEL
+    assert (v.witness.evidence.input_rank, v.witness.evidence.image_rank) == (1, 0)
     assert witness_checks_out(bmap, v.witness)
     assert witness_reverifies(bmap, v.witness)
 
@@ -885,10 +971,12 @@ def test_accepted_map_never_computes_its_spectrum(scale, swap):
     ids=["rank-deficient", "zero"],
 )
 def test_vanishing_basis_image_decides_without_the_spectrum(matrix):
+    # the basis state |0,0> that the map kills is the witness itself
     bmap = BipartiteMap(matrix, BipartiteShape(2, 2))
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING and v.rank_ratio is None
     assert v.witness.kind == WITNESS_KERNEL and v.detail == "map is rank deficient"
+    np.testing.assert_array_equal(v.witness.state, [1, 0, 0, 0])
     assert "_spectrum" not in bmap.__dict__
     assert witness_checks_out(bmap, v.witness)
     assert witness_reverifies(bmap, v.witness)
@@ -951,6 +1039,7 @@ def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient
     assert ("_spectrum" in bmap.__dict__) == deficient
     if deficient:
         assert v.witness.kind == WITNESS_KERNEL and v.detail == "map is rank deficient"
+        assert v.witness.evidence.image_rank == 0
     else:
         assert v.detail == "no local or swap-local decomposition fits"
     assert witness_checks_out(bmap, v.witness)

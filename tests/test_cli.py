@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from unitarity_kit import classifier, cli
-from unitarity_kit.classifier import BipartiteMap, classify
+from unitarity_kit import classifier, cli, witness_reverifies
+from unitarity_kit.classifier import BipartiteMap, SchmidtEvidence, Witness, classify
 from unitarity_kit.cli import build_parser, main
 from unitarity_kit.entropy_dynamics import Superoperator, analyze, superop_from_conjugation
-from unitarity_kit.generators import haar_unitary, perturb, random_local_map
+from unitarity_kit.generators import haar_unitary, perturb, random_invertible, random_local_map
 from unitarity_kit.linalg import DEFAULT_RANK_TOL, kron
 from unitarity_kit.mapfile import (
     KIND_BIPARTITE_MAP,
@@ -90,6 +90,30 @@ def test_classify_report_witness_reverifies(capsys, tmp_path):
     image = matrix @ state
     image_shape = tuple(witness["evidence"]["image_shape"])
     assert schmidt_rank(image, image_shape) == witness["evidence"]["image_rank"] == 2
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+def test_classify_report_kernel_witness_reverifies_against_the_file(capsys, tmp_path, n, m):
+    # a singular A (x) B: its kernel vector, a product state, is the witness
+    singular = np.diag([1.0] * (n - 1) + [0.0]) @ random_invertible(n, seed=3)
+    path = tmp_path / "singular.json"
+    save_map_file(path, KIND_BIPARTITE_MAP, (n, m), kron(singular, random_invertible(m, seed=4)))
+    code, out, _ = run(capsys, ["classify", str(path), "--json"])
+    assert code == 3
+    verdict = json.loads(out)["verdict"]
+    assert verdict["detail"] == "map is rank deficient"
+    w = verdict["witness"]
+    assert w["kind"] == "KernelVector" and w["evidence"]["image_rank"] == 0
+    ev = w["evidence"]
+    evidence = SchmidtEvidence(
+        np.array(ev["input_coefficients"]), ev["input_rank"], tuple(ev["input_shape"]),
+        np.array(ev["image_coefficients"]), ev["image_rank"], tuple(ev["image_shape"]),
+    )
+    state = np.array([complex(re, im) for re, im in w["state"]])
+    loaded = load_map_file(path)
+    bmap = BipartiteMap(loaded.array, loaded.shape)
+    assert witness_reverifies(bmap, Witness(w["kind"], state, evidence))
+    assert not witness_reverifies(bmap, Witness("ProductToEntangled", state, evidence))
 
 
 def test_classify_report_without_a_witness_says_so(capsys, tmp_path, monkeypatch):

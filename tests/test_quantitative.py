@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -287,6 +288,23 @@ def test_checks_refuse_singular_factor(check):
         check(np.diag([1.0, 0.0]), np.eye(2))
     with pytest.raises(RankDeficient):
         check(np.eye(2), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+@pytest.mark.parametrize("check", [check_E1, check_E2])
+def test_checks_refuse_non_finite_factor_before_any_svd(monkeypatch, check, bad):
+    # an SVD of an infinite factor may never return, so none may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD of a non-finite factor")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    a = np.eye(3, dtype=complex)
+    a[0, 1] = bad
+    start = time.perf_counter()
+    for pair in ((a, np.eye(2)), (np.eye(2), a)):
+        with pytest.raises(ParamOutOfRange):
+            check(*pair)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("check", [check_E1, check_E2])

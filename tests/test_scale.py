@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitarity_kit.acceptance import witness_reverifies
+from unitarity_kit import witness_reverifies
 from unitarity_kit.classifier import KIND_NOT_PRESERVING, BipartiteMap, classify
 from unitarity_kit.entropy_dynamics import (
     Superoperator,
@@ -174,6 +174,20 @@ def test_classify_is_exact_under_powers_of_two(family, data):
         assert (out_ev.input_rank, out_ev.image_rank) == (ev.input_rank, ev.image_rank)
         assert _same_bits(out_ev.input_coefficients, ev.input_coefficients)
         assert _same_bits(out_ev.image_coefficients, _scaled(ev.image_coefficients, j))
+
+
+@pytest.mark.parametrize("family", BIPARTITE)
+def test_every_witness_reverifies_at_the_ends_of_its_exact_range(family):
+    # witness_reverifies recomputes the evidence from the state alone and
+    # judges both layouts for n != m, as every classify witness must pass
+    matrix, shape, ref, (lo, hi) = _classify_case(family)
+    for j in (lo, 0, hi):
+        bmap = BipartiteMap(ldexp(matrix, j), shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = classify(bmap)
+            assert (out.witness is None) == (out.kind != KIND_NOT_PRESERVING)
+            assert out.witness is None or witness_reverifies(bmap, out.witness)
 
 
 def test_kernel_entangled_map_near_the_top_of_the_range_scales_only_its_witness():
