@@ -28,14 +28,17 @@ claim: a stage returns a witness only when it does, and
 witness_reverifies recomputes the data from the state alone and applies
 the same rule.  classify draws no random numbers.
 
-The reject path avoids full decompositions where a cheaper certificate
-exists.  The rank check reads the map's values-only spectrum, cached on
-the map, and only a rank-deficient map pays for one full SVD, for its
-kernel vector.  The product-basis images of basis row 0 are decided by a
-values-only stacked SVD; past it, one vectorised rank-1 fit certifies
-rank 1 (Weyl's inequality turns its misfit into a bound on s_2), and only
-a row holding an image the fit cannot certify takes a values-only stacked
-SVD.
+The reject path computes only what it reads.  The rank check reads the
+map's values-only spectrum, cached on the map, and only a rank-deficient
+map pays for one full SVD, for its kernel vector.  Schmidt evidence holds
+coefficients and ranks from values-only spectra, never Schmidt vectors.
+The product-basis image of |0,0> is decided by one values-only SVD; past
+it, one vectorised rank-1 fit certifies rank 1 (Weyl's inequality turns
+its misfit into a bound on s_2), and only the images the fit cannot
+certify take a values-only stacked SVD, row by row.  The parallelism scan
+forms only the overlaps of same-row and of same-column factor pairs, and
+the phase grid takes a full SVD only when its values-only spectrum says
+it factors.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -61,17 +64,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ParamOutOfRange, ShapeMismatch
+from .errors import ParamOutOfRange, ShapeMismatch, ZeroVector
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_matrix,
+    as_vector,
     ldexp,
     part_exponent,
     singular_values,
     svd,
     tolerance,
 )
-from .schmidt import BipartiteShape, as_shape, schmidt_decompose
+from .schmidt import BipartiteShape, as_shape
 
 KIND_LOCAL = "Local"
 KIND_SWAP_LOCAL = "SwapLocal"
@@ -217,27 +221,39 @@ def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) ->
     return bool(norm == 0.0 or norm <= bound * bmap._spectrum[0])
 
 
+def _schmidt_coefficients(v: np.ndarray, shape: tuple[int, int], tol: float) -> tuple[np.ndarray, int]:
+    """The Schmidt coefficients of v in the layout shape that lie above tol
+    times the largest, and their count, from the values-only spectrum of v
+    as a shape[0] x shape[1] matrix; no Schmidt vectors are formed."""
+    s = singular_values(v.reshape(shape))
+    rank = int(_schmidt_ranks(s, tol))
+    return s[:rank], rank
+
+
 def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
     """Schmidt data for a state and its image; a vanishing image has rank 0.
 
     The image is taken under the unit-scale map and its coefficients are
-    scaled back by 2^k; a non-vanishing image needs no spectrum.
+    scaled back by 2^k; a non-vanishing image needs no spectrum of the map.
+    Both sets of coefficients come from values-only SVDs
+    (_schmidt_coefficients).
     """
     state = np.asarray(state, dtype=complex)
-    dec_in = schmidt_decompose(state, bmap.shape, tol=tol)
+    shape, out = bmap.shape.as_tuple(), as_shape(image_shape).as_tuple()
+    in_coeffs, in_rank = _schmidt_coefficients(state, shape, tol)
     img = bmap._unit @ state
     if _vanishing(bmap, img, state, tol):
         img_coeffs, img_rank = np.zeros(0), 0
     else:
-        dec_img = schmidt_decompose(img, image_shape, tol=tol)
-        img_coeffs, img_rank = ldexp(dec_img.coefficients, bmap._exponent), dec_img.rank
+        img_coeffs, img_rank = _schmidt_coefficients(img, out, tol)
+        img_coeffs = ldexp(img_coeffs, bmap._exponent)
     return SchmidtEvidence(
-        input_coefficients=dec_in.coefficients,
-        input_rank=dec_in.rank,
-        input_shape=bmap.shape.as_tuple(),
+        input_coefficients=in_coeffs,
+        input_rank=in_rank,
+        input_shape=shape,
         image_coefficients=img_coeffs,
         image_rank=img_rank,
-        image_shape=as_shape(image_shape).as_tuple(),
+        image_shape=out,
     )
 
 
@@ -272,11 +288,17 @@ def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAUL
     layout) and judged by the rule every classify witness passed,
     _claims, so for n != m a product-state witness must show an entangled
     image in both layouts.  Images are taken under the unit-scale map, so
-    no norm under- or overflows at any scale of the map.
+    no norm under- or overflows at any scale of the map.  The state must be
+    a nonzero vector of the map's dimension (ShapeMismatch, ZeroVector).
     """
     tol = tolerance(tol)
-    ev = _evidence(bmap, witness.state, witness.evidence.image_shape, tol)
-    return _claims(bmap, Witness(witness.kind, witness.state, ev), tol)
+    state = as_vector(witness.state)
+    if state.shape[0] != bmap.shape.dim:
+        raise ShapeMismatch(f"witness state has dim {state.shape[0]}, the map {bmap.shape.dim}")
+    if not state.any():
+        raise ZeroVector("a witness state must be nonzero")
+    ev = _evidence(bmap, state, witness.evidence.image_shape, tol)
+    return _claims(bmap, Witness(witness.kind, state, ev), tol)
 
 
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
@@ -356,18 +378,22 @@ def _rank_one_fits(images: np.ndarray, tol: float):
     return d, e / np.where(a > 0.0, a, 1.0)[..., None], certified
 
 
-def _row_witness(bmap: BipartiteMap, images: np.ndarray, i: int, out, tol: float) -> Witness | None:
-    """The first vanishing or entangled image of basis row i as a witness,
-    from one values-only stacked SVD of the row; None when all have rank 1."""
-    ranks = _schmidt_ranks(singular_values(images[i]), tol)
-    bad = np.flatnonzero(ranks != 1)
-    if not bad.size:
-        return None
-    j = int(bad[0])
-    basis_state = _basis_ket(bmap.shape.dim, i * bmap.shape.m + j)
-    ev = _evidence(bmap, basis_state, out, tol)
+def _basis_witness(bmap: BipartiteMap, i: int, j: int, out, tol: float) -> Witness:
+    """The basis state |i, j> as a witness: a KernelVector when its image
+    vanishes, a ProductToEntangled otherwise."""
+    state = _basis_ket(bmap.shape.dim, i * bmap.shape.m + j)
+    ev = _evidence(bmap, state, out, tol)
     kind = WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED
-    return Witness(kind=kind, state=basis_state, evidence=ev)
+    return Witness(kind=kind, state=state, evidence=ev)
+
+
+def _row_witness(bmap: BipartiteMap, images: np.ndarray, i: int, columns, out, tol: float) -> Witness | None:
+    """The first vanishing or entangled image of basis row i among the
+    given columns (in order) as a witness, from one values-only stacked SVD
+    of those images alone; None when all have rank 1."""
+    ranks = _schmidt_ranks(singular_values(images[i, columns]), tol)
+    bad = np.flatnonzero(ranks != 1)
+    return _basis_witness(bmap, i, int(columns[bad[0]]), out, tol) if bad.size else None
 
 
 def build_image_table(
@@ -380,12 +406,15 @@ def build_image_table(
     Runs on any map, full rank or not.  Returns a witness as soon as some
     basis image, in row-major order, is entangled with respect to the
     requested output layout or vanishes (a KernelVector); the basis state
-    itself is the witness.  Basis row 0 is decided by one values-only
-    stacked SVD, so a map that entangles |0,0> costs one row.  Past it, one
-    vectorised rank-1 fit of every image (_rank_one_fits) certifies rank 1
-    and gives the factor vectors; only a row holding an image the fit
-    cannot certify is decided by a values-only stacked SVD, in row order.
-    No full SVD runs.
+    itself is the witness.  The image of |0,0> is decided first, by one
+    values-only SVD, so a map that entangles it costs one image.  Past it,
+    one vectorised rank-1 fit of every image (_rank_one_fits) certifies
+    rank 1 and gives the factor vectors; only the images the fit cannot
+    certify are decided by a values-only stacked SVD, one per row that
+    holds any, in row order.  A certified image has rank 1 (Weyl), so the
+    first image that fails is the first in row-major order.  No SVD with
+    vectors runs, and a map whose basis images are all certified products
+    runs no stacked SVD.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -395,12 +424,12 @@ def build_image_table(
     # images[i, j] is the unit-scale column L|i,j> as an out.n x out.m
     # coefficient matrix; amps go back to the map's scale
     images = bmap._unit.T.reshape(n, m, out.n, out.m)
-    witness = _row_witness(bmap, images, 0, out, tol)
-    if witness is not None:
-        return witness
+    if _schmidt_ranks(singular_values(images[0, 0]), tol) != 1:
+        return _basis_witness(bmap, 0, 0, out, tol)
     d_vecs, e_vecs, certified = _rank_one_fits(images, tol)
-    for i in np.flatnonzero(~certified[1:].all(axis=-1)) + 1:
-        witness = _row_witness(bmap, images, int(i), out, tol)
+    certified[0, 0] = True  # decided above
+    for i in np.flatnonzero(~certified.all(axis=-1)):
+        witness = _row_witness(bmap, images, int(i), np.flatnonzero(~certified[i]), out, tol)
         if witness is not None:
             return witness
     d_vecs = _fix_phases(d_vecs)
@@ -457,25 +486,29 @@ def extract_factors(table: ProductImageTable, case: str):
 def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     """Split a fully nonzero grid into grid[i,j] = mu[i] * nu[j], or witness.
 
-    Factorization uses the dominant singular triple (robust on
-    near-degenerate grids) of the grid times 2^-k, k the binary exponent of
-    its largest real or imaginary part, so the s2 <= tol * s1 gate never
-    compares an overflowed SVD and products of entries stay finite; 2^k
-    goes back into mu.  mu[0] is gauged real positive with nu rescaled
-    reciprocally.  On failure the witness is the product state over the
-    worst 2x2 minor, whose image under the grid's diagonal map is verified
-    to have Schmidt rank 2.
+    The rank-1 gate s2 <= tol * s1 reads the values-only spectrum of the
+    grid times 2^-k, k the binary exponent of its largest real or imaginary
+    part, so it never compares an overflowed SVD and products of entries
+    stay finite.  Only a grid that passes takes a full SVD: the
+    factorization uses its dominant singular triple (robust on
+    near-degenerate grids), and 2^k goes back into mu.  mu[0] is gauged
+    real positive with nu rescaled reciprocally.  On failure the witness is
+    the product state over the worst 2x2 minor, whose image under the
+    grid's diagonal map is verified to have Schmidt rank 2; its evidence
+    holds Schmidt coefficients from values-only spectra.  tol must lie in
+    (0, 1) (ParamOutOfRange otherwise).
     """
+    tol = tolerance(tol)
     grid = np.ascontiguousarray(as_matrix(grid))
     n, m = grid.shape
     k = part_exponent(grid)
     if k is None:
         raise ParamOutOfRange("grid has non-finite entries")
     unit = ldexp(grid, -k)
-    res = svd(unit)
-    s = res.singular_values
+    s = singular_values(unit)
     if len(s) < 2 or s[1] <= tol * s[0]:
-        mu = s[0] * res.left_basis[:, 0]
+        res = svd(unit)
+        mu = res.singular_values[0] * res.left_basis[:, 0]
         nu = res.right_basis[0, :].copy()
         anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
         phase = anchor / abs(anchor)
@@ -493,14 +526,14 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     ea = (_basis_ket(n, i) + _basis_ket(n, k)) / np.sqrt(2)
     fb = (_basis_ket(m, j) + _basis_ket(m, l)) / np.sqrt(2)
     state = np.outer(ea, fb).ravel()
-    dec_in = schmidt_decompose(state, (n, m), tol=tol)
-    dec_img = schmidt_decompose(unit.reshape(-1) * state, (n, m), tol=tol)
+    in_coeffs, in_rank = _schmidt_coefficients(state, (n, m), tol)
+    img_coeffs, img_rank = _schmidt_coefficients(unit.reshape(-1) * state, (n, m), tol)
     ev = SchmidtEvidence(
-        input_coefficients=dec_in.coefficients,
-        input_rank=dec_in.rank,
+        input_coefficients=in_coeffs,
+        input_rank=in_rank,
         input_shape=(n, m),
-        image_coefficients=ldexp(dec_img.coefficients, k),
-        image_rank=dec_img.rank,
+        image_coefficients=ldexp(img_coeffs, k),
+        image_rank=img_rank,
         image_shape=(n, m),
     )
     return Witness(kind=WITNESS_NONFACTORIZABLE_PHASE, state=state, evidence=ev)
@@ -523,22 +556,23 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
     def pair_state(p: int, q: int) -> np.ndarray:
         return (_basis_ket(n * m, p) + _basis_ket(n * m, q)) / np.sqrt(2)
 
-    # apart[i, j, k, l]: both the d and the e factors of (i, j) and (k, l)
-    # are non-parallel, from one overlap matrix per factor
-    apart = np.ones((n, m, n, m), dtype=bool)
-    for f in (table.d_vecs, table.e_vecs):
-        flat = f.reshape(n * m, -1)
-        apart &= (np.abs(flat.conj() @ flat.T) < 1.0 - tol).reshape(n, m, n, m)
-    rows, cols = np.arange(n), np.arange(m)
+    def apart(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+        # apart[g, p, q]: in group g, images p and q have non-parallel d
+        # factors and non-parallel e factors, from one batched overlap each
+        return (np.abs(d.conj() @ d.swapaxes(-2, -1)) < 1.0 - tol) & (
+            np.abs(e.conj() @ e.swapaxes(-2, -1)) < 1.0 - tol
+        )
+
+    d, e = table.d_vecs, table.e_vecs
     (i_lo, i_hi), (j_lo, j_hi) = _pairs(n), _pairs(m)
-    # same row in (i, j, l) order, j < l; then same column in (j, i, k)
-    # order, i < k
-    for i, q in np.argwhere(apart[rows[:, None], j_lo, rows[:, None], j_hi]):
+    # same row in (i, j, l) order, j < l, from (n, m, m) overlaps; then same
+    # column in (j, i, k) order, i < k, from (m, n, n) overlaps
+    for i, q in np.argwhere(apart(d, e)[:, j_lo, j_hi]):
         state = pair_state(i * m + j_lo[q], i * m + j_hi[q])
         ev = _evidence(bmap, state, out, tol)
         if ev.image_rank >= 2:
             return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
-    for j, p in np.argwhere(apart[i_lo, cols[:, None], i_hi, cols[:, None]]):
+    for j, p in np.argwhere(apart(d.swapaxes(0, 1), e.swapaxes(0, 1))[:, i_lo, i_hi]):
         state = pair_state(i_lo[p] * m + j, i_hi[p] * m + j)
         ev = _evidence(bmap, state, out, tol)
         if ev.image_rank >= 2:
@@ -716,9 +750,12 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     check once more before the product-state search.  A map whose witness
     comes from an entangled basis image, the phase grid or the parallelism scan
     never computes its spectrum unless some witness image falls below the
-    vanishing test's Frobenius bound; the image table certifies rank 1 by
-    a rank-1 fit and runs no full SVD.  detail reads "map is rank
-    deficient" exactly when the witness is a KernelVector.
+    vanishing test's Frobenius bound.  Those stages run no SVD with vectors:
+    the image table decides the image of |0,0> by its values-only SVD and
+    stops there when it is entangled, else certifies rank 1 by a rank-1
+    fit; a failing phase grid and every witness's Schmidt evidence read
+    values-only spectra.  detail reads "map is rank deficient" exactly when
+    the witness is a KernelVector.
 
     A map no reading accepts is NotPreserving with a witness whose Schmidt
     evidence shows the violation (see the module docstring): a kernel

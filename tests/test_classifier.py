@@ -25,7 +25,7 @@ from unitarity_kit.classifier import (
     extract_factors,
     factor_phase_grid,
 )
-from unitarity_kit.errors import ParamOutOfRange, ShapeMismatch
+from unitarity_kit.errors import ParamOutOfRange, ShapeMismatch, ZeroVector
 from unitarity_kit.generators import (
     cnot_map,
     haar_unitary,
@@ -282,6 +282,19 @@ def test_witness_reverifies_takes_any_state_the_map_annihilates():
         assert not witness_reverifies(bmap, Witness(kind, state, ev))
 
 
+@pytest.mark.parametrize(
+    "state,error",
+    [(np.zeros(4), ZeroVector), (np.ones(6), ShapeMismatch), (np.ones((2, 2)), ShapeMismatch)],
+    ids=["zero", "wrong-dim", "matrix"],
+)
+def test_witness_reverifies_refuses_a_state_that_is_no_witness(state, error):
+    # the zero state is annihilated by every map, so it claims nothing
+    bmap = BipartiteMap(np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex), BipartiteShape(2, 2))
+    ev = _evidence(bmap, np.eye(4)[0], (2, 2), 1e-8)
+    with pytest.raises(error):
+        witness_reverifies(bmap, Witness(WITNESS_KERNEL, state, ev))
+
+
 # ---------------------------------------------------------------------------
 # image table and case detection
 
@@ -390,14 +403,30 @@ def test_image_the_fit_cannot_certify_still_matches_reference():
 
 
 def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
+    # every basis image of a controlled-phase map is a product: image (0, 0)
+    # takes one values-only SVD of its own, the rank-1 fit certifies the
+    # rest, and no stacked SVD and no SVD with vectors runs, in the table or
+    # anywhere else in classify
     phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, 16) ** 2)
     bmap = BipartiteMap(local_map(4, 4, seed=80).matrix * phases, BipartiteShape(4, 4))
     calls = svd_calls(monkeypatch)
+    real_fits = classifier._rank_one_fits
+
+    def fits(images, tol):
+        calls.append("fit")
+        return real_fits(images, tol)
+
+    monkeypatch.setattr(classifier, "_rank_one_fits", fits)
+    table = build_image_table(bmap)
+    assert not isinstance(table, Witness)
+    assert calls == [((4, 4), False), "fit"]
+    calls.clear()
     v = classify(bmap)
+    svds = [call for call in calls if call != "fit"]
+    assert svds and not any(len(shape) == 3 or uv for shape, uv in svds)
     assert v.kind == KIND_NOT_PRESERVING
+    assert v.witness.kind == WITNESS_NONFACTORIZABLE_PHASE
     assert witness_checks_out(bmap, v.witness)
-    stacked = [uv for shape, uv in calls if len(shape) == 3]
-    assert stacked and not any(stacked)
 
 
 def test_cnot_table_builds_but_cases_fail():
@@ -984,11 +1013,8 @@ def test_vanishing_basis_image_decides_without_the_spectrum(matrix):
 
 def cnot_left_map(n, m, seed) -> BipartiteMap:
     """A random local map after the generalized CNOT |i, j> -> |i, i + j mod m>."""
-    cnot = np.zeros((n * m, n * m))
-    for i in range(n):
-        for j in range(m):
-            cnot[i * m + (i + j) % m, i * m + j] = 1.0
-    return BipartiteMap(random_local_map((n, m), seed=seed).matrix @ cnot, BipartiteShape(n, m))
+    local = random_local_map((n, m), seed=seed).matrix
+    return BipartiteMap(local @ controlled_shift(n, m), BipartiteShape(n, m))
 
 
 def cphase_map(n, m, seed, cond_cap=1e3) -> BipartiteMap:
@@ -1271,3 +1297,137 @@ def test_parallelism_scan_matches_loop_reference():
             np.testing.assert_array_equal(w.state, ref[1])
             kinds.add(w.kind)
     assert kinds == {WITNESS_PRODUCT_TO_ENTANGLED}
+
+
+def reference_search_witness(bmap: BipartiteMap, tol: float = 1e-8):
+    """classify's witness state for a map that no reading accepts, by plain
+    loops with one SVD per image, or None when these stages find none.
+
+    In stage order: in the own layout (n, m), the first basis image in
+    row-major order whose Schmidt rank is not 1, taken when it is entangled
+    in every layout; then, per reading whose layout has only rank-1 images
+    and whose parallelism pattern holds, the product state over the worst
+    2x2 minor of a phase grid that does not factor; then, per such layout,
+    the first same-row and then same-column pair whose d and e factors are
+    both non-parallel and whose image is entangled in that layout, taken
+    when it is entangled in every layout.
+    """
+    n, m = bmap.shape.n, bmap.shape.m
+    own, flipped = (n, m), (m, n)
+    layouts = list(dict.fromkeys([own, flipped]))
+
+    def rank(v, out):
+        s = np.linalg.svd(v.reshape(out), compute_uv=False)
+        return int(np.count_nonzero(s > tol * s[0]))
+
+    def column(i, j):
+        return bmap.matrix[:, i * m + j]
+
+    def ket(d, *indices):
+        return np.eye(d)[list(indices)].sum(axis=0) / np.sqrt(len(indices))
+
+    def claimed(state):
+        return all(rank(bmap.matrix @ state, out) >= 2 for out in layouts)
+
+    factors = {}
+    for out in layouts:
+        first = next(((i, j) for i in range(n) for j in range(m) if rank(column(i, j), out) != 1), None)
+        if first is None:
+            d = np.empty((n, m, out[0]), dtype=complex)
+            e = np.empty((n, m, out[1]), dtype=complex)
+            for i in range(n):
+                for j in range(m):
+                    u, _, vh = np.linalg.svd(column(i, j).reshape(out))
+                    d[i, j], e[i, j] = u[:, 0], vh[0]
+            factors[out] = d, e
+        elif out == own and claimed(state := np.kron(ket(n, first[0]), ket(m, first[1]))):
+            return state
+
+    def parallel(u, v):
+        return abs(np.vdot(u, v)) >= 1.0 - tol
+
+    for out, case in ((own, CASE_I), (flipped, CASE_II)):
+        if out not in factors:
+            continue
+        d, e = factors[out]
+        # case I: d follows the row and e the column; case II the other way
+        if case == CASE_I:
+            d_ref, e_ref = (lambda i, j: d[i, 0]), (lambda i, j: e[0, j])
+        else:
+            d_ref, e_ref = (lambda i, j: d[0, j]), (lambda i, j: e[i, 0])
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        if not all(parallel(d[c], d_ref(*c)) and parallel(e[c], e_ref(*c)) for c in cells):
+            continue
+        grid = np.array([np.vdot(np.kron(d_ref(*c), e_ref(*c)), column(*c)) for c in cells]).reshape(n, m)
+        s = np.linalg.svd(grid, compute_uv=False)
+        if s[1] <= tol * s[0]:
+            continue
+        i, k, j, l = reference_minor(grid)[0]
+        state = np.kron(ket(n, i, k), ket(m, j, l))
+        if claimed(state):
+            return state
+    for out, (d, e) in factors.items():
+        pairs = [((i, j), (i, l)) for i in range(n) for j in range(m) for l in range(j + 1, m)]
+        pairs += [((i, j), (k, j)) for j in range(m) for i in range(n) for k in range(i + 1, n)]
+        for p, q in pairs:
+            if parallel(d[p], d[q]) or parallel(e[p], e[q]):
+                continue
+            state = ket(n * m, p[0] * m + p[1], q[0] * m + q[1])
+            if rank(bmap.matrix @ state, out) >= 2:
+                if claimed(state):
+                    return state
+                break
+    return None
+
+
+def entangled_column_map(n, m, i, j, seed) -> BipartiteMap:
+    """A random local map whose basis image (i, j) alone is replaced by an
+    entangled vector of the same norm."""
+    matrix = local_map(n, m, seed=seed).matrix.copy()
+    k = random_schmidt_rank_state((n, m), 2, seed=seed + 1)
+    matrix[:, i * m + j] = np.linalg.norm(matrix[:, i * m + j]) * k
+    return BipartiteMap(matrix, BipartiteShape(n, m))
+
+
+WITNESS_FAMILIES = {
+    "haar": lambda n, m, seed: BipartiteMap(haar_unitary(n * m, seed=seed), BipartiteShape(n, m)),
+    "perturbed": lambda n, m, seed: perturb(random_local_map((n, m), seed=seed), 1e-3, seed=seed + 1),
+    "kernel-entangled": kernel_entangled_map,
+    "cnot-left": cnot_left_map,
+    "cphase": cphase_map,
+    "cnot": lambda n, m, seed: BipartiteMap(controlled_shift(n, m), BipartiteShape(n, m)),
+}
+WITNESS_CASES = [
+    # a CNOT on uneven factors has no basis image or pair that is entangled
+    # in both layouts: its witness comes from the product-state search
+    *(
+        pytest.param(
+            lambda make=make, n=n, m=m: make(n, m, 90 + 7 * n + m),
+            False,
+            family == "cnot" and n != m,
+            id=f"{family}/{n}x{m}",
+        )
+        for family, make in WITNESS_FAMILIES.items()
+        for n, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4))
+    ),
+    # image (0, 0) is a product and (0, 2) is entangled; in the second map
+    # only (2, 1) is: both are found by the SVD after the rank-1 fit
+    pytest.param(lambda: entangled_column_map(2, 3, 0, 2, seed=95), True, False, id="row-0-after-the-fit/2x3"),
+    pytest.param(lambda: entangled_column_map(3, 3, 2, 1, seed=96), True, False, id="row-2-only/3x3"),
+]
+
+
+@pytest.mark.parametrize("make,svd_after_fit,searched", WITNESS_CASES)
+def test_classify_witness_matches_plain_loop_reference(monkeypatch, make, svd_after_fit, searched):
+    bmap = make()
+    expected = reference_search_witness(bmap)
+    assert (expected is None) == searched
+    if searched:
+        expected = classifier._product_search_witness(bmap, 1e-8).state
+    calls = svd_calls(monkeypatch)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING
+    np.testing.assert_array_equal(v.witness.state, expected)
+    if svd_after_fit:
+        assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+        assert any(len(shape) == 3 and not uv for shape, uv in calls)
