@@ -9,36 +9,42 @@ The decision is one certificate per reading: L = A x B holds exactly when
 the realignment of L has rank 1 (Van Loan & Pitsianis, 1993), so a
 least-squares rank-1 fit of the realigned map and its relative residual
 decide Local, and the same fit of the relabeled map decides SwapLocal; the
-rank of A x B is read off the two small factors.  A map fails in one of
-two ways: a reading fits but the rank of A x B fails, so only
-invertibility is missing, or no reading fits.  The first goes to the rank
-check of the whole map, whose kernel vector is the witness.  The second
-gets its witness from the constructive stages of the paper's argument
-(product images of the product basis, the parallelism pattern of the image
-factors, extraction of the local factors and a rank-1 factorization of the
-leftover phase/length grid), then from the rank check once more, and last
-from a deterministic search over product states.  By the paper's theorem an
-invertible map that sends every product state to a product is Local or
-SwapLocal, so a witness makes one of two claims: the map annihilates its
-state (KernelVector), or its state is a product whose image is entangled
-(ProductToEntangled, and NonFactorizablePhase from the phase grid).  Every
-witness carries the Schmidt data of its state and of its image
-(_evidence), and one rule, _claims, decides whether that data shows the
-claim: a stage returns a witness only when it does, and
-witness_reverifies recomputes the data from the state alone and applies
-the same rule.  classify draws no random numbers.
+rank of A x B is read off the two small factors.  A map fails in one of two
+ways: a reading fits but the rank of A x B fails, so only invertibility is
+missing, or no reading fits.  The first takes its witness from the kernel
+vector of A x B, the product of the factors' own; the rank check of the
+whole map serves only where that vector's image does not vanish.  The
+second gets its witness from the constructive stages of the paper's
+argument (product images of the product basis, the parallelism pattern of
+the image factors, extraction of the local factors and a rank-1
+factorization of the leftover phase/length grid), then from the rank check
+once more, and last from a deterministic search over product states.  By
+the paper's theorem an invertible map that sends every product state to a
+product is Local or SwapLocal, so a witness makes one of two claims: the
+map annihilates its state (KernelVector), or its state is a product whose
+image is entangled (ProductToEntangled, and NonFactorizablePhase from the
+phase grid).  Every witness carries the Schmidt data of its state and of
+its image (_evidence), and one rule, _claims, decides whether that data
+shows the claim: a stage returns a witness only when it does, and
+witness_reverifies recomputes the data from the state alone and applies the
+same rule.  classify draws no random numbers.
 
-The reject path computes only what it reads.  The rank check reads the
-map's values-only spectrum, cached on the map, and only a rank-deficient
-map pays for one full SVD, for its kernel vector.  Schmidt evidence holds
+The reject path computes only what it reads.  A map that factors but is
+singular pays for one full SVD of each n x n and m x m factor, never one of
+the nm x nm map: the singular values of A x B are the products
+s_i(A) s_j(B) and its singular vectors the products of the factors'.  The
+rank check reads the map's values-only spectrum, cached on the map, and
+only a rank-deficient map pays for one full SVD, for its kernel vector.
+Whether an image vanishes is decided by two Frobenius bounds, and the
+spectrum is read only for an image between them.  Schmidt evidence holds
 coefficients and ranks from values-only spectra, never Schmidt vectors.
 The product-basis image of |0,0> is decided by one values-only SVD; past
 it, one vectorised rank-1 fit certifies rank 1 (Weyl's inequality turns
 its misfit into a bound on s_2), and only the images the fit cannot
 certify take a values-only stacked SVD, row by row.  The parallelism scan
 forms only the overlaps of same-row and of same-column factor pairs, and
-the phase grid takes a full SVD only when its values-only spectrum says
-it factors.
+the phase grid, which the witness search only gates, takes no SVD with
+vectors.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -46,9 +52,11 @@ As every SwapLocal map entangles some product states in the own layout
 (n, m), a product-state witness of an n != m map must show an entangled
 image in both layouts.
 
-Every decision is made on one copy of the map, L * 2^-k, with k the binary
-exponent of its largest real or imaginary part, which the constructor reads
-in the pass that also refuses non-finite entries.  Scaling by a power of
+Every decision is made on the map at unit scale, L * 2^-k, with k the
+binary exponent of its largest real or imaginary part, which the
+constructor reads in the pass that also refuses non-finite entries.  The
+realignment fit scales the map as it realigns it, so an accepted map never
+makes the unit-scale copy that the reject path reads.  Scaling by a power of
 two is exact, so the fits, spectra, kernel vectors and images that decide a
 verdict are the same bits for L and for L * 2^j whenever that product is
 exact, and no norm under- or overflows at any scale of the map.  Only the
@@ -103,12 +111,13 @@ class BipartiteMap:
     L * 2^-k, whose parts are below 1 in modulus with the largest at
     least 1/2, its Frobenius norm and its singular values are computed
     only when first read and then cached on the instance, so the matrix
-    must not be mutated after construction.  classify reads the copy on
-    every map; it reads the spectrum on the reject path alone: in the rank
-    check, which runs where a reading fits but its rank ratio fails and
-    before the product-state search, and for the 2-norm of an image too
-    small for the vanishing test's Frobenius bound.  A full SVD runs only on
-    a rank-deficient map, for its kernel vector.
+    must not be mutated after construction.  classify reads the copy and
+    the spectrum on the reject path alone: the spectrum in the rank check,
+    which runs where the factors' kernel vector of a fitted reading does
+    not vanish and before the product-state search, and for the 2-norm of
+    an image between the vanishing test's two Frobenius bounds.  A full SVD
+    of the map runs only in the rank check of a rank-deficient map, for its
+    kernel vector.
     """
 
     matrix: np.ndarray
@@ -136,8 +145,10 @@ class BipartiteMap:
 
     @cached_property
     def _frobenius(self) -> float:
-        """||L||_F at unit scale; 0.0 for the zero map."""
-        return float(np.linalg.norm(self._unit))
+        """||L||_F at unit scale, from one contiguous dot product of the
+        real and imaginary parts; 0.0 for the zero map."""
+        parts = self._unit.view(np.float64).ravel()
+        return float(np.sqrt(parts @ parts))
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -208,17 +219,22 @@ def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) ->
     """Whether the image, under the unit-scale map, is at most
     tol * ||L||_2 * ||state||, all at unit scale.
 
-    An image above tol * ||L||_F * ||state|| does not vanish, as
-    ||L||_2 <= ||L||_F; on a map with s_min > tol ||L||_F, every image
-    clears that bound, since ||L x|| >= s_min ||x||.  A zero image
-    vanishes; only another image below the bound reads the spectrum for
+    Two bounds from the Frobenius norm decide most images without the
+    spectrum, as ||L||_F / sqrt(nm) <= ||L||_2 <= ||L||_F: an image above
+    tol * ||L||_F * ||state|| does not vanish, and one at most
+    tol * ||L||_F * ||state|| / sqrt(nm) does, the zero image included.  On
+    a map with s_min > tol ||L||_F every image clears the upper bound, since
+    ||L x|| >= s_min ||x||; a kernel vector of a singular map falls below
+    the lower one.  Only an image between the two reads the spectrum for
     ||L||_2.  The zero map annihilates all.
     """
     bound = tol * np.linalg.norm(state)
     norm = np.linalg.norm(image)
     if norm > bound * bmap._frobenius:
         return False
-    return bool(norm == 0.0 or norm <= bound * bmap._spectrum[0])
+    if norm <= bound * bmap._frobenius / np.sqrt(bmap.shape.dim):
+        return True
+    return bool(norm <= bound * bmap._spectrum[0])
 
 
 def _schmidt_coefficients(v: np.ndarray, shape: tuple[int, int], tol: float) -> tuple[np.ndarray, int]:
@@ -234,9 +250,9 @@ def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
     """Schmidt data for a state and its image; a vanishing image has rank 0.
 
     The image is taken under the unit-scale map and its coefficients are
-    scaled back by 2^k; a non-vanishing image needs no spectrum of the map.
-    Both sets of coefficients come from values-only SVDs
-    (_schmidt_coefficients).
+    scaled back by 2^k; only an image between the two bounds of _vanishing
+    reads the spectrum of the map.  Both sets of coefficients come from
+    values-only SVDs (_schmidt_coefficients).
     """
     state = np.asarray(state, dtype=complex)
     shape, out = bmap.shape.as_tuple(), as_shape(image_shape).as_tuple()
@@ -310,11 +326,31 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     read off the cached values-only spectrum.  Only a rank-deficient map
     takes a full SVD of its unit-scale copy; the last right singular
     vector is the kernel vector, a product state or an entangled one.
+    classify asks this only where the kernel vector of a fitted reading's
+    factors (_factor_kernel) does not vanish, or no reading fitted.
     """
     s = bmap._spectrum
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
     kernel = svd(bmap._unit).right_basis[-1, :].conj()
+    witness = Witness(WITNESS_KERNEL, kernel, _evidence(bmap, kernel, bmap.shape, tol))
+    return witness if _claims(bmap, witness, tol) else None
+
+
+def _factor_kernel(bmap: BipartiteMap, a: np.ndarray, b: np.ndarray, tol: float) -> Witness | None:
+    """kron(v_min(A), v_min(B)) as a KernelVector witness when the map
+    annihilates it (_claims), else None.
+
+    A and B are a fitted reading's factors, L = A x B or S L = A x B with
+    A acting on the first factor of the input layout (n, m).  The singular
+    values of A x B are the products s_i(A) s_j(B) and its singular vectors
+    the Kronecker products of the factors' (Van Loan, 2000), so the right
+    singular vector of its smallest singular value is the product of A's
+    and B's, each the last right singular vector of one full SVD of an
+    n x n or m x m factor.  No SVD of the nm x nm map runs.  A vanishing
+    image proves s_min <= tol * s_max of the map, the rank check's rule.
+    """
+    kernel = np.kron(svd(a).right_basis[-1, :].conj(), svd(b).right_basis[-1, :].conj())
     witness = Witness(WITNESS_KERNEL, kernel, _evidence(bmap, kernel, bmap.shape, tol))
     return witness if _claims(bmap, witness, tol) else None
 
@@ -483,14 +519,43 @@ def extract_factors(table: ProductImageTable, case: str):
     return a, b, grid
 
 
+def _phase_grid_gate(grid: np.ndarray, tol: float):
+    """(unit, k, state): the grid times 2^-k, k the binary exponent of its
+    largest real or imaginary part, and None when the rank-1 gate
+    s2 <= tol * s1 passes on the values-only spectrum of unit, else the
+    product state over the worst 2x2 minor of unit.  grid is a contiguous
+    complex matrix; a non-finite entry raises ParamOutOfRange."""
+    n, m = grid.shape
+    k = part_exponent(grid)
+    if k is None:
+        raise ParamOutOfRange("grid has non-finite entries")
+    unit = ldexp(grid, -k)
+    s = singular_values(unit)
+    if len(s) < 2 or s[1] <= tol * s[0]:
+        return unit, k, None
+    # locate the most non-degenerate 2x2 minor for the witness
+    # rel[p, q] for row pair p = (i, k), i < k, and column pair q = (j, l),
+    # j < l; argmax takes the first maximum in (i, k, j, l) order
+    rows, cols = _pairs(n), _pairs(m)
+    upper, lower = unit[rows[0]], unit[rows[1]]
+    diag = upper[:, cols[0]] * lower[:, cols[1]]
+    anti = upper[:, cols[1]] * lower[:, cols[0]]
+    rel = np.abs(diag - anti) / np.maximum(np.abs(diag) + np.abs(anti), 1e-300)
+    p, q = divmod(int(np.argmax(rel)), rel.shape[1])
+    i, i2, j, j2 = rows[0][p], rows[1][p], cols[0][q], cols[1][q]
+    ea = (_basis_ket(n, i) + _basis_ket(n, i2)) / np.sqrt(2)
+    fb = (_basis_ket(m, j) + _basis_ket(m, j2)) / np.sqrt(2)
+    return unit, k, np.outer(ea, fb).ravel()
+
+
 def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     """Split a fully nonzero grid into grid[i,j] = mu[i] * nu[j], or witness.
 
     The rank-1 gate s2 <= tol * s1 reads the values-only spectrum of the
     grid times 2^-k, k the binary exponent of its largest real or imaginary
     part, so it never compares an overflowed SVD and products of entries
-    stay finite.  Only a grid that passes takes a full SVD: the
-    factorization uses its dominant singular triple (robust on
+    stay finite (_phase_grid_gate).  Only a grid that passes takes a full
+    SVD: the factorization uses its dominant singular triple (robust on
     near-degenerate grids), and 2^k goes back into mu.  mu[0] is gauged
     real positive with nu rescaled reciprocally.  On failure the witness is
     the product state over the worst 2x2 minor, whose image under the
@@ -501,31 +566,14 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     tol = tolerance(tol)
     grid = np.ascontiguousarray(as_matrix(grid))
     n, m = grid.shape
-    k = part_exponent(grid)
-    if k is None:
-        raise ParamOutOfRange("grid has non-finite entries")
-    unit = ldexp(grid, -k)
-    s = singular_values(unit)
-    if len(s) < 2 or s[1] <= tol * s[0]:
+    unit, k, state = _phase_grid_gate(grid, tol)
+    if state is None:
         res = svd(unit)
         mu = res.singular_values[0] * res.left_basis[:, 0]
         nu = res.right_basis[0, :].copy()
         anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
         phase = anchor / abs(anchor)
         return ldexp(mu / phase, k), nu * phase
-    # locate the most non-degenerate 2x2 minor for the witness
-    # rel[p, q] for row pair p = (i, k), i < k, and column pair q = (j, l),
-    # j < l; argmax takes the first maximum in (i, k, j, l) order
-    rows, cols = _pairs(n), _pairs(m)
-    upper, lower = unit[rows[0]], unit[rows[1]]
-    diag = upper[:, cols[0]] * lower[:, cols[1]]
-    anti = upper[:, cols[1]] * lower[:, cols[0]]
-    rel = np.abs(diag - anti) / np.maximum(np.abs(diag) + np.abs(anti), 1e-300)
-    p, q = divmod(int(np.argmax(rel)), rel.shape[1])
-    i, k, j, l = rows[0][p], rows[1][p], cols[0][q], cols[1][q]
-    ea = (_basis_ket(n, i) + _basis_ket(n, k)) / np.sqrt(2)
-    fb = (_basis_ket(m, j) + _basis_ket(m, l)) / np.sqrt(2)
-    state = np.outer(ea, fb).ravel()
     in_coeffs, in_rank = _schmidt_coefficients(state, (n, m), tol)
     img_coeffs, img_rank = _schmidt_coefficients(unit.reshape(-1) * state, (n, m), tol)
     ev = SchmidtEvidence(
@@ -642,9 +690,11 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     """Fit L = A x B (swap=False) or S L = A x B (swap=True); return (A, B, error).
 
     R, the realignment of the unit-scale map to n^2 x m^2, is
-    vec(A) vec(B)^T when the reading fits.  vec(A) is read off the largest
-    column of R, then vec(B) and vec(A) are fitted once each by least
-    squares; the error is ||R - vec(A) vec(B)^T||_F / ||R||_F.  Its square
+    vec(A) vec(B)^T when the reading fits.  R is read from the matrix and
+    scaled by 2^-k in the same pass, the bits of the unit-scale copy, which
+    this fit never builds.  vec(A) is read off the largest column of R,
+    then vec(B) and vec(A) are fitted once each by least squares; the
+    error is ||R - vec(A) vec(B)^T||_F / ||R||_F.  Its square
     equals the energy deficit 1 - ||vec(A)||^2 / ||R||_F^2, whose rounding
     is about 1e-15: a deficit above tol (>= tol^2) is read as the error
     without forming the residual.  A and B are None unless error <= tol;
@@ -653,12 +703,12 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     """
     n, m = bmap.shape.n, bmap.shape.m
     if swap:
-        view = bmap._unit.reshape(m, n, n, m).transpose(1, 2, 0, 3)
+        view = bmap.matrix.reshape(m, n, n, m).transpose(1, 2, 0, 3)
     else:
-        view = bmap._unit.reshape(n, m, n, m).transpose(0, 2, 1, 3)
-    # realigned in one pass over the real and imaginary parts
+        view = bmap.matrix.reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    # realigned and scaled by 2^-k in one pass over the real and imaginary parts
     x = np.empty((n * n, 2 * m * m))
-    np.copyto(x.reshape(n, n, m, 2 * m), view.view(np.float64))
+    np.ldexp(view.view(np.float64), -bmap._exponent, out=x.reshape(n, n, m, 2 * m))
     r = x.view(complex)
     energies = np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
     total = energies.sum()
@@ -688,8 +738,10 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     """The first witness found for a rejected map, in reading order: the
     image table of the map's own layout (its vanishing basis image, a
     KernelVector, or its entangled one), then that reading's phase grid of
-    a matching parallelism pattern, then the relabeled reading's table and
-    grid.  Then the basis-pair parallelism scan of every table built; then
+    a matching parallelism pattern, whose worst-minor state is taken when
+    the grid fails its rank-1 gate (_phase_grid_gate; a grid that passes is
+    not factored here), then the relabeled reading's table and grid.  Then
+    the basis-pair parallelism scan of every table built; then
     check_full_rank, on the cached spectrum; last the product-state search.
     Each stage's witness is taken only when it makes its claim (_claims):
     for n != m a product-state witness must be entangled in both layouts,
@@ -711,10 +763,11 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
             continue
         if not _pattern_holds(table, case, tol):
             continue
-        factored = factor_phase_grid(extract_factors(table, case)[2], tol)
-        if isinstance(factored, Witness):
-            ev = _evidence(bmap, factored.state, out_shape, tol)
-            witness = Witness(WITNESS_NONFACTORIZABLE_PHASE, factored.state, ev)
+        # a grid that factors needs no factorization here, only its gate
+        state = _phase_grid_gate(extract_factors(table, case)[2], tol)[2]
+        if state is not None:
+            ev = _evidence(bmap, state, out_shape, tol)
+            witness = Witness(WITNESS_NONFACTORIZABLE_PHASE, state, ev)
             if _claims(bmap, witness, tol):
                 return witness
     for table in tables.values():
@@ -728,8 +781,9 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
     """The realignment certificate for Local and then for SwapLocal; a map
-    that neither reading accepts gets its witness from the rank check when
-    some reading fitted, and from the constructive stages otherwise.
+    that neither reading accepts gets its witness from the fitted factors'
+    kernel vector or the rank check when some reading fitted, and from the
+    constructive stages otherwise.
 
     A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
     SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
@@ -739,23 +793,29 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     at most 1, this implies the rank check of A and of B.  A carries the
     map's scale and ||B||_F = 1, unless A times that scale would overflow:
     then A and B each take about half of it.  An accepted map never
-    computes its own nm x nm spectrum.  Once both readings miss, the
-    verdict is NotPreserving and only its witness remains to be found.  A
-    reading that fitted but failed its rank ratio shows that the map is
-    A x B (or S (A x B)) and only invertibility failed, so the rank check,
-    which reads the spectrum, gives the witness from the map's kernel
-    vector, the last right singular vector of one full SVD.  Otherwise,
-    and where the rank check finds full rank after all (near tol, below),
-    the constructive stages search for it (_search_witness), with the rank
-    check once more before the product-state search.  A map whose witness
-    comes from an entangled basis image, the phase grid or the parallelism scan
-    never computes its spectrum unless some witness image falls below the
-    vanishing test's Frobenius bound.  Those stages run no SVD with vectors:
-    the image table decides the image of |0,0> by its values-only SVD and
-    stops there when it is entangled, else certifies rank 1 by a rank-1
-    fit; a failing phase grid and every witness's Schmidt evidence read
-    values-only spectra.  detail reads "map is rank deficient" exactly when
-    the witness is a KernelVector.
+    computes its own nm x nm spectrum, nor its unit-scale copy.  Once both
+    readings miss, the verdict is NotPreserving and only its witness
+    remains to be found.  A reading that fitted but failed its rank ratio
+    shows that the map is A x B (or S (A x B)) and only invertibility
+    failed, so the witness is kron(v_min(A), v_min(B)), the kernel vector
+    of A x B from one full SVD of each factor (_factor_kernel), once its
+    image vanishes; a vanishing image proves s_min <= tol * s_max of the
+    map, so the verdict is the one the rank check would give.  Where it
+    does not vanish, the rank check, which reads the spectrum, gives the
+    map's own kernel vector, the last right singular vector of one full
+    SVD.  Otherwise, and where the rank check finds full rank after all
+    (near tol, below), the constructive stages search for it
+    (_search_witness), with the rank check once more before the
+    product-state search.  A map whose witness comes from the factors'
+    kernel vector, an entangled basis image, the phase grid or the
+    parallelism scan never computes its spectrum unless some witness image
+    falls between the vanishing test's two Frobenius bounds.  The
+    constructive stages run no SVD with vectors: the image table decides
+    the image of |0,0> by its values-only SVD and stops there when it is
+    entangled, else certifies rank 1 by a rank-1 fit; the phase grid's gate
+    and every witness's Schmidt evidence read values-only spectra.  detail
+    reads "map is rank deficient" exactly when the witness is a
+    KernelVector.
 
     A map no reading accepts is NotPreserving with a witness whose Schmidt
     evidence shows the violation (see the module docstring): a kernel
@@ -778,7 +838,7 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
-    factored = False
+    fitted = []
     for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
         a, b, err = _fit_local(bmap, swap, tol)
         if a is None:
@@ -801,9 +861,12 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
                 output_shape=(shape.flipped() if swap else shape).as_tuple(),
                 detail="factors certified by reconstruction",
             )
-        factored = True
-    # a map that factors failed only its rank
-    witness = check_full_rank(bmap, tol) if factored else None
+        fitted.append((a, b))
+    # a map that factors failed only its rank: its factors' kernel vector,
+    # else the map's own
+    witness = next(filter(None, (_factor_kernel(bmap, a, b, tol) for a, b in fitted)), None)
+    if witness is None and fitted:
+        witness = check_full_rank(bmap, tol)
     if witness is None:
         witness = _search_witness(bmap, tol)
     if witness is None:

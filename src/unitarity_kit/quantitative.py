@@ -25,10 +25,14 @@ of both factors as complex128 matrices (not by tol), with read-only arrays.
 check_E2 after check_E1 on the same factors decomposes nothing; a pair with
 other entries, or a factor changed in place, is decomposed again.  The
 shape and rank checks run on every call, so a hit raises what a miss does.
+The memo lives no longer than the two objects the caller passed: once
+either is freed (a verdict's factors, say), so is the memo, and a factor
+given as an object without weak references, such as a list, is not kept.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +46,38 @@ ROOT_TOL = 1e-9
 # c of the witness probe psi_c(1/sqrt 2)
 _BALANCED = 1.0 / np.sqrt(2.0)
 
-# (key, (SVD of A, SVD of B)) of the last pair _factor_svds decomposed
-_last_svds: tuple[tuple, tuple[SVDResult, SVDResult]] | None = None
+# (key, (SVD of A, SVD of B), finalizers) of the last pair _factor_svds
+# decomposed; the finalizers on the caller's two objects drop it
+_last_svds: tuple[tuple, tuple[SVDResult, SVDResult], list] | None = None
+
+
+def _forget(finalizers: list) -> None:
+    """Drop the memo if it is still the one these finalizers guard."""
+    global _last_svds
+    entry = _last_svds
+    if entry is not None and entry[2] is finalizers:
+        _last_svds = None
+
+
+def _remember(originals, key, svds) -> None:
+    """Keep svds under key for as long as both caller objects live; detach
+    the finalizers of the memo it replaces, so none piles up on a factor
+    the caller keeps."""
+    global _last_svds
+    entry = _last_svds
+    if entry is not None:
+        for finalizer in entry[2]:
+            finalizer.detach()
+    _last_svds = None
+    finalizers: list = []
+    try:
+        for f in originals:
+            finalizers.append(weakref.finalize(f, _forget, finalizers))
+    except TypeError:  # an object without weak references: keep nothing
+        for finalizer in finalizers:
+            finalizer.detach()
+        return
+    _last_svds = key, svds, finalizers
 
 
 def _read_only_svd(f: np.ndarray) -> SVDResult:
@@ -59,7 +93,7 @@ def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
     (ShapeMismatch), finite (ParamOutOfRange, checked before any SVD, which
     may not return on an inf; a cached pair passed that check) and
     invertible within tol (RankDeficient)."""
-    global _last_svds
+    originals = a, b
     a, b, tol = as_matrix(a), as_matrix(b), tolerance(tol)
     for name, f in (("A", a), ("B", b)):
         if f.shape[0] != f.shape[1] or f.shape[0] < 2:
@@ -72,7 +106,7 @@ def _factor_svds(a, b, tol) -> tuple[SVDResult, SVDResult]:
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ParamOutOfRange("a factor has non-finite entries")
         ra, rb = _read_only_svd(a), _read_only_svd(b)
-        _last_svds = key, (ra, rb)
+        _remember(originals, key, (ra, rb))
     for name, s in (("A", ra.singular_values), ("B", rb.singular_values)):
         if s[0] == 0.0 or s[-1] <= tol * s[0]:
             raise RankDeficient(f"factor {name} is numerically singular")

@@ -424,6 +424,9 @@ def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
     v = classify(bmap)
     svds = [call for call in calls if call != "fit"]
     assert svds and not any(len(shape) == 3 or uv for shape, uv in svds)
+    # image (0, 0), the phase grid's gate, then the witness evidence once:
+    # the state's and its image's spectra
+    assert len(svds) == 4
     assert v.kind == KIND_NOT_PRESERVING
     assert v.witness.kind == WITNESS_NONFACTORIZABLE_PHASE
     assert witness_checks_out(bmap, v.witness)
@@ -504,6 +507,16 @@ def test_phase_grid_rejects_with_rank_two_witness():
     expected = np.kron([1, 1], [1, 1]) / 2.0
     np.testing.assert_allclose(w.state, expected)
     assert w.evidence.image_rank == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5, 1e-200])
+def test_phase_grid_witness_carries_the_grid_image_coefficients(scale):
+    # the image coefficients come back at the grid's own scale
+    grid = scale * np.array([[1.0, 2.0, 1.0], [3.0, 5.0, 1.0], [1.0, 1.0, 7.0]], dtype=complex)
+    w = factor_phase_grid(grid)
+    assert isinstance(w, Witness)
+    expected = np.linalg.svd((grid.reshape(-1) * w.state).reshape(3, 3), compute_uv=False)
+    np.testing.assert_allclose(w.evidence.image_coefficients, expected[: w.evidence.image_rank], rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -992,6 +1005,58 @@ def test_accepted_map_never_computes_its_spectrum(scale, swap):
     assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
     assert 1e-8 < v.rank_ratio <= 1.0
     assert "_spectrum" not in bmap.__dict__
+    # nor its unit-scale copy: the fit scales the map as it realigns it
+    assert "_unit" not in bmap.__dict__
+
+
+def singular_factor_case(n, m, swap, seed):
+    """(map, A, B) for L = A x B, or L = S (A x B) with S the relabeling
+    of the layout (n, m); A is singular when n <= m, else B."""
+    factors = []
+    for k, d in enumerate((n, m)):
+        f = random_invertible(d, seed=seed + k, cond_cap=30)
+        if (k == 0) == (n <= m):
+            u, s, vh = np.linalg.svd(f)
+            s[-1] = 0.0
+            f = (u * s) @ vh
+        factors.append(f)
+    product = kron(*factors)
+    matrix = swap_operator((n, m)) @ product if swap else product
+    return BipartiteMap(matrix, BipartiteShape(n, m)), *factors
+
+
+@pytest.mark.parametrize("n,m,swap", [(16, 16, False), (3, 4, True), (4, 3, True)])
+def test_singular_factor_gives_its_kernel_vector_without_a_map_svd(monkeypatch, n, m, swap):
+    # the kernel vector is kron(v_min(A), v_min(B)), from one SVD of each
+    # small factor; no SVD of the nm x nm map runs and its spectrum is unread
+    bmap, a, b = singular_factor_case(n, m, swap, seed=90 + n * m)
+    expected = np.kron(*(np.linalg.svd(f)[2][-1].conj() for f in (a, b)))
+    calls = svd_calls(monkeypatch)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.detail == "map is rank deficient"
+    assert calls and ((n * m, n * m), True) not in calls and ((n * m, n * m), False) not in calls
+    assert "_spectrum" not in bmap.__dict__
+    w = v.witness
+    assert w.kind == WITNESS_KERNEL and w.evidence.image_rank == 0
+    overlap = np.vdot(expected, w.state)
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(w.state, overlap * expected, rtol=0, atol=1e-9)
+    assert witness_checks_out(bmap, w)
+    assert witness_reverifies(bmap, w)
+
+
+def test_near_singular_local_maps_keep_verdict_and_detail(monkeypatch):
+    # the factors' kernel vector decides exactly where the rank check of
+    # the whole map, which it now precedes, decided
+    new = [classify(bmap) for bmap in near_singular_local_maps()]
+    monkeypatch.setattr(classifier, "_factor_kernel", lambda *args: None)
+    old = [classify(bmap) for bmap in near_singular_local_maps()]
+    assert sum(v.kind == KIND_NOT_PRESERVING for v in new) > 100
+    for v, ref in zip(new, old, strict=True):
+        assert (v.kind, v.detail) == (ref.kind, ref.detail)
+        assert (v.witness is None) == (ref.witness is None)
+        if v.witness is not None:
+            assert v.witness.kind == ref.witness.kind
 
 
 @pytest.mark.parametrize(
@@ -1032,40 +1097,55 @@ def vanishing_entangled_image_map() -> BipartiteMap:
     return BipartiteMap(matrix, BipartiteShape(2, 2))
 
 
+def band_image_map() -> BipartiteMap:
+    """The identity with L|0,0> an entangled vector of norm 0.95 tol: the
+    image lies between tol ||L||_F / sqrt(nm) = 0.87 tol and tol ||L||_F =
+    1.73 tol, so only ||L||_2 = 1 + O(tol^2) shows that it vanishes; the
+    map's s_min is about 0.67 tol."""
+    matrix = np.eye(4, dtype=complex)
+    matrix[:, 0] = 0.95e-8 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return BipartiteMap(matrix, BipartiteShape(2, 2))
+
+
 REJECT_FAMILIES = {
     "cnot-left": cnot_left_map,
     "cphase": cphase_map,
     "perturbed": lambda n, m, seed: perturb(random_local_map((n, m), seed=seed), 1e-3, seed=seed + 1),
     "kernel-entangled": kernel_entangled_map,
 }
+# (make, deficient, reads): whether the witness is a kernel vector, and
+# whether classify reads the map's spectrum
 REJECT_CASES = [
-    pytest.param(cnot_map, False, id="cnot"),
-    pytest.param(lambda: BipartiteMap(haar_unitary(4, seed=23), BipartiteShape(2, 2)), False, id="haar"),
+    pytest.param(cnot_map, False, False, id="cnot"),
+    pytest.param(lambda: BipartiteMap(haar_unitary(4, seed=23), BipartiteShape(2, 2)), False, False, id="haar"),
     *(
-        pytest.param(lambda make=make, n=n, m=m: make(n, m, seed=70 + n * m), False, id=f"{family}/{n}x{m}")
+        pytest.param(lambda make=make, n=n, m=m: make(n, m, seed=70 + n * m), False, False, id=f"{family}/{n}x{m}")
         for family, make in REJECT_FAMILIES.items()
         for n, m in ((2, 2), (2, 3), (3, 3))
     ),
-    pytest.param(kernel_product_map, True, id="kernel-product"),
-    pytest.param(vanishing_entangled_image_map, True, id="vanishing-entangled-image"),
+    pytest.param(kernel_product_map, True, False, id="kernel-product"),
+    pytest.param(vanishing_entangled_image_map, True, False, id="vanishing-entangled-image"),
+    pytest.param(band_image_map, True, True, id="band-image"),
 ]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
-@pytest.mark.parametrize("make,deficient", REJECT_CASES)
-def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient, scale):
-    # the witness comes from the image table, the phase grid or the
-    # parallelism scan; the spectrum is read only by the rank check of a
-    # map whose images factor as A x B (kernel-product) and by the
-    # vanishing test of an image below tol * ||L||_F
+@pytest.mark.parametrize("make,deficient,reads", REJECT_CASES)
+def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient, reads, scale):
+    # the witness comes from the image table, the phase grid, the
+    # parallelism scan or the kernel vector of the fitted factors
+    # (kernel-product); the spectrum is read only by the vanishing test of
+    # an image between tol * ||L||_F / sqrt(nm) and tol * ||L||_F, and there
+    # a vanishing image agrees with the spectrum's rank rule
     base = make()
     bmap = BipartiteMap(scale * base.matrix, base.shape)
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING and v.witness is not None
-    assert ("_spectrum" in bmap.__dict__) == deficient
+    assert ("_spectrum" in bmap.__dict__) == reads
     if deficient:
         assert v.witness.kind == WITNESS_KERNEL and v.detail == "map is rank deficient"
         assert v.witness.evidence.image_rank == 0
+        assert not full_rank_by_spectrum(base.matrix)
     else:
         assert v.detail == "no local or swap-local decomposition fits"
     assert witness_checks_out(bmap, v.witness)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,43 @@ def test_memo_under_threads_keeps_every_verdict():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_memo_is_freed_with_the_factors(cold_memo):
+    # the memo holds the factors' bytes and both SVDs, 6 MiB at 256x256;
+    # it lives no longer than the arrays the caller passed
+    a = random_invertible(256, seed=90, cond_cap=10)
+    b = random_invertible(256, seed=91, cond_cap=10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check_E1(a, b)
+        check_E2(a, b)
+        del a, b
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20
+    assert quantitative._last_svds is None
+
+
+def test_memo_is_freed_with_the_verdict(monkeypatch, cold_memo):
+    calls = _count_svds(monkeypatch)
+    verdict = classify(random_local_map((3, 3), seed=3))
+    check_E1(verdict.a, verdict.b)
+    check_E2(verdict.a, verdict.b)
+    assert len(calls) == 4 and quantitative._last_svds is not None
+    del verdict
+    assert quantitative._last_svds is None
+
+
+def test_memo_keeps_no_factor_without_weak_references(monkeypatch, cold_memo):
+    # a list cannot say when it is freed, so nothing is kept for it
+    a, b = random_invertible(3, seed=92).tolist(), random_invertible(2, seed=93).tolist()
+    calls = _count_svds(monkeypatch)
+    check_E1(a, b)
+    check_E2(a, b)
+    assert len(calls) == 4 and quantitative._last_svds is None
 
 
 # ---------------------------------------------------------------------------
