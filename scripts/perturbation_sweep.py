@@ -6,16 +6,20 @@ of that relative size, classifies the result, and reports the rejection
 fraction, how many rejects carry a witness that re-verifies from scratch
 (unitarity_kit.witness_reverifies: a kernel state the map annihilates, or
 a product state whose image is entangled, for n != m in both layouts
-(n, m) and (m, n)), plus the reconstruction error of any survivors.  Exits
-with status 1 when some reject lacks such a witness.
+(n, m) and (m, n)), how many rejects the leading 2x2 block of the image
+of |0,0> decided before either realignment fit, plus the reconstruction
+error of any survivors.  Exits with status 1 when some reject lacks such a
+witness, or when that block test decides a map on which a realignment
+reading fits (error <= tol), which its bound rules out.
 """
 
 import argparse
 import sys
 
-from unitarity_kit import witness_reverifies
+from unitarity_kit import classifier, witness_reverifies
 from unitarity_kit.classifier import KIND_NOT_PRESERVING, classify
 from unitarity_kit.generators import perturb, random_local_map, split_rng
+from unitarity_kit.linalg import DEFAULT_RANK_TOL
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
 
@@ -33,28 +37,38 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = split_rng(args.seed, 0)
-    print(f"{'epsilon':>10}  {'rejected':>9}  {'verified':>9}  {'accepted':>9}  worst recon err of accepted")
-    unverified = 0
+    tol = DEFAULT_RANK_TOL
+    print(
+        f"{'epsilon':>10}  {'rejected':>9}  {'verified':>9}  {'1st image':>9}  {'accepted':>9}"
+        "  worst recon err of accepted"
+    )
+    unverified = unsound = 0
     for eps in args.epsilons:
-        rejected = verified = 0
+        rejected = verified = first_image = 0
         worst_err = 0.0
         for _ in range(args.trials):
             shape = SHAPES[int(rng.integers(len(SHAPES)))]
             base = random_local_map(shape, swap=bool(rng.integers(2)), seed=rng)
             noisy = perturb(base, eps, seed=rng)
             rng.integers(2**32)  # spent draw, once a witness seed: keeps later maps fixed
-            verdict = classify(noisy)
+            verdict = classify(noisy, tol)
+            if classifier._first_image_entangled(noisy, tol):
+                first_image += 1
+                unsound += any(classifier._fit_local(noisy, swap, tol)[2] <= tol for swap in (False, True))
             if verdict.kind == KIND_NOT_PRESERVING:
                 rejected += 1
-                verified += verdict.witness is not None and witness_reverifies(noisy, verdict.witness)
+                verified += verdict.witness is not None and witness_reverifies(noisy, verdict.witness, tol)
             else:
                 worst_err = max(worst_err, verdict.reconstruction_error)
         accepted = args.trials - rejected
         err = f"{worst_err:.2e}" if accepted else "-"
-        print(f"{eps:>10.1e}  {rejected:>9}  {verified:>9}  {accepted:>9}  {err}")
+        print(f"{eps:>10.1e}  {rejected:>9}  {verified:>9}  {first_image:>9}  {accepted:>9}  {err}")
         unverified += rejected - verified
     if unverified:
         print(f"{unverified} rejects lack a witness that re-verifies", file=sys.stderr)
+    if unsound:
+        print(f"the first-image block test decided {unsound} maps that a reading fits", file=sys.stderr)
+    if unverified or unsound:
         sys.exit(1)
 
 

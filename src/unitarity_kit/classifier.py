@@ -29,13 +29,22 @@ shows the claim: a stage returns a witness only when it does, and
 witness_reverifies recomputes the data from the state alone and applies the
 same rule.  classify draws no random numbers.
 
-The reject path computes only what it reads.  A map that factors but is
-singular pays for one full SVD of each n x n and m x m factor, never one of
-the nm x nm map: the singular values of A x B are the products
-s_i(A) s_j(B) and its singular vectors the products of the factors'.  The
-rank check reads the map's values-only spectrum, cached on the map, and
-only a rank-deficient map pays for one full SVD, for its kernel vector.
-Whether an image vanishes is decided by two Frobenius bounds, and the
+The reject path computes only what it reads.  Before either fit, four
+entries of column 0 are read: the leading 2x2 block of the unit-scale image
+of |0,0> in the layout (n, m), and for n != m in (m, n) too.  Where every
+such block has |det| > beta ||block||_F, beta = 2 sqrt(2) tol nm, no
+reading can fit (_first_image_entangled): a fitted reading leaves that
+image within tol ||L||_F < sqrt(2) tol nm of a product, so its s_2 is at
+most that (Weyl's inequality), while any 2x2 block bounds s_2 from below by
+|det| / ||block||_F (Cauchy interlacing), and the factor 2 covers the fit's
+rounding.  The map is then NotPreserving with the witness |0,0>, the one
+the image table would return first, bit for bit, and neither fit runs.
+A map that factors but is singular pays for one full SVD of each n x n
+and m x m factor, never one of the nm x nm map: the singular values of
+A x B are the products s_i(A) s_j(B) and its singular vectors the products
+of the factors'.  The rank check reads the map's values-only spectrum,
+cached on the map, and only a rank-deficient map pays for one full SVD,
+for its kernel vector.  Whether an image vanishes is decided by two Frobenius bounds, and the
 spectrum is read only for an image between them.  Schmidt evidence holds
 coefficients and ranks from values-only spectra, never Schmidt vectors.
 The product-basis image of |0,0> is decided by one values-only SVD; past
@@ -67,6 +76,7 @@ overflow, A and B take about half of k each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -92,6 +102,8 @@ KIND_NOT_PRESERVING = "NotPreserving"
 WITNESS_KERNEL = "KernelVector"
 WITNESS_PRODUCT_TO_ENTANGLED = "ProductToEntangled"
 WITNESS_NONFACTORIZABLE_PHASE = "NonFactorizablePhase"
+
+DETAIL_NO_FIT = "no local or swap-local decomposition fits"
 
 CASE_I = "I"
 CASE_II = "II"
@@ -443,7 +455,13 @@ def build_image_table(
     basis image, in row-major order, is entangled with respect to the
     requested output layout or vanishes (a KernelVector); the basis state
     itself is the witness.  The image of |0,0> is decided first, by one
-    values-only SVD, so a map that entangles it costs one image.  Past it,
+    values-only SVD, so a map that entangles it costs one image.  classify
+    asks for a table only where the 2x2 block test of that image
+    (_first_image_entangled) has not decided: where the block's
+    |det| / ||block||_F exceeds 2 sqrt(2) tol nm at unit scale in every
+    layout, s_2 of the image exceeds twice tol times its s_1 < sqrt(2) nm,
+    so the table's first witness would be |0,0>, and the block test
+    returns that same witness without a fit or a table.  Past it,
     one vectorised rank-1 fit of every image (_rank_one_fits) certifies
     rank 1 and gives the factor vectors; only the images the fit cannot
     certify are decided by a values-only stacked SVD, one per row that
@@ -734,6 +752,28 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     return a / phase, b * phase, err
 
 
+def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
+    """Whether the leading 2x2 block of the unit-scale image of |0,0> has
+    |det| > beta * ||block||_F, beta = 2 sqrt(2) tol nm, in the layout
+    (n, m) and for n != m in (m, n) too: proof that no reading fits and
+    that |0,0> is the witness search's first witness (see classify).  The
+    four entries are read off column 0 of the matrix and scaled by 2^-k
+    one by one; the unit-scale copy is not built.
+    """
+    n, m = bmap.shape.n, bmap.shape.m
+    k = bmap._exponent
+    column = bmap.matrix[: max(n, m) + 2, 0].tolist()
+    beta = 2.0 * math.sqrt(2.0) * tol * n * m
+    for stride in {m, n}:  # the row strides of the layouts (n, m) and (m, n)
+        p, q, r, s = (
+            complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k))
+            for z in (column[0], column[1], column[stride], column[stride + 1])
+        )
+        if not abs(p * s - q * r) > beta * math.hypot(abs(p), abs(q), abs(r), abs(s)):
+            return False
+    return True
+
+
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     """The first witness found for a rejected map, in reading order: the
     image table of the map's own layout (its vanishing basis image, a
@@ -793,10 +833,23 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     at most 1, this implies the rank check of A and of B.  A carries the
     map's scale and ||B||_F = 1, unless A times that scale would overflow:
     then A and B each take about half of it.  An accepted map never
-    computes its own nm x nm spectrum, nor its unit-scale copy.  Once both
-    readings miss, the verdict is NotPreserving and only its witness
-    remains to be found.  A reading that fitted but failed its rank ratio
-    shows that the map is A x B (or S (A x B)) and only invertibility
+    computes its own nm x nm spectrum, nor its unit-scale copy.
+
+    Before either reading, the leading 2x2 block of the unit-scale image
+    of |0,0>, four entries of column 0 scaled by 2^-k, is tested in the
+    layout (n, m) and for n != m in (m, n) too (_first_image_entangled).
+    Where every block has |det| > 2 sqrt(2) tol nm ||block||_F, no reading
+    can fit: one that fits leaves the image within tol ||L||_F of a
+    product, below sqrt(2) tol nm at unit scale, which bounds its s_2 (Weyl),
+    and s_2 >= |det| / ||block||_F (Cauchy interlacing); the factor 2
+    covers the fit's rounding.  The verdict is then NotPreserving with
+    |0,0> as a ProductToEntangled witness, the one the witness search would
+    return first, bit for bit, and the detail below; the fits, the image
+    table and every later stage are skipped.  Elsewhere nothing changes.
+
+    Once both readings miss, the verdict is NotPreserving and only its
+    witness remains to be found.  A reading that fitted but failed its rank
+    ratio shows that the map is A x B (or S (A x B)) and only invertibility
     failed, so the witness is kron(v_min(A), v_min(B)), the kernel vector
     of A x B from one full SVD of each factor (_factor_kernel), once its
     image vanishes; a vanishing image proves s_min <= tol * s_max of the
@@ -838,6 +891,9 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     shape = bmap.shape
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
+    if _first_image_entangled(bmap, tol):
+        witness = _basis_witness(bmap, 0, 0, shape, tol)
+        return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=DETAIL_NO_FIT)
     fitted = []
     for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
         a, b, err = _fit_local(bmap, swap, tol)
@@ -870,9 +926,9 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     if witness is None:
         witness = _search_witness(bmap, tol)
     if witness is None:
-        detail = "no local or swap-local decomposition fits; no witness found"
+        detail = DETAIL_NO_FIT + "; no witness found"
     elif witness.kind == WITNESS_KERNEL:
         detail = "map is rank deficient"
     else:
-        detail = "no local or swap-local decomposition fits"
+        detail = DETAIL_NO_FIT
     return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=detail)

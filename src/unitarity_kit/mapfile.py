@@ -62,25 +62,28 @@ def _pairs_to_array(raw, depth: int) -> np.ndarray:
     """raw, depth levels of lists around [re, im] pairs, as a complex array.
 
     Types are checked before the one float conversion, as numpy would read
-    true, "1.0" and null as numbers.  The complex view keeps every bit of
-    the parsed floats, signed zeros included.
+    true, "1.0" and null as numbers, and lengths before it, so the parts
+    are converted as one flat list and reshaped.  The complex view keeps
+    every bit of the parsed floats, signed zeros included.
     """
     rows = [raw] if depth == 1 else raw
     if not isinstance(raw, list) or not raw or _stray_type(rows, list):
         raise ParseError("matrix must be a non-empty list of [re, im] pairs, or of rows of them")
     pairs = list(chain.from_iterable(rows))
-    stray = _stray_type(pairs, (list, tuple)) or _stray_type(chain.from_iterable(pairs), (int, float))
+    stray = _stray_type(pairs, (list, tuple))
+    parts = [] if stray else list(chain.from_iterable(pairs))
+    stray = stray or _stray_type(parts, (int, float))
     if stray:
         raise ParseError(f"matrix entries must be [re, im] pairs of numbers, got a {stray.__name__}")
-    try:
-        a = np.array(raw, dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"matrix is not an array of [re, im] pairs: {exc}") from exc
-    if a.ndim != depth + 1 or a.shape[-1] != 2:
+    if len(set(map(len, rows))) != 1 or set(map(len, pairs)) != {2}:
         raise ParseError("matrix rows or pairs have inconsistent lengths")
+    try:
+        a = np.array(parts, dtype=float)
+    except OverflowError as exc:  # an int beyond float range
+        raise ParseError(f"matrix entry beyond float range: {exc}") from exc
     if not np.isfinite(a).all():
         raise ParseError("non-finite matrix entry")
-    return a.view(complex)[..., 0]
+    return a.view(complex).reshape(len(pairs) if depth == 1 else (len(rows), len(rows[0])))
 
 
 def _parse_shape(value):

@@ -51,17 +51,50 @@ def local_map(n, m, seed, swap=False) -> BipartiteMap:
 
 def witness_checks_out(bmap: BipartiteMap, w: Witness) -> bool:
     # the image is taken under L / ||L||_2, so no norm under- or overflows;
-    # a kernel witness is a state the map annihilates, whatever its rank,
+    # it vanishes at most tol ||L||_2 ||x|| (tol = 1e-8), the library's rule.
+    # A kernel witness is a state the map annihilates, whatever its rank,
     # and a product-state witness has an image entangled in every layout
     in_rank = schmidt_rank(w.state, w.evidence.input_shape)
     norm2 = bmap.singular_values[0]
     unit = bmap.matrix / norm2 if norm2 > 0.0 else bmap.matrix
     img = unit @ w.state
-    if np.linalg.norm(img) <= 1e-8 * np.linalg.norm(unit):
+    if np.linalg.norm(img) <= 1e-8 * np.linalg.norm(w.state):
         return w.kind == WITNESS_KERNEL
     n, m = bmap.shape.n, bmap.shape.m
     img_rank = min(schmidt_rank(img, out) for out in {(n, m), (m, n)})
     return w.kind != WITNESS_KERNEL and in_rank == 1 and img_rank >= 2
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def same_witness(w: Witness | None, ref: Witness | None) -> bool:
+    """Kind, state and Schmidt evidence equal bit for bit."""
+    if w is None or ref is None:
+        return w is ref
+    ev, ref_ev = w.evidence, ref.evidence
+    return (
+        w.kind == ref.kind
+        and same_bits(w.state, ref.state)
+        and (ev.input_rank, ev.input_shape, ev.image_rank, ev.image_shape)
+        == (ref_ev.input_rank, ref_ev.input_shape, ref_ev.image_rank, ref_ev.image_shape)
+        and same_bits(ev.input_coefficients, ref_ev.input_coefficients)
+        and same_bits(ev.image_coefficients, ref_ev.image_coefficients)
+    )
+
+
+def same_verdict(v, ref) -> bool:
+    return (
+        (v.kind, v.detail, v.output_shape, v.reconstruction_error, v.rank_ratio)
+        == (ref.kind, ref.detail, ref.output_shape, ref.reconstruction_error, ref.rank_ratio)
+        and same_bits(v.a, ref.a)
+        and same_bits(v.b, ref.b)
+        and same_witness(v.witness, ref.witness)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -977,23 +1010,26 @@ def test_fitted_reading_with_a_singular_factor_decides_by_the_rank_check(monkeyp
     ],
     ids=["haar/3x4", "perturbed/2x3"],
 )
-def test_entangled_basis_image_of_an_uneven_map_builds_one_table(monkeypatch, make):
-    # the own-layout table's witness is returned at once; the relabeled
-    # layout's table is never built
+def test_entangled_first_image_of_an_uneven_map_decides_before_any_fit(monkeypatch, make):
+    # the leading 2x2 block of L|0,0> decides in both layouts: no reading
+    # is fitted and no image table is built, and the witness is the one the
+    # own layout's table returns first, bit for bit
     bmap = make()
-    layouts = []
-    real = classifier.build_image_table
+    expected = build_image_table(bmap, 1e-8, bmap.shape)
+    assert isinstance(expected, Witness)
 
-    def recorded(bmap, tol, output_shape):
-        layouts.append(output_shape.as_tuple())
-        return real(bmap, tol, output_shape)
+    def refuse(*args, **kwargs):
+        raise AssertionError("called after the first image decided")
 
-    monkeypatch.setattr(classifier, "build_image_table", recorded)
+    monkeypatch.setattr(classifier, "build_image_table", refuse)
+    monkeypatch.setattr(classifier, "_fit_local", refuse)
+    bmap = BipartiteMap(bmap.matrix, bmap.shape)
     v = classify(bmap)
-    assert v.kind == KIND_NOT_PRESERVING
-    assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
-    assert layouts == [bmap.shape.as_tuple()]
+    assert v.kind == KIND_NOT_PRESERVING and v.detail == "no local or swap-local decomposition fits"
+    assert v.witness.kind == expected.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    assert same_witness(v.witness, expected)
     assert witness_reverifies(bmap, v.witness)
+    assert witness_checks_out(bmap, v.witness)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
@@ -1511,3 +1547,91 @@ def test_classify_witness_matches_plain_loop_reference(monkeypatch, make, svd_af
     if svd_after_fit:
         assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
         assert any(len(shape) == 3 and not uv for shape, uv in calls)
+
+
+# ---------------------------------------------------------------------------
+# the first-image block test
+
+
+def aimed_at_the_leading_block(bmap: BipartiteMap, swap: bool, size: float) -> np.ndarray:
+    """The matrix with column 0 moved by size (Frobenius) along the second
+    singular pair of the leading 2x2 block of L|0,0>, in the layout where
+    that image is a product: (m, n) for a swapped map, else (n, m)."""
+    n, m = bmap.shape.n, bmap.shape.m
+    rows, cols = (m, n) if swap else (n, m)
+    u, _, vh = np.linalg.svd(bmap.matrix[:, 0].reshape(rows, cols)[:2, :2])
+    delta = np.zeros((rows, cols), dtype=complex)
+    delta[:2, :2] = size * np.outer(u[:, 1], vh[1])
+    matrix = bmap.matrix.copy()
+    matrix[:, 0] += delta.ravel()
+    return matrix
+
+
+@pytest.mark.parametrize("j", [0, -1000, 1000])
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)])
+def test_first_image_block_never_decides_a_map_that_a_reading_accepts(n, m, swap, j):
+    # a fitted reading leaves s_2 of the image at most tol ||L||_F, which
+    # stays below the block's threshold 2 sqrt(2) tol nm at unit scale
+    base = local_map(n, m, seed=110 + n * m, swap=swap)
+    norm = np.linalg.norm(base.matrix)
+    bmap = BipartiteMap(ldexp(aimed_at_the_leading_block(base, swap, 0.99e-8 * norm), j), base.shape)
+    assert not classifier._first_image_entangled(bmap, 1e-8)
+    v = classify(bmap)
+    assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
+    assert v.reconstruction_error <= 1e-8
+    # the same aim at 1e-5 ||L||_F entangles the image in every layout
+    loud = BipartiteMap(ldexp(aimed_at_the_leading_block(base, swap, 1e-5 * norm), j), base.shape)
+    assert classifier._first_image_entangled(loud, 1e-8)
+    v = classify(loud)
+    assert v.kind == KIND_NOT_PRESERVING and v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    np.testing.assert_array_equal(v.witness.state, np.eye(n * m)[0])
+    assert witness_reverifies(loud, v.witness)
+
+
+@pytest.mark.parametrize("family", list(WITNESS_FAMILIES))
+def test_first_image_block_changes_no_verdict(monkeypatch, family):
+    # each verdict is the one classify gives without the block test, bit
+    # for bit: kind, detail, margins, factors and witness
+    shapes = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4))
+    bases = [WITNESS_FAMILIES[family](n, m, 120 + 7 * n + m) for n, m in shapes]
+    maps = [BipartiteMap(scale * b.matrix, b.shape) for b in bases for scale in (1.0, 1e-300, 1e300)]
+    verdicts = [classify(bmap) for bmap in maps]
+    decided = [classifier._first_image_entangled(bmap, 1e-8) for bmap in maps]
+    monkeypatch.setattr(classifier, "_first_image_entangled", lambda *args: False)
+    for bmap, v in zip(maps, verdicts, strict=True):
+        assert same_verdict(v, classify(BipartiteMap(bmap.matrix, bmap.shape)))
+    # the first image of a haar, perturbed or kernel-entangled map is
+    # entangled far above tol; that of the others is a product
+    assert all(decided) == (family in ("haar", "perturbed", "kernel-entangled"))
+    assert any(decided) == all(decided)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_first_image_block_leaves_a_product_first_image_alone(scale):
+    maps = [cnot_map(), generalized_cnot(3), generalized_cnot(4)]
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
+        seed = 130 + n * m
+        maps += [
+            cnot_left_map(n, m, seed),
+            cphase_map(n, m, seed),
+            local_map(n, m, seed),
+            # entangled in its own layout (n, m) for n != m, a product in (m, n)
+            local_map(n, m, seed, swap=True),
+        ]
+    for bmap in maps:
+        assert not classifier._first_image_entangled(BipartiteMap(scale * bmap.matrix, bmap.shape), 1e-8)
+
+
+def test_oracle_and_library_agree_on_an_image_between_the_vanishing_bounds():
+    # the identity with L|0,0> = 1.2e-8 (|00> + |11>) / sqrt(2): above
+    # tol ||L||_2 ||x|| = 1e-8, so the image does not vanish, though it is
+    # below tol ||L||_F ||x|| = 1.7e-8
+    matrix = np.eye(4, dtype=complex)
+    matrix[:, 0] = 1.2e-8 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    bmap = BipartiteMap(matrix, BipartiteShape(2, 2))
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    np.testing.assert_array_equal(v.witness.state, [1, 0, 0, 0])
+    assert witness_reverifies(bmap, v.witness)
+    assert witness_checks_out(bmap, v.witness)

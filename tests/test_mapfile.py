@@ -100,6 +100,10 @@ _MALFORMED = {
     ),
     "nan": ("[[NaN, 0], [0, 1]]", "[[[NaN, 0], [0, 0]], [[0, 0], [0, 1]]]"),
     "overflow": ("[[1e400, 0], [0, 1]]", "[[[1e400, 0], [0, 0]], [[0, 0], [0, 1]]]"),
+    "int overflow": (
+        "[[1%s, 0], [0, 1]]" % ("0" * 400),
+        "[[[1%s, 0], [0, 0]], [[0, 0], [0, 1]]]" % ("0" * 400),
+    ),
 }
 
 
@@ -217,3 +221,25 @@ def test_refused_input_creates_no_file(tmp_path, kind, shape, array, error):
     with pytest.raises(error):
         save_map_file(path, kind, shape, array)
     assert not path.exists()
+
+
+# every kind of part a file may hold: zeros of both signs, subnormals, the
+# ends of the float range and ints, exact and rounded
+_PARSED_PARTS = [
+    *_PARTS.tolist(), -1e308, np.finfo(float).max, -1e-320, 2**53 + 1, -(2**63), 0, 3,
+]
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["state", "matrix"])
+def test_parse_converts_the_flat_parts_as_the_nested_lists_would(field):
+    # one np.array call on the flat parts, then a reshape, gives the bits of
+    # the nested conversion, signed zeros included
+    parts = _PARSED_PARTS
+    if field == 0:
+        data = {"kind": "state", "shape": len(parts), "matrix": [[x, y] for x, y in zip(parts, parts[::-1])]}
+    else:
+        data = {"kind": "bipartite_map", "shape": [4, 4], "matrix": [[[x, y] for y in parts] for x in parts]}
+    loaded = parse_map_data(data)
+    nested = np.array(data["matrix"], dtype=float).view(complex)[..., 0]
+    assert (loaded.array.shape, loaded.array.tobytes()) == (nested.shape, nested.tobytes())
+    assert loaded.array.flags.c_contiguous

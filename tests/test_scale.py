@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitarity_kit import witness_reverifies
+from unitarity_kit import classifier, witness_reverifies
 from unitarity_kit.classifier import KIND_NOT_PRESERVING, BipartiteMap, classify
 from unitarity_kit.entropy_dynamics import (
     Superoperator,
@@ -68,6 +68,8 @@ BIPARTITE = {
     "cphase": lambda: (_cphase(2, 3, seed=8), (2, 3)),
     "perturbed": lambda: (perturb(random_local_map((2, 2), seed=9), 1e-3, seed=10).matrix, (2, 2)),
     "haar": lambda: (haar_unitary(4, seed=23), (2, 2)),
+    # decided by the leading 2x2 block of L|0,0> in both layouts
+    "haar-3x4": lambda: (haar_unitary(12, seed=24), (3, 4)),
     "kernel-entangled": lambda: (_kernel_map(2, 3, seed=11, entangled=True), (2, 3)),
     "kernel-product": lambda: (_kernel_map(3, 2, seed=12, entangled=False), (3, 2)),
     # just above tol: no constructive stage refutes both layouts, the
@@ -277,6 +279,22 @@ def test_classify_keeps_its_verdict_at_the_edges_of_the_float_range(family, peak
         else:
             assert np.isfinite(out.a).all() and np.isfinite(out.rank_ratio)
             assert out.rank_ratio == pytest.approx(ref.rank_ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("peak", [1.0, *INEXACT])
+def test_first_image_block_decides_at_the_edges_of_the_float_range(peak):
+    # the four block entries are scaled by 2^-k one by one, so subnormal
+    # entries and entries near the float maximum give the same decision,
+    # without a warning, and the witness is |0,0>
+    matrix, shape = BIPARTITE["haar-3x4"]()
+    bmap = BipartiteMap(_at_peak(matrix, peak), shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classifier._first_image_entangled(bmap, 1e-8)
+        out = classify(bmap)
+        assert out.kind == KIND_NOT_PRESERVING
+        np.testing.assert_array_equal(out.witness.state, np.eye(12)[0])
+        assert witness_reverifies(bmap, out.witness)
 
 
 @pytest.mark.parametrize("peak", INEXACT)
