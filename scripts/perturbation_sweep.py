@@ -7,10 +7,12 @@ fraction, how many rejects carry a witness that re-verifies from scratch
 (unitarity_kit.witness_reverifies: a kernel state the map annihilates, or
 a product state whose image is entangled, for n != m in both layouts
 (n, m) and (m, n)), how many rejects the leading 2x2 block of the image
-of |0,0> decided before either realignment fit, plus the reconstruction
-error of any survivors.  Exits with status 1 when some reject lacks such a
-witness, or when that block test decides a map on which a realignment
-reading fits (error <= tol), which its bound rules out.
+of |0,0> decided before either realignment fit ("1st image"), how many of
+the rest the leading 2x2 block of row 0, a block of both realignments,
+decided before either fit ("row 0"), plus the reconstruction error of any
+survivors.  Exits with status 1 when some reject lacks such a witness, or
+when either block test decides a map on which a realignment reading fits
+(error <= tol), which their bound rules out.
 """
 
 import argparse
@@ -39,12 +41,12 @@ def main() -> None:
     rng = split_rng(args.seed, 0)
     tol = DEFAULT_RANK_TOL
     print(
-        f"{'epsilon':>10}  {'rejected':>9}  {'verified':>9}  {'1st image':>9}  {'accepted':>9}"
+        f"{'epsilon':>10}  {'rejected':>9}  {'verified':>9}  {'1st image':>9}  {'row 0':>9}  {'accepted':>9}"
         "  worst recon err of accepted"
     )
     unverified = unsound = 0
     for eps in args.epsilons:
-        rejected = verified = first_image = 0
+        rejected = verified = first_image = first_row = 0
         worst_err = 0.0
         for _ in range(args.trials):
             shape = SHAPES[int(rng.integers(len(SHAPES)))]
@@ -52,8 +54,11 @@ def main() -> None:
             noisy = perturb(base, eps, seed=rng)
             rng.integers(2**32)  # spent draw, once a witness seed: keeps later maps fixed
             verdict = classify(noisy, tol)
-            if classifier._first_image_entangled(noisy, tol):
-                first_image += 1
+            by_image = classifier._first_image_entangled(noisy, tol)
+            by_row = not by_image and classifier._first_row_entangled(noisy, tol)
+            first_image += by_image
+            first_row += by_row
+            if by_image or by_row:
                 unsound += any(classifier._fit_local(noisy, swap, tol)[2] <= tol for swap in (False, True))
             if verdict.kind == KIND_NOT_PRESERVING:
                 rejected += 1
@@ -62,12 +67,12 @@ def main() -> None:
                 worst_err = max(worst_err, verdict.reconstruction_error)
         accepted = args.trials - rejected
         err = f"{worst_err:.2e}" if accepted else "-"
-        print(f"{eps:>10.1e}  {rejected:>9}  {verified:>9}  {first_image:>9}  {accepted:>9}  {err}")
+        print(f"{eps:>10.1e}  {rejected:>9}  {verified:>9}  {first_image:>9}  {first_row:>9}  {accepted:>9}  {err}")
         unverified += rejected - verified
     if unverified:
         print(f"{unverified} rejects lack a witness that re-verifies", file=sys.stderr)
     if unsound:
-        print(f"the first-image block test decided {unsound} maps that a reading fits", file=sys.stderr)
+        print(f"the block tests decided {unsound} maps that a reading fits", file=sys.stderr)
     if unverified or unsound:
         sys.exit(1)
 

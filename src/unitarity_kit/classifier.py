@@ -38,7 +38,16 @@ image within tol ||L||_F < sqrt(2) tol nm of a product, so its s_2 is at
 most that (Weyl's inequality), while any 2x2 block bounds s_2 from below by
 |det| / ||block||_F (Cauchy interlacing), and the factor 2 covers the fit's
 rounding.  The map is then NotPreserving with the witness |0,0>, the one
-the image table would return first, bit for bit, and neither fit runs.
+the image table would return first, bit for bit, and neither fit runs; its
+evidence reads column 0 alone.  Where that image is a product, four
+entries of row 0 are read next, L[0,0], L[0,1], L[0,m] and L[0,m+1]: the
+leading 2x2 block of row 0 as an n x m matrix, and a 2x2 block of both
+realignments, Local and SwapLocal, for n = m and for n != m
+(_first_row_entangled).  A fitted reading has s_2 of its realignment at
+most tol ||L||_F (Eckart-Young), and the same bound on |det| / ||block||_F
+(interlacing) proves that neither fits: both fits are skipped, and the
+witness search runs as it would after two failed fits.  This decides the
+CNOT-like and controlled-phase rejects, whose basis images are products.
 A map that factors but is singular pays for one full SVD of each n x n
 and m x m factor, never one of the nm x nm map: the singular values of
 A x B are the products s_i(A) s_j(B) and its singular vectors the products
@@ -258,19 +267,21 @@ def _schmidt_coefficients(v: np.ndarray, shape: tuple[int, int], tol: float) -> 
     return s[:rank], rank
 
 
-def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
+def _evidence(bmap: BipartiteMap, state, image_shape, tol, image=None) -> SchmidtEvidence:
     """Schmidt data for a state and its image; a vanishing image has rank 0.
 
     The image is taken under the unit-scale map and its coefficients are
     scaled back by 2^k; only an image between the two bounds of _vanishing
-    reads the spectrum of the map.  Both sets of coefficients come from
-    values-only SVDs (_schmidt_coefficients).
+    reads the spectrum of the map.  A caller that holds the unit-scale
+    image and has proved that it does not vanish passes it as image, and
+    neither the unit-scale copy nor the vanishing test is needed.  Both
+    sets of coefficients come from values-only SVDs (_schmidt_coefficients).
     """
     state = np.asarray(state, dtype=complex)
     shape, out = bmap.shape.as_tuple(), as_shape(image_shape).as_tuple()
     in_coeffs, in_rank = _schmidt_coefficients(state, shape, tol)
-    img = bmap._unit @ state
-    if _vanishing(bmap, img, state, tol):
+    img = bmap._unit @ state if image is None else image
+    if image is None and _vanishing(bmap, img, state, tol):
         img_coeffs, img_rank = np.zeros(0), 0
     else:
         img_coeffs, img_rank = _schmidt_coefficients(img, out, tol)
@@ -375,7 +386,9 @@ class ProductImageTable:
     made real positive; the complex amplitude carries everything else.
     They come from a rank-1 fit of each image (_rank_one_fits), not from
     its SVD: on an image of exact rank 1 they are its singular vectors to
-    rounding.
+    rounding.  The amplitude is the fit's norm a = ||X^T d-bar|| times the
+    two phases the gauge divides out (_fix_phases), which is exactly the
+    projection of the image onto the gauged factor vectors.
     d_vecs[i,j] lives in the first factor of shape_out, e_vecs[i,j] in the
     second.
     """
@@ -387,10 +400,12 @@ class ProductImageTable:
     e_vecs: np.ndarray
 
 
-def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Divide each vector (last axis) by the phase of its largest-magnitude entry."""
+def _fix_phases(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each vector (last axis) by the phase of its largest-magnitude
+    entry; return the vectors and the phases divided out."""
     top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
-    return v / (top / np.abs(top))
+    phases = top / np.abs(top)
+    return v / phases, phases[..., 0]
 
 
 def _schmidt_ranks(spectra: np.ndarray, tol: float) -> np.ndarray:
@@ -400,8 +415,8 @@ def _schmidt_ranks(spectra: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _rank_one_fits(images: np.ndarray, tol: float):
-    """Per image X (last two axes): unit vectors d, e and whether the fit
-    X ~ a d e^T certifies Schmidt rank 1.
+    """Per image X (last two axes): unit vectors d, e, the norm a and
+    whether the fit X ~ a d e^T certifies Schmidt rank 1.
 
     The images are columns of the unit-scale map.  e starts as X's largest
     row, then d = X e-bar / ||X e-bar||, e = X^T d-bar and a = ||e||.  The
@@ -423,7 +438,7 @@ def _rank_one_fits(images: np.ndarray, tol: float):
     x -= d[..., :, None] * e[..., None, :]  # the residual, in place of a third image-sized array
     misfit = np.sqrt(np.einsum("...ab,...ab->...", flat, flat))
     certified = (a > 0.0) & (misfit <= tol * a)
-    return d, e / np.where(a > 0.0, a, 1.0)[..., None], certified
+    return d, e / np.where(a > 0.0, a, 1.0)[..., None], a, certified
 
 
 def _basis_witness(bmap: BipartiteMap, i: int, j: int, out, tol: float) -> Witness:
@@ -468,7 +483,9 @@ def build_image_table(
     holds any, in row order.  A certified image has rank 1 (Weyl), so the
     first image that fails is the first in row-major order.  No SVD with
     vectors runs, and a map whose basis images are all certified products
-    runs no stacked SVD.
+    runs no stacked SVD.  The amplitudes take no pass over the images: with
+    e = X^T d-bar and a = ||e|| from the fit, the projection d'^H X e'-bar
+    onto the gauged vectors is a times the two gauge phases, O(nm) in all.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -480,15 +497,14 @@ def build_image_table(
     images = bmap._unit.T.reshape(n, m, out.n, out.m)
     if _schmidt_ranks(singular_values(images[0, 0]), tol) != 1:
         return _basis_witness(bmap, 0, 0, out, tol)
-    d_vecs, e_vecs, certified = _rank_one_fits(images, tol)
+    d_vecs, e_vecs, norms, certified = _rank_one_fits(images, tol)
     certified[0, 0] = True  # decided above
     for i in np.flatnonzero(~certified.all(axis=-1)):
         witness = _row_witness(bmap, images, int(i), np.flatnonzero(~certified[i]), out, tol)
         if witness is not None:
             return witness
-    d_vecs = _fix_phases(d_vecs)
-    e_vecs = _fix_phases(e_vecs)
-    amps = ldexp(np.einsum("ija,ijb,ijab->ij", d_vecs.conj(), e_vecs.conj(), images), bmap._exponent)
+    (d_vecs, d_phases), (e_vecs, e_phases) = _fix_phases(d_vecs), _fix_phases(e_vecs)
+    amps = ldexp(norms * d_phases * e_phases, bmap._exponent)
     return ProductImageTable(
         shape_in=shape, shape_out=out, amps=amps, d_vecs=d_vecs, e_vecs=e_vecs
     )
@@ -752,26 +768,43 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     return a / phase, b * phase, err
 
 
+def _block_beyond_fit(bmap: BipartiteMap, tol: float, p: complex, q: complex, r: complex, s: complex) -> bool:
+    """Whether the 2x2 block [[p, q], [r, s]] of matrix entries, each part
+    scaled by 2^-k (the unit-scale copy is not built), has |det| > beta *
+    ||block||_F, beta = 2 sqrt(2) tol nm: s_2 of any matrix holding that
+    block then exceeds twice tol times ||L||_F < sqrt(2) nm (see classify)."""
+    k = -bmap._exponent
+    p = complex(math.ldexp(p.real, k), math.ldexp(p.imag, k))
+    q = complex(math.ldexp(q.real, k), math.ldexp(q.imag, k))
+    r = complex(math.ldexp(r.real, k), math.ldexp(r.imag, k))
+    s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
+    beta = 2.0 * math.sqrt(2.0) * tol * bmap.shape.n * bmap.shape.m
+    return abs(p * s - q * r) > beta * math.hypot(abs(p), abs(q), abs(r), abs(s))
+
+
 def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
-    """Whether the leading 2x2 block of the unit-scale image of |0,0> has
-    |det| > beta * ||block||_F, beta = 2 sqrt(2) tol nm, in the layout
-    (n, m) and for n != m in (m, n) too: proof that no reading fits and
-    that |0,0> is the witness search's first witness (see classify).  The
-    four entries are read off column 0 of the matrix and scaled by 2^-k
-    one by one; the unit-scale copy is not built.
-    """
+    """Whether the leading 2x2 block of the unit-scale image of |0,0>, read
+    off column 0, is beyond a fit (_block_beyond_fit) in the layout (n, m)
+    and for n != m in (m, n) too: proof that no reading fits and that |0,0>
+    is the witness search's first witness (see classify)."""
     n, m = bmap.shape.n, bmap.shape.m
-    k = bmap._exponent
     column = bmap.matrix[: max(n, m) + 2, 0].tolist()
-    beta = 2.0 * math.sqrt(2.0) * tol * n * m
     for stride in {m, n}:  # the row strides of the layouts (n, m) and (m, n)
-        p, q, r, s = (
-            complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k))
-            for z in (column[0], column[1], column[stride], column[stride + 1])
-        )
-        if not abs(p * s - q * r) > beta * math.hypot(abs(p), abs(q), abs(r), abs(s)):
+        if not _block_beyond_fit(bmap, tol, column[0], column[1], column[stride], column[stride + 1]):
             return False
     return True
+
+
+def _first_row_entangled(bmap: BipartiteMap, tol: float) -> bool:
+    """Whether the leading 2x2 block of row 0 of the map, as an n x m matrix
+    in the input layout (entries L[0,0], L[0,1], L[0,m], L[0,m+1]), is
+    beyond a fit (_block_beyond_fit): proof that neither reading fits.
+    Rows (0,0), (0,1) and columns (0,0), (0,1) of the Local realignment
+    R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal one hold
+    those same four entries, for n = m and for n != m (see classify)."""
+    m = bmap.shape.m
+    row = bmap.matrix[0, : m + 2].tolist()
+    return _block_beyond_fit(bmap, tol, row[0], row[1], row[m], row[m + 1])
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
@@ -845,7 +878,21 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     covers the fit's rounding.  The verdict is then NotPreserving with
     |0,0> as a ProductToEntangled witness, the one the witness search would
     return first, bit for bit, and the detail below; the fits, the image
-    table and every later stage are skipped.  Elsewhere nothing changes.
+    table and every later stage are skipped.  Its evidence reads column 0
+    times 2^-k, the bits of the table's image, and the vanishing test is
+    skipped: the bound puts s_2 of that image above 2 tol ||L||_F.
+
+    Otherwise the leading 2x2 block of row 0, as an n x m matrix in the
+    input layout (L[0,0], L[0,1], L[0,m], L[0,m+1], scaled by 2^-k), is
+    tested against the same bound (_first_row_entangled).  It is a 2x2
+    block of both realignments: rows (0,0), (0,1) and columns (0,0), (0,1)
+    of R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal
+    realignment hold those four entries, for n = m and for n != m.  A
+    reading that fits has s_2(R) <= tol ||R||_F < sqrt(2) tol nm
+    (Eckart-Young), and s_2(R) >= |det| / ||block||_F (interlacing), so
+    where the test fires each fit would return None: neither runs, and the
+    witness search below runs as after two failed fits.  Elsewhere nothing
+    changes.
 
     Once both readings miss, the verdict is NotPreserving and only its
     witness remains to be found.  A reading that fitted but failed its rank
@@ -892,10 +939,17 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     if shape.n < 2 or shape.m < 2:
         raise ShapeMismatch("both factors need dim >= 2 for entanglement to exist")
     if _first_image_entangled(bmap, tol):
-        witness = _basis_witness(bmap, 0, 0, shape, tol)
+        # that image, column 0 times 2^-k, has s_2 > 2 tol ||L||_F by the
+        # block bound, so it does not vanish and _vanishing need not run
+        state = _basis_ket(shape.dim, 0)
+        ev = _evidence(bmap, state, shape, tol, image=ldexp(bmap.matrix[:, 0], -bmap._exponent))
+        witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
         return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=DETAIL_NO_FIT)
     fitted = []
-    for kind, swap in ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True)):
+    readings = ((KIND_LOCAL, False), (KIND_SWAP_LOCAL, True))
+    # where one block of row 0 proves that neither realignment fits, both
+    # fits would return None: fitted stays empty
+    for kind, swap in () if _first_row_entangled(bmap, tol) else readings:
         a, b, err = _fit_local(bmap, swap, tol)
         if a is None:
             continue

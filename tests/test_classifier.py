@@ -429,7 +429,7 @@ def test_image_the_fit_cannot_certify_still_matches_reference():
     base[:, 1 * 3 + 1] = image.reshape(-1) * np.linalg.norm(base[:, 4])
     bmap = BipartiteMap(base, BipartiteShape(3, 3))
     images = bmap.matrix.T.reshape(3, 3, 3, 3)
-    certified = classifier._rank_one_fits(images, 1e-8)[2]
+    certified = classifier._rank_one_fits(images, 1e-8)[-1]
     assert not certified[1, 1] and certified.sum() == 8
     assert schmidt_rank(bmap.matrix[:, 4], (3, 3)) == 1
     test_stacked_image_table_matches_per_column_reference(bmap, (3, 3))
@@ -1586,6 +1586,8 @@ def test_first_image_block_never_decides_a_map_that_a_reading_accepts(n, m, swap
     v = classify(loud)
     assert v.kind == KIND_NOT_PRESERVING and v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
     np.testing.assert_array_equal(v.witness.state, np.eye(n * m)[0])
+    # the witness's evidence read column 0 alone
+    assert "_unit" not in loud.__dict__ and "_frobenius" not in loud.__dict__
     assert witness_reverifies(loud, v.witness)
 
 
@@ -1621,6 +1623,98 @@ def test_first_image_block_leaves_a_product_first_image_alone(scale):
         ]
     for bmap in maps:
         assert not classifier._first_image_entangled(BipartiteMap(scale * bmap.matrix, bmap.shape), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the row-0 block test
+
+
+def aimed_at_the_row_block(bmap: BipartiteMap, size: float) -> np.ndarray:
+    """The matrix with L[0,0], L[0,1], L[0,m], L[0,m+1] moved by size
+    (Frobenius) along the second singular pair of the 2x2 block they form,
+    a block of both realignments."""
+    m = bmap.shape.m
+    cols = np.array([[0, 1], [m, m + 1]])
+    u, _, vh = np.linalg.svd(bmap.matrix[0, cols])
+    matrix = bmap.matrix.copy()
+    matrix[0, cols] += size * np.outer(u[:, 1], vh[1])
+    return matrix
+
+
+@pytest.mark.parametrize("j", [0, -1000, 1000])
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)])
+def test_row_block_never_decides_a_map_that_a_reading_accepts(n, m, swap, j):
+    # a fitted reading has s_2 of its realignment at most tol ||L||_F, which
+    # stays below the block's threshold 2 sqrt(2) tol nm at unit scale
+    base = local_map(n, m, seed=140 + n * m, swap=swap)
+    norm = np.linalg.norm(base.matrix)
+    bmap = BipartiteMap(ldexp(aimed_at_the_row_block(base, 0.99e-8 * norm), j), base.shape)
+    assert not classifier._first_row_entangled(bmap, 1e-8)
+    v = classify(bmap)
+    assert v.kind == (KIND_SWAP_LOCAL if swap else KIND_LOCAL)
+    assert v.reconstruction_error <= 1e-8
+    # the same aim at 1e-5 ||L||_F takes both readings out of reach
+    loud = BipartiteMap(ldexp(aimed_at_the_row_block(base, 1e-5 * norm), j), base.shape)
+    assert classifier._first_row_entangled(loud, 1e-8)
+    assert all(classifier._fit_local(loud, s, 1e-8)[0] is None for s in (False, True))
+    v = classify(loud)
+    assert v.kind == KIND_NOT_PRESERVING and witness_reverifies(loud, v.witness)
+
+
+@pytest.mark.parametrize("family", ["cnot-left", "cphase"])
+def test_row_block_skips_both_fits_and_changes_no_verdict(monkeypatch, family):
+    shapes = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4))
+    bases = [WITNESS_FAMILIES[family](n, m, 150 + 7 * n + m) for n, m in shapes]
+    maps = [BipartiteMap(scale * b.matrix, b.shape) for b in bases for scale in (1.0, 1e-300, 1e300)]
+    real_fit = classifier._fit_local
+
+    def no_fit(*args):
+        raise AssertionError("a realignment fit ran")
+
+    monkeypatch.setattr(classifier, "_fit_local", no_fit)
+    verdicts = [classify(bmap) for bmap in maps]
+    # the verdict each map gets when both fits run, bit for bit
+    monkeypatch.setattr(classifier, "_fit_local", real_fit)
+    monkeypatch.setattr(classifier, "_first_row_entangled", lambda *args: False)
+    for bmap, v in zip(maps, verdicts, strict=True):
+        assert v.kind == KIND_NOT_PRESERVING
+        assert same_verdict(v, classify(BipartiteMap(bmap.matrix, bmap.shape)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_row_block_leaves_products_alone(scale):
+    maps = [cnot_map(), generalized_cnot(3), generalized_cnot(4)]
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
+        shape = BipartiteShape(n, m)
+        seed = 160 + n * m
+        maps += [
+            BipartiteMap(controlled_shift(n, m), shape),
+            BipartiteMap(controlled_shift(n, m).T, shape),
+            local_map(n, m, seed),
+            local_map(n, m, seed, swap=True),
+        ]
+    for bmap in maps:
+        assert not classifier._first_row_entangled(BipartiteMap(scale * bmap.matrix, bmap.shape), 1e-8)
+
+
+def amplitude_maps():
+    yield from product_image_maps()
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
+        yield cnot_left_map(n, m, 170 + n * m)
+        yield cphase_map(n, m, 170 + n * m)
+
+
+def test_image_table_amplitudes_are_the_projections_of_the_images():
+    # amps come from the fit's norm and the two gauge phases: the same as
+    # projecting each image onto its gauged factor vectors
+    for bmap in amplitude_maps():
+        table = build_image_table(bmap)
+        assert not isinstance(table, Witness)
+        n, m = bmap.shape.n, bmap.shape.m
+        images = bmap._unit.T.reshape(n, m, n, m)
+        projected = np.einsum("ija,ijb,ijab->ij", table.d_vecs.conj(), table.e_vecs.conj(), images)
+        np.testing.assert_allclose(table.amps, ldexp(projected, bmap._exponent), rtol=1e-13, atol=0.0)
 
 
 def test_oracle_and_library_agree_on_an_image_between_the_vanishing_bounds():

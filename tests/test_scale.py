@@ -66,6 +66,8 @@ BIPARTITE = {
     "cnot": lambda: (cnot_map().matrix, (2, 2)),
     "cnot-left": lambda: (_cnot_left(3, 3, seed=7), (3, 3)),
     "cphase": lambda: (_cphase(2, 3, seed=8), (2, 3)),
+    # every basis image a product; decided by the leading 2x2 block of row 0
+    "cphase-4x4": lambda: (_cphase(4, 4, seed=25), (4, 4)),
     "perturbed": lambda: (perturb(random_local_map((2, 2), seed=9), 1e-3, seed=10).matrix, (2, 2)),
     "haar": lambda: (haar_unitary(4, seed=23), (2, 2)),
     # decided by the leading 2x2 block of L|0,0> in both layouts
@@ -294,6 +296,28 @@ def test_first_image_block_decides_at_the_edges_of_the_float_range(peak):
         out = classify(bmap)
         assert out.kind == KIND_NOT_PRESERVING
         np.testing.assert_array_equal(out.witness.state, np.eye(12)[0])
+        assert witness_reverifies(bmap, out.witness)
+
+
+@pytest.mark.parametrize("peak", [1.0, *INEXACT])
+def test_row_block_decides_at_the_edges_of_the_float_range(monkeypatch, peak):
+    # the four entries of row 0 are scaled by 2^-k one by one, so subnormal
+    # entries and entries near the float maximum prove alike, without a
+    # warning, that neither reading fits: no realignment runs
+    matrix, shape = BIPARTITE["cphase-4x4"]()
+    ref = classify(BipartiteMap(_at_peak(matrix, 1.0), shape))
+    bmap = BipartiteMap(_at_peak(matrix, peak), shape)
+
+    def no_fit(*args):
+        raise AssertionError("a realignment fit ran")
+
+    monkeypatch.setattr(classifier, "_fit_local", no_fit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not classifier._first_image_entangled(bmap, 1e-8)
+        assert classifier._first_row_entangled(bmap, 1e-8)
+        out = classify(bmap)
+        assert out.kind == KIND_NOT_PRESERVING and out.witness.kind == ref.witness.kind
         assert witness_reverifies(bmap, out.witness)
 
 
