@@ -24,10 +24,12 @@ product is Local or SwapLocal, so a witness makes one of two claims: the
 map annihilates its state (KernelVector), or its state is a product whose
 image is entangled (ProductToEntangled, and NonFactorizablePhase from the
 phase grid).  Every witness carries the Schmidt data of its state and of
-its image (_evidence), and one rule, _claims, decides whether that data
-shows the claim: a stage returns a witness only when it does, and
-witness_reverifies recomputes the data from the state alone and applies the
-same rule.  classify draws no random numbers.
+its image (_schmidt_evidence), and one rule, _claims, decides whether that
+data shows the claim: a stage returns a witness only when it does
+(_claimed), and witness_reverifies recomputes the data from the state alone
+and applies the same rule.  The two readings share every constructive
+stage: the relabeled one (Case II) reads the image factors with the roles
+of row and column swapped (_roles).  classify draws no random numbers.
 
 The reject path computes only what it reads.  Before either fit, four
 entries of column 0 are read: the leading 2x2 block of the unit-scale image
@@ -56,10 +58,10 @@ cached on the map, and only a rank-deficient map pays for one full SVD,
 for its kernel vector.  Whether an image vanishes is decided by two Frobenius bounds, and the
 spectrum is read only for an image between them.  Schmidt evidence holds
 coefficients and ranks from values-only spectra, never Schmidt vectors.
-The product-basis image of |0,0> is decided by one values-only SVD; past
-it, one vectorised rank-1 fit certifies rank 1 (Weyl's inequality turns
-its misfit into a bound on s_2), and only the images the fit cannot
-certify take a values-only stacked SVD, row by row.  The parallelism scan
+One vectorised rank-1 fit of the product-basis images certifies rank 1
+(Weyl's inequality turns its misfit into a bound on s_2), and an image far
+below the map is fitted again at its own scale; only the images the fit
+cannot certify take a values-only stacked SVD, row by row.  The parallelism scan
 forms only the overlaps of same-row and of same-column factor pairs, and
 the phase grid, which the witness search only gates, takes no SVD with
 vectors.
@@ -267,32 +269,32 @@ def _schmidt_coefficients(v: np.ndarray, shape: tuple[int, int], tol: float) -> 
     return s[:rank], rank
 
 
-def _evidence(bmap: BipartiteMap, state, image_shape, tol, image=None) -> SchmidtEvidence:
-    """Schmidt data for a state and its image; a vanishing image has rank 0.
+def _schmidt_evidence(state, image, shape, image_shape, k: int, tol: float) -> SchmidtEvidence:
+    """Schmidt data of a state in the layout shape and of its image, given
+    at scale 2^-k, in image_shape, with the image coefficients scaled back
+    by 2^k; a vanishing image, None, has rank 0.  Both sets of coefficients
+    come from values-only SVDs (_schmidt_coefficients)."""
+    in_coeffs, in_rank = _schmidt_coefficients(state, shape, tol)
+    img_coeffs, img_rank = np.zeros(0), 0
+    if image is not None:
+        coeffs, img_rank = _schmidt_coefficients(image, image_shape, tol)
+        img_coeffs = ldexp(coeffs, k)
+    return SchmidtEvidence(in_coeffs, in_rank, shape, img_coeffs, img_rank, image_shape)
+
+
+def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
+    """Schmidt data for a state and its image under the map.
 
     The image is taken under the unit-scale map and its coefficients are
-    scaled back by 2^k; only an image between the two bounds of _vanishing
-    reads the spectrum of the map.  A caller that holds the unit-scale
-    image and has proved that it does not vanish passes it as image, and
-    neither the unit-scale copy nor the vanishing test is needed.  Both
-    sets of coefficients come from values-only SVDs (_schmidt_coefficients).
+    scaled back by 2^k; a vanishing image has rank 0, and only an image
+    between the two bounds of _vanishing reads the spectrum of the map.
     """
     state = np.asarray(state, dtype=complex)
-    shape, out = bmap.shape.as_tuple(), as_shape(image_shape).as_tuple()
-    in_coeffs, in_rank = _schmidt_coefficients(state, shape, tol)
-    img = bmap._unit @ state if image is None else image
-    if image is None and _vanishing(bmap, img, state, tol):
-        img_coeffs, img_rank = np.zeros(0), 0
-    else:
-        img_coeffs, img_rank = _schmidt_coefficients(img, out, tol)
-        img_coeffs = ldexp(img_coeffs, bmap._exponent)
-    return SchmidtEvidence(
-        input_coefficients=in_coeffs,
-        input_rank=in_rank,
-        input_shape=shape,
-        image_coefficients=img_coeffs,
-        image_rank=img_rank,
-        image_shape=out,
+    image = bmap._unit @ state
+    if _vanishing(bmap, image, state, tol):
+        image = None
+    return _schmidt_evidence(
+        state, image, bmap.shape.as_tuple(), as_shape(image_shape).as_tuple(), bmap._exponent, tol
     )
 
 
@@ -320,15 +322,24 @@ def _claims(bmap: BipartiteMap, witness: Witness, tol: float) -> bool:
     return bool(_schmidt_ranks(singular_values(image), tol) >= 2)
 
 
+def _claimed(bmap: BipartiteMap, kind: str, state, image_shape, tol: float) -> Witness | None:
+    """The state as a witness of the kind, with its Schmidt evidence in the
+    layout image_shape (_evidence), when that evidence makes the claim
+    (_claims); else None."""
+    witness = Witness(kind, state, _evidence(bmap, state, image_shape, tol))
+    return witness if _claims(bmap, witness, tol) else None
+
+
 def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether a witness's claim holds on the map, from its state alone.
 
-    The Schmidt evidence is recomputed (_evidence, in the witness's image
-    layout) and judged by the rule every classify witness passed,
-    _claims, so for n != m a product-state witness must show an entangled
-    image in both layouts.  Images are taken under the unit-scale map, so
-    no norm under- or overflows at any scale of the map.  The state must be
-    a nonzero vector of the map's dimension (ShapeMismatch, ZeroVector).
+    The Schmidt evidence is recomputed in the witness's image layout and
+    judged by the rule every classify witness passed, _claims (through
+    _claimed), so for n != m a product-state witness must show an
+    entangled image in both layouts.  Images are taken under the unit-scale
+    map, so no norm under- or overflows at any scale of the map.  The state
+    must be a nonzero vector of the map's dimension (ShapeMismatch,
+    ZeroVector).
     """
     tol = tolerance(tol)
     state = as_vector(witness.state)
@@ -336,8 +347,7 @@ def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAUL
         raise ShapeMismatch(f"witness state has dim {state.shape[0]}, the map {bmap.shape.dim}")
     if not state.any():
         raise ZeroVector("a witness state must be nonzero")
-    ev = _evidence(bmap, state, witness.evidence.image_shape, tol)
-    return _claims(bmap, Witness(witness.kind, state, ev), tol)
+    return _claimed(bmap, witness.kind, state, witness.evidence.image_shape, tol) is not None
 
 
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
@@ -356,8 +366,7 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
     kernel = svd(bmap._unit).right_basis[-1, :].conj()
-    witness = Witness(WITNESS_KERNEL, kernel, _evidence(bmap, kernel, bmap.shape, tol))
-    return witness if _claims(bmap, witness, tol) else None
+    return _claimed(bmap, WITNESS_KERNEL, kernel, bmap.shape, tol)
 
 
 def _factor_kernel(bmap: BipartiteMap, a: np.ndarray, b: np.ndarray, tol: float) -> Witness | None:
@@ -374,8 +383,7 @@ def _factor_kernel(bmap: BipartiteMap, a: np.ndarray, b: np.ndarray, tol: float)
     image proves s_min <= tol * s_max of the map, the rank check's rule.
     """
     kernel = np.kron(svd(a).right_basis[-1, :].conj(), svd(b).right_basis[-1, :].conj())
-    witness = Witness(WITNESS_KERNEL, kernel, _evidence(bmap, kernel, bmap.shape, tol))
-    return witness if _claims(bmap, witness, tol) else None
+    return _claimed(bmap, WITNESS_KERNEL, kernel, bmap.shape, tol)
 
 
 @dataclass(frozen=True)
@@ -386,7 +394,8 @@ class ProductImageTable:
     made real positive; the complex amplitude carries everything else.
     They come from a rank-1 fit of each image (_rank_one_fits), not from
     its SVD: on an image of exact rank 1 they are its singular vectors to
-    rounding.  The amplitude is the fit's norm a = ||X^T d-bar|| times the
+    rounding, also for an image far below the map, which is fitted at its
+    own scale.  The amplitude is the fit's norm a = ||X^T d-bar|| times the
     two phases the gauge divides out (_fix_phases), which is exactly the
     projection of the image onto the gauged factor vectors.
     d_vecs[i,j] lives in the first factor of shape_out, e_vecs[i,j] in the
@@ -423,8 +432,11 @@ def _rank_one_fits(images: np.ndarray, tol: float):
     fit certifies rank 1 when a > 0 and ||X - d e^T||_F <= tol * a: by
     Weyl, s_2(X) <= ||X - d e^T||_2 <= tol * a <= tol * s_1(X), which is
     the rank test of _schmidt_ranks.  An image the fit does not certify may
-    still have rank 1; only its SVD can tell.  So may an image so far below
-    the map that its squares underflow: a is then 0.
+    still have rank 1; only its SVD can tell.  An image whose a is below
+    2^-240, so far below the map that the squares of its fit underflow, is
+    fitted again at its own scale, times the exact 2^-j of its largest real
+    or imaginary part, and its a scaled back by 2^j; the other images pay
+    nothing for it.  The zero image keeps a = 0 and is not certified.
     """
     x = images.copy()
     flat = x.view(np.float64)
@@ -438,25 +450,14 @@ def _rank_one_fits(images: np.ndarray, tol: float):
     x -= d[..., :, None] * e[..., None, :]  # the residual, in place of a third image-sized array
     misfit = np.sqrt(np.einsum("...ab,...ab->...", flat, flat))
     certified = (a > 0.0) & (misfit <= tol * a)
-    return d, e / np.where(a > 0.0, a, 1.0)[..., None], a, certified
-
-
-def _basis_witness(bmap: BipartiteMap, i: int, j: int, out, tol: float) -> Witness:
-    """The basis state |i, j> as a witness: a KernelVector when its image
-    vanishes, a ProductToEntangled otherwise."""
-    state = _basis_ket(bmap.shape.dim, i * bmap.shape.m + j)
-    ev = _evidence(bmap, state, out, tol)
-    kind = WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED
-    return Witness(kind=kind, state=state, evidence=ev)
-
-
-def _row_witness(bmap: BipartiteMap, images: np.ndarray, i: int, columns, out, tol: float) -> Witness | None:
-    """The first vanishing or entangled image of basis row i among the
-    given columns (in order) as a witness, from one values-only stacked SVD
-    of those images alone; None when all have rank 1."""
-    ranks = _schmidt_ranks(singular_values(images[i, columns]), tol)
-    bad = np.flatnonzero(ranks != 1)
-    return _basis_witness(bmap, i, int(columns[bad[0]]), out, tol) if bad.size else None
+    e /= np.where(a > 0.0, a, 1.0)[..., None]
+    if a.min() < 2.0**-240:  # the fit of some image underflows: refit each at its own scale
+        for ij in map(tuple, np.argwhere(a < 2.0**-240)):
+            k = part_exponent(np.ascontiguousarray(images[ij]))
+            if k < 0:  # not the zero image
+                d[ij], e[ij], a[ij], certified[ij] = _rank_one_fits(ldexp(images[ij], -k), tol)
+                a[ij] = math.ldexp(a[ij], k)
+    return d, e, a, certified
 
 
 def build_image_table(
@@ -469,23 +470,22 @@ def build_image_table(
     Runs on any map, full rank or not.  Returns a witness as soon as some
     basis image, in row-major order, is entangled with respect to the
     requested output layout or vanishes (a KernelVector); the basis state
-    itself is the witness.  The image of |0,0> is decided first, by one
-    values-only SVD, so a map that entangles it costs one image.  classify
-    asks for a table only where the 2x2 block test of that image
-    (_first_image_entangled) has not decided: where the block's
-    |det| / ||block||_F exceeds 2 sqrt(2) tol nm at unit scale in every
-    layout, s_2 of the image exceeds twice tol times its s_1 < sqrt(2) nm,
-    so the table's first witness would be |0,0>, and the block test
-    returns that same witness without a fit or a table.  Past it,
-    one vectorised rank-1 fit of every image (_rank_one_fits) certifies
-    rank 1 and gives the factor vectors; only the images the fit cannot
-    certify are decided by a values-only stacked SVD, one per row that
-    holds any, in row order.  A certified image has rank 1 (Weyl), so the
-    first image that fails is the first in row-major order.  No SVD with
-    vectors runs, and a map whose basis images are all certified products
-    runs no stacked SVD.  The amplitudes take no pass over the images: with
-    e = X^T d-bar and a = ||e|| from the fit, the projection d'^H X e'-bar
-    onto the gauged vectors is a times the two gauge phases, O(nm) in all.
+    itself is the witness.  One vectorised rank-1 fit of every image
+    (_rank_one_fits) certifies rank 1 and gives the factor vectors; only
+    the images the fit cannot certify are decided by a values-only stacked
+    SVD, one per row that holds any, in row order.  A certified image has
+    rank 1 (Weyl), so the first image that fails is the first in row-major
+    order.  No SVD with vectors runs, and a map whose basis images are all
+    certified products runs no SVD at all.  classify asks for a table only
+    where the 2x2 block test of the image of |0,0> (_first_image_entangled)
+    has not decided: where the block's |det| / ||block||_F exceeds
+    2 sqrt(2) tol nm at unit scale in every layout, s_2 of the image
+    exceeds twice tol times its s_1 < sqrt(2) nm, so the table's first
+    witness would be |0,0>, and the block test returns that same witness
+    without a fit or a table.  The amplitudes take no pass over the
+    images: with e = X^T d-bar and a = ||e|| from the fit, the projection
+    d'^H X e'-bar onto the gauged vectors is a times the two gauge phases,
+    O(nm) in all.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -495,36 +495,35 @@ def build_image_table(
     # images[i, j] is the unit-scale column L|i,j> as an out.n x out.m
     # coefficient matrix; amps go back to the map's scale
     images = bmap._unit.T.reshape(n, m, out.n, out.m)
-    if _schmidt_ranks(singular_values(images[0, 0]), tol) != 1:
-        return _basis_witness(bmap, 0, 0, out, tol)
     d_vecs, e_vecs, norms, certified = _rank_one_fits(images, tol)
-    certified[0, 0] = True  # decided above
     for i in np.flatnonzero(~certified.all(axis=-1)):
-        witness = _row_witness(bmap, images, int(i), np.flatnonzero(~certified[i]), out, tol)
-        if witness is not None:
-            return witness
+        # the first image of row i that the fit cannot certify and whose
+        # values-only spectrum, stacked over those images, is not rank 1
+        columns = np.flatnonzero(~certified[i])
+        bad = columns[_schmidt_ranks(singular_values(images[i, columns]), tol) != 1]
+        if bad.size:
+            state = _basis_ket(n * m, int(i) * m + int(bad[0]))
+            ev = _evidence(bmap, state, out, tol)
+            return Witness(WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
     (d_vecs, d_phases), (e_vecs, e_phases) = _fix_phases(d_vecs), _fix_phases(e_vecs)
     amps = ldexp(norms * d_phases * e_phases, bmap._exponent)
-    return ProductImageTable(
-        shape_in=shape, shape_out=out, amps=amps, d_vecs=d_vecs, e_vecs=e_vecs
-    )
+    return ProductImageTable(shape, out, amps, d_vecs, e_vecs)
+
+
+def _roles(pair, case: str):
+    """A (d, e) pair in (row, column) order, the factor that follows the row
+    index first: as given in Case I, swapped in Case II; its own inverse."""
+    return pair if case == CASE_I else pair[::-1]
 
 
 def _pattern_holds(table: ProductImageTable, case: str, tol: float) -> bool:
     """Case I: d depends only on the row index and e only on the column.
     Case II: roles swapped.  Validated across all index pairs."""
-    d, e = table.d_vecs, table.e_vecs
-    if case == CASE_I:
-        d_ref, e_ref = d[:, :1], e[:1, :]
-    else:
-        d_ref, e_ref = d[:1, :], e[:, :1]
-    overlaps = np.concatenate(
-        [
-            np.abs(np.sum(d.conj() * d_ref, axis=-1)),
-            np.abs(np.sum(e.conj() * e_ref, axis=-1)),
-        ]
+    rows, cols = _roles((table.d_vecs, table.e_vecs), case)
+    return bool(
+        np.all(np.abs(np.sum(rows.conj() * rows[:, :1], axis=-1)) >= 1.0 - tol)
+        and np.all(np.abs(np.sum(cols.conj() * cols[:1, :], axis=-1)) >= 1.0 - tol)
     )
-    return bool(np.all(overlaps >= 1.0 - tol))
 
 
 def extract_factors(table: ProductImageTable, case: str):
@@ -535,22 +534,14 @@ def extract_factors(table: ProductImageTable, case: str):
     Case II: A's columns are e[i, 0], B's are d[0, j], and the same identity
     holds after relabeling the output (swap first).
     """
-    d, e = table.d_vecs, table.e_vecs
-    if case == CASE_I:
-        a, b = d[:, 0].T.copy(), e[0].T.copy()
-        grid = (
-            table.amps
-            * np.einsum("ai,ija->ij", a.conj(), d)
-            * np.einsum("bj,ijb->ij", b.conj(), e)
-        )
-    else:
-        a, b = e[:, 0].T.copy(), d[0].T.copy()
-        grid = (
-            table.amps
-            * np.einsum("bj,ijb->ij", b.conj(), d)
-            * np.einsum("ai,ija->ij", a.conj(), e)
-        )
-    return a, b, grid
+    rows, cols = _roles((table.d_vecs, table.e_vecs), case)
+    a, b = rows[:, 0].T.copy(), cols[0].T.copy()
+    # each image's row and column factor against its representative, put
+    # back in (d, e) order for the product
+    d_part, e_part = _roles(
+        (np.einsum("ai,ija->ij", a.conj(), rows), np.einsum("bj,ijb->ij", b.conj(), cols)), case
+    )
+    return a, b, table.amps * d_part * e_part
 
 
 def _phase_grid_gate(grid: np.ndarray, tol: float):
@@ -608,17 +599,8 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
         anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
         phase = anchor / abs(anchor)
         return ldexp(mu / phase, k), nu * phase
-    in_coeffs, in_rank = _schmidt_coefficients(state, (n, m), tol)
-    img_coeffs, img_rank = _schmidt_coefficients(unit.reshape(-1) * state, (n, m), tol)
-    ev = SchmidtEvidence(
-        input_coefficients=in_coeffs,
-        input_rank=in_rank,
-        input_shape=(n, m),
-        image_coefficients=ldexp(img_coeffs, k),
-        image_rank=img_rank,
-        image_shape=(n, m),
-    )
-    return Witness(kind=WITNESS_NONFACTORIZABLE_PHASE, state=state, evidence=ev)
+    ev = _schmidt_evidence(state, unit.reshape(-1) * state, (n, m), (n, m), k, tol)
+    return Witness(WITNESS_NONFACTORIZABLE_PHASE, state, ev)
 
 
 def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: float) -> Witness | None:
@@ -633,32 +615,22 @@ def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: floa
     witness, a kernel vector, from the rank check instead.
     """
     n, m = table.shape_in.n, table.shape_in.m
-    out = table.shape_out
-
-    def pair_state(p: int, q: int) -> np.ndarray:
-        return (_basis_ket(n * m, p) + _basis_ket(n * m, q)) / np.sqrt(2)
-
-    def apart(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    index = np.arange(n * m).reshape(n, m)  # the basis index of image (i, j)
+    # same row in (i, j, l) order, j < l, then same column in (j, i, k)
+    # order, i < k: the group axis comes first
+    for axes in ((0, 1, 2), (1, 0, 2)):
+        d, e, group = table.d_vecs.transpose(axes), table.e_vecs.transpose(axes), index.transpose(axes[:2])
         # apart[g, p, q]: in group g, images p and q have non-parallel d
         # factors and non-parallel e factors, from one batched overlap each
-        return (np.abs(d.conj() @ d.swapaxes(-2, -1)) < 1.0 - tol) & (
+        apart = (np.abs(d.conj() @ d.swapaxes(-2, -1)) < 1.0 - tol) & (
             np.abs(e.conj() @ e.swapaxes(-2, -1)) < 1.0 - tol
         )
-
-    d, e = table.d_vecs, table.e_vecs
-    (i_lo, i_hi), (j_lo, j_hi) = _pairs(n), _pairs(m)
-    # same row in (i, j, l) order, j < l, from (n, m, m) overlaps; then same
-    # column in (j, i, k) order, i < k, from (m, n, n) overlaps
-    for i, q in np.argwhere(apart(d, e)[:, j_lo, j_hi]):
-        state = pair_state(i * m + j_lo[q], i * m + j_hi[q])
-        ev = _evidence(bmap, state, out, tol)
-        if ev.image_rank >= 2:
-            return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
-    for j, p in np.argwhere(apart(d.swapaxes(0, 1), e.swapaxes(0, 1))[:, i_lo, i_hi]):
-        state = pair_state(i_lo[p] * m + j, i_hi[p] * m + j)
-        ev = _evidence(bmap, state, out, tol)
-        if ev.image_rank >= 2:
-            return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
+        lo, hi = _pairs(group.shape[1])
+        for g, q in np.argwhere(apart[:, lo, hi]):
+            state = (_basis_ket(n * m, group[g, lo[q]]) + _basis_ket(n * m, group[g, hi[q]])) / np.sqrt(2)
+            ev = _evidence(bmap, state, table.shape_out, tol)
+            if ev.image_rank >= 2:
+                return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
     return None
 
 
@@ -714,10 +686,7 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
             ratio = _image_ratio(factors[side] @ rows, layouts)
             if ratio > best_ratio:
                 best, best_ratio = np.kron(*factors), ratio
-    if not best_ratio > tol:
-        return None
-    witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, best, _evidence(bmap, best, shape, tol))
-    return witness if _claims(bmap, witness, tol) else None
+    return _claimed(bmap, WITNESS_PRODUCT_TO_ENTANGLED, best, shape, tol) if best_ratio > tol else None
 
 
 def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
@@ -816,10 +785,14 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     not factored here), then the relabeled reading's table and grid.  Then
     the basis-pair parallelism scan of every table built; then
     check_full_rank, on the cached spectrum; last the product-state search.
-    Each stage's witness is taken only when it makes its claim (_claims):
+    Both readings run the same code, the relabeled one with the row and
+    column roles of the image factors swapped (_roles).  Each stage's
+    witness is taken only when it makes its claim (_claims, _claimed):
     for n != m a product-state witness must be entangled in both layouts,
     as a SwapLocal map entangles product states in the own layout too;
-    otherwise the search goes on."""
+    otherwise the search goes on.  The parallelism scan keeps its own
+    rule: the first pair whose image is entangled in the table's layout
+    decides that table, even where the claim then fails."""
     shape = bmap.shape
     # the relabeled reading's output layout is (m, n), the same table when n == m
     tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
@@ -833,16 +806,13 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
             # n == m this table is the own layout's, decided on the first pass
             if case == CASE_I and _claims(bmap, table, tol):
                 return table
-            continue
-        if not _pattern_holds(table, case, tol):
-            continue
-        # a grid that factors needs no factorization here, only its gate
-        state = _phase_grid_gate(extract_factors(table, case)[2], tol)[2]
-        if state is not None:
-            ev = _evidence(bmap, state, out_shape, tol)
-            witness = Witness(WITNESS_NONFACTORIZABLE_PHASE, state, ev)
-            if _claims(bmap, witness, tol):
-                return witness
+        elif _pattern_holds(table, case, tol):
+            # a grid that factors needs no factorization here, only its gate
+            state = _phase_grid_gate(extract_factors(table, case)[2], tol)[2]
+            if state is not None:
+                witness = _claimed(bmap, WITNESS_NONFACTORIZABLE_PHASE, state, out_shape, tol)
+                if witness is not None:
+                    return witness
     for table in tables.values():
         if not isinstance(table, Witness):
             witness = _parallelism_witness(bmap, table, tol)
@@ -910,10 +880,10 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     kernel vector, an entangled basis image, the phase grid or the
     parallelism scan never computes its spectrum unless some witness image
     falls between the vanishing test's two Frobenius bounds.  The
-    constructive stages run no SVD with vectors: the image table decides
-    the image of |0,0> by its values-only SVD and stops there when it is
-    entangled, else certifies rank 1 by a rank-1 fit; the phase grid's gate
-    and every witness's Schmidt evidence read values-only spectra.  detail
+    constructive stages run no SVD with vectors: the image table certifies
+    rank 1 by a rank-1 fit and takes values-only SVDs of the images the fit
+    cannot certify alone; the phase grid's gate and every witness's
+    Schmidt evidence read values-only spectra.  detail
     reads "map is rank deficient" exactly when the witness is a
     KernelVector.
 
@@ -941,8 +911,8 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     if _first_image_entangled(bmap, tol):
         # that image, column 0 times 2^-k, has s_2 > 2 tol ||L||_F by the
         # block bound, so it does not vanish and _vanishing need not run
-        state = _basis_ket(shape.dim, 0)
-        ev = _evidence(bmap, state, shape, tol, image=ldexp(bmap.matrix[:, 0], -bmap._exponent))
+        state, k, out = _basis_ket(shape.dim, 0), bmap._exponent, shape.as_tuple()
+        ev = _schmidt_evidence(state, ldexp(bmap.matrix[:, 0], -k), out, out, k, tol)
         witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
         return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=DETAIL_NO_FIT)
     fitted = []

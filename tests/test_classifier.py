@@ -436,10 +436,9 @@ def test_image_the_fit_cannot_certify_still_matches_reference():
 
 
 def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
-    # every basis image of a controlled-phase map is a product: image (0, 0)
-    # takes one values-only SVD of its own, the rank-1 fit certifies the
-    # rest, and no stacked SVD and no SVD with vectors runs, in the table or
-    # anywhere else in classify
+    # every basis image of a controlled-phase map is a product: the rank-1
+    # fit certifies them all, and no stacked SVD and no SVD with vectors
+    # runs, in the table or anywhere else in classify
     phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, 16) ** 2)
     bmap = BipartiteMap(local_map(4, 4, seed=80).matrix * phases, BipartiteShape(4, 4))
     calls = svd_calls(monkeypatch)
@@ -452,14 +451,14 @@ def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
     monkeypatch.setattr(classifier, "_rank_one_fits", fits)
     table = build_image_table(bmap)
     assert not isinstance(table, Witness)
-    assert calls == [((4, 4), False), "fit"]
+    assert calls == ["fit"]
     calls.clear()
     v = classify(bmap)
     svds = [call for call in calls if call != "fit"]
     assert svds and not any(len(shape) == 3 or uv for shape, uv in svds)
-    # image (0, 0), the phase grid's gate, then the witness evidence once:
-    # the state's and its image's spectra
-    assert len(svds) == 4
+    # the phase grid's gate, then the witness evidence once: the state's and
+    # its image's spectra
+    assert len(svds) == 3
     assert v.kind == KIND_NOT_PRESERVING
     assert v.witness.kind == WITNESS_NONFACTORIZABLE_PHASE
     assert witness_checks_out(bmap, v.witness)
@@ -494,6 +493,22 @@ def test_extract_factors_round_trip_unit_gauge():
     bmap = BipartiteMap(kron(a0, b0), BipartiteShape(2, 3))
     table = build_image_table(bmap)
     a, b, grid = extract_factors(table, CASE_I)
+    np.testing.assert_allclose(grid, np.ones((2, 3)), atol=1e-10)
+    np.testing.assert_allclose(a, a0, atol=1e-10)
+    np.testing.assert_allclose(b, b0, atol=1e-10)
+
+
+def test_extract_factors_round_trip_swapped_unit_gauge():
+    # L = (B0 x A0) S: the images factor in the layout (3, 2), A0 follows
+    # the row index through e and B0 the column index through d (Case II)
+    rng = split_rng(7, 0)
+    a0, b0 = haar_unitary(2, rng), haar_unitary(3, rng)
+    for mat in (a0, b0):
+        mat /= mat[np.argmax(np.abs(mat), axis=0), np.arange(len(mat))] / np.abs(mat).max(axis=0)
+    bmap = BipartiteMap(kron(b0, a0) @ swap_operator((2, 3)), BipartiteShape(2, 3))
+    table = build_image_table(bmap, output_shape=(3, 2))
+    assert _pattern_holds(table, CASE_II, 1e-8) and not _pattern_holds(table, CASE_I, 1e-8)
+    a, b, grid = extract_factors(table, CASE_II)
     np.testing.assert_allclose(grid, np.ones((2, 3)), atol=1e-10)
     np.testing.assert_allclose(a, a0, atol=1e-10)
     np.testing.assert_allclose(b, b0, atol=1e-10)
@@ -1118,10 +1133,10 @@ def cnot_left_map(n, m, seed) -> BipartiteMap:
     return BipartiteMap(local @ controlled_shift(n, m), BipartiteShape(n, m))
 
 
-def cphase_map(n, m, seed, cond_cap=1e3) -> BipartiteMap:
-    """A random local map after a diagonal of random phases."""
+def cphase_map(n, m, seed, cond_cap=1e3, swap=False) -> BipartiteMap:
+    """A random local (or swap-local) map after a diagonal of random phases."""
     phases = np.exp(2j * np.pi * split_rng(seed, 1).uniform(size=n * m))
-    local = random_local_map((n, m), seed=seed, cond_cap=cond_cap)
+    local = random_local_map((n, m), swap=swap, seed=seed, cond_cap=cond_cap)
     return BipartiteMap(local.matrix * phases, BipartiteShape(n, m))
 
 
@@ -1511,6 +1526,8 @@ WITNESS_FAMILIES = {
     "kernel-entangled": kernel_entangled_map,
     "cnot-left": cnot_left_map,
     "cphase": cphase_map,
+    # the phase grid of the relabeled reading, Case II
+    "swap-cphase": lambda n, m, seed: cphase_map(n, m, seed, swap=True),
     "cnot": lambda n, m, seed: BipartiteMap(controlled_shift(n, m), BipartiteShape(n, m)),
 }
 WITNESS_CASES = [
@@ -1715,6 +1732,34 @@ def test_image_table_amplitudes_are_the_projections_of_the_images():
         images = bmap._unit.T.reshape(n, m, n, m)
         projected = np.einsum("ija,ijb,ijab->ij", table.d_vecs.conj(), table.e_vecs.conj(), images)
         np.testing.assert_allclose(table.amps, ldexp(projected, bmap._exponent), rtol=1e-13, atol=0.0)
+
+
+def column_scaled_local_map(factor: float) -> BipartiteMap:
+    """A 2x2 local map with basis image (1, 1) multiplied by factor."""
+    matrix = random_local_map((2, 2), seed=3).matrix.copy()
+    matrix[:, 3] *= factor
+    return BipartiteMap(matrix, BipartiteShape(2, 2))
+
+
+@pytest.mark.parametrize("factor", [1e-50, 1e-80, 1e-100, 1e-150, 1e-170, 1e-200, 1e-250, 1e-300])
+def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
+    # from about 1e-77 down, the squares of that image's fit underflow at
+    # the map's unit scale; the fit takes it at its own, so its factors
+    # stay unit vectors, its amplitude scales with it, and the witness is
+    # the one the map has at 1e-9
+    ref, near = build_image_table(column_scaled_local_map(1.0)), classify(column_scaled_local_map(1e-9))
+    bmap = column_scaled_local_map(factor)
+    table = build_image_table(bmap)
+    assert not isinstance(table, Witness)
+    for vecs in (table.d_vecs, table.e_vecs):
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=-1), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(table.d_vecs, ref.d_vecs, atol=1e-14)
+    np.testing.assert_allclose(table.e_vecs, ref.e_vecs, atol=1e-14)
+    assert table.amps[1, 1] == pytest.approx(factor * ref.amps[1, 1], rel=1e-14)
+    v = classify(bmap)
+    assert v.witness.kind == near.witness.kind == WITNESS_NONFACTORIZABLE_PHASE
+    np.testing.assert_array_equal(v.witness.state, near.witness.state)
+    assert witness_reverifies(bmap, v.witness) and witness_checks_out(bmap, v.witness)
 
 
 def test_oracle_and_library_agree_on_an_image_between_the_vanishing_bounds():

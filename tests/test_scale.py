@@ -46,9 +46,9 @@ def _kernel_map(n, m, seed, entangled):
     return kron(a, b) @ (np.eye(n * m) - np.outer(k, k.conj()))
 
 
-def _cphase(n, m, seed):
+def _cphase(n, m, seed, swap=False):
     phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n * m))
-    return random_local_map((n, m), seed=seed).matrix * phases
+    return random_local_map((n, m), swap=swap, seed=seed).matrix * phases
 
 
 def _cnot_left(n, m, seed):
@@ -68,6 +68,8 @@ BIPARTITE = {
     "cphase": lambda: (_cphase(2, 3, seed=8), (2, 3)),
     # every basis image a product; decided by the leading 2x2 block of row 0
     "cphase-4x4": lambda: (_cphase(4, 4, seed=25), (4, 4)),
+    # a swap-local map after a controlled phase: its phase grid is Case II's
+    "swap-cphase": lambda: (_cphase(2, 3, seed=26, swap=True), (2, 3)),
     "perturbed": lambda: (perturb(random_local_map((2, 2), seed=9), 1e-3, seed=10).matrix, (2, 2)),
     "haar": lambda: (haar_unitary(4, seed=23), (2, 2)),
     # decided by the leading 2x2 block of L|0,0> in both layouts
