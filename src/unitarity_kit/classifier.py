@@ -13,23 +13,30 @@ rank of A x B is read off the two small factors.  A map fails in one of two
 ways: a reading fits but the rank of A x B fails, so only invertibility is
 missing, or no reading fits.  The first takes its witness from the kernel
 vector of A x B, the product of the factors' own; the rank check of the
-whole map serves only where that vector's image does not vanish.  The
-second gets its witness from the constructive stages of the paper's
-argument (product images of the product basis, the parallelism pattern of
-the image factors, extraction of the local factors and a rank-1
-factorization of the leftover phase/length grid), then from the rank check
-once more, and last from a deterministic search over product states.  By
-the paper's theorem an invertible map that sends every product state to a
+whole map serves only where that vector's image does not vanish.  By the
+paper's theorem an invertible map that sends every product state to a
 product is Local or SwapLocal, so a witness makes one of two claims: the
 map annihilates its state (KernelVector), or its state is a product whose
-image is entangled (ProductToEntangled, and NonFactorizablePhase from the
-phase grid).  Every witness carries the Schmidt data of its state and of
-its image (_schmidt_evidence), and one rule, _claims, decides whether that
-data shows the claim: a stage returns a witness only when it does
-(_claimed), and witness_reverifies recomputes the data from the state alone
-and applies the same rule.  The two readings share every constructive
-stage: the relabeled one (Case II) reads the image factors with the roles
-of row and column swapped (_roles).  classify draws no random numbers.
+image is entangled (ProductToEntangled).  On a full-rank map that no
+reading accepts almost every fixed product state is therefore a witness,
+and the second way of failing takes its witness from the first of three
+fixed product states that shows it: |0,0>, (|0,0> + |1,0>)/sqrt(2) and
+the normalized ramp (1, ..., n) x (1, ..., m).
+Then come the rank check, the basis state whose image is farthest from a
+product, and last a deterministic search over product states.  Every
+witness carries the Schmidt data of its state and of its image
+(_schmidt_evidence), and one rule, _claims, decides whether that data
+shows the claim: a stage returns a witness only when it does, and
+witness_reverifies recomputes the data from the state alone and applies
+the same rule.  classify draws no random numbers.
+
+The constructive stages of the paper's argument stay public, outside
+classify: build_image_table gives the product images of the product
+basis, extract_factors the local factors and the leftover phase/length
+grid of a reading, and factor_phase_grid a rank-1 factorization of that
+grid or a NonFactorizablePhase witness, a product state with an entangled
+image like ProductToEntangled.  The relabeled reading (Case II) reads the
+image factors with the roles of row and column swapped (_roles).
 
 The reject path computes only what it reads.  Before either fit, four
 entries of column 0 are read: the leading 2x2 block of the unit-scale image
@@ -39,8 +46,8 @@ reading can fit (_first_image_entangled): a fitted reading leaves that
 image within tol ||L||_F < sqrt(2) tol nm of a product, so its s_2 is at
 most that (Weyl's inequality), while any 2x2 block bounds s_2 from below by
 |det| / ||block||_F (Cauchy interlacing), and the factor 2 covers the fit's
-rounding.  The map is then NotPreserving with the witness |0,0>, the one
-the image table would return first, bit for bit, and neither fit runs; its
+rounding.  The map is then NotPreserving with the witness |0,0>, the
+witness search's first candidate, bit for bit, and neither fit runs; its
 evidence reads column 0 alone.  Where that image is a product, four
 entries of row 0 are read next, L[0,0], L[0,1], L[0,m] and L[0,m+1]: the
 leading 2x2 block of row 0 as an n x m matrix, and a 2x2 block of both
@@ -55,16 +62,20 @@ and m x m factor, never one of the nm x nm map: the singular values of
 A x B are the products s_i(A) s_j(B) and its singular vectors the products
 of the factors'.  The rank check reads the map's values-only spectrum,
 cached on the map, and only a rank-deficient map pays for one full SVD,
-for its kernel vector.  Whether an image vanishes is decided by two Frobenius bounds, and the
-spectrum is read only for an image between them.  Schmidt evidence holds
-coefficients and ranks from values-only spectra, never Schmidt vectors.
-One vectorised rank-1 fit of the product-basis images certifies rank 1
-(Weyl's inequality turns its misfit into a bound on s_2), and an image far
-below the map is fitted again at its own scale; only the images the fit
-cannot certify take a values-only stacked SVD, row by row.  The parallelism scan
-forms only the overlaps of same-row and of same-column factor pairs, and
-the phase grid, which the witness search only gates, takes no SVD with
-vectors.
+for its kernel vector.  Whether an image vanishes is decided by two
+Frobenius bounds, and the spectrum is read only for an image between them.
+Schmidt evidence holds coefficients and ranks from values-only spectra,
+never Schmidt vectors.  Each fixed candidate of the witness search costs
+one matrix-vector product and the values-only spectra of its state and
+image, so a reject that one of them decides computes no spectrum of the
+map unless that image falls between the two bounds; any other reject
+reads the spectrum in the rank check.  The basis state after it comes
+from one values-only stacked SVD of the basis images per layout.
+build_image_table certifies rank 1 by one vectorised rank-1 fit of the
+product-basis images (Weyl's inequality turns its misfit into a bound on
+s_2), fits an image far below the map again at its own scale, and takes a
+values-only stacked SVD, row by row, of the images the fit cannot certify
+alone.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -137,8 +148,9 @@ class BipartiteMap:
     must not be mutated after construction.  classify reads the copy and
     the spectrum on the reject path alone: the spectrum in the rank check,
     which runs where the factors' kernel vector of a fitted reading does
-    not vanish and before the product-state search, and for the 2-norm of
-    an image between the vanishing test's two Frobenius bounds.  A full SVD
+    not vanish and where none of the witness search's three fixed product
+    states is a witness, and for the 2-norm of an image between the
+    vanishing test's two Frobenius bounds.  A full SVD
     of the map runs only in the rank check of a rank-deficient map, for its
     kernel vector.
     """
@@ -330,6 +342,15 @@ def _claimed(bmap: BipartiteMap, kind: str, state, image_shape, tol: float) -> W
     return witness if _claims(bmap, witness, tol) else None
 
 
+def _product_witness(bmap: BipartiteMap, state: np.ndarray, image_shape, tol: float) -> Witness:
+    """A product state as a witness of the kind its own evidence in the
+    layout image_shape shows: a KernelVector where its image vanishes
+    (rank 0), else ProductToEntangled.  Whether it makes that claim is for
+    _claims to say."""
+    ev = _evidence(bmap, state, image_shape, tol)
+    return Witness(WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
+
+
 def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether a witness's claim holds on the map, from its state alone.
 
@@ -476,14 +497,9 @@ def build_image_table(
     SVD, one per row that holds any, in row order.  A certified image has
     rank 1 (Weyl), so the first image that fails is the first in row-major
     order.  No SVD with vectors runs, and a map whose basis images are all
-    certified products runs no SVD at all.  classify asks for a table only
-    where the 2x2 block test of the image of |0,0> (_first_image_entangled)
-    has not decided: where the block's |det| / ||block||_F exceeds
-    2 sqrt(2) tol nm at unit scale in every layout, s_2 of the image
-    exceeds twice tol times its s_1 < sqrt(2) nm, so the table's first
-    witness would be |0,0>, and the block test returns that same witness
-    without a fit or a table.  The amplitudes take no pass over the
-    images: with e = X^T d-bar and a = ||e|| from the fit, the projection
+    certified products runs no SVD at all.  classify builds no table: its
+    witness search reads single images (_search_witness).  The amplitudes
+    take no pass over the images: with e = X^T d-bar and a = ||e|| from the fit, the projection
     d'^H X e'-bar onto the gauged vectors is a times the two gauge phases,
     O(nm) in all.
     """
@@ -502,9 +518,7 @@ def build_image_table(
         columns = np.flatnonzero(~certified[i])
         bad = columns[_schmidt_ranks(singular_values(images[i, columns]), tol) != 1]
         if bad.size:
-            state = _basis_ket(n * m, int(i) * m + int(bad[0]))
-            ev = _evidence(bmap, state, out, tol)
-            return Witness(WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
+            return _product_witness(bmap, _basis_ket(n * m, int(i) * m + int(bad[0])), out, tol)
     (d_vecs, d_phases), (e_vecs, e_phases) = _fix_phases(d_vecs), _fix_phases(e_vecs)
     amps = ldexp(norms * d_phases * e_phases, bmap._exponent)
     return ProductImageTable(shape, out, amps, d_vecs, e_vecs)
@@ -514,16 +528,6 @@ def _roles(pair, case: str):
     """A (d, e) pair in (row, column) order, the factor that follows the row
     index first: as given in Case I, swapped in Case II; its own inverse."""
     return pair if case == CASE_I else pair[::-1]
-
-
-def _pattern_holds(table: ProductImageTable, case: str, tol: float) -> bool:
-    """Case I: d depends only on the row index and e only on the column.
-    Case II: roles swapped.  Validated across all index pairs."""
-    rows, cols = _roles((table.d_vecs, table.e_vecs), case)
-    return bool(
-        np.all(np.abs(np.sum(rows.conj() * rows[:, :1], axis=-1)) >= 1.0 - tol)
-        and np.all(np.abs(np.sum(cols.conj() * cols[:1, :], axis=-1)) >= 1.0 - tol)
-    )
 
 
 def extract_factors(table: ProductImageTable, case: str):
@@ -544,12 +548,25 @@ def extract_factors(table: ProductImageTable, case: str):
     return a, b, table.amps * d_part * e_part
 
 
-def _phase_grid_gate(grid: np.ndarray, tol: float):
-    """(unit, k, state): the grid times 2^-k, k the binary exponent of its
-    largest real or imaginary part, and None when the rank-1 gate
-    s2 <= tol * s1 passes on the values-only spectrum of unit, else the
-    product state over the worst 2x2 minor of unit.  grid is a contiguous
-    complex matrix; a non-finite entry raises ParamOutOfRange."""
+def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
+    """Split a fully nonzero grid into grid[i,j] = mu[i] * nu[j], or witness.
+
+    The rank-1 gate s2 <= tol * s1 reads the values-only spectrum of the
+    grid times 2^-k, k the binary exponent of its largest real or imaginary
+    part, so it never compares an overflowed SVD and products of entries
+    stay finite; a non-finite entry raises ParamOutOfRange.  Only a grid
+    that passes takes a full SVD: the factorization uses its dominant
+    singular triple (robust on near-degenerate grids), and 2^k goes back
+    into mu.  mu[0] is gauged real positive with nu rescaled reciprocally.
+    On failure the witness is the product state over the worst 2x2 minor,
+    whose image under the grid's diagonal map is verified to have Schmidt
+    rank 2; its evidence holds Schmidt coefficients from values-only
+    spectra.  tol must lie in (0, 1) (ParamOutOfRange otherwise).
+    classify does not call this, so NonFactorizablePhase witnesses come
+    from here alone.
+    """
+    tol = tolerance(tol)
+    grid = np.ascontiguousarray(as_matrix(grid))
     n, m = grid.shape
     k = part_exponent(grid)
     if k is None:
@@ -557,7 +574,12 @@ def _phase_grid_gate(grid: np.ndarray, tol: float):
     unit = ldexp(grid, -k)
     s = singular_values(unit)
     if len(s) < 2 or s[1] <= tol * s[0]:
-        return unit, k, None
+        res = svd(unit)
+        mu = res.singular_values[0] * res.left_basis[:, 0]
+        nu = res.right_basis[0, :].copy()
+        anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
+        phase = anchor / abs(anchor)
+        return ldexp(mu / phase, k), nu * phase
     # locate the most non-degenerate 2x2 minor for the witness
     # rel[p, q] for row pair p = (i, k), i < k, and column pair q = (j, l),
     # j < l; argmax takes the first maximum in (i, k, j, l) order
@@ -570,75 +592,33 @@ def _phase_grid_gate(grid: np.ndarray, tol: float):
     i, i2, j, j2 = rows[0][p], rows[1][p], cols[0][q], cols[1][q]
     ea = (_basis_ket(n, i) + _basis_ket(n, i2)) / np.sqrt(2)
     fb = (_basis_ket(m, j) + _basis_ket(m, j2)) / np.sqrt(2)
-    return unit, k, np.outer(ea, fb).ravel()
-
-
-def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
-    """Split a fully nonzero grid into grid[i,j] = mu[i] * nu[j], or witness.
-
-    The rank-1 gate s2 <= tol * s1 reads the values-only spectrum of the
-    grid times 2^-k, k the binary exponent of its largest real or imaginary
-    part, so it never compares an overflowed SVD and products of entries
-    stay finite (_phase_grid_gate).  Only a grid that passes takes a full
-    SVD: the factorization uses its dominant singular triple (robust on
-    near-degenerate grids), and 2^k goes back into mu.  mu[0] is gauged
-    real positive with nu rescaled reciprocally.  On failure the witness is
-    the product state over the worst 2x2 minor, whose image under the
-    grid's diagonal map is verified to have Schmidt rank 2; its evidence
-    holds Schmidt coefficients from values-only spectra.  tol must lie in
-    (0, 1) (ParamOutOfRange otherwise).
-    """
-    tol = tolerance(tol)
-    grid = np.ascontiguousarray(as_matrix(grid))
-    n, m = grid.shape
-    unit, k, state = _phase_grid_gate(grid, tol)
-    if state is None:
-        res = svd(unit)
-        mu = res.singular_values[0] * res.left_basis[:, 0]
-        nu = res.right_basis[0, :].copy()
-        anchor = mu[0] if abs(mu[0]) > 0 else mu[int(np.argmax(np.abs(mu)))]
-        phase = anchor / abs(anchor)
-        return ldexp(mu / phase, k), nu * phase
+    state = np.outer(ea, fb).ravel()
     ev = _schmidt_evidence(state, unit.reshape(-1) * state, (n, m), (n, m), k, tol)
     return Witness(WITNESS_NONFACTORIZABLE_PHASE, state, ev)
 
 
-def _parallelism_witness(bmap: BipartiteMap, table: ProductImageTable, tol: float) -> Witness | None:
-    """The first same-row or same-column basis pair whose image factors are
-    both non-parallel and whose product state (|p> + |q>) / sqrt(2) has an
-    image of Schmidt rank >= 2 in the table's layout, in row-then-column
-    order; None when no pair shows it.  For n != m the caller still asks
-    _claims for the flipped layout.
-
-    Such a pair exists wherever the parallelism pattern fails on a
-    full-rank map; a rank-deficient map may offer none, and gets its
-    witness, a kernel vector, from the rank check instead.
-    """
-    n, m = table.shape_in.n, table.shape_in.m
-    index = np.arange(n * m).reshape(n, m)  # the basis index of image (i, j)
-    # same row in (i, j, l) order, j < l, then same column in (j, i, k)
-    # order, i < k: the group axis comes first
-    for axes in ((0, 1, 2), (1, 0, 2)):
-        d, e, group = table.d_vecs.transpose(axes), table.e_vecs.transpose(axes), index.transpose(axes[:2])
-        # apart[g, p, q]: in group g, images p and q have non-parallel d
-        # factors and non-parallel e factors, from one batched overlap each
-        apart = (np.abs(d.conj() @ d.swapaxes(-2, -1)) < 1.0 - tol) & (
-            np.abs(e.conj() @ e.swapaxes(-2, -1)) < 1.0 - tol
-        )
-        lo, hi = _pairs(group.shape[1])
-        for g, q in np.argwhere(apart[:, lo, hi]):
-            state = (_basis_ket(n * m, group[g, lo[q]]) + _basis_ket(n * m, group[g, hi[q]])) / np.sqrt(2)
-            ev = _evidence(bmap, state, table.shape_out, tol)
-            if ev.image_rank >= 2:
-                return Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
-    return None
+def _layouts(shape: BipartiteShape) -> list[BipartiteShape]:
+    """The output layouts a product-state witness must be entangled in:
+    (n, m), and (m, n) too for n != m."""
+    return [shape] if shape.n == shape.m else [shape, shape.flipped()]
 
 
-def _image_ratio(image: np.ndarray, layouts) -> float:
-    """The smallest s_2 / s_1 of an image over the given output layouts; 0.0
-    for the zero image."""
-    spectra = [singular_values(image.reshape(out.n, out.m)) for out in layouts]
-    return float(min(s[1] / s[0] if s[0] > 0.0 else 0.0 for s in spectra))
+def _ramp(shape: BipartiteShape) -> list[np.ndarray]:
+    """The two factors of the ramp product state, (1, ..., n) and
+    (1, ..., m), each divided by its norm: the witness search's last fixed
+    candidate and the product-state search's start."""
+    return [f / np.linalg.norm(f) for f in (np.arange(1.0, d + 1, dtype=complex) for d in (shape.n, shape.m))]
+
+
+def _image_ratios(images: np.ndarray, layouts) -> np.ndarray:
+    """Per image (last axis), the smallest s_2 / s_1 over the given output
+    layouts, from one values-only stacked SVD per layout; 0.0 for a zero
+    image."""
+    ratios = []
+    for out in layouts:
+        s = singular_values(images.reshape(*images.shape[:-1], out.n, out.m))
+        ratios.append(np.divide(s[..., 1], s[..., 0], out=np.zeros(s.shape[:-1]), where=s[..., 0] > 0.0))
+    return np.minimum.reduce(ratios)
 
 
 def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
@@ -659,13 +639,12 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     """
     shape = bmap.shape
     n, m = shape.n, shape.m
-    layouts = [shape] if n == m else [shape, shape.flipped()]
+    layouts = _layouts(shape)
     # columns[i, j] is the unit-scale image of |i, j>
     columns = bmap._unit.T.reshape(n, m, shape.dim)
-    ramps = [np.arange(1.0, d + 1, dtype=complex) for d in (n, m)]
-    start = [f / np.linalg.norm(f) for f in ramps]
+    start = _ramp(shape)
     best = np.kron(*start)
-    best_ratio = _image_ratio(bmap._unit @ best, layouts)
+    best_ratio = float(_image_ratios(bmap._unit @ best, layouts))
     for out in layouts:
         factors = list(start)
         for step in range(2 * PRODUCT_SEARCH_SWEEPS):
@@ -683,7 +662,7 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
             norm = np.linalg.norm(f)
             if norm > 0.0:
                 factors[side] = f / norm
-            ratio = _image_ratio(factors[side] @ rows, layouts)
+            ratio = float(_image_ratios(factors[side] @ rows, layouts))
             if ratio > best_ratio:
                 best, best_ratio = np.kron(*factors), ratio
     return _claimed(bmap, WITNESS_PRODUCT_TO_ENTANGLED, best, shape, tol) if best_ratio > tol else None
@@ -777,56 +756,50 @@ def _first_row_entangled(bmap: BipartiteMap, tol: float) -> bool:
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
-    """The first witness found for a rejected map, in reading order: the
-    image table of the map's own layout (its vanishing basis image, a
-    KernelVector, or its entangled one), then that reading's phase grid of
-    a matching parallelism pattern, whose worst-minor state is taken when
-    the grid fails its rank-1 gate (_phase_grid_gate; a grid that passes is
-    not factored here), then the relabeled reading's table and grid.  Then
-    the basis-pair parallelism scan of every table built; then
-    check_full_rank, on the cached spectrum; last the product-state search.
-    Both readings run the same code, the relabeled one with the row and
-    column roles of the image factors swapped (_roles).  Each stage's
-    witness is taken only when it makes its claim (_claims, _claimed):
-    for n != m a product-state witness must be entangled in both layouts,
-    as a SwapLocal map entangles product states in the own layout too;
-    otherwise the search goes on.  The parallelism scan keeps its own
-    rule: the first pair whose image is entangled in the table's layout
-    decides that table, even where the claim then fails."""
+    """The first witness found for a map that no reading accepts.
+
+    Three fixed product states come first, in this order: |0,0>,
+    (|0,0> + |1,0>)/sqrt(2) and the ramp (1, ..., n) x (1, ..., m),
+    normalized (_ramp).  By the paper's theorem an invertible map that
+    sends every product state to a product is Local or SwapLocal, so on a
+    full-rank map that no reading accepts almost every fixed product state
+    is a witness.  Then check_full_rank, on the
+    cached spectrum; then the basis state whose image has the largest
+    s_2 / s_1, the smallest over the layouts, from one values-only stacked
+    SVD of the basis images per layout; last the product-state search.
+    Each candidate takes the kind its own evidence shows (_product_witness)
+    and is returned only when that evidence makes its claim (_claims): for
+    n != m its image must be entangled in both layouts, as a SwapLocal map
+    entangles product states in the own layout too.  |0,0> first is what
+    makes the column block test of classify return this search's first
+    witness.
+    """
     shape = bmap.shape
-    # the relabeled reading's output layout is (m, n), the same table when n == m
-    tables: dict[tuple[int, int], ProductImageTable | Witness] = {}
-    for out_shape, case in ((shape, CASE_I), (shape.flipped(), CASE_II)):
-        key = out_shape.as_tuple()
-        if key not in tables:
-            tables[key] = build_image_table(bmap, tol, out_shape)
-        table = tables[key]
-        if isinstance(table, Witness):
-            # an entangled (m, n) image refutes no Local reading; when
-            # n == m this table is the own layout's, decided on the first pass
-            if case == CASE_I and _claims(bmap, table, tol):
-                return table
-        elif _pattern_holds(table, case, tol):
-            # a grid that factors needs no factorization here, only its gate
-            state = _phase_grid_gate(extract_factors(table, case)[2], tol)[2]
-            if state is not None:
-                witness = _claimed(bmap, WITNESS_NONFACTORIZABLE_PHASE, state, out_shape, tol)
-                if witness is not None:
-                    return witness
-    for table in tables.values():
-        if not isinstance(table, Witness):
-            witness = _parallelism_witness(bmap, table, tol)
-            if witness is not None and _claims(bmap, witness, tol):
-                return witness
+    dim, m = shape.dim, shape.m
+    first = _basis_ket(dim, 0)
+    candidates = (
+        first,
+        (first + _basis_ket(dim, m)) / np.sqrt(2),
+        np.kron(*_ramp(shape)),
+    )
+    for state in candidates:
+        witness = _product_witness(bmap, state, shape, tol)
+        if _claims(bmap, witness, tol):
+            return witness
     witness = check_full_rank(bmap, tol)
-    return witness if witness is not None else _product_search_witness(bmap, tol)
+    if witness is not None:
+        return witness
+    # the basis image farthest from a product in every layout
+    basis = _basis_ket(dim, int(np.argmax(_image_ratios(bmap._unit.T, _layouts(shape)))))
+    witness = _product_witness(bmap, basis, shape, tol)
+    return witness if _claims(bmap, witness, tol) else _product_search_witness(bmap, tol)
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
     """The realignment certificate for Local and then for SwapLocal; a map
     that neither reading accepts gets its witness from the fitted factors'
     kernel vector or the rank check when some reading fitted, and from the
-    constructive stages otherwise.
+    witness search otherwise.
 
     A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
     SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
@@ -847,10 +820,10 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     and s_2 >= |det| / ||block||_F (Cauchy interlacing); the factor 2
     covers the fit's rounding.  The verdict is then NotPreserving with
     |0,0> as a ProductToEntangled witness, the one the witness search would
-    return first, bit for bit, and the detail below; the fits, the image
-    table and every later stage are skipped.  Its evidence reads column 0
-    times 2^-k, the bits of the table's image, and the vanishing test is
-    skipped: the bound puts s_2 of that image above 2 tol ||L||_F.
+    return first, bit for bit, and the detail below; the fits and every
+    later stage are skipped.  Its evidence reads column 0 times 2^-k, the
+    bits of the search's image of |0,0>, and the vanishing test is skipped:
+    the bound puts s_2 of that image above 2 tol ||L||_F.
 
     Otherwise the leading 2x2 block of row 0, as an n x m matrix in the
     input layout (L[0,0], L[0,1], L[0,m], L[0,m+1], scaled by 2^-k), is
@@ -874,24 +847,26 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     does not vanish, the rank check, which reads the spectrum, gives the
     map's own kernel vector, the last right singular vector of one full
     SVD.  Otherwise, and where the rank check finds full rank after all
-    (near tol, below), the constructive stages search for it
-    (_search_witness), with the rank check once more before the
-    product-state search.  A map whose witness comes from the factors'
-    kernel vector, an entangled basis image, the phase grid or the
-    parallelism scan never computes its spectrum unless some witness image
-    falls between the vanishing test's two Frobenius bounds.  The
-    constructive stages run no SVD with vectors: the image table certifies
-    rank 1 by a rank-1 fit and takes values-only SVDs of the images the fit
-    cannot certify alone; the phase grid's gate and every witness's
-    Schmidt evidence read values-only spectra.  detail
-    reads "map is rank deficient" exactly when the witness is a
-    KernelVector.
+    (near tol, below), the witness search finds it (_search_witness): three
+    fixed product states, |0,0>, (|0,0> + |1,0>)/sqrt(2) and the
+    normalized ramp, each a KernelVector where its image vanishes and
+    ProductToEntangled otherwise; then the
+    rank check once more; then the basis state whose image is farthest from
+    a product; last the product-state search.  A map whose witness is the
+    factors' kernel vector or one of the three fixed states never computes
+    its spectrum unless that witness image falls between the vanishing
+    test's two Frobenius bounds; any other reject reads it in the rank
+    check.  Before the rank check no SVD with vectors runs: every witness's
+    Schmidt evidence reads values-only spectra.  No image table is built
+    and no phase grid factored, so classify returns no NonFactorizablePhase
+    witness.  detail reads "map is rank deficient" exactly when the witness
+    is a KernelVector.
 
     A map no reading accepts is NotPreserving with a witness whose Schmidt
     evidence shows the violation (see the module docstring): a kernel
-    state, or a product state with an entangled image.  When no
-    constructive stage finds one, the product-state search does; when that
-    fails too the witness is None and detail ends in "; no witness found".
+    state, or a product state with an entangled image.  When no earlier
+    stage finds one, the product-state search does; when that fails too
+    the witness is None and detail ends in "; no witness found".
     No random number is drawn: the whole verdict, witness included, depends
     on the map and tol alone; tol must lie in (0, 1) (ParamOutOfRange
     otherwise).

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 
-# Default tolerance: rank, parallelism and reconstruction decisions are
+# Default tolerance: rank and reconstruction decisions are
 # relative 1e-8.  Every operation takes it per call.
 DEFAULT_RANK_TOL = 1e-8
 

@@ -17,8 +17,6 @@ from unitarity_kit.classifier import (
     BipartiteMap,
     Witness,
     _evidence,
-    _parallelism_witness,
-    _pattern_holds,
     build_image_table,
     check_full_rank,
     classify,
@@ -438,7 +436,7 @@ def test_image_the_fit_cannot_certify_still_matches_reference():
 def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
     # every basis image of a controlled-phase map is a product: the rank-1
     # fit certifies them all, and no stacked SVD and no SVD with vectors
-    # runs, in the table or anywhere else in classify
+    # runs in the table
     phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, 16) ** 2)
     bmap = BipartiteMap(local_map(4, 4, seed=80).matrix * phases, BipartiteShape(4, 4))
     calls = svd_calls(monkeypatch)
@@ -452,32 +450,27 @@ def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
     table = build_image_table(bmap)
     assert not isinstance(table, Witness)
     assert calls == ["fit"]
-    calls.clear()
-    v = classify(bmap)
-    svds = [call for call in calls if call != "fit"]
-    assert svds and not any(len(shape) == 3 or uv for shape, uv in svds)
-    # the phase grid's gate, then the witness evidence once: the state's and
-    # its image's spectra
-    assert len(svds) == 3
-    assert v.kind == KIND_NOT_PRESERVING
-    assert v.witness.kind == WITNESS_NONFACTORIZABLE_PHASE
-    assert witness_checks_out(bmap, v.witness)
+    assert table.amps.shape == table.d_vecs.shape[:2] == table.e_vecs.shape[:2] == (4, 4)
 
 
 def test_cnot_table_builds_but_cases_fail():
-    table = build_image_table(cnot_map())
+    # every basis image of CNOT is a product, but neither reading's factors
+    # and grid rebuild the map: L|i,j> = grid[i,j] A e_i (x) B e_j in Case I,
+    # and with the output factors swapped in Case II
+    def rebuilt(table, case):
+        a, b, grid = extract_factors(table, case)
+        n, m = grid.shape
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        pairs = [(a[:, i], b[:, j]) if case == CASE_I else (b[:, j], a[:, i]) for i, j in cells]
+        return np.stack([kron(*pair) for pair in pairs], axis=1) * grid.ravel()
+
+    bmap = cnot_map()
+    table = build_image_table(bmap)
     assert not isinstance(table, Witness)
-    assert not _pattern_holds(table, CASE_I, 1e-8)
-    assert not _pattern_holds(table, CASE_II, 1e-8)
-
-
-def test_pattern_holds_direct_and_swapped():
-    direct = build_image_table(local_map(3, 3, seed=2))
-    assert _pattern_holds(direct, CASE_I, 1e-8)
-    assert not _pattern_holds(direct, CASE_II, 1e-8)
-    swapped = build_image_table(local_map(3, 3, seed=3, swap=True))
-    assert _pattern_holds(swapped, CASE_II, 1e-8)
-    assert not _pattern_holds(swapped, CASE_I, 1e-8)
+    for case in (CASE_I, CASE_II):
+        assert not np.allclose(rebuilt(table, case), bmap.matrix, atol=1e-6)
+    local = local_map(2, 2, seed=2)
+    np.testing.assert_allclose(rebuilt(build_image_table(local), CASE_I), local.matrix, atol=1e-10)
 
 
 def test_extract_factors_round_trip_unit_gauge():
@@ -507,7 +500,7 @@ def test_extract_factors_round_trip_swapped_unit_gauge():
         mat /= mat[np.argmax(np.abs(mat), axis=0), np.arange(len(mat))] / np.abs(mat).max(axis=0)
     bmap = BipartiteMap(kron(b0, a0) @ swap_operator((2, 3)), BipartiteShape(2, 3))
     table = build_image_table(bmap, output_shape=(3, 2))
-    assert _pattern_holds(table, CASE_II, 1e-8) and not _pattern_holds(table, CASE_I, 1e-8)
+    assert not isinstance(table, Witness)
     a, b, grid = extract_factors(table, CASE_II)
     np.testing.assert_allclose(grid, np.ones((2, 3)), atol=1e-10)
     np.testing.assert_allclose(a, a0, atol=1e-10)
@@ -672,9 +665,9 @@ def test_verdict_near_tolerance_does_not_depend_on_seed():
 
 
 def test_classify_reject_is_deterministic(monkeypatch):
-    # just above tol no constructive stage finds a witness, so the
-    # product-state search does; it draws no random numbers and gives the
-    # same witness on every call
+    # just above tol neither a fixed candidate nor a basis state is a
+    # witness, so the product-state search finds one; it draws no random
+    # numbers and gives the same witness on every call
     bmap = perturb(random_local_map((2, 2), seed=1007, cond_cap=1e3), 1.5e-8, seed=32)
     found = []
     search = classifier._product_search_witness
@@ -814,6 +807,12 @@ def test_classify_splits_the_scale_where_a_would_overflow():
     assert np.linalg.norm(lower.b) == pytest.approx(1.0, abs=1e-12)
 
 
+def table_phase_witness(bmap: BipartiteMap):
+    """The phase grid of the map's Case I reading, from its image table,
+    factored or refuted by factor_phase_grid."""
+    return factor_phase_grid(extract_factors(build_image_table(bmap), CASE_I)[2])
+
+
 @pytest.mark.parametrize("scale", [1e-180, 1e200])
 def test_classify_phase_witness_at_extreme_scale(scale):
     grid = np.array([[1.0, 2.0], [3.0, 5.0]])
@@ -821,8 +820,12 @@ def test_classify_phase_witness_at_extreme_scale(scale):
     scaled = BipartiteMap(scale * bmap.matrix, bmap.shape)
     v = classify(scaled)
     assert v.kind == KIND_NOT_PRESERVING
-    assert v.witness.kind == "NonFactorizablePhase"
-    assert witness_checks_out(scaled, v.witness)
+    assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    assert witness_reverifies(scaled, v.witness) and witness_checks_out(scaled, v.witness)
+    # the phase grid refutes the map at the same scale
+    w = table_phase_witness(scaled)
+    assert w.kind == WITNESS_NONFACTORIZABLE_PHASE
+    assert witness_reverifies(scaled, w)
 
 
 def test_classify_requires_entanglement_capable_shape():
@@ -857,13 +860,15 @@ def test_classify_factorizable_diagonal_map_is_local():
 
 
 def test_classify_nonfactorizable_diagonal_map_yields_phase_witness():
-    # diagonal entries that do not split as mu_i * nu_j break separability
+    # diagonal entries that do not split as mu_i * nu_j break separability:
+    # classify's fixed product states show it, and the phase grid too
     grid = np.array([[1.0, 2.0], [3.0, 5.0]])
     bmap = BipartiteMap(np.diag(grid.reshape(-1)).astype(complex), BipartiteShape(2, 2))
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING
-    assert v.witness.kind == "NonFactorizablePhase"
-    assert witness_checks_out(bmap, v.witness)
+    assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    assert witness_reverifies(bmap, v.witness) and witness_checks_out(bmap, v.witness)
+    assert table_phase_witness(bmap).kind == WITNESS_NONFACTORIZABLE_PHASE
 
 
 def test_classify_swap_composed_on_either_side():
@@ -879,8 +884,8 @@ def test_classify_swap_composed_on_either_side():
 
 
 def test_classify_qutrit_adder_is_rejected():
-    # |i, j> -> |i, j + i mod 3>: product basis images are product, but the
-    # parallelism cascade fails just like for the qubit version
+    # |i, j> -> |i, j + i mod 3>: product basis images are product, but a
+    # fixed superposition of two of them is entangled, as for the qubit version
     m = np.zeros((9, 9), dtype=complex)
     for i in range(3):
         for j in range(3):
@@ -1183,11 +1188,11 @@ REJECT_CASES = [
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
 @pytest.mark.parametrize("make,deficient,reads", REJECT_CASES)
 def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient, reads, scale):
-    # the witness comes from the image table, the phase grid, the
-    # parallelism scan or the kernel vector of the fitted factors
-    # (kernel-product); the spectrum is read only by the vanishing test of
-    # an image between tol * ||L||_F / sqrt(nm) and tol * ||L||_F, and there
-    # a vanishing image agrees with the spectrum's rank rule
+    # the witness comes from a fixed product state or the kernel vector of
+    # the fitted factors (kernel-product); the spectrum is read only by the
+    # vanishing test of an image between tol * ||L||_F / sqrt(nm) and
+    # tol * ||L||_F, and there a vanishing image agrees with the spectrum's
+    # rank rule
     base = make()
     bmap = BipartiteMap(scale * base.matrix, base.shape)
     v = classify(bmap)
@@ -1218,9 +1223,13 @@ def test_phase_grid_gate_is_scale_safe(family):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = classify(bmap)
+        grid_witness = table_phase_witness(bmap) if family == "cphase" else None
     assert v.kind == KIND_NOT_PRESERVING
     if family == "cphase":
-        assert v.witness.kind == "NonFactorizablePhase"
+        assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+        assert witness_checks_out(bmap, v.witness)
+        assert grid_witness.kind == WITNESS_NONFACTORIZABLE_PHASE
+        assert witness_reverifies(bmap, grid_witness)
     else:
         assert v.witness.kind == WITNESS_KERNEL and v.detail == "map is rank deficient"
     assert witness_reverifies(bmap, v.witness)
@@ -1350,39 +1359,6 @@ def test_phase_grid_minor_matches_loop_reference():
                 assert minor_rel(unit, *minor_of(w.state, n, m)) == pytest.approx(best, rel=1e-15)
 
 
-def reference_parallelism_witness(bmap, table, tol):
-    """The basis-pair scan as plain loops over pairs of image factors."""
-    n, m = table.shape_in.n, table.shape_in.m
-    d, e, out = table.d_vecs, table.e_vecs, table.shape_out
-
-    def parallel(u, v):
-        return abs(np.vdot(u, v)) >= 1.0 - tol
-
-    def ket(p, q):
-        v = np.zeros(n * m, dtype=complex)
-        v[p] += 1.0
-        v[q] += 1.0
-        return v / np.sqrt(2)
-
-    for i in range(n):
-        for j in range(m):
-            for l in range(j + 1, m):
-                if not parallel(d[i, j], d[i, l]) and not parallel(e[i, j], e[i, l]):
-                    state = ket(i * m + j, i * m + l)
-                    ev = _evidence(bmap, state, out, tol)
-                    if ev.input_rank == 1 and ev.image_rank >= 2:
-                        return WITNESS_PRODUCT_TO_ENTANGLED, state
-    for j in range(m):
-        for i in range(n):
-            for k in range(i + 1, n):
-                if not parallel(d[i, j], d[k, j]) and not parallel(e[i, j], e[k, j]):
-                    state = ket(i * m + j, k * m + j)
-                    ev = _evidence(bmap, state, out, tol)
-                    if ev.input_rank == 1 and ev.image_rank >= 2:
-                        return WITNESS_PRODUCT_TO_ENTANGLED, state
-    return None
-
-
 def product_image_maps():
     """Maps sending every product basis state to a product state, with the
     image factors drawn from small pools so many of them are parallel."""
@@ -1412,103 +1388,57 @@ def product_image_maps():
     yield generalized_cnot(3)
 
 
-def test_parallelism_scan_matches_loop_reference():
-    kinds = set()
-    for bmap in product_image_maps():
-        for out in {bmap.shape.as_tuple(), bmap.shape.flipped().as_tuple()}:
-            table = build_image_table(bmap, output_shape=out)
-            if isinstance(table, Witness):
-                continue
-            ref = reference_parallelism_witness(bmap, table, 1e-8)
-            w = _parallelism_witness(bmap, table, 1e-8)
-            if ref is None:
-                assert w is None
-                continue
-            assert w.kind == ref[0]
-            np.testing.assert_array_equal(w.state, ref[1])
-            kinds.add(w.kind)
-    assert kinds == {WITNESS_PRODUCT_TO_ENTANGLED}
-
-
 def reference_search_witness(bmap: BipartiteMap, tol: float = 1e-8):
-    """classify's witness state for a map that no reading accepts, by plain
-    loops with one SVD per image, or None when these stages find none.
+    """classify's witness for a map that no reading accepts, as (kind,
+    state), by plain loops with one numpy SVD per image and layout and no
+    library helper, or None when every stage before the product-state
+    search finds none.
 
-    In stage order: in the own layout (n, m), the first basis image in
-    row-major order whose Schmidt rank is not 1, taken when it is entangled
-    in every layout; then, per reading whose layout has only rank-1 images
-    and whose parallelism pattern holds, the product state over the worst
-    2x2 minor of a phase grid that does not factor; then, per such layout,
-    the first same-row and then same-column pair whose d and e factors are
-    both non-parallel and whose image is entangled in that layout, taken
-    when it is entangled in every layout.
+    In stage order: the fixed product states |0,0>, (|0,0> + |1,0>)/sqrt(2)
+    and the normalized ramp (1..n) x (1..m); then
+    the map's kernel vector, where s_min <= tol s_max; then the basis state
+    whose image has the largest s_2 / s_1, the smallest over the layouts.
+    A state is taken when its image vanishes (a KernelVector) or has
+    Schmidt rank >= 2 in every layout (ProductToEntangled).
     """
     n, m = bmap.shape.n, bmap.shape.m
-    own, flipped = (n, m), (m, n)
-    layouts = list(dict.fromkeys([own, flipped]))
+    d = n * m
+    layouts = list(dict.fromkeys([(n, m), (m, n)]))
+    spectrum = np.linalg.svd(bmap.matrix, compute_uv=False)
 
     def rank(v, out):
         s = np.linalg.svd(v.reshape(out), compute_uv=False)
         return int(np.count_nonzero(s > tol * s[0]))
 
-    def column(i, j):
-        return bmap.matrix[:, i * m + j]
+    def witness(state):
+        image = bmap.matrix @ state
+        if np.linalg.norm(image) <= tol * spectrum[0] * np.linalg.norm(state):
+            return WITNESS_KERNEL, state
+        if all(rank(image, out) >= 2 for out in layouts):
+            return WITNESS_PRODUCT_TO_ENTANGLED, state
+        return None
 
-    def ket(d, *indices):
+    def ket(*indices):
         return np.eye(d)[list(indices)].sum(axis=0) / np.sqrt(len(indices))
 
-    def claimed(state):
-        return all(rank(bmap.matrix @ state, out) >= 2 for out in layouts)
-
-    factors = {}
-    for out in layouts:
-        first = next(((i, j) for i in range(n) for j in range(m) if rank(column(i, j), out) != 1), None)
-        if first is None:
-            d = np.empty((n, m, out[0]), dtype=complex)
-            e = np.empty((n, m, out[1]), dtype=complex)
-            for i in range(n):
-                for j in range(m):
-                    u, _, vh = np.linalg.svd(column(i, j).reshape(out))
-                    d[i, j], e[i, j] = u[:, 0], vh[0]
-            factors[out] = d, e
-        elif out == own and claimed(state := np.kron(ket(n, first[0]), ket(m, first[1]))):
-            return state
-
-    def parallel(u, v):
-        return abs(np.vdot(u, v)) >= 1.0 - tol
-
-    for out, case in ((own, CASE_I), (flipped, CASE_II)):
-        if out not in factors:
-            continue
-        d, e = factors[out]
-        # case I: d follows the row and e the column; case II the other way
-        if case == CASE_I:
-            d_ref, e_ref = (lambda i, j: d[i, 0]), (lambda i, j: e[0, j])
-        else:
-            d_ref, e_ref = (lambda i, j: d[0, j]), (lambda i, j: e[i, 0])
-        cells = [(i, j) for i in range(n) for j in range(m)]
-        if not all(parallel(d[c], d_ref(*c)) and parallel(e[c], e_ref(*c)) for c in cells):
-            continue
-        grid = np.array([np.vdot(np.kron(d_ref(*c), e_ref(*c)), column(*c)) for c in cells]).reshape(n, m)
-        s = np.linalg.svd(grid, compute_uv=False)
-        if s[1] <= tol * s[0]:
-            continue
-        i, k, j, l = reference_minor(grid)[0]
-        state = np.kron(ket(n, i, k), ket(m, j, l))
-        if claimed(state):
-            return state
-    for out, (d, e) in factors.items():
-        pairs = [((i, j), (i, l)) for i in range(n) for j in range(m) for l in range(j + 1, m)]
-        pairs += [((i, j), (k, j)) for j in range(m) for i in range(n) for k in range(i + 1, n)]
-        for p, q in pairs:
-            if parallel(d[p], d[q]) or parallel(e[p], e[q]):
-                continue
-            state = ket(n * m, p[0] * m + p[1], q[0] * m + q[1])
-            if rank(bmap.matrix @ state, out) >= 2:
-                if claimed(state):
-                    return state
-                break
-    return None
+    ramp_a, ramp_b = np.arange(1.0, n + 1), np.arange(1.0, m + 1)
+    ramp = np.kron(ramp_a / np.linalg.norm(ramp_a), ramp_b / np.linalg.norm(ramp_b))
+    for state in (ket(0), ket(0, m), ramp):
+        found = witness(state)
+        if found is not None:
+            return found
+    if not spectrum[-1] > tol * spectrum[0]:
+        kernel = np.linalg.svd(bmap.matrix)[2][-1].conj()
+        if np.linalg.norm(bmap.matrix @ kernel) <= tol * spectrum[0]:
+            return WITNESS_KERNEL, kernel
+    ratios = []
+    for k in range(d):
+        worst = 1.0
+        for out in layouts:
+            s = np.linalg.svd(bmap.matrix[:, k].reshape(out), compute_uv=False)
+            worst = min(worst, s[1] / s[0] if s[0] > 0.0 else 0.0)
+        ratios.append(worst)
+    return witness(ket(ratios.index(max(ratios))))
 
 
 def entangled_column_map(n, m, i, j, seed) -> BipartiteMap:
@@ -1526,44 +1456,81 @@ WITNESS_FAMILIES = {
     "kernel-entangled": kernel_entangled_map,
     "cnot-left": cnot_left_map,
     "cphase": cphase_map,
-    # the phase grid of the relabeled reading, Case II
+    # a controlled phase before a swap-local map
     "swap-cphase": lambda n, m, seed: cphase_map(n, m, seed, swap=True),
     "cnot": lambda n, m, seed: BipartiteMap(controlled_shift(n, m), BipartiteShape(n, m)),
 }
 WITNESS_CASES = [
-    # a CNOT on uneven factors has no basis image or pair that is entangled
-    # in both layouts: its witness comes from the product-state search
+    # a CNOT on the factors (2, 3) sends each fixed candidate and each basis
+    # state to an image that is a product in some layout: its witness comes
+    # from the product-state search
     *(
         pytest.param(
             lambda make=make, n=n, m=m: make(n, m, 90 + 7 * n + m),
-            False,
-            family == "cnot" and n != m,
+            family == "cnot" and (n, m) == (2, 3),
             id=f"{family}/{n}x{m}",
         )
         for family, make in WITNESS_FAMILIES.items()
         for n, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4))
     ),
     # image (0, 0) is a product and (0, 2) is entangled; in the second map
-    # only (2, 1) is: both are found by the SVD after the rank-1 fit
-    pytest.param(lambda: entangled_column_map(2, 3, 0, 2, seed=95), True, False, id="row-0-after-the-fit/2x3"),
-    pytest.param(lambda: entangled_column_map(3, 3, 2, 1, seed=96), True, False, id="row-2-only/3x3"),
+    # only (2, 1) is
+    pytest.param(lambda: entangled_column_map(2, 3, 0, 2, seed=95), False, id="row-0-after-the-fit/2x3"),
+    pytest.param(lambda: entangled_column_map(3, 3, 2, 1, seed=96), False, id="row-2-only/3x3"),
+    # local maps perturbed just above tol: no fixed state's image clears
+    # s_2 > tol s_1, and the basis scan finds |1,1> and |0,1>
+    pytest.param(
+        lambda: perturb(random_local_map((2, 2), seed=24), 1.2e-8, seed=5024), False, id="basis-scan/2x2"
+    ),
+    pytest.param(
+        lambda: perturb(random_local_map((2, 3), seed=18), 1.2e-8, seed=5018), False, id="basis-scan/2x3"
+    ),
+    # the same for a swap-local base: every basis image is far from a product
+    # in the layout (2, 3), so the scan must rank them in (3, 2) too
+    pytest.param(
+        lambda: perturb(random_local_map((2, 3), swap=True, seed=3), 1.2e-8, seed=5003),
+        False,
+        id="basis-scan/2x3-swap",
+    ),
 ]
 
 
-@pytest.mark.parametrize("make,svd_after_fit,searched", WITNESS_CASES)
-def test_classify_witness_matches_plain_loop_reference(monkeypatch, make, svd_after_fit, searched):
+@pytest.mark.parametrize("make,searched", WITNESS_CASES)
+def test_classify_witness_matches_plain_loop_reference(make, searched):
     bmap = make()
     expected = reference_search_witness(bmap)
     assert (expected is None) == searched
     if searched:
-        expected = classifier._product_search_witness(bmap, 1e-8).state
-    calls = svd_calls(monkeypatch)
+        expected = WITNESS_PRODUCT_TO_ENTANGLED, classifier._product_search_witness(bmap, 1e-8).state
     v = classify(bmap)
     assert v.kind == KIND_NOT_PRESERVING
-    np.testing.assert_array_equal(v.witness.state, expected)
-    if svd_after_fit:
+    assert v.witness.kind == expected[0]
+    np.testing.assert_array_equal(v.witness.state, expected[1])
+    assert witness_reverifies(bmap, v.witness) and witness_checks_out(bmap, v.witness)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("family", ["cnot", "cnot-left", "cphase", "swap-cphase", "haar", "perturbed"])
+def test_classify_builds_no_image_table_factors_or_phase_grid(monkeypatch, family, scale):
+    # the fixed product states, the rank check, the basis scan and the
+    # product-state search decide every reject without the constructive
+    # stages, and every witness re-verifies
+    shapes = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4))
+    bases = [WITNESS_FAMILIES[family](n, m, 180 + 7 * n + m) for n, m in shapes]
+    if family == "cnot":
+        bases.append(cnot_map())
+    maps = [BipartiteMap(scale * b.matrix, b.shape) for b in bases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built an image table, factors or a phase grid")
+
+    for name in ("build_image_table", "extract_factors", "factor_phase_grid"):
+        monkeypatch.setattr(classifier, name, refuse)
+    for bmap in maps:
+        v = classify(bmap)
+        assert v.kind == KIND_NOT_PRESERVING and v.witness is not None
         assert v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
-        assert any(len(shape) == 3 and not uv for shape, uv in calls)
+        assert witness_reverifies(bmap, v.witness) and witness_checks_out(bmap, v.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1757,9 +1724,14 @@ def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
     np.testing.assert_allclose(table.e_vecs, ref.e_vecs, atol=1e-14)
     assert table.amps[1, 1] == pytest.approx(factor * ref.amps[1, 1], rel=1e-14)
     v = classify(bmap)
-    assert v.witness.kind == near.witness.kind == WITNESS_NONFACTORIZABLE_PHASE
+    assert v.kind == near.kind == KIND_NOT_PRESERVING
+    assert v.witness.kind == near.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
     np.testing.assert_array_equal(v.witness.state, near.witness.state)
     assert witness_reverifies(bmap, v.witness) and witness_checks_out(bmap, v.witness)
+    # the phase grid, fitted at the image's own scale, refutes the map too
+    w = table_phase_witness(bmap)
+    assert w.kind == WITNESS_NONFACTORIZABLE_PHASE
+    assert witness_reverifies(bmap, w)
 
 
 def test_oracle_and_library_agree_on_an_image_between_the_vanishing_bounds():
