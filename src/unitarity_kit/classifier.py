@@ -63,7 +63,8 @@ A x B are the products s_i(A) s_j(B) and its singular vectors the products
 of the factors'.  The rank check reads the map's values-only spectrum,
 cached on the map, and only a rank-deficient map pays for one full SVD,
 for its kernel vector.  Whether an image vanishes is decided by two
-Frobenius bounds, and the spectrum is read only for an image between them.
+bounds on ||L||_2 that unit scale gives, 1/2 <= ||L||_2 < sqrt(2) nm,
+and the spectrum is read only for an image between them.
 Schmidt evidence holds coefficients and ranks from values-only spectra,
 never Schmidt vectors.  Each fixed candidate of the witness search costs
 one matrix-vector product and the values-only spectra of its state and
@@ -71,11 +72,8 @@ image, so a reject that one of them decides computes no spectrum of the
 map unless that image falls between the two bounds; any other reject
 reads the spectrum in the rank check.  The basis state after it comes
 from one values-only stacked SVD of the basis images per layout.
-build_image_table certifies rank 1 by one vectorised rank-1 fit of the
-product-basis images (Weyl's inequality turns its misfit into a bound on
-s_2), fits an image far below the map again at its own scale, and takes a
-values-only stacked SVD, row by row, of the images the fit cannot certify
-alone.
+build_image_table reads the Schmidt ranks and factor vectors of every
+product-basis image off one stacked SVD.
 
 For n != m a swapped map produces images that factor with respect to the
 flipped layout (m, n); the verdict records the output shape it certifies.
@@ -104,7 +102,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ParamOutOfRange, ShapeMismatch, ZeroVector
+from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch, ZeroVector
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_matrix,
@@ -143,16 +141,16 @@ class BipartiteMap:
     entry is (a NaN or an inf shows up in one of them), and keeps the
     binary exponent k of the larger modulus.  The unit-scale copy
     L * 2^-k, whose parts are below 1 in modulus with the largest at
-    least 1/2, its Frobenius norm and its singular values are computed
-    only when first read and then cached on the instance, so the matrix
-    must not be mutated after construction.  classify reads the copy and
-    the spectrum on the reject path alone: the spectrum in the rank check,
-    which runs where the factors' kernel vector of a fitted reading does
-    not vanish and where none of the witness search's three fixed product
-    states is a witness, and for the 2-norm of an image between the
-    vanishing test's two Frobenius bounds.  A full SVD
-    of the map runs only in the rank check of a rank-deficient map, for its
-    kernel vector.
+    least 1/2, so that 1/2 <= ||L * 2^-k||_2 < sqrt(2) nm, and its
+    singular values are computed only when first read and then cached on
+    the instance, so the matrix must not be mutated after construction.
+    classify reads the copy and the spectrum on the reject path alone: the
+    spectrum in the rank check, which runs where the factors' kernel vector
+    of a fitted reading does not vanish and where none of the witness
+    search's three fixed product states is a witness, and for the 2-norm of
+    an image between the vanishing test's two bounds.  A full SVD of the
+    map runs only in the rank check of a rank-deficient map, for its kernel
+    vector.
     """
 
     matrix: np.ndarray
@@ -177,13 +175,6 @@ class BipartiteMap:
     def _unit(self) -> np.ndarray:
         """The matrix times 2^-k, exact but for parts that underflow."""
         return ldexp(self.matrix, -self._exponent)
-
-    @cached_property
-    def _frobenius(self) -> float:
-        """||L||_F at unit scale, from one contiguous dot product of the
-        real and imaginary parts; 0.0 for the zero map."""
-        parts = self._unit.view(np.float64).ravel()
-        return float(np.sqrt(parts @ parts))
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -254,20 +245,18 @@ def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) ->
     """Whether the image, under the unit-scale map, is at most
     tol * ||L||_2 * ||state||, all at unit scale.
 
-    Two bounds from the Frobenius norm decide most images without the
-    spectrum, as ||L||_F / sqrt(nm) <= ||L||_2 <= ||L||_F: an image above
-    tol * ||L||_F * ||state|| does not vanish, and one at most
-    tol * ||L||_F * ||state|| / sqrt(nm) does, the zero image included.  On
-    a map with s_min > tol ||L||_F every image clears the upper bound, since
-    ||L x|| >= s_min ||x||; a kernel vector of a singular map falls below
-    the lower one.  Only an image between the two reads the spectrum for
-    ||L||_2.  The zero map annihilates all.
+    Unit scale bounds the 2-norm without the spectrum: every real or
+    imaginary part is below 1 and the largest is at least 1/2, so
+    1/2 <= ||L||_2 <= ||L||_F < sqrt(2) nm (the zero map aside).  An image
+    above tol * ||state|| * sqrt(2) nm does not vanish, and one at most
+    tol * ||state|| / 2 does, the zero image included.  Only an image
+    between the two reads the spectrum for ||L||_2.
     """
     bound = tol * np.linalg.norm(state)
     norm = np.linalg.norm(image)
-    if norm > bound * bmap._frobenius:
+    if norm > bound * np.sqrt(2.0) * bmap.shape.dim:
         return False
-    if norm <= bound * bmap._frobenius / np.sqrt(bmap.shape.dim):
+    if norm <= bound / 2:
         return True
     return bool(norm <= bound * bmap._spectrum[0])
 
@@ -413,12 +402,11 @@ class ProductImageTable:
 
     The factor vectors are unit length with their largest-magnitude entry
     made real positive; the complex amplitude carries everything else.
-    They come from a rank-1 fit of each image (_rank_one_fits), not from
-    its SVD: on an image of exact rank 1 they are its singular vectors to
-    rounding, also for an image far below the map, which is fitted at its
-    own scale.  The amplitude is the fit's norm a = ||X^T d-bar|| times the
-    two phases the gauge divides out (_fix_phases), which is exactly the
-    projection of the image onto the gauged factor vectors.
+    They are the dominant singular pair of each unit-scale image X, whose
+    SVD rescales an image far below the map internally, so its vectors
+    stay unit length.  The amplitude is s_1(X) times the two phases the
+    gauge divides out (_fix_phases), the projection of the image onto the
+    gauged factor vectors, scaled back to the map's scale.
     d_vecs[i,j] lives in the first factor of shape_out, e_vecs[i,j] in the
     second.
     """
@@ -444,43 +432,6 @@ def _schmidt_ranks(spectra: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(spectra > tol * spectra[..., :1], axis=-1)
 
 
-def _rank_one_fits(images: np.ndarray, tol: float):
-    """Per image X (last two axes): unit vectors d, e, the norm a and
-    whether the fit X ~ a d e^T certifies Schmidt rank 1.
-
-    The images are columns of the unit-scale map.  e starts as X's largest
-    row, then d = X e-bar / ||X e-bar||, e = X^T d-bar and a = ||e||.  The
-    fit certifies rank 1 when a > 0 and ||X - d e^T||_F <= tol * a: by
-    Weyl, s_2(X) <= ||X - d e^T||_2 <= tol * a <= tol * s_1(X), which is
-    the rank test of _schmidt_ranks.  An image the fit does not certify may
-    still have rank 1; only its SVD can tell.  An image whose a is below
-    2^-240, so far below the map that the squares of its fit underflow, is
-    fitted again at its own scale, times the exact 2^-j of its largest real
-    or imaginary part, and its a scaled back by 2^j; the other images pay
-    nothing for it.  The zero image keeps a = 0 and is not certified.
-    """
-    x = images.copy()
-    flat = x.view(np.float64)
-    top = np.argmax(np.einsum("...ab,...ab->...a", flat, flat), axis=-1)
-    start = np.take_along_axis(x, top[..., None, None], axis=-2)
-    d = (x @ start.conj().swapaxes(-2, -1))[..., 0]
-    d_norm = np.linalg.norm(d, axis=-1, keepdims=True)
-    d /= np.where(d_norm > 0.0, d_norm, 1.0)
-    e = (d.conj()[..., None, :] @ x)[..., 0, :]
-    a = np.linalg.norm(e, axis=-1)
-    x -= d[..., :, None] * e[..., None, :]  # the residual, in place of a third image-sized array
-    misfit = np.sqrt(np.einsum("...ab,...ab->...", flat, flat))
-    certified = (a > 0.0) & (misfit <= tol * a)
-    e /= np.where(a > 0.0, a, 1.0)[..., None]
-    if a.min() < 2.0**-240:  # the fit of some image underflows: refit each at its own scale
-        for ij in map(tuple, np.argwhere(a < 2.0**-240)):
-            k = part_exponent(np.ascontiguousarray(images[ij]))
-            if k < 0:  # not the zero image
-                d[ij], e[ij], a[ij], certified[ij] = _rank_one_fits(ldexp(images[ij], -k), tol)
-                a[ij] = math.ldexp(a[ij], k)
-    return d, e, a, certified
-
-
 def build_image_table(
     bmap: BipartiteMap,
     tol: float = DEFAULT_RANK_TOL,
@@ -491,17 +442,12 @@ def build_image_table(
     Runs on any map, full rank or not.  Returns a witness as soon as some
     basis image, in row-major order, is entangled with respect to the
     requested output layout or vanishes (a KernelVector); the basis state
-    itself is the witness.  One vectorised rank-1 fit of every image
-    (_rank_one_fits) certifies rank 1 and gives the factor vectors; only
-    the images the fit cannot certify are decided by a values-only stacked
-    SVD, one per row that holds any, in row order.  A certified image has
-    rank 1 (Weyl), so the first image that fails is the first in row-major
-    order.  No SVD with vectors runs, and a map whose basis images are all
-    certified products runs no SVD at all.  classify builds no table: its
-    witness search reads single images (_search_witness).  The amplitudes
-    take no pass over the images: with e = X^T d-bar and a = ||e|| from the fit, the projection
-    d'^H X e'-bar onto the gauged vectors is a times the two gauge phases,
-    O(nm) in all.
+    itself is the witness.  One stacked SVD of the unit-scale images gives
+    their Schmidt ranks (_schmidt_ranks) and, where every rank is 1, the
+    dominant singular pair of each as its factor vectors; the amplitude is
+    s_1 times the two phases the gauge divides out (_fix_phases).  classify
+    builds no table: its witness search reads single images
+    (_search_witness).
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -511,16 +457,15 @@ def build_image_table(
     # images[i, j] is the unit-scale column L|i,j> as an out.n x out.m
     # coefficient matrix; amps go back to the map's scale
     images = bmap._unit.T.reshape(n, m, out.n, out.m)
-    d_vecs, e_vecs, norms, certified = _rank_one_fits(images, tol)
-    for i in np.flatnonzero(~certified.all(axis=-1)):
-        # the first image of row i that the fit cannot certify and whose
-        # values-only spectrum, stacked over those images, is not rank 1
-        columns = np.flatnonzero(~certified[i])
-        bad = columns[_schmidt_ranks(singular_values(images[i, columns]), tol) != 1]
-        if bad.size:
-            return _product_witness(bmap, _basis_ket(n * m, int(i) * m + int(bad[0])), out, tol)
-    (d_vecs, d_phases), (e_vecs, e_phases) = _fix_phases(d_vecs), _fix_phases(e_vecs)
-    amps = ldexp(norms * d_phases * e_phases, bmap._exponent)
+    try:
+        u, s, vh = np.linalg.svd(images, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    bad = np.flatnonzero(_schmidt_ranks(s, tol) != 1)
+    if bad.size:
+        return _product_witness(bmap, _basis_ket(n * m, int(bad[0])), out, tol)
+    (d_vecs, d_phases), (e_vecs, e_phases) = _fix_phases(u[..., 0]), _fix_phases(vh[..., 0, :])
+    amps = ldexp(s[..., 0] * d_phases * e_phases, bmap._exponent)
     return ProductImageTable(shape, out, amps, d_vecs, e_vecs)
 
 
@@ -855,9 +800,10 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     a product; last the product-state search.  A map whose witness is the
     factors' kernel vector or one of the three fixed states never computes
     its spectrum unless that witness image falls between the vanishing
-    test's two Frobenius bounds; any other reject reads it in the rank
-    check.  Before the rank check no SVD with vectors runs: every witness's
-    Schmidt evidence reads values-only spectra.  No image table is built
+    test's two bounds, tol ||x|| / 2 and sqrt(2) nm tol ||x|| at unit
+    scale; any other reject reads it in the rank check.  Before the rank
+    check no SVD with vectors runs: every witness's Schmidt evidence reads
+    values-only spectra.  No image table is built
     and no phase grid factored, so classify returns no NonFactorizablePhase
     witness.  detail reads "map is rank deficient" exactly when the witness
     is a KernelVector.

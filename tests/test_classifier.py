@@ -381,6 +381,16 @@ def zero_column_map() -> BipartiteMap:
     return BipartiteMap(m, BipartiteShape(2, 3))
 
 
+def near_tol_column_map() -> BipartiteMap:
+    """A 3x3 local map whose basis image (1, 1) has s2 = s3 = 0.8 tol: rank 1
+    by its spectrum, though its Frobenius distance to the nearest product,
+    about sqrt(2) * 0.8 tol, is above tol."""
+    base = local_map(3, 3, seed=70).matrix.copy()
+    image = haar_unitary(3, seed=71) @ np.diag([1.0, 0.8e-8, 0.8e-8]) @ haar_unitary(3, seed=72)
+    base[:, 1 * 3 + 1] = image.reshape(-1) * np.linalg.norm(base[:, 4])
+    return BipartiteMap(base, BipartiteShape(3, 3))
+
+
 @pytest.mark.parametrize(
     "bmap,out",
     [
@@ -390,13 +400,17 @@ def zero_column_map() -> BipartiteMap:
         (generalized_cnot(3), (3, 3)),
         (BipartiteMap(haar_unitary(9, seed=16), BipartiteShape(3, 3)), (3, 3)),
         (zero_column_map(), (2, 3)),
+        (near_tol_column_map(), (3, 3)),
     ],
 )
-def test_stacked_image_table_matches_per_column_reference(bmap, out):
+def test_stacked_image_table_matches_per_column_reference(monkeypatch, bmap, out):
     out = BipartiteShape(*out)
     n, m = bmap.shape.n, bmap.shape.m
     ref = reference_image_table(bmap, out)
+    calls = svd_calls(monkeypatch)
     table = build_image_table(bmap, output_shape=out)
+    # one stacked SVD with vectors; only a witness's evidence takes more
+    assert calls[0] == ((n, m, out.n, out.m), True)
     if isinstance(table, Witness):
         (i, j), kind = ref
         assert table.kind == kind
@@ -407,7 +421,7 @@ def test_stacked_image_table_matches_per_column_reference(bmap, out):
             ev.image_rank,
         )
         return
-    assert isinstance(ref, dict)
+    assert isinstance(ref, dict) and len(calls) == 1
     for (i, j), dec in ref.items():
         d, e = table.d_vecs[i, j], table.e_vecs[i, j]
         assert abs(np.vdot(dec.left_vectors[:, 0], d)) == pytest.approx(1.0, abs=1e-12)
@@ -415,42 +429,6 @@ def test_stacked_image_table_matches_per_column_reference(bmap, out):
         col = bmap.matrix[:, i * m + j]
         assert table.amps[i, j] == pytest.approx(np.vdot(np.kron(d, e), col), abs=1e-12)
         np.testing.assert_allclose(table.amps[i, j] * np.kron(d, e), col, atol=1e-12)
-
-
-def test_image_the_fit_cannot_certify_still_matches_reference():
-    # column (1, 1) has s2 = s3 = 0.8 tol: rank 1 for the SVD, but the rank-1
-    # fit's misfit, about sqrt(2) * 0.8 tol, is above tol
-    base = local_map(3, 3, seed=70).matrix.copy()
-    u = haar_unitary(3, seed=71)
-    v = haar_unitary(3, seed=72)
-    image = u @ np.diag([1.0, 0.8e-8, 0.8e-8]) @ v
-    base[:, 1 * 3 + 1] = image.reshape(-1) * np.linalg.norm(base[:, 4])
-    bmap = BipartiteMap(base, BipartiteShape(3, 3))
-    images = bmap.matrix.T.reshape(3, 3, 3, 3)
-    certified = classifier._rank_one_fits(images, 1e-8)[-1]
-    assert not certified[1, 1] and certified.sum() == 8
-    assert schmidt_rank(bmap.matrix[:, 4], (3, 3)) == 1
-    test_stacked_image_table_matches_per_column_reference(bmap, (3, 3))
-
-
-def test_controlled_phase_table_makes_no_full_stacked_svd(monkeypatch):
-    # every basis image of a controlled-phase map is a product: the rank-1
-    # fit certifies them all, and no stacked SVD and no SVD with vectors
-    # runs in the table
-    phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, 16) ** 2)
-    bmap = BipartiteMap(local_map(4, 4, seed=80).matrix * phases, BipartiteShape(4, 4))
-    calls = svd_calls(monkeypatch)
-    real_fits = classifier._rank_one_fits
-
-    def fits(images, tol):
-        calls.append("fit")
-        return real_fits(images, tol)
-
-    monkeypatch.setattr(classifier, "_rank_one_fits", fits)
-    table = build_image_table(bmap)
-    assert not isinstance(table, Witness)
-    assert calls == ["fit"]
-    assert table.amps.shape == table.d_vecs.shape[:2] == table.e_vecs.shape[:2] == (4, 4)
 
 
 def test_cnot_table_builds_but_cases_fail():
@@ -1154,12 +1132,14 @@ def vanishing_entangled_image_map() -> BipartiteMap:
 
 
 def band_image_map() -> BipartiteMap:
-    """The identity with L|0,0> an entangled vector of norm 0.95 tol: the
-    image lies between tol ||L||_F / sqrt(nm) = 0.87 tol and tol ||L||_F =
-    1.73 tol, so only ||L||_2 = 1 + O(tol^2) shows that it vanishes; the
-    map's s_min is about 0.67 tol."""
-    matrix = np.eye(4, dtype=complex)
-    matrix[:, 0] = 0.95e-8 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    """0.9 times the identity with L|0,0> an entangled vector of norm 0.95
+    tol ||L||_2.  At unit scale ||L||_2 is 0.90, 0.60 and 0.67 for the
+    scales 1, 1e-300 and 1e300, so the image, 0.86, 0.57 and 0.64 tol, lies
+    between the vanishing bounds tol / 2 and sqrt(2) nm tol, and only
+    ||L||_2 itself shows that it vanishes; the map's s_min / s_max is about
+    0.67 tol."""
+    matrix = 0.9 * np.eye(4, dtype=complex)
+    matrix[:, 0] = 0.95e-8 * 0.9 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return BipartiteMap(matrix, BipartiteShape(2, 2))
 
 
@@ -1190,9 +1170,9 @@ REJECT_CASES = [
 def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient, reads, scale):
     # the witness comes from a fixed product state or the kernel vector of
     # the fitted factors (kernel-product); the spectrum is read only by the
-    # vanishing test of an image between tol * ||L||_F / sqrt(nm) and
-    # tol * ||L||_F, and there a vanishing image agrees with the spectrum's
-    # rank rule
+    # vanishing test of an image between tol / 2 and sqrt(2) nm tol times
+    # its state's norm at unit scale, and there a vanishing image agrees
+    # with the spectrum's rank rule
     base = make()
     bmap = BipartiteMap(scale * base.matrix, base.shape)
     v = classify(bmap)
@@ -1280,6 +1260,12 @@ def test_vanishing_agrees_with_the_spectrum_rule(n, m, scale):
             expected = bool(np.linalg.norm(image) <= TOL * np.linalg.norm(state) * norm2)
             assert classifier._vanishing(bmap, image, state, TOL) == expected
             assert expected == (factor < 1.0) or factor == 1.0
+        # images from 0.1 tol to 1e3 tol times the state's norm, across both
+        # bounds of unit scale, tol / 2 and sqrt(2) nm tol, and ||L||_2 between
+        for size in np.geomspace(0.1, 1e3, 41):
+            image = (size * TOL * np.linalg.norm(state)) * direction
+            expected = bool(np.linalg.norm(image) <= TOL * np.linalg.norm(state) * norm2)
+            assert classifier._vanishing(bmap, image, state, TOL) == expected, size
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4)])
@@ -1571,7 +1557,7 @@ def test_first_image_block_never_decides_a_map_that_a_reading_accepts(n, m, swap
     assert v.kind == KIND_NOT_PRESERVING and v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
     np.testing.assert_array_equal(v.witness.state, np.eye(n * m)[0])
     # the witness's evidence read column 0 alone
-    assert "_unit" not in loud.__dict__ and "_frobenius" not in loud.__dict__
+    assert "_unit" not in loud.__dict__
     assert witness_reverifies(loud, v.witness)
 
 
@@ -1690,8 +1676,8 @@ def amplitude_maps():
 
 
 def test_image_table_amplitudes_are_the_projections_of_the_images():
-    # amps come from the fit's norm and the two gauge phases: the same as
-    # projecting each image onto its gauged factor vectors
+    # amps come from s_1 and the two gauge phases: the same as projecting
+    # each image onto its gauged factor vectors
     for bmap in amplitude_maps():
         table = build_image_table(bmap)
         assert not isinstance(table, Witness)
@@ -1710,8 +1696,8 @@ def column_scaled_local_map(factor: float) -> BipartiteMap:
 
 @pytest.mark.parametrize("factor", [1e-50, 1e-80, 1e-100, 1e-150, 1e-170, 1e-200, 1e-250, 1e-300])
 def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
-    # from about 1e-77 down, the squares of that image's fit underflow at
-    # the map's unit scale; the fit takes it at its own, so its factors
+    # from about 1e-77 down, the squares of that image underflow at the
+    # map's unit scale; the SVD rescales it internally, so its factors
     # stay unit vectors, its amplitude scales with it, and the witness is
     # the one the map has at 1e-9
     ref, near = build_image_table(column_scaled_local_map(1.0)), classify(column_scaled_local_map(1e-9))
@@ -1728,7 +1714,7 @@ def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
     assert v.witness.kind == near.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
     np.testing.assert_array_equal(v.witness.state, near.witness.state)
     assert witness_reverifies(bmap, v.witness) and witness_checks_out(bmap, v.witness)
-    # the phase grid, fitted at the image's own scale, refutes the map too
+    # the phase grid refutes the map too
     w = table_phase_witness(bmap)
     assert w.kind == WITNESS_NONFACTORIZABLE_PHASE
     assert witness_reverifies(bmap, w)
@@ -1737,7 +1723,7 @@ def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
 def test_oracle_and_library_agree_on_an_image_between_the_vanishing_bounds():
     # the identity with L|0,0> = 1.2e-8 (|00> + |11>) / sqrt(2): above
     # tol ||L||_2 ||x|| = 1e-8, so the image does not vanish, though it is
-    # below tol ||L||_F ||x|| = 1.7e-8
+    # below sqrt(2) nm tol ||x|| = 5.7e-8
     matrix = np.eye(4, dtype=complex)
     matrix[:, 0] = 1.2e-8 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     bmap = BipartiteMap(matrix, BipartiteShape(2, 2))
