@@ -431,6 +431,22 @@ def test_stacked_image_table_matches_per_column_reference(monkeypatch, bmap, out
         np.testing.assert_allclose(table.amps[i, j] * np.kron(d, e), col, atol=1e-12)
 
 
+def test_controlled_phase_table_makes_one_stacked_svd(monkeypatch):
+    # every basis image of a controlled-phase map is a product: the table
+    # builds from the one stacked SVD with vectors and runs no other
+    phases = np.exp(2j * np.pi * np.linspace(0.1, 0.9, 16) ** 2)
+    bmap = BipartiteMap(local_map(4, 4, seed=80).matrix * phases, BipartiteShape(4, 4))
+    calls = svd_calls(monkeypatch)
+    table = build_image_table(bmap)
+    assert not isinstance(table, Witness)
+    assert calls == [((4, 4, 4, 4), True)]
+    assert table.amps.shape == table.d_vecs.shape[:2] == table.e_vecs.shape[:2] == (4, 4)
+    for i in range(4):
+        for j in range(4):
+            image = table.amps[i, j] * np.kron(table.d_vecs[i, j], table.e_vecs[i, j])
+            np.testing.assert_allclose(image, bmap.matrix[:, i * 4 + j], atol=1e-12)
+
+
 def test_cnot_table_builds_but_cases_fail():
     # every basis image of CNOT is a product, but neither reading's factors
     # and grid rebuild the map: L|i,j> = grid[i,j] A e_i (x) B e_j in Case I,
