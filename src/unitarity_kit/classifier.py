@@ -23,12 +23,12 @@ and the second way of failing takes its witness from the first of three
 fixed product states that shows it: |0,0>, (|0,0> + |1,0>)/sqrt(2) and
 the normalized ramp (1, ..., n) x (1, ..., m).
 Then come the rank check, the basis state whose image is farthest from a
-product, and last a deterministic search over product states.  Every
-witness carries the Schmidt data of its state and of its image
-(_schmidt_evidence), and one rule, _claims, decides whether that data
-shows the claim: a stage returns a witness only when it does, and
-witness_reverifies recomputes the data from the state alone and applies
-the same rule.  classify draws no random numbers.
+product, and last a deterministic search over product states.  One gate,
+_gate, judges every candidate of every stage on its image, taken once: a
+stage returns a witness only when that image makes the claim, and only
+then is the witness's Schmidt evidence built, the Schmidt data of its
+state and of its image (_schmidt_evidence).  witness_reverifies passes
+the state through the same gate.  classify draws no random numbers.
 
 The constructive stages of the paper's argument stay public, outside
 classify: build_image_table gives the product images of the product
@@ -66,12 +66,13 @@ for its kernel vector.  Whether an image vanishes is decided by two
 bounds on ||L||_2 that unit scale gives, 1/2 <= ||L||_2 < sqrt(2) nm,
 and the spectrum is read only for an image between them.
 Schmidt evidence holds coefficients and ranks from values-only spectra,
-never Schmidt vectors.  Each fixed candidate of the witness search costs
-one matrix-vector product and the values-only spectra of its state and
-image, so a reject that one of them decides computes no spectrum of the
-map unless that image falls between the two bounds; any other reject
-reads the spectrum in the rank check.  The basis state after it comes
-from one values-only stacked SVD of the basis images per layout.
+never Schmidt vectors.  A fixed candidate of the witness search that makes
+no claim costs one matrix-vector product and one values-only spectrum of
+its image per layout it reaches; the one that makes its claim costs the
+spectrum of its state too.  A reject that one of them decides computes no
+spectrum of the map unless that image falls between the two bounds; any
+other reject reads the spectrum in the rank check.  The basis state after
+it comes from one values-only stacked SVD of the basis images per layout.
 build_image_table reads the Schmidt ranks and factor vectors of every
 product-basis image off one stacked SVD.
 
@@ -148,9 +149,11 @@ class BipartiteMap:
     spectrum in the rank check, which runs where the factors' kernel vector
     of a fitted reading does not vanish and where none of the witness
     search's three fixed product states is a witness, and for the 2-norm of
-    an image between the vanishing test's two bounds.  A full SVD of the
-    map runs only in the rank check of a rank-deficient map, for its kernel
-    vector.
+    an image between the vanishing test's two bounds.  Each fixed product
+    state that makes no claim costs one product with the copy and one
+    values-only spectrum of its image per layout it reaches (_gate).  A
+    full SVD of the map runs only in the rank check of a rank-deficient
+    map, for its kernel vector.
     """
 
     matrix: np.ndarray
@@ -261,103 +264,90 @@ def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) ->
     return bool(norm <= bound * bmap._spectrum[0])
 
 
-def _schmidt_coefficients(v: np.ndarray, shape: tuple[int, int], tol: float) -> tuple[np.ndarray, int]:
-    """The Schmidt coefficients of v in the layout shape that lie above tol
-    times the largest, and their count, from the values-only spectrum of v
-    as a shape[0] x shape[1] matrix; no Schmidt vectors are formed."""
-    s = singular_values(v.reshape(shape))
-    rank = int(_schmidt_ranks(s, tol))
-    return s[:rank], rank
+def _schmidt_evidence(state, shape, image_spectrum, image_shape, k: int, tol: float) -> SchmidtEvidence:
+    """Schmidt data of a state in the layout shape and of its image in
+    image_shape: the coefficients above tol times the largest, and their
+    count.  The state's come from its values-only spectrum; the image's
+    from image_spectrum, its values-only spectrum at scale 2^-k (empty for
+    a vanishing image, which has rank 0), scaled back by 2^k.  No Schmidt
+    vectors are formed."""
+    s = singular_values(state.reshape(shape))
+    in_rank, img_rank = int(_schmidt_ranks(s, tol)), int(_schmidt_ranks(image_spectrum, tol))
+    img_coeffs = ldexp(image_spectrum[:img_rank], k)
+    return SchmidtEvidence(s[:in_rank], in_rank, shape, img_coeffs, img_rank, image_shape)
 
 
-def _schmidt_evidence(state, image, shape, image_shape, k: int, tol: float) -> SchmidtEvidence:
-    """Schmidt data of a state in the layout shape and of its image, given
-    at scale 2^-k, in image_shape, with the image coefficients scaled back
-    by 2^k; a vanishing image, None, has rank 0.  Both sets of coefficients
-    come from values-only SVDs (_schmidt_coefficients)."""
-    in_coeffs, in_rank = _schmidt_coefficients(state, shape, tol)
-    img_coeffs, img_rank = np.zeros(0), 0
-    if image is not None:
-        coeffs, img_rank = _schmidt_coefficients(image, image_shape, tol)
-        img_coeffs = ldexp(coeffs, k)
-    return SchmidtEvidence(in_coeffs, in_rank, shape, img_coeffs, img_rank, image_shape)
+def _gate(bmap: BipartiteMap, kind: str | None, state, image_shape, tol: float) -> Witness | None:
+    """The state as a witness of the kind, with its Schmidt evidence in the
+    layout image_shape, when its image makes the kind's claim; else None.
+    Every witness of this module leaves through here but two whose claim is
+    proved before: classify's column-block witness and factor_phase_grid's
+    NonFactorizablePhase one.  witness_reverifies judges one by this rule.
 
+    A KernelVector claims that the map annihilates its state (_vanishing),
+    whatever the state's Schmidt rank.  A ProductToEntangled or
+    NonFactorizablePhase witness claims a product state with an entangled
+    image: an image that does not vanish and has Schmidt rank >= 2 in
+    image_shape, for n != m in the flipped layout too, as every SwapLocal
+    map entangles product states in its own layout, and a state of rank 1.
+    kind None takes the kind the image shows: KernelVector where it
+    vanishes, else ProductToEntangled.
 
-def _evidence(bmap: BipartiteMap, state, image_shape, tol) -> SchmidtEvidence:
-    """Schmidt data for a state and its image under the map.
-
-    The image is taken under the unit-scale map and its coefficients are
-    scaled back by 2^k; a vanishing image has rank 0, and only an image
-    between the two bounds of _vanishing reads the spectrum of the map.
+    The image is taken once, under the unit-scale map, and each layout's
+    rank read off its values-only spectrum, the first layout that fails
+    ending the test: a state that makes no claim costs one product and one
+    spectrum per layout it reaches.  Only a state whose image makes the
+    claim takes the spectrum of the state itself, and its evidence reuses
+    the image's spectrum in image_shape.
     """
     state = np.asarray(state, dtype=complex)
     image = bmap._unit @ state
-    if _vanishing(bmap, image, state, tol):
-        image = None
-    return _schmidt_evidence(
-        state, image, bmap.shape.as_tuple(), as_shape(image_shape).as_tuple(), bmap._exponent, tol
-    )
-
-
-def _claims(bmap: BipartiteMap, witness: Witness, tol: float) -> bool:
-    """Whether a witness's Schmidt evidence shows the claim of its kind: the
-    one rule by which every classify stage returns a witness and
-    witness_reverifies judges one.
-
-    A KernelVector claims that the map annihilates its state: the image
-    vanishes (rank 0), whatever the state's Schmidt rank.  A
-    ProductToEntangled or NonFactorizablePhase witness claims a product
-    state with an entangled image: input rank 1 and image rank >= 2, and
-    for n != m an image entangled in the flipped layout too, as every
-    SwapLocal map entangles product states in its own layout.  That rank
-    is read off the unit-scale image; no coefficient is scaled back.
-    """
-    ev = witness.evidence
-    if witness.kind == WITNESS_KERNEL:
-        return ev.image_rank == 0
-    product_to_entangled = (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE)
-    claim = witness.kind in product_to_entangled and ev.input_rank == 1 and ev.image_rank >= 2
-    if not claim or bmap.shape.n == bmap.shape.m:
-        return claim
-    image = (bmap._unit @ witness.state).reshape(ev.image_shape[::-1])
-    return bool(_schmidt_ranks(singular_values(image), tol) >= 2)
-
-
-def _claimed(bmap: BipartiteMap, kind: str, state, image_shape, tol: float) -> Witness | None:
-    """The state as a witness of the kind, with its Schmidt evidence in the
-    layout image_shape (_evidence), when that evidence makes the claim
-    (_claims); else None."""
-    witness = Witness(kind, state, _evidence(bmap, state, image_shape, tol))
-    return witness if _claims(bmap, witness, tol) else None
-
-
-def _product_witness(bmap: BipartiteMap, state: np.ndarray, image_shape, tol: float) -> Witness:
-    """A product state as a witness of the kind its own evidence in the
-    layout image_shape shows: a KernelVector where its image vanishes
-    (rank 0), else ProductToEntangled.  Whether it makes that claim is for
-    _claims to say."""
-    ev = _evidence(bmap, state, image_shape, tol)
-    return Witness(WITNESS_KERNEL if ev.image_rank == 0 else WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
+    vanishing = _vanishing(bmap, image, state, tol)
+    if kind is None:
+        kind = WITNESS_KERNEL if vanishing else WITNESS_PRODUCT_TO_ENTANGLED
+    out = as_shape(image_shape)
+    spectrum = np.zeros(0)
+    if kind == WITNESS_KERNEL:
+        if not vanishing:
+            return None
+    elif kind in (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE) and not vanishing:
+        spectrum = singular_values(image.reshape(out.n, out.m))
+        if _schmidt_ranks(spectrum, tol) < 2:
+            return None
+        flipped = image.reshape(out.m, out.n)
+        if bmap.shape.n != bmap.shape.m and _schmidt_ranks(singular_values(flipped), tol) < 2:
+            return None
+    else:
+        return None
+    ev = _schmidt_evidence(state, bmap.shape.as_tuple(), spectrum, out.as_tuple(), bmap._exponent, tol)
+    if kind != WITNESS_KERNEL and ev.input_rank != 1:
+        return None
+    return Witness(kind, state, ev)
 
 
 def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether a witness's claim holds on the map, from its state alone.
 
     The Schmidt evidence is recomputed in the witness's image layout and
-    judged by the rule every classify witness passed, _claims (through
-    _claimed), so for n != m a product-state witness must show an
-    entangled image in both layouts.  Images are taken under the unit-scale
-    map, so no norm under- or overflows at any scale of the map.  The state
-    must be a nonzero vector of the map's dimension (ShapeMismatch,
-    ZeroVector).
+    judged by the rule every classify witness passed (_gate), so for
+    n != m a product-state witness must show an entangled image in both
+    layouts.  A kind other than KernelVector, ProductToEntangled or
+    NonFactorizablePhase, None included, claims nothing.  Images are taken
+    under the unit-scale map, so no norm under- or overflows at any scale
+    of the map.  The state must be a nonzero vector of the map's dimension
+    (ShapeMismatch, ZeroVector), and the image layout must have that
+    dimension too (ShapeMismatch).
     """
     tol = tolerance(tol)
     state = as_vector(witness.state)
     if state.shape[0] != bmap.shape.dim:
         raise ShapeMismatch(f"witness state has dim {state.shape[0]}, the map {bmap.shape.dim}")
+    out = as_shape(witness.evidence.image_shape)
+    if out.dim != bmap.shape.dim:
+        raise ShapeMismatch(f"witness image layout has dim {out.dim}, the map {bmap.shape.dim}")
     if not state.any():
         raise ZeroVector("a witness state must be nonzero")
-    return _claimed(bmap, witness.kind, state, witness.evidence.image_shape, tol) is not None
+    return witness.kind is not None and _gate(bmap, witness.kind, state, out, tol) is not None
 
 
 def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witness | None:
@@ -376,12 +366,12 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     if s[0] > 0 and s[-1] > tol * s[0]:
         return None
     kernel = svd(bmap._unit).right_basis[-1, :].conj()
-    return _claimed(bmap, WITNESS_KERNEL, kernel, bmap.shape, tol)
+    return _gate(bmap, WITNESS_KERNEL, kernel, bmap.shape, tol)
 
 
 def _factor_kernel(bmap: BipartiteMap, a: np.ndarray, b: np.ndarray, tol: float) -> Witness | None:
     """kron(v_min(A), v_min(B)) as a KernelVector witness when the map
-    annihilates it (_claims), else None.
+    annihilates it (_gate), else None.
 
     A and B are a fitted reading's factors, L = A x B or S L = A x B with
     A acting on the first factor of the input layout (n, m).  The singular
@@ -393,7 +383,7 @@ def _factor_kernel(bmap: BipartiteMap, a: np.ndarray, b: np.ndarray, tol: float)
     image proves s_min <= tol * s_max of the map, the rank check's rule.
     """
     kernel = np.kron(svd(a).right_basis[-1, :].conj(), svd(b).right_basis[-1, :].conj())
-    return _claimed(bmap, WITNESS_KERNEL, kernel, bmap.shape, tol)
+    return _gate(bmap, WITNESS_KERNEL, kernel, bmap.shape, tol)
 
 
 @dataclass(frozen=True)
@@ -436,17 +426,21 @@ def build_image_table(
     bmap: BipartiteMap,
     tol: float = DEFAULT_RANK_TOL,
     output_shape=None,
-) -> ProductImageTable | Witness:
+) -> ProductImageTable | Witness | None:
     """Schmidt-decompose every product-basis image.
 
-    Runs on any map, full rank or not.  Returns a witness as soon as some
-    basis image, in row-major order, is entangled with respect to the
-    requested output layout or vanishes (a KernelVector); the basis state
-    itself is the witness.  One stacked SVD of the unit-scale images gives
-    their Schmidt ranks (_schmidt_ranks) and, where every rank is 1, the
-    dominant singular pair of each as its factor vectors; the amplitude is
-    s_1 times the two phases the gauge divides out (_fix_phases).  classify
-    builds no table: its witness search reads single images
+    Runs on any map, full rank or not.  One stacked SVD of the unit-scale
+    images gives their Schmidt ranks (_schmidt_ranks) and, where every rank
+    is 1, the dominant singular pair of each as its factor vectors; the
+    amplitude is s_1 times the two phases the gauge divides out
+    (_fix_phases).  Otherwise the first basis image in row-major order that
+    is not rank 1 in the requested output layout decides, through the gate
+    every witness passes (_gate): its basis state is a KernelVector witness
+    where the image vanishes and a ProductToEntangled one where it is
+    entangled, for n != m in the flipped layout too, and the result is None
+    where it makes no claim, an image of an n != m map entangled in one
+    layout only, as a SwapLocal map's images are in its own layout.
+    classify builds no table: its witness search reads single images
     (_search_witness).
     """
     shape = bmap.shape
@@ -463,7 +457,7 @@ def build_image_table(
         raise NoConvergence(str(exc)) from exc
     bad = np.flatnonzero(_schmidt_ranks(s, tol) != 1)
     if bad.size:
-        return _product_witness(bmap, _basis_ket(n * m, int(bad[0])), out, tol)
+        return _gate(bmap, None, _basis_ket(n * m, int(bad[0])), out, tol)
     (d_vecs, d_phases), (e_vecs, e_phases) = _fix_phases(u[..., 0]), _fix_phases(vh[..., 0, :])
     amps = ldexp(s[..., 0] * d_phases * e_phases, bmap._exponent)
     return ProductImageTable(shape, out, amps, d_vecs, e_vecs)
@@ -538,7 +532,8 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     ea = (_basis_ket(n, i) + _basis_ket(n, i2)) / np.sqrt(2)
     fb = (_basis_ket(m, j) + _basis_ket(m, j2)) / np.sqrt(2)
     state = np.outer(ea, fb).ravel()
-    ev = _schmidt_evidence(state, unit.reshape(-1) * state, (n, m), (n, m), k, tol)
+    image = (unit.reshape(-1) * state).reshape(n, m)
+    ev = _schmidt_evidence(state, (n, m), singular_values(image), (n, m), k, tol)
     return Witness(WITNESS_NONFACTORIZABLE_PHASE, state, ev)
 
 
@@ -580,7 +575,7 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     PRODUCT_SEARCH_SWEEPS sweeps run in the layout (n, m), and as many in
     (m, n) when n != m.  The witness is the visited state whose smallest
     s_2 / s_1 over every layout is largest, once that exceeds tol and its
-    evidence makes the claim (_claims).
+    image makes the claim (_gate).
     """
     shape = bmap.shape
     n, m = shape.n, shape.m
@@ -610,7 +605,7 @@ def _product_search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
             ratio = float(_image_ratios(factors[side] @ rows, layouts))
             if ratio > best_ratio:
                 best, best_ratio = np.kron(*factors), ratio
-    return _claimed(bmap, WITNESS_PRODUCT_TO_ENTANGLED, best, shape, tol) if best_ratio > tol else None
+    return _gate(bmap, WITNESS_PRODUCT_TO_ENTANGLED, best, shape, tol) if best_ratio > tol else None
 
 
 def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
@@ -712,12 +707,13 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
     cached spectrum; then the basis state whose image has the largest
     s_2 / s_1, the smallest over the layouts, from one values-only stacked
     SVD of the basis images per layout; last the product-state search.
-    Each candidate takes the kind its own evidence shows (_product_witness)
-    and is returned only when that evidence makes its claim (_claims): for
-    n != m its image must be entangled in both layouts, as a SwapLocal map
-    entangles product states in the own layout too.  |0,0> first is what
-    makes the column block test of classify return this search's first
-    witness.
+    Each candidate takes the kind its image shows and is returned only when
+    that image makes its claim (_gate): for n != m it must be entangled in
+    both layouts, as a SwapLocal map entangles product states in the own
+    layout too.  A candidate that makes no claim costs one matrix-vector
+    product and one values-only spectrum of its image per layout it
+    reaches, and builds no evidence.  |0,0> first is what makes the column
+    block test of classify return this search's first witness.
     """
     shape = bmap.shape
     dim, m = shape.dim, shape.m
@@ -727,17 +723,13 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
         (first + _basis_ket(dim, m)) / np.sqrt(2),
         np.kron(*_ramp(shape)),
     )
-    for state in candidates:
-        witness = _product_witness(bmap, state, shape, tol)
-        if _claims(bmap, witness, tol):
-            return witness
-    witness = check_full_rank(bmap, tol)
+    found = (_gate(bmap, None, state, shape, tol) for state in candidates)
+    witness = next(filter(None, found), None) or check_full_rank(bmap, tol)
     if witness is not None:
         return witness
     # the basis image farthest from a product in every layout
     basis = _basis_ket(dim, int(np.argmax(_image_ratios(bmap._unit.T, _layouts(shape)))))
-    witness = _product_witness(bmap, basis, shape, tol)
-    return witness if _claims(bmap, witness, tol) else _product_search_witness(bmap, tol)
+    return _gate(bmap, None, basis, shape, tol) or _product_search_witness(bmap, tol)
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
@@ -797,7 +789,10 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     normalized ramp, each a KernelVector where its image vanishes and
     ProductToEntangled otherwise; then the
     rank check once more; then the basis state whose image is farthest from
-    a product; last the product-state search.  A map whose witness is the
+    a product; last the product-state search.  A fixed state that makes no
+    claim costs one matrix-vector product and one values-only spectrum of
+    its image per layout it reaches; only the witness takes the spectrum of
+    its state too (_gate).  A map whose witness is the
     factors' kernel vector or one of the three fixed states never computes
     its spectrum unless that witness image falls between the vanishing
     test's two bounds, tol ||x|| / 2 and sqrt(2) nm tol ||x|| at unit
@@ -833,7 +828,8 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
         # that image, column 0 times 2^-k, has s_2 > 2 tol ||L||_F by the
         # block bound, so it does not vanish and _vanishing need not run
         state, k, out = _basis_ket(shape.dim, 0), bmap._exponent, shape.as_tuple()
-        ev = _schmidt_evidence(state, ldexp(bmap.matrix[:, 0], -k), out, out, k, tol)
+        image = ldexp(bmap.matrix[:, 0], -k).reshape(out)
+        ev = _schmidt_evidence(state, out, singular_values(image), out, k, tol)
         witness = Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, ev)
         return QualitativeVerdict(KIND_NOT_PRESERVING, witness=witness, detail=DETAIL_NO_FIT)
     fitted = []

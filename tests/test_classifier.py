@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -16,7 +17,6 @@ from unitarity_kit.classifier import (
     WITNESS_PRODUCT_TO_ENTANGLED,
     BipartiteMap,
     Witness,
-    _evidence,
     build_image_table,
     check_full_rank,
     classify,
@@ -33,7 +33,7 @@ from unitarity_kit.generators import (
     random_schmidt_rank_state,
     split_rng,
 )
-from unitarity_kit.linalg import kron, ldexp
+from unitarity_kit.linalg import kron, ldexp, singular_values
 from unitarity_kit.quantitative import check_E1, check_E2
 from unitarity_kit.schmidt import (
     BipartiteShape,
@@ -157,6 +157,14 @@ def kernel_entangled_map(n, m, seed, scale=1.0) -> BipartiteMap:
     )
     matrix = local @ (np.eye(n * m) - np.outer(k, k.conj()))
     return BipartiteMap(scale * matrix, BipartiteShape(n, m))
+
+
+def evidence(bmap: BipartiteMap, state: np.ndarray, image_shape, tol: float = 1e-8):
+    """The Schmidt evidence of a state and of its image in the layout
+    image_shape under the unit-scale map, whether or not it makes a claim."""
+    image = (bmap._unit @ state).reshape(image_shape)
+    shape, k = bmap.shape.as_tuple(), bmap._exponent
+    return classifier._schmidt_evidence(state, shape, singular_values(image), tuple(image_shape), k, tol)
 
 
 def svd_calls(monkeypatch) -> list:
@@ -291,9 +299,8 @@ def test_witness_reverifies_refuses_an_image_entangled_in_one_layout(image_shape
     state /= np.linalg.norm(state)
     image = bmap.matrix @ state
     assert schmidt_rank(image, (2, 3)) == 2 and schmidt_rank(image, (3, 2)) == 1
-    ev = _evidence(bmap, state, (2, 3), 1e-8)
-    assert (ev.input_rank, ev.image_rank) == (1, 2)
-    ev = _evidence(bmap, state, image_shape, 1e-8)
+    ev = evidence(bmap, state, image_shape)
+    assert (ev.input_rank, ev.image_rank) == (1, 2 if image_shape == (2, 3) else 1)
     for kind in (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_NONFACTORIZABLE_PHASE, WITNESS_KERNEL):
         assert not witness_reverifies(bmap, Witness(kind, state, ev))
 
@@ -303,12 +310,12 @@ def test_witness_reverifies_takes_any_state_the_map_annihilates():
     bmap = BipartiteMap(np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex), BipartiteShape(2, 2))
     for state in ([1, 0, 0, 0], np.array([1, 0, 0, 1]) / np.sqrt(2)):
         state = np.asarray(state, dtype=complex)
-        w = Witness(WITNESS_KERNEL, state, _evidence(bmap, state, (2, 2), 1e-8))
+        w = Witness(WITNESS_KERNEL, state, evidence(bmap, state, (2, 2)))
         assert witness_reverifies(bmap, w)
         assert not witness_reverifies(bmap, Witness(WITNESS_PRODUCT_TO_ENTANGLED, state, w.evidence))
     # |0,1> keeps a nonzero product image: no claim of either kind
     state = np.array([0, 1, 0, 0], dtype=complex)
-    ev = _evidence(bmap, state, (2, 2), 1e-8)
+    ev = evidence(bmap, state, (2, 2))
     for kind in (WITNESS_KERNEL, WITNESS_PRODUCT_TO_ENTANGLED):
         assert not witness_reverifies(bmap, Witness(kind, state, ev))
 
@@ -321,9 +328,31 @@ def test_witness_reverifies_takes_any_state_the_map_annihilates():
 def test_witness_reverifies_refuses_a_state_that_is_no_witness(state, error):
     # the zero state is annihilated by every map, so it claims nothing
     bmap = BipartiteMap(np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex), BipartiteShape(2, 2))
-    ev = _evidence(bmap, np.eye(4)[0], (2, 2), 1e-8)
+    ev = evidence(bmap, np.eye(4, dtype=complex)[0], (2, 2))
     with pytest.raises(error):
         witness_reverifies(bmap, Witness(WITNESS_KERNEL, state, ev))
+
+
+def test_witness_reverifies_refuses_an_image_layout_of_the_wrong_dimension():
+    bmap = cnot_map()
+    w = classify(bmap).witness
+    assert witness_reverifies(bmap, w)
+    wrong = dataclasses.replace(w.evidence, image_shape=(3, 3))
+    for kind in (WITNESS_PRODUCT_TO_ENTANGLED, WITNESS_KERNEL):
+        with pytest.raises(ShapeMismatch):
+            witness_reverifies(bmap, Witness(kind, w.state, wrong))
+
+
+@pytest.mark.parametrize("kind", [None, "Bogus"])
+def test_witness_reverifies_infers_no_kind(kind):
+    # the kind is the claim: none is read off the image, not even where a
+    # ProductToEntangled or KernelVector claim would hold
+    bmap = cnot_map()
+    w = classify(bmap).witness
+    assert not witness_reverifies(bmap, Witness(kind, w.state, w.evidence))
+    kernel = BipartiteMap(np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex), BipartiteShape(2, 2))
+    state = np.eye(4, dtype=complex)[0]
+    assert not witness_reverifies(kernel, Witness(kind, state, evidence(kernel, state, (2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +430,8 @@ def near_tol_column_map() -> BipartiteMap:
         (BipartiteMap(haar_unitary(9, seed=16), BipartiteShape(3, 3)), (3, 3)),
         (zero_column_map(), (2, 3)),
         (near_tol_column_map(), (3, 3)),
+        # SwapLocal: |0,0> has an image entangled in (2, 3) alone
+        (random_local_map((2, 3), swap=True, seed=1), (2, 3)),
     ],
 )
 def test_stacked_image_table_matches_per_column_reference(monkeypatch, bmap, out):
@@ -409,19 +440,24 @@ def test_stacked_image_table_matches_per_column_reference(monkeypatch, bmap, out
     ref = reference_image_table(bmap, out)
     calls = svd_calls(monkeypatch)
     table = build_image_table(bmap, output_shape=out)
-    # one stacked SVD with vectors; only a witness's evidence takes more
+    # one stacked SVD with vectors; only the first image that is not rank 1
+    # takes more, to judge its claim
     assert calls[0] == ((n, m, out.n, out.m), True)
-    if isinstance(table, Witness):
+    if not isinstance(ref, dict):
         (i, j), kind = ref
+        col = bmap.matrix[:, i * m + j]
+        if table is None:
+            # an image entangled in out alone, for n != m, claims nothing
+            assert kind == WITNESS_PRODUCT_TO_ENTANGLED and n != m
+            assert schmidt_rank(col, out.flipped()) == 1
+            return
         assert table.kind == kind
         np.testing.assert_array_equal(table.state, np.eye(n * m)[i * m + j])
-        ev = _evidence(bmap, table.state, out, 1e-8)
-        assert (table.evidence.input_rank, table.evidence.image_rank) == (
-            ev.input_rank,
-            ev.image_rank,
-        )
+        image_rank = 0 if kind == WITNESS_KERNEL else schmidt_rank(col, out)
+        assert (table.evidence.input_rank, table.evidence.image_rank) == (1, image_rank)
+        assert witness_reverifies(bmap, table)
         return
-    assert isinstance(ref, dict) and len(calls) == 1
+    assert len(calls) == 1
     for (i, j), dec in ref.items():
         d, e = table.d_vecs[i, j], table.e_vecs[i, j]
         assert abs(np.vdot(dec.left_vectors[:, 0], d)) == pytest.approx(1.0, abs=1e-12)
@@ -1139,6 +1175,29 @@ def cphase_map(n, m, seed, cond_cap=1e3, swap=False) -> BipartiteMap:
     return BipartiteMap(local.matrix * phases, BipartiteShape(n, m))
 
 
+@pytest.mark.parametrize(
+    "make,state,count",
+    [
+        (cnot_left_map, np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0), 3),
+        (cphase_map, np.kron([1.0, 2.0], [1.0, 2.0]) / 5.0, 4),
+    ],
+    ids=["cnot-left", "cphase"],
+)
+def test_fixed_candidate_that_makes_no_claim_costs_one_spectrum(monkeypatch, make, state, count):
+    # every basis image is a product, so the row-0 block skips both fits;
+    # each fixed candidate before the witness costs the values-only
+    # spectrum of its image alone, and the witness those of its image and
+    # of its state: 3 SVDs for local CNOT, whose witness is the second
+    # candidate, and 4 for local controlled phase, whose witness is the ramp
+    bmap = make(2, 2, seed=3)
+    calls = svd_calls(monkeypatch)
+    v = classify(bmap)
+    assert v.kind == KIND_NOT_PRESERVING and v.witness.kind == WITNESS_PRODUCT_TO_ENTANGLED
+    np.testing.assert_allclose(v.witness.state, state, rtol=0, atol=1e-15)
+    assert calls == [((2, 2), False)] * count
+    assert witness_reverifies(bmap, v.witness)
+
+
 def vanishing_entangled_image_map() -> BipartiteMap:
     """The identity with L|0,0> an entangled vector of norm 1e-20: the image
     has Schmidt rank 2 by its own spectrum, yet vanishes against ||L||_2."""
@@ -1722,6 +1781,7 @@ def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
     assert not isinstance(table, Witness)
     for vecs in (table.d_vecs, table.e_vecs):
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=-1), 1.0, rtol=1e-14)
+    assert np.all(np.isfinite(table.amps))
     np.testing.assert_allclose(table.d_vecs, ref.d_vecs, atol=1e-14)
     np.testing.assert_allclose(table.e_vecs, ref.e_vecs, atol=1e-14)
     assert table.amps[1, 1] == pytest.approx(factor * ref.amps[1, 1], rel=1e-14)
