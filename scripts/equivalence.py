@@ -2,8 +2,12 @@
 """Run classify and analyze over a fixed corpus and hash every output field.
 
 The corpus is the classify-accept, classify-reject and entropy-verify pools
-of perfbench/workloads.py, seeds 1-11, each input at x1, x2^-1000 and x2^900
-(exact power-of-two scalings of the pool matrix).  One line is printed per
+of perfbench/workloads.py, seeds 1-11, and one near-tol analyze family:
+unitary and antiunitary conjugations at d = 2, 3, 4, 8, built with the
+pools' haar and conjugation from a fixed seed, plus complex Gaussian noise
+of relative Frobenius size 3e-9, 1e-8, 1.2e-8 and 2e-8, so that their
+verdicts fall on both sides of the default tol.  Each input is taken at
+x1, x2^-1000 and x2^900 (exact power-of-two scalings of its matrix).  One line is printed per
 input: its name, the verdict kind and the witness kind in clear ("-" for
 none), then a hash of every output field, bit for bit: for classify the
 kind, detail, output shape, A, B, reconstruction_error, rank_ratio and the
@@ -37,6 +41,9 @@ REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = ("classify-accept", "classify-reject", "entropy-verify")
 SEEDS = range(1, 12)
 EXPONENTS = (0, -1000, 900)
+NEAR_TOL_DIMS = (2, 3, 4, 8)
+NEAR_TOL_EPSILONS = (3e-9, 1e-8, 1.2e-8, 2e-8)
+NEAR_TOL_MAPS = 10  # per reading, d and epsilon
 
 
 def _feed(h, value) -> None:
@@ -77,10 +84,20 @@ def _scaled(a: np.ndarray, j: int) -> np.ndarray:
     return np.ldexp(a.view(np.float64), j).view(a.dtype)
 
 
-def _decide(uk, op, matrix):
-    if op.kind == "classify":
-        return uk.classifier.classify(uk.classifier.BipartiteMap(matrix, op.shape))
-    return uk.entropy_dynamics.analyze(uk.entropy_dynamics.Superoperator(matrix, op.shape))
+def _outcome(label: str, decide, matrix) -> str:
+    """The line of decide(matrix); an input that raises is an outcome to
+    compare, printed with the exception's type as its kind."""
+    try:
+        result = decide(matrix)
+    except Exception as exc:
+        return f"{label} {type(exc).__name__} - -"
+    return _line(label, result)
+
+
+def _decider(uk, kind, shape):
+    if kind == "classify":
+        return lambda matrix: uk.classifier.classify(uk.classifier.BipartiteMap(matrix, shape))
+    return lambda matrix: uk.entropy_dynamics.analyze(uk.entropy_dynamics.Superoperator(matrix, shape))
 
 
 def corpus_lines(uk, workloads, name: str):
@@ -89,14 +106,30 @@ def corpus_lines(uk, workloads, name: str):
     for seed in SEEDS:
         for slot in workloads.build_pool(name, seed):
             for k, op in enumerate(slot):
+                decide = _decider(uk, op.kind, op.shape)
                 for j in EXPONENTS:
-                    label = f"{name}/s{seed}/{op.cls}#{k}/x2^{j}"
-                    try:
-                        result = _decide(uk, op, _scaled(op.matrix, j))
-                    except Exception as exc:  # an input that raises is an outcome to compare
-                        yield f"{label} {type(exc).__name__} - -"
-                        continue
-                    yield _line(label, result)
+                    yield _outcome(f"{name}/s{seed}/{op.cls}#{k}/x2^{j}", decide, _scaled(op.matrix, j))
+
+
+def near_tol_lines(uk, workloads):
+    """One line per input of the near-tol family: for each d, reading and
+    epsilon, NEAR_TOL_MAPS Haar conjugations (times the transpose for the
+    antiunitary reading) with complex Gaussian noise of Frobenius norm
+    epsilon times the map's, all drawn from one fixed stream."""
+    rng = np.random.default_rng(0)
+    for d in NEAR_TOL_DIMS:
+        decide = _decider(uk, "analyze", d)
+        transpose = workloads.oracle.transpose_permutation(d)
+        for reading in ("unitary", "antiunitary"):
+            for eps in NEAR_TOL_EPSILONS:
+                for k in range(NEAR_TOL_MAPS):
+                    m = workloads.conjugation(workloads.haar(rng, d))
+                    if reading == "antiunitary":
+                        m = m @ transpose
+                    noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+                    m = m + (eps * np.linalg.norm(m) / np.linalg.norm(noise)) * noise
+                    for j in EXPONENTS:
+                        yield _outcome(f"near-tol/{reading}/d{d}/eps{eps:g}#{k}/x2^{j}", decide, _scaled(m, j))
 
 
 def run(src: Path) -> list[str]:
@@ -104,11 +137,13 @@ def run(src: Path) -> list[str]:
     import unitarity_kit as uk
     import workloads
 
+    families = [(name, corpus_lines(uk, workloads, name)) for name in WORKLOADS]
+    families.append(("near-tol", near_tol_lines(uk, workloads)))
     lines = []
-    for name in WORKLOADS:
+    for name, family in families:
         start = time.perf_counter()
         before = len(lines)
-        lines.extend(corpus_lines(uk, workloads, name))
+        lines.extend(family)
         print(f"{name}: {len(lines) - before} inputs in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return lines
 

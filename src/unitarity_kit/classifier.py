@@ -108,6 +108,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     as_matrix,
     as_vector,
+    block_beyond,
     ldexp,
     part_exponent,
     singular_values,
@@ -656,29 +657,24 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     return a / phase, b * phase, err
 
 
-def _block_beyond_fit(bmap: BipartiteMap, tol: float, p: complex, q: complex, r: complex, s: complex) -> bool:
-    """Whether the 2x2 block [[p, q], [r, s]] of matrix entries, each part
-    scaled by 2^-k (the unit-scale copy is not built), has |det| > beta *
-    ||block||_F, beta = 2 sqrt(2) tol nm: s_2 of any matrix holding that
-    block then exceeds twice tol times ||L||_F < sqrt(2) nm (see classify)."""
-    k = -bmap._exponent
-    p = complex(math.ldexp(p.real, k), math.ldexp(p.imag, k))
-    q = complex(math.ldexp(q.real, k), math.ldexp(q.imag, k))
-    r = complex(math.ldexp(r.real, k), math.ldexp(r.imag, k))
-    s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
-    beta = 2.0 * math.sqrt(2.0) * tol * bmap.shape.n * bmap.shape.m
-    return abs(p * s - q * r) > beta * math.hypot(abs(p), abs(q), abs(r), abs(s))
+def _block_beta(bmap: BipartiteMap, tol: float) -> float:
+    """beta = 2 sqrt(2) tol nm of the block tests (block_beyond): a 2x2
+    block of unit-scale entries with |det| > beta ||block||_F puts s_2 of
+    any matrix holding it above twice tol times ||L||_F < sqrt(2) nm (see
+    classify)."""
+    return 2.0 * math.sqrt(2.0) * tol * bmap.shape.n * bmap.shape.m
 
 
 def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
     """Whether the leading 2x2 block of the unit-scale image of |0,0>, read
-    off column 0, is beyond a fit (_block_beyond_fit) in the layout (n, m)
-    and for n != m in (m, n) too: proof that no reading fits and that |0,0>
-    is the witness search's first witness (see classify)."""
+    off column 0, is beyond a fit (block_beyond at _block_beta) in the
+    layout (n, m) and for n != m in (m, n) too: proof that no reading fits
+    and that |0,0> is the witness search's first witness (see classify)."""
     n, m = bmap.shape.n, bmap.shape.m
     column = bmap.matrix[: max(n, m) + 2, 0].tolist()
+    k, beta = -bmap._exponent, _block_beta(bmap, tol)
     for stride in {m, n}:  # the row strides of the layouts (n, m) and (m, n)
-        if not _block_beyond_fit(bmap, tol, column[0], column[1], column[stride], column[stride + 1]):
+        if not block_beyond(column[0], column[1], column[stride], column[stride + 1], k, beta):
             return False
     return True
 
@@ -686,13 +682,14 @@ def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
 def _first_row_entangled(bmap: BipartiteMap, tol: float) -> bool:
     """Whether the leading 2x2 block of row 0 of the map, as an n x m matrix
     in the input layout (entries L[0,0], L[0,1], L[0,m], L[0,m+1]), is
-    beyond a fit (_block_beyond_fit): proof that neither reading fits.
+    beyond a fit (block_beyond at _block_beta): proof that neither reading
+    fits.
     Rows (0,0), (0,1) and columns (0,0), (0,1) of the Local realignment
     R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal one hold
     those same four entries, for n = m and for n != m (see classify)."""
     m = bmap.shape.m
     row = bmap.matrix[0, : m + 2].tolist()
-    return _block_beyond_fit(bmap, tol, row[0], row[1], row[m], row[m + 1])
+    return block_beyond(row[0], row[1], row[m], row[m + 1], -bmap._exponent, _block_beta(bmap, tol))
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:

@@ -19,8 +19,13 @@ An accepted map is read twice: once by the constructor, whose one sum
 gives finiteness, the exponent and the unit-scale squared norm, and once by
 the fit of the reading that accepts it, which scales each slab into a
 buffer and takes the gain and the residual in the same pass over the map's
-own layout.  A wrong reading stops as soon as the slabs read so far leave
-no gain within tol, most often after its first slab.
+own layout.  Before that fit, and before every other, 2x2 blocks of the
+realignments, from seven entries of rows 0 and 1 of M, rule out the
+readings that cannot fit (see analyze): a depolarizer or a mixture of
+conjugations runs no fit at all, and an antiunitary map or a non-unitary
+conjugation runs only the fit of the other reading.  A reading that is
+fitted and is wrong stops as soon as the slabs read so far leave no gain
+within tol, most often after its first slab.
 
 The closed-form helpers give the spectra of the two-state mixture argument,
 and the witness search runs on them.  Once every probe image is certified
@@ -42,7 +47,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange, ShapeMismatch
 from .generators import random_pure_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, dag, ldexp, part_exponent, tolerance
+from .linalg import DEFAULT_RANK_TOL, as_matrix, block_beyond, dag, ldexp, part_exponent, tolerance
 
 KIND_UNITARY = "UnitaryConjugation"
 KIND_ANTIUNITARY = "AntiunitaryConjugation"
@@ -84,6 +89,8 @@ class Superoperator:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ShapeMismatch(f"superoperator dim must be >= 1, got {self.dim}")
         m = np.ascontiguousarray(as_matrix(self.matrix))
         if m.shape != (self.dim**2, self.dim**2):
             raise ShapeMismatch(
@@ -588,6 +595,35 @@ def _search_witness(superop: Superoperator, tol: float):
     return scan(*np.triu_indices(len(probes), 1)), "no single conjugation reproduces the map"
 
 
+def _readings(superop: Superoperator, tol: float):
+    """The readings analyze fits, as (kind, transpose) in order, less each
+    one that a 2x2 block of its realignment puts beyond a fit; a block is
+    tested only when its reading comes up.
+
+    With beta = 2 tol ||M * 2^-k||_F, a block is beyond a fit when
+    |det| > beta ||block||_F at unit scale (block_beyond).  The block
+    M[0,0], M[0,1], M[0,d], M[0,d+1] belongs to both realignments,
+    R_U[(j,l),(i,k)] = M[jd+i, ld+k] and R_A[(j,b),(i,a)] = M[jd+i, ad+b]
+    (to the second one transposed), so where it is beyond a fit no reading
+    is fitted.  Otherwise the unitary reading is left out where its block
+    M[0,0], M[1,0], M[0,d], M[1,d] is, and the antiunitary one where its
+    block M[0,0], M[1,0], M[0,1], M[1,1] is.  For d = 1 there is no 2x2
+    block and both readings are fitted.
+    """
+    d = superop.dim
+    if d == 1:
+        yield from ((KIND_UNITARY, False), (KIND_ANTIUNITARY, True))
+        return
+    row0, row1 = superop.matrix[:2, : d + 2].tolist()
+    k, beta = -superop._exponent, 2.0 * tol * math.sqrt(superop._unit_sq)
+    if block_beyond(row0[0], row0[1], row0[d], row0[d + 1], k, beta):
+        return
+    if not block_beyond(row0[0], row1[0], row0[d], row1[d], k, beta):
+        yield KIND_UNITARY, False
+    if not block_beyond(row0[0], row1[0], row0[1], row1[1], k, beta):
+        yield KIND_ANTIUNITARY, True
+
+
 def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSystemVerdict:
     """Decide whether the map is a (scaled) unitary or antiunitary conjugation.
 
@@ -601,13 +637,25 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     antiunitary one fits the transposed model there, so no strided view of
     M is read), against the squared norm the constructor summed: an
     accepted map is read twice in all.
+
+    A reading is fitted only when no 2x2 block of its realignment rules it
+    out (_readings).  Seven entries of rows 0 and 1 of M * 2^-k are read:
+    M[0,0], M[0,1], M[0,d], M[0,d+1], M[1,0], M[1,1] and M[1,d].  A block
+    rules a reading out when |det| > beta ||block||_F, with
+    beta = 2 tol ||M * 2^-k||_F.  An accepted reading can never fire its
+    blocks: it leaves its realignment R within tol ||M||_F of the rank-one
+    realignment of g * conj(U) x U, so s_2(R) <= tol ||M||_F
+    (Eckart-Young), while any 2x2 block of R gives s_2(R) >=
+    |det| / ||block||_F (interlacing); the factor 2 covers the fit's
+    rounding.  So a reading that is left out would have been rejected,
+    and the verdict is the same, bit for bit, as when every fit runs.
     A rejected map gets its witness from fixed-stream probe states, so the
     whole verdict depends only on (map, tol).  A reject whose reported
     image leaves no state after normalization (the image of -|phi><phi|,
     say) carries no witness, and its detail ends in "; no witness found".
     """
     tol = tolerance(tol)
-    for kind, transpose in ((KIND_UNITARY, False), (KIND_ANTIUNITARY, True)):
+    for kind, transpose in _readings(superop, tol):
         u, gain, err = _fit_conjugation(superop, tol, transpose)
         if err <= tol:
             return SingleSystemVerdict(

@@ -68,6 +68,19 @@ def ldexp(a, k: int) -> np.ndarray:
     return np.ldexp(a.view(np.float64), k).view(a.dtype)
 
 
+def block_beyond(p: complex, q: complex, r: complex, s: complex, k: int, beta: float) -> bool:
+    """Whether the 2x2 block [[p, q], [r, s]], each part scaled by 2^k,
+    has |det| > beta * ||block||_F.  Then s_2 of any matrix that holds the
+    scaled block exceeds beta, as s_2 >= |det| / ||block||_F (Cauchy
+    interlacing).  The parts are scaled one by one, so no copy of the
+    matrix that holds them is made."""
+    p = complex(math.ldexp(p.real, k), math.ldexp(p.imag, k))
+    q = complex(math.ldexp(q.real, k), math.ldexp(q.imag, k))
+    r = complex(math.ldexp(r.real, k), math.ldexp(r.imag, k))
+    s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
+    return abs(p * s - q * r) > beta * math.hypot(abs(p), abs(q), abs(r), abs(s))
+
+
 @dataclass(frozen=True)
 class SVDResult:
     """Factorization M = left_basis @ diag(singular_values) @ right_basis.

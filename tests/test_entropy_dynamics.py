@@ -28,7 +28,14 @@ from unitarity_kit.entropy_dynamics import (
     vec_density,
 )
 from unitarity_kit.errors import ParamOutOfRange, ShapeMismatch
-from unitarity_kit.generators import haar_unitary, random_density, random_pure_state, split_rng
+from unitarity_kit.generators import (
+    haar_unitary,
+    random_density,
+    random_invertible,
+    random_pure_state,
+    split_rng,
+)
+from unitarity_kit.linalg import ldexp
 from unitarity_kit.states import pure_projector, von_neumann_entropy
 
 
@@ -42,6 +49,20 @@ def test_vec_roundtrip_column_stacking():
 def test_superoperator_shape_validation():
     with pytest.raises(ShapeMismatch):
         Superoperator(matrix=np.eye(5), dim=2)
+
+
+@pytest.mark.parametrize("matrix,dim", [(np.ones((1, 1)), -1), (np.zeros((0, 0)), 0), (np.ones((4, 4)), -2)])
+def test_superoperator_refuses_a_dim_below_one(matrix, dim):
+    # (-1)**2 == 1 would pass the shape check, and dim 0 leaves no entry
+    with pytest.raises(ShapeMismatch, match="dim must be >= 1"):
+        Superoperator(matrix=matrix, dim=dim)
+
+
+def test_one_dimensional_superoperator_still_decides():
+    # d = 1 has no 2x2 block: both readings are fitted as before
+    verdict = analyze(Superoperator(matrix=[[2.0]], dim=1))
+    assert verdict.kind == KIND_UNITARY and verdict.gain == 2.0
+    assert analyze(Superoperator(matrix=[[-1.0]], dim=1)).kind == KIND_NOT_PRESERVING
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
@@ -895,3 +916,126 @@ def test_negated_conjugation_never_reports_a_nan_witness():
             else:
                 assert np.isfinite([w.p, w.entropy_in, w.entropy_out]).all()
     assert missing > 0
+
+
+# ---------------------------------------------------------------------------
+# the realignment block tests
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+def _same_analysis(v, ref) -> bool:
+    """Whether two verdicts agree in every field, bit for bit."""
+    if (v.kind, v.detail) != (ref.kind, ref.detail):
+        return False
+    if not (_same_bits(v.unitary, ref.unitary) and _same_bits(v.gain, ref.gain)):
+        return False
+    if v.witness is None or ref.witness is None:
+        return v.witness is ref.witness
+    fields = ("phi1", "phi2", "p", "entropy_in", "entropy_out")
+    return all(_same_bits(getattr(v.witness, f), getattr(ref.witness, f)) for f in fields)
+
+
+def _counted_fits(monkeypatch) -> list:
+    """The transpose flag of every fit analyze runs, in order."""
+    calls = []
+    real_fit = entropy_dynamics._fit_conjugation
+
+    def counting(superop, tol, transpose=False):
+        calls.append(transpose)
+        return real_fit(superop, tol, transpose)
+
+    monkeypatch.setattr(entropy_dynamics, "_fit_conjugation", counting)
+    return calls
+
+
+def _block_family(family, d):
+    seed = 1100 + d
+    u, w = haar_unitary(d, seed=seed), haar_unitary(d, seed=seed + 50)
+    if family == "depolarizer":
+        return superop_depolarizing(d, 0.3).matrix
+    if family == "mixture":
+        return 0.4 * superop_from_conjugation(u).matrix + 0.6 * superop_from_conjugation(w).matrix
+    if family == "antiunitary":
+        return superop_from_conjugation(u, 1.7).matrix @ superop_transpose(d).matrix
+    v = random_invertible(d, seed=seed, cond_cap=10.0)
+    return np.kron(v.conj(), v)  # a conjugation by a non-unitary V
+
+
+@pytest.mark.parametrize(
+    "family,fits",
+    [("depolarizer", []), ("mixture", []), ("antiunitary", [True]), ("nonunitary", [False])],
+)
+def test_blocks_skip_the_fits_they_rule_out_and_change_no_verdict(monkeypatch, family, fits):
+    maps = [(scale * _block_family(family, d), d) for d in (2, 3, 4, 8) for scale in (1.0, 1e-300, 1e300)]
+    calls = _counted_fits(monkeypatch)
+    verdicts = []
+    for m, d in maps:
+        calls.clear()
+        verdicts.append(analyze(Superoperator(m, d)))
+        # depolarizers and mixtures run no fit, an antiunitary map only its
+        # own, a non-unitary conjugation only the unitary one
+        assert calls == fits
+    # the verdict each map gets when every fit runs, bit for bit
+    monkeypatch.setattr(entropy_dynamics, "block_beyond", lambda *args: False)
+    for (m, d), v in zip(maps, verdicts, strict=True):
+        calls.clear()
+        ref = analyze(Superoperator(m, d))
+        assert calls == [False, True][: 1 + (ref.kind != KIND_UNITARY)]
+        assert v.kind == (KIND_ANTIUNITARY if family == "antiunitary" else KIND_NOT_PRESERVING)
+        assert _same_analysis(v, ref)
+
+
+_BLOCKS = {
+    # entries (row, column) of M, as [[p, q], [r, s]], for each d
+    "row": lambda d: [(0, 0), (0, 1), (0, d), (0, d + 1)],
+    "unitary": lambda d: [(0, 0), (1, 0), (0, d), (1, d)],
+    "antiunitary": lambda d: [(0, 0), (1, 0), (0, 1), (1, 1)],
+}
+
+
+def _aimed_at(m: np.ndarray, entries, size: float) -> np.ndarray:
+    """m with the four entries moved by size (Frobenius) along the second
+    singular pair of the 2x2 block they form."""
+    rows, cols = np.array(entries).T.reshape(2, 2, 2)
+    u, _, vh = np.linalg.svd(m[rows, cols])
+    moved = m.copy()
+    moved[rows, cols] += size * np.outer(u[:, 1], vh[1])
+    return moved
+
+
+@pytest.mark.parametrize("j", [0, -1000, 1000])
+@pytest.mark.parametrize("block", ["row", "own"])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_blocks_never_rule_out_a_reading_that_accepts(monkeypatch, d, transpose, block, j):
+    # an accepted reading has s_2 of its realignment at most tol ||M||_F,
+    # below the blocks' threshold 2 tol ||M||_F
+    tol = 1e-8
+    kind = KIND_ANTIUNITARY if transpose else KIND_UNITARY
+    entries = _BLOCKS["row" if block == "row" else "antiunitary" if transpose else "unitary"](d)
+    base = _conjugation_map(haar_unitary(d, seed=1200 + d), 1.3, transpose)
+    norm = np.linalg.norm(base)
+    quiet = [Superoperator(ldexp(_aimed_at(base, entries, f * tol * norm), j), d) for f in (0.5, 0.99)]
+    for superop in quiet:
+        assert (kind, transpose) in entropy_dynamics._readings(superop, tol)
+    verdicts = [analyze(superop, tol) for superop in quiet]
+    assert verdicts[0].kind == kind
+    # for d <= 3 the slice that U is read off holds aimed entries, which
+    # lifts the fit's own error at 0.99 tol above tol
+    assert verdicts[1].kind == kind or d <= 3
+    # the same aim at 1e-5 ||M||_F takes that reading out of reach
+    loud = Superoperator(ldexp(_aimed_at(base, entries, 1e-5 * norm), j), d)
+    assert (kind, transpose) not in entropy_dynamics._readings(loud, tol)
+    assert _fit_conjugation(loud, tol, transpose)[0] is None
+    verdicts.append(analyze(loud, tol))
+    assert verdicts[-1].kind == KIND_NOT_PRESERVING
+    # each verdict is the one every fit gives, bit for bit
+    monkeypatch.setattr(entropy_dynamics, "block_beyond", lambda *args: False)
+    for superop, v in zip([*quiet, loud], verdicts, strict=True):
+        assert _same_analysis(v, analyze(superop, tol))
