@@ -2,12 +2,17 @@
 """Run classify and analyze over a fixed corpus and hash every output field.
 
 The corpus is the classify-accept, classify-reject and entropy-verify pools
-of perfbench/workloads.py, seeds 1-11, and one near-tol analyze family:
-unitary and antiunitary conjugations at d = 2, 3, 4, 8, built with the
-pools' haar and conjugation from a fixed seed, plus complex Gaussian noise
-of relative Frobenius size 3e-9, 1e-8, 1.2e-8 and 2e-8, so that their
-verdicts fall on both sides of the default tol.  Each input is taken at
-x1, x2^-1000 and x2^900 (exact power-of-two scalings of its matrix).  One line is printed per
+of perfbench/workloads.py, seeds 1-11, and three analyze families.  The
+near-tol family: unitary and antiunitary conjugations at d = 2, 3, 4, 8,
+built with the pools' haar and conjugation from a fixed seed, plus complex
+Gaussian noise of relative Frobenius size 3e-9, 1e-8, 1.2e-8 and 2e-8, so
+that their verdicts fall on both sides of the default tol.  The
+random-phase family: the diagonal map that multiplies each entry of rho by
+its own phase exp(2 pi i t), t uniform from default_rng(seed), at d = 2, 3,
+4, 5, 8 and seeds 0-9.  The negated-conjugation family: -conj(U) x U with
+U the pools' haar from default_rng(k), at d = 2, 3, 4 and k = 0-19.  Each
+input is taken at x1, x2^-1000 and x2^900 (exact power-of-two scalings of
+its matrix).  One line is printed per
 input: its name, the verdict kind and the witness kind in clear ("-" for
 none), then a hash of every output field, bit for bit: for classify the
 kind, detail, output shape, A, B, reconstruction_error, rank_ratio and the
@@ -19,8 +24,10 @@ per workload go to stderr.
 --src DIR imports unitarity_kit from DIR instead of this tree's src.
 --against DIR runs the same corpus on the library of a second source tree,
 DIR/src, in a subprocess, prints each input whose line differs with both
-lines, and exits with status 1 when any does.  The corpus always comes from
-this tree's perfbench, so both runs see the same inputs.
+lines, then the number of differing inputs of each family that has any
+(an input's family is its name less the pool seed, the index and the
+scaling), and exits with status 1 when any input differs.  The corpus
+always comes from this tree's perfbench, so both runs see the same inputs.
 
     python scripts/equivalence.py > lines.txt
     python scripts/equivalence.py --against ../parent-tree
@@ -29,7 +36,9 @@ this tree's perfbench, so both runs see the same inputs.
 import argparse
 import dataclasses
 import hashlib
+import re
 import subprocess
+from collections import Counter
 import sys
 import time
 import warnings
@@ -44,6 +53,10 @@ EXPONENTS = (0, -1000, 900)
 NEAR_TOL_DIMS = (2, 3, 4, 8)
 NEAR_TOL_EPSILONS = (3e-9, 1e-8, 1.2e-8, 2e-8)
 NEAR_TOL_MAPS = 10  # per reading, d and epsilon
+RANDOM_PHASE_DIMS = (2, 3, 4, 5, 8)
+RANDOM_PHASE_SEEDS = range(10)
+NEGATED_DIMS = (2, 3, 4)
+NEGATED_SEEDS = range(20)
 
 
 def _feed(h, value) -> None:
@@ -132,6 +145,29 @@ def near_tol_lines(uk, workloads):
                         yield _outcome(f"near-tol/{reading}/d{d}/eps{eps:g}#{k}/x2^{j}", decide, _scaled(m, j))
 
 
+def analyze_family_lines(uk, workloads):
+    """One line per input of the random-phase and negated-conjugation
+    families, each map drawn from its own fixed stream."""
+    for d in RANDOM_PHASE_DIMS:
+        decide = _decider(uk, "analyze", d)
+        for seed in RANDOM_PHASE_SEEDS:
+            m = np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=d * d)))
+            for j in EXPONENTS:
+                yield _outcome(f"random-phase/d{d}#{seed}/x2^{j}", decide, _scaled(m, j))
+    for d in NEGATED_DIMS:
+        decide = _decider(uk, "analyze", d)
+        for k in NEGATED_SEEDS:
+            m = -workloads.conjugation(workloads.haar(np.random.default_rng(k), d))
+            for j in EXPONENTS:
+                yield _outcome(f"negated-conjugation/d{d}#{k}/x2^{j}", decide, _scaled(m, j))
+
+
+def family(line: str) -> str:
+    """The family of an input line: its name less the pool seed, the index
+    and the scaling."""
+    return re.sub(r"/s\d+/", "/", line.split(" ", 1)[0].split("#", 1)[0])
+
+
 def run(src: Path) -> list[str]:
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
     import unitarity_kit as uk
@@ -139,6 +175,7 @@ def run(src: Path) -> list[str]:
 
     families = [(name, corpus_lines(uk, workloads, name)) for name in WORKLOADS]
     families.append(("near-tol", near_tol_lines(uk, workloads)))
+    families.append(("random-phase and negated-conjugation", analyze_family_lines(uk, workloads)))
     lines = []
     for name, family in families:
         start = time.perf_counter()
@@ -168,6 +205,9 @@ def main() -> int:
     differ = [(theirs, mine) for theirs, mine in zip(other, ours, strict=True) if theirs != mine]
     for theirs, mine in differ:
         print(f"- {theirs}\n+ {mine}")
+    inputs = Counter(map(family, ours))
+    for name, count in Counter(family(mine) for _, mine in differ).items():
+        print(f"{name}: {count} of {inputs[name]} inputs differ")
     print(f"{len(differ)} of {len(ours)} inputs differ")
     return 1 if differ else 0
 

@@ -25,7 +25,17 @@ readings that cannot fit (see analyze): a depolarizer or a mixture of
 conjugations runs no fit at all, and an antiunitary map or a non-unitary
 conjugation runs only the fit of the other reading.  A reading that is
 fitted and is wrong stops as soon as the slabs read so far leave no gain
-within tol, most often after its first slab.
+within tol, most often after its first slab.  Each slab's model, the
+rank-1 product g0 conj(U[j, l]) U[i, k], is one real matmul with inner
+dimension 2 into a second buffer: the real and imaginary parts of one
+factor against the real forms of g0 times the other and i times that,
+built once per fit (_real_forms).
+
+A rejected map is probed first at the basis projectors |a><a|, whose
+images are columns of M, so no product with M is taken; they decide a
+depolarizer, a mixture of conjugations or a non-unitary conjugation.  A
+map they cannot decide with a witness that makes its claim goes on to
+fixed Haar probe states (see _search_witness).
 
 The closed-form helpers give the spectra of the two-state mixture argument,
 and the witness search runs on them.  Once every probe image is certified
@@ -40,6 +50,7 @@ image leaves no state after normalization carries no witness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -54,6 +65,8 @@ KIND_ANTIUNITARY = "AntiunitaryConjugation"
 KIND_NOT_PRESERVING = "NotPreserving"
 
 _TINY = float(np.finfo(np.float64).tiny)
+_TURN = np.array([[1.0], [1j]])  # the factors of _real_forms' two rows
+_TURN.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -82,30 +95,32 @@ class Superoperator:
     or imaginary part, which refuse a non-finite entry and give a first
     exponent, and sums the slabs at that scale once.  analyze works at the
     scale kept on the instance, so the matrix must not be mutated after
-    construction.
+    construction.  dim must be an integer of at least 1: a numpy integer is
+    kept as an int, and a float or a bool is refused.
     """
 
     matrix: np.ndarray
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeMismatch(f"superoperator dim must be >= 1, got {self.dim}")
+        if isinstance(self.dim, bool) or not hasattr(self.dim, "__index__"):
+            raise ShapeMismatch(f"superoperator dim must be an integer, got {self.dim!r}")
+        d = operator.index(self.dim)
+        if d < 1:
+            raise ShapeMismatch(f"superoperator dim must be >= 1, got {d}")
         m = np.ascontiguousarray(as_matrix(self.matrix))
-        if m.shape != (self.dim**2, self.dim**2):
-            raise ShapeMismatch(
-                f"superoperator matrix is {m.shape}, dim {self.dim} needs "
-                f"{(self.dim**2, self.dim**2)}"
-            )
+        if m.shape != (d * d, d * d):
+            raise ShapeMismatch(f"superoperator matrix is {m.shape}, dim {d} needs {(d * d, d * d)}")
         total, shift = float(np.vdot(m, m).real), 0
         if not _TINY <= total < math.inf:
             shift = part_exponent(m)
             if shift is None:
                 raise ParamOutOfRange("superoperator has non-finite entries")
-            unit_slabs = (ldexp(rows, -shift) for rows in m.reshape(self.dim, -1))
+            unit_slabs = (ldexp(rows, -shift) for rows in m.reshape(d, -1))
             total = float(sum(np.vdot(s, s).real for s in unit_slabs))
         half = (math.frexp(total)[1] + 1) // 2
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "_exponent", shift + half)
         object.__setattr__(self, "_unit_sq", math.ldexp(total, -2 * half))
 
@@ -298,6 +313,15 @@ class SingleSystemVerdict:
     detail: str
 
 
+def _real_forms(a: np.ndarray, g: float) -> np.ndarray:
+    """The rows of g a and i g a as reals, shape (n, 2, 2n): forms[n, 0]
+    and forms[n, 1] hold the interleaved real and imaginary parts of g a[n]
+    and i g a[n].  So (x, y) @ forms[n] are those of (x + i y) g a[n], and
+    one real matmul with inner dimension 2 of the pairs (Re c, Im c) against
+    forms gives the complex products c g a[n]."""
+    return (a[:, None, :] * (g * _TURN)).view(np.float64)
+
+
 def _fit_conjugation(superop: Superoperator, tol: float, transpose: bool = False):
     """Fit one reading of the map; return (U, gain, error).
 
@@ -315,7 +339,14 @@ def _fit_conjugation(superop: Superoperator, tol: float, transpose: bool = False
     One pass, one slab at a time scaled into a single d x d x d buffer (no
     d^4-sized copy): slab j adds its part of Re<K, M> and its explicit
     residual at the first slab's best non-negative gain
-    g0 = max(Re<K_0, S_0>, 0) / d.
+    g0 = max(Re<K_0, S_0>, 0) / d.  The model slab g0 K_j is one real
+    matmul into a second buffer of the slab's size, subtracted in place:
+    the unitary reading's [i, l, k] = g0 conj(U[j, l]) U[i, k] takes the
+    pairs (Re, Im) of conj(U[j]), (d, 2), against the real forms of g0 U
+    and i g0 U, (d, 2, 2d); the transposed reading's [i, a, b] =
+    g0 U[i, a] conj(U[j, b]) takes the pairs of U, (d^2, 2), against the
+    real forms of g0 conj(U[j]) and i g0 conj(U[j]), (2, 2d).  g0 enters
+    the forms, which are built once, after the first slab's inner product.
     The residual of the first J slabs is quadratic in the gain with
     curvature J d, so at gain g it is num - 2(g - g0)c + (g - g0)^2 J d,
     with num the residual at g0 and c = Re<K, S> - g0 J d over those slabs.
@@ -331,16 +362,13 @@ def _fit_conjugation(superop: Superoperator, tol: float, transpose: bool = False
     can be read.
     """
     d, k = superop.dim, superop._exponent
-    m4 = superop.matrix.reshape((d,) * 4)
+    parts = superop.matrix.view(np.float64).reshape(d, d, d, 2 * d)
     den = superop._unit_sq
     limit = tol**2 * den
-    buf = np.empty((d, d, d), dtype=complex)
-
-    def unit_slab(j):
-        np.ldexp(m4[j].view(np.float64), -k, out=buf.view(np.float64))
-        return buf
-
-    slab = unit_slab(0)
+    slab = np.empty((d, d, d), dtype=complex)
+    real = slab.view(np.float64)
+    model = np.empty_like(real)
+    np.ldexp(parts[0], -k, out=real)
     if transpose:
         u_slice = slab[:, :, int(np.argmax(np.linalg.norm(slab, axis=(0, 1))))]
     else:
@@ -352,28 +380,34 @@ def _fit_conjugation(superop: Superoperator, tol: float, transpose: bool = False
     inner, num, g0 = 0.0, 0.0, 0.0
     for j in range(d):
         if j:
-            slab = unit_slab(j)
+            np.ldexp(parts[j], -k, out=real)
         if transpose:
             inner += (flat_uc @ slab.reshape(d * d, d)) @ u[j]
         else:
             inner += np.matmul(slab, uc[:, :, None]).sum(axis=0)[:, 0] @ u[j]
         if not j:
             g0 = max(float(inner.real), 0.0) / d
+            if transpose:
+                pairs, forms = u.view(np.float64).reshape(d * d, 2), _real_forms(uc, g0)
+                out = model.reshape(d * d, -1)
+            else:
+                pairs, forms, out = uc.view(np.float64).reshape(d, d, 2), _real_forms(u, g0), model
         if transpose:
-            slab -= u[:, :, None] * (g0 * uc[j])[None, None, :]
+            np.matmul(pairs, forms[j], out=out)
         else:
-            slab -= (g0 * uc[j])[None, :, None] * u[:, None, :]
-        num += np.vdot(slab, slab).real
+            np.matmul(pairs[j], forms, out=out)
+        real -= model
+        num += float(np.vdot(slab, slab).real)
         curvature = (j + 1) * d
         c = float(inner.real) - g0 * curvature
         shift = max(c / curvature, -g0)
         bound = num - shift * (2.0 * c - shift * curvature)
         if not bound <= limit:
-            return None, None, float(np.sqrt(bound / den))
+            return None, None, math.sqrt(bound / den)
     gain = float(inner.real) / d**2
     if not gain > 0.0:
         return None, None, np.inf
-    return u, float(np.ldexp(gain, k)), float(np.sqrt(max(bound, 0.0) / den))
+    return u, float(np.ldexp(gain, k)), math.sqrt(max(bound, 0.0) / den)
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -460,6 +494,15 @@ def _fixed_probes(d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return probes, columns
 
 
+@lru_cache(maxsize=None)
+def _basis_kets(d: int) -> np.ndarray:
+    """The rows of the d x d identity, the basis set's states; cached per
+    d, hence read-only."""
+    kets = np.eye(d, dtype=complex)
+    kets.flags.writeable = False
+    return kets
+
+
 def _probe_images(superop: Superoperator, kets: np.ndarray) -> np.ndarray:
     """Images of the pure projectors of the columns of kets under the
     unit-scale map M * 2^-k, stacked as [n, i, j], from one product of the
@@ -475,8 +518,23 @@ def _probe_images(superop: Superoperator, kets: np.ndarray) -> np.ndarray:
     d, k = superop.dim, superop._exponent
     c = min(max(-k, -960), 960)
     vecs = ldexp((kets.conj()[:, None, :] * kets[None, :, :]).reshape(d * d, -1), c)  # [i + j*d, n]
-    images = ldexp(superop.matrix @ vecs, -k - c)
-    return np.ascontiguousarray(images.reshape(d, d, -1).transpose(2, 1, 0))
+    return _stacked(ldexp(superop.matrix @ vecs, -k - c), d)
+
+
+def _basis_images(superop: Superoperator, part: slice) -> np.ndarray:
+    """Images of the basis projectors |a><a|, a in range(d)[part], under
+    the unit-scale map, stacked as _probe_images stacks them.  The
+    column-stacked form of |a><a| is the unit vector at a(d+1), so each
+    image is column a(d+1) of M * 2^-k: a strided read with no product
+    with M."""
+    d = superop.dim
+    return _stacked(ldexp(superop.matrix[:, :: d + 1][:, part], -superop._exponent), d)
+
+
+def _stacked(vecs: np.ndarray, d: int) -> np.ndarray:
+    """The column-stacked images in the columns of vecs as a contiguous
+    stack [n, i, j]."""
+    return np.ascontiguousarray(vecs.reshape(d, d, -1).transpose(2, 1, 0))
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -492,11 +550,15 @@ def _check_images(phis, images: np.ndarray, tol: float):
     largest modulus (floored at 1e-300, so a zero image stays zero and
     fails), and then positive rank 1: h = (m + m^dag) / (2 s) has a
     largest eigenvalue lam > tol with ||h - lam vv^dag||_F <= tol ||h||_F.
-    failure is (witness, detail) for the first image, in the order of phis,
-    that fails (the witness None as _witness says), else None; h is the
-    stack of Hermitian parts at unit scale and kets[n] the unit top
+    failure is (witness, detail, mixed) for the first image, in the order
+    of phis, that fails (the witness None as _witness says), else None; h
+    is the stack of Hermitian parts at unit scale and kets[n] the unit top
     eigenvector of h[n] (up to a phase, within tol) for every image that
-    passes.
+    passes.  mixed says that the failing image is Hermitian and that its
+    eigenvalues, from the eigensolve that failed it, have a second largest
+    above tol times the largest modulus: then the clipped spectrum keeps two
+    positive values, so the single-state witness's entropy_out > 0 =
+    entropy_in.
 
     One stacked rank-1 fit decides most images without an eigensolve: w is
     the column of h at its largest diagonal entry, divided by that entry's
@@ -535,58 +597,97 @@ def _check_images(phis, images: np.ndarray, tol: float):
         certified = hermitian & (misfit <= tol * norms) & (w_sq - misfit > tol)
         kets = w / np.sqrt(np.maximum(w_sq, tol))[:, None]
     for i in np.flatnonzero(~certified):
+        mixed = False
         if hermitian[i]:
             lam, vecs = np.linalg.eigh(h[i])
             residual = np.linalg.norm(h[i] - lam[-1] * np.outer(vecs[:, -1], vecs[:, -1].conj()))
             if lam[-1] > tol and residual <= tol * np.linalg.norm(h[i]):
                 kets[i] = vecs[:, -1]
                 continue
+            mixed = d > 1 and bool(lam[-2] > tol * max(-lam[0], lam[-1]))
             detail = "image of a pure state is not a positive rank-1 matrix"
         else:
             detail = "image of a pure state is not Hermitian"
         witness = _witness(phis[i], phis[i], 1.0, 0.0, _hermitian_part(images[i]))
-        return (witness, detail), h, kets
+        return (witness, detail, mixed), h, kets
     return None, h, kets
+
+
+def _first_stages(superop: Superoperator, phis, image_of, tol: float):
+    """(failure, images, kets, gains) of the rank-1 and gains stages for the
+    pure states phis, whose unit-scale images image_of(part) gives: the
+    first state alone, which decides most maps that send pure states to
+    mixed ones, then the rest at once.
+
+    failure is None when every image is certified positive rank 1 (the
+    images, their kets and their traces gains are then returned) and the
+    gains agree within tol; else it is (witness, detail, claimed) for the
+    first stage that fails and the rest is None.  A rank-1 failure claims
+    an entropy change when _check_images found its image mixed.  A gains
+    failure, the pair of smallest and largest gain mixed on the closed-form
+    grid (_scan_pairs), claims the two gains it reports at the map's scale.
+    """
+    images, kets = [], []
+    for part in (slice(0, 1), slice(1, None)):
+        m = image_of(part)
+        failure, _, w = _check_images(phis[part], m, tol)
+        if failure is not None:
+            return failure, None, None, None
+        images.append(m)
+        kets.append(w)
+    images, kets = np.concatenate(images), np.concatenate(kets)
+    gains = np.trace(images, axis1=1, axis2=2).real
+    if gains.max() - gains.min() > tol * float(gains.mean()):
+        k, l = int(np.argmin(gains)), int(np.argmax(gains))
+        lo, hi = ldexp(gains[[k, l]], superop._exponent)
+        witness = _scan_pairs(phis, images, kets, gains, [k], [l])
+        return (witness, f"pure-state gains differ: {lo:.6g} vs {hi:.6g}", True), None, None, None
+    return None, images, kets, gains
 
 
 def _search_witness(superop: Superoperator, tol: float):
     """(witness, detail) for a map no conjugation reproduces.
 
-    Probe stages (fixed-stream states, drawn once per d), in order: pure
-    projectors must map to positive rank-1 matrices, their gains must agree,
-    pairwise overlap moduli must be preserved; the first stage that fails
-    names the witness, the failing state alone at the first stage and a
-    pair after it.  If all pass, the pair and mixing weight with the
-    largest entropy change among all pairs win.
-    Every witness is built from the probe images computed here at unit
-    scale, in two products with the map: the first probe alone, which
-    decides most maps that send pure states to mixed ones, then the rest at
-    once.  Past the first stage every image is certified rank 1, so each
-    pair stage picks its mixing weight by one closed-form scan
-    (_scan_pairs) and diagonalizes one mixture: the gains stage scans its
-    smallest- and largest-gain probes and reports those gains at the map's
-    scale, the overlap stage its pair of largest gap, the last stage every
-    pair.  The overlap stage compares the kets _check_images certified, the
-    images' top eigenvectors within tol, with no further eigensolve.  The
-    witness is None when the reported image leaves no state (_witness).
-    """
-    probes, columns = _fixed_probes(superop.dim)
-    images, kets = [], []
-    for part in (slice(0, 1), slice(1, None)):
-        m = _probe_images(superop, columns[:, part])
-        failure, _, w = _check_images(probes[part], m, tol)
-        if failure is not None:
-            return failure
-        images.append(m)
-        kets.append(w)
-    images, kets = np.concatenate(images), np.concatenate(kets)
-    gains = np.trace(images, axis1=1, axis2=2).real
-    scan = partial(_scan_pairs, probes, images, kets, gains)
-    if gains.max() - gains.min() > tol * float(gains.mean()):
-        k, l = int(np.argmin(gains)), int(np.argmax(gains))
-        lo, hi = ldexp(gains[[k, l]], superop._exponent)
-        return scan([k], [l]), f"pure-state gains differ: {lo:.6g} vs {hi:.6g}"
+    Two probe sets run the same first stages (_first_stages): pure
+    projectors must map to positive rank-1 matrices, and their gains must
+    agree.  The basis set comes first: the d projectors |a><a|, whose
+    images are columns of M (_basis_images), so it takes no product with
+    the map.  It decides the map only with a witness that makes its claim:
+    a pair of basis kets of unequal gains, or a basis ket whose image is
+    Hermitian with a second eigenvalue above tol times the largest
+    eigenvalue modulus, so that its entropy_out > 0 = entropy_in (read from
+    the eigensolve _check_images runs, with no new one).  The limit is
+    relative to the largest modulus, not to the largest eigenvalue, so the
+    image of a negated conjugation, -|phi><phi|, whose other eigenvalues
+    are rounding noise, claims nothing.  Every other basis outcome (a
+    non-Hermitian image, an image without that second eigenvalue, or d
+    rank-1 images of equal gains) hands the map to the Haar set.
 
+    The Haar set (fixed-stream states, drawn once per d) then runs its
+    first stages on probe images computed in two products with the map
+    (_probe_images), and after them: pairwise overlap moduli must be
+    preserved.  The first stage that fails names the witness, the failing
+    state alone at the rank-1 stage and a pair after it.  If all pass, the
+    pair and mixing weight with the largest entropy change among all pairs
+    win.  Past the rank-1 stage every image is certified rank 1, so each
+    pair stage picks its mixing weight by one closed-form scan
+    (_scan_pairs) and diagonalizes one mixture: the overlap stage its pair
+    of largest gap, the last stage every pair.  The overlap stage compares
+    the kets _check_images certified, the images' top eigenvectors within
+    tol, with no further eigensolve.  The witness is None when the
+    reported image leaves no state (_witness).
+    """
+    d = superop.dim
+    failure, *_ = _first_stages(superop, _basis_kets(d), partial(_basis_images, superop), tol)
+    if failure is not None and failure[2]:
+        return failure[:2]
+    probes, columns = _fixed_probes(d)
+    failure, images, kets, gains = _first_stages(
+        superop, probes, lambda part: _probe_images(superop, columns[:, part]), tol
+    )
+    if failure is not None:
+        return failure[:2]
+    scan = partial(_scan_pairs, probes, images, kets, gains)
     gap = np.abs(np.abs(kets.conj() @ kets.T) - np.abs(dag(columns) @ columns))
     if float(gap.max()) > tol:
         k, l = np.unravel_index(np.argmax(gap), gap.shape)
@@ -649,7 +750,8 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     |det| / ||block||_F (interlacing); the factor 2 covers the fit's
     rounding.  So a reading that is left out would have been rejected,
     and the verdict is the same, bit for bit, as when every fit runs.
-    A rejected map gets its witness from fixed-stream probe states, so the
+    A rejected map gets its witness from the basis kets or, when they make
+    no claim, from fixed-stream probe states (_search_witness), so the
     whole verdict depends only on (map, tol).  A reject whose reported
     image leaves no state after normalization (the image of -|phi><phi|,
     say) carries no witness, and its detail ends in "; no witness found".

@@ -58,6 +58,26 @@ def test_superoperator_refuses_a_dim_below_one(matrix, dim):
         Superoperator(matrix=matrix, dim=dim)
 
 
+@pytest.mark.parametrize(
+    "matrix,dim",
+    [(np.eye(4), 2.0), (np.eye(4), np.float64(2.0)), (np.eye(1), True), (np.eye(1), np.True_),
+     (np.eye(4), "2"), (np.eye(4), None)],
+)
+def test_superoperator_refuses_a_dim_that_is_not_an_integer(matrix, dim):
+    # (2.0**2, 2.0**2) == (4, 4) and True**2 == 1 would pass the shape check
+    with pytest.raises(ShapeMismatch, match="dim must be an integer"):
+        Superoperator(matrix=matrix, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [np.int64(2), np.uint8(2), np.intp(2)])
+def test_superoperator_takes_a_numpy_integer_dim_as_an_int(dim):
+    superop = Superoperator(matrix=superop_depolarizing(2, 0.5).matrix, dim=dim)
+    assert type(superop.dim) is int and superop.dim == 2
+    verdict = analyze(superop)
+    assert verdict.kind == KIND_NOT_PRESERVING
+    assert verdict.witness.entropy_out == pytest.approx(0.8112781244591328, abs=1e-12)
+
+
 def test_one_dimensional_superoperator_still_decides():
     # d = 1 has no 2x2 block: both readings are fitted as before
     verdict = analyze(Superoperator(matrix=[[2.0]], dim=1))
@@ -801,22 +821,35 @@ def test_nonunitary_conjugation_rejected_alike_at_every_scale():
 
 def test_witness_is_the_first_failing_probe():
     d = 4
-    probes = _probe_states(d, split_rng(0, 0))
-    # every pure image is mixed: the first probe is the witness
+    basis = np.eye(d, dtype=complex)
+    # every pure image is mixed: the basis ket |0> is the witness
     mixture = _kraus_superop([haar_unitary(d, seed=k) / np.sqrt(2.0) for k in (77, 78)])
     for superop in (superop_depolarizing(d, 0.5), mixture):
         verdict = analyze(superop)
         assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
-        np.testing.assert_array_equal(verdict.witness.phi1, probes[0])
-    # rho -> A rho A^dag + B rho B^dag with B = |0><v|, v orthogonal to the
-    # first probe: its image stays rank 1, every other probe's does not
+        np.testing.assert_array_equal(verdict.witness.phi1, basis[0])
+    # rho -> A rho A^dag + B rho B^dag with B = |0><v|, v orthogonal to |0>:
+    # the image of |0> stays rank 1, that of every other basis ket does not
     v = random_pure_state(d, split_rng(79, 0))
-    v -= np.vdot(probes[0], v) * probes[0]
+    v[0] = 0.0
     a = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
-    b = np.outer(np.eye(d)[0], v.conj())
+    b = np.outer(basis[0], v.conj())
     verdict = analyze(_kraus_superop([a, b]))
     assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
-    np.testing.assert_array_equal(verdict.witness.phi1, probes[1])
+    np.testing.assert_array_equal(verdict.witness.phi1, basis[1])
+
+
+@pytest.mark.parametrize("strength", [1.0, 0.5])
+def test_witness_is_the_first_failing_haar_probe_when_the_basis_images_pass(strength):
+    # rho -> (1 - s) rho + s diag(rho) keeps every basis projector, so the
+    # basis set hands over, and the first Haar probe's image is mixed
+    d = 4
+    probes = _probe_states(d, split_rng(0, 0))
+    dephasing = np.diag([1.0 if i == j else 1.0 - strength for j in range(d) for i in range(d)])
+    verdict = analyze(Superoperator(dephasing.astype(complex), d))
+    assert verdict.detail == "image of a pure state is not a positive rank-1 matrix"
+    np.testing.assert_array_equal(verdict.witness.phi1, probes[0])
+    np.testing.assert_array_equal(verdict.witness.phi2, probes[0])
 
 
 def test_cached_probes_leave_each_witness_its_own_states():
@@ -915,6 +948,10 @@ def test_negated_conjugation_never_reports_a_nan_witness():
                 missing += 1
             else:
                 assert np.isfinite([w.p, w.entropy_in, w.entropy_out]).all()
+                # the basis images, -|a><a| with noise, have no second
+                # eigenvalue above tol times the largest modulus: the Haar
+                # set decides
+                assert _is_haar_probe(w.phi1, d)
     assert missing > 0
 
 
@@ -1039,3 +1076,68 @@ def test_blocks_never_rule_out_a_reading_that_accepts(monkeypatch, d, transpose,
     monkeypatch.setattr(entropy_dynamics, "block_beyond", lambda *args: False)
     for superop, v in zip([*quiet, loud], verdicts, strict=True):
         assert _same_analysis(v, analyze(superop, tol))
+
+
+# ---------------------------------------------------------------------------
+# the basis set
+
+
+def _no_probe_images(*args):
+    raise AssertionError("the Haar probe images were computed")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("family", ["depolarizer", "mixture", "nonunitary"])
+def test_basis_set_decides_without_a_product_with_the_map(monkeypatch, family, d):
+    tol = 1e-8
+    reference = None
+    for j in (0, -1000, 900):
+        superop = Superoperator(ldexp(_block_family(family, d), j), d)
+        monkeypatch.setattr(entropy_dynamics, "_probe_images", _no_probe_images)
+        verdict, calls = _count_eigensolves(monkeypatch, superop)
+        if d == 1:
+            # every one of these maps is a positive scalar at d = 1
+            assert verdict.kind == KIND_UNITARY
+            continue
+        assert verdict.kind == KIND_NOT_PRESERVING
+        gains = family == "nonunitary"
+        stage = "pure-state gains differ" if gains else "image of a pure state is not a positive rank-1"
+        assert verdict.detail.startswith(stage)
+        # the eigensolve of _check_images that the claim reads (none where
+        # the rank-1 fit certifies every image), and the witness's own
+        assert calls["eigh"] == ([] if gains else [(d, d)])
+        assert calls["eigvalsh"] == [(d, d)]
+        w = verdict.witness
+        for phi in (w.phi1, w.phi2):
+            assert np.count_nonzero(phi) == 1 and 1.0 in phi
+        rho = w.p * pure_projector(w.phi1) + (1.0 - w.p) * pure_projector(w.phi2)
+        image = superop.apply(rho)
+        image = (image + image.conj().T) / (2 * np.trace(image).real)
+        assert w.entropy_in == pytest.approx(von_neumann_entropy(rho), abs=1e-9)
+        assert w.entropy_out == pytest.approx(von_neumann_entropy(image), abs=1e-9)
+        assert abs(w.entropy_out - w.entropy_in) > 1e-3
+        # the images are exact columns of M * 2^-k: the same witness at every scale
+        reference = reference or w
+        fields = ("phi1", "phi2", "p", "entropy_in", "entropy_out")
+        assert all(_same_bits(getattr(w, f), getattr(reference, f)) for f in fields)
+
+
+def _random_phase_map(d, seed):
+    # multiplies each entry of rho by its own phase
+    return np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=d * d)))
+
+
+def _is_haar_probe(phi, d) -> bool:
+    return any(np.array_equal(phi, probe) for probe in entropy_dynamics._fixed_probes(d)[0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_random_phase_maps_keep_their_haar_witnesses(d):
+    # the basis images e^(i t) |a><a| are not Hermitian, so they claim
+    # nothing and the Haar set decides
+    for seed in range(10):
+        verdict = analyze(Superoperator(_random_phase_map(d, seed), d))
+        assert verdict.kind == KIND_NOT_PRESERVING
+        w = verdict.witness
+        assert (w is None) == verdict.detail.endswith("; no witness found")
+        assert w is None or (_is_haar_probe(w.phi1, d) and _is_haar_probe(w.phi2, d))
