@@ -41,30 +41,25 @@ image factors with the roles of row and column swapped (_roles).
 The reject path computes only what it reads.  Before either fit, four
 entries of column 0 are read: the leading 2x2 block of the unit-scale image
 of |0,0> in the layout (n, m), and for n != m in (m, n) too.  Where every
-such block has |det| > beta ||block||_F, beta = 2 sqrt(2) tol nm, no
-reading can fit (_first_image_entangled): a fitted reading leaves that
-image within tol ||L||_F < sqrt(2) tol nm of a product, so its s_2 is at
-most that (Weyl's inequality), while any 2x2 block bounds s_2 from below by
-|det| / ||block||_F (Cauchy interlacing), and the factor 2 covers the fit's
-rounding.  The map is then NotPreserving with the witness |0,0>, the
-witness search's first candidate, bit for bit, and neither fit runs; its
-evidence reads column 0 alone.  Where that image is a product, four
-entries of row 0 are read next, L[0,0], L[0,1], L[0,m] and L[0,m+1]: the
-leading 2x2 block of row 0 as an n x m matrix, and a 2x2 block of both
+such block is beyond a fit (linalg.block_beyond), no reading can fit
+(_first_image_entangled).  The map is then NotPreserving with the witness
+|0,0>, the witness search's first candidate, bit for bit, and neither fit
+runs; its evidence reads column 0 alone.  Where that image is a product,
+four entries of row 0 are read next, L[0,0], L[0,1], L[0,m] and L[0,m+1]:
+the leading 2x2 block of row 0 as an n x m matrix, and a 2x2 block of both
 realignments, Local and SwapLocal, for n = m and for n != m
-(_first_row_entangled).  A fitted reading has s_2 of its realignment at
-most tol ||L||_F (Eckart-Young), and the same bound on |det| / ||block||_F
-(interlacing) proves that neither fits: both fits are skipped, and the
-witness search runs as it would after two failed fits.  This decides the
-CNOT-like and controlled-phase rejects, whose basis images are products.
+(_first_row_entangled).  Where it is beyond a fit, neither reading fits:
+both fits are skipped, and the witness search runs as it would after two
+failed fits.  This decides the CNOT-like and controlled-phase rejects,
+whose basis images are products.
 A map that factors but is singular pays for one full SVD of each n x n
 and m x m factor, never one of the nm x nm map: the singular values of
 A x B are the products s_i(A) s_j(B) and its singular vectors the products
 of the factors'.  The rank check reads the map's values-only spectrum,
 cached on the map, and only a rank-deficient map pays for one full SVD,
 for its kernel vector.  Whether an image vanishes is decided by two
-bounds on ||L||_2 that unit scale gives, 1/2 <= ||L||_2 < sqrt(2) nm,
-and the spectrum is read only for an image between them.
+bounds on ||L||_2 from the unit-scale norm, and the spectrum is read only
+for an image between them (_vanishing).
 Schmidt evidence holds coefficients and ranks from values-only spectra,
 never Schmidt vectors.  A fixed candidate of the witness search that makes
 no claim costs one matrix-vector product and one values-only spectrum of
@@ -82,17 +77,12 @@ As every SwapLocal map entangles some product states in the own layout
 (n, m), a product-state witness of an n != m map must show an entangled
 image in both layouts.
 
-Every decision is made on the map at unit scale, L * 2^-k, with k the
-binary exponent of its largest real or imaginary part, which the
-constructor reads in the pass that also refuses non-finite entries.  The
-realignment fit scales the map as it realigns it, so an accepted map never
-makes the unit-scale copy that the reject path reads.  Scaling by a power of
-two is exact, so the fits, spectra, kernel vectors and images that decide a
-verdict are the same bits for L and for L * 2^j whenever that product is
-exact, and no norm under- or overflows at any scale of the map.  Only the
-outputs that carry the map's scale, A, the image Schmidt coefficients and
-singular_values, are multiplied back by 2^k; where A times 2^k would
-overflow, A and B take about half of k each.
+Every decision is made on the map at unit scale, L * 2^-k (see linalg).
+The realignment fit scales the map as it realigns it, so an accepted map
+never makes the unit-scale copy that the reject path reads.  The outputs
+that carry the map's scale are A, the image Schmidt coefficients and
+singular_values; where A times 2^k would overflow, A and B each take about
+half of the exponent of the map's largest real or imaginary part.
 """
 
 from __future__ import annotations
@@ -114,6 +104,7 @@ from .linalg import (
     singular_values,
     svd,
     tolerance,
+    unit_scale,
 )
 from .schmidt import BipartiteShape, as_shape
 
@@ -133,19 +124,19 @@ CASE_II = "II"
 # sweeps of the product-state search per output layout
 PRODUCT_SEARCH_SWEEPS = 4
 
+# relative widening of _vanishing's two shortcut bounds
+_ROUNDING = 1.0 + 2.0**-20
+
 
 @dataclass(frozen=True)
 class BipartiteMap:
     """Square nm x nm matrix acting on the composite space.
 
-    Every entry must be finite.  The constructor reads the largest and the
-    smallest real or imaginary part, which are finite exactly when every
-    entry is (a NaN or an inf shows up in one of them), and keeps the
-    binary exponent k of the larger modulus.  The unit-scale copy
-    L * 2^-k, whose parts are below 1 in modulus with the largest at
-    least 1/2, so that 1/2 <= ||L * 2^-k||_2 < sqrt(2) nm, and its
-    singular values are computed only when first read and then cached on
-    the instance, so the matrix must not be mutated after construction.
+    Every entry must be finite.  The constructor keeps the map's unit
+    scale (linalg.unit_scale, in n slabs), refusing a non-finite entry
+    with ParamOutOfRange.  The unit-scale copy L * 2^-k and its singular
+    values are computed only when first read and then cached on the
+    instance, so the matrix must not be mutated after construction.
     classify reads the copy and the spectrum on the reject path alone: the
     spectrum in the rank check, which runs where the factors' kernel vector
     of a fitted reading does not vanish and where none of the witness
@@ -164,16 +155,12 @@ class BipartiteMap:
         m = np.ascontiguousarray(as_matrix(self.matrix))
         shape = as_shape(self.shape)
         if m.shape != (shape.dim, shape.dim):
-            raise ShapeMismatch(
-                f"map is {m.shape}, shape {shape.as_tuple()} needs "
-                f"{(shape.dim, shape.dim)}"
-            )
-        k = part_exponent(m)
-        if k is None:
-            raise ParamOutOfRange("map has non-finite entries")
+            raise ShapeMismatch(f"map is {m.shape}, shape {shape.as_tuple()} needs {(shape.dim, shape.dim)}")
+        k, unit_sq = unit_scale(m, shape.n)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_exponent", k)
+        object.__setattr__(self, "_unit_sq", unit_sq)
 
     @cached_property
     def _unit(self) -> np.ndarray:
@@ -249,20 +236,22 @@ def _vanishing(bmap: BipartiteMap, image: np.ndarray, state: np.ndarray, tol) ->
     """Whether the image, under the unit-scale map, is at most
     tol * ||L||_2 * ||state||, all at unit scale.
 
-    Unit scale bounds the 2-norm without the spectrum: every real or
-    imaginary part is below 1 and the largest is at least 1/2, so
-    1/2 <= ||L||_2 <= ||L||_F < sqrt(2) nm (the zero map aside).  An image
-    above tol * ||state|| * sqrt(2) nm does not vanish, and one at most
-    tol * ||state|| / 2 does, the zero image included.  Only an image
-    between the two reads the spectrum for ||L||_2.
+    The unit-scale norm the constructor kept bounds the 2-norm without the
+    spectrum: ||L||_F / sqrt(nm) <= ||L||_2 <= ||L||_F.  An image above
+    tol * ||state|| times the upper bound does not vanish, and one at most
+    that times the lower bound does, the zero image included.  Each bound
+    is widened by a relative 2^-20 (_ROUNDING), beyond the rounding of the
+    sum of squares and of the computed s_1, so a shortcut never disagrees
+    with the spectrum rule.  Only an image between the two reads the
+    spectrum for ||L||_2.
     """
     bound = tol * np.linalg.norm(state)
     norm = np.linalg.norm(image)
-    if norm > bound * np.sqrt(2.0) * bmap.shape.dim:
+    frobenius = math.sqrt(bmap._unit_sq)
+    if norm > bound * frobenius * _ROUNDING:
         return False
-    if norm <= bound / 2:
-        return True
-    return bool(norm <= bound * bmap._spectrum[0])
+    lower = bound * frobenius / (math.sqrt(bmap.shape.dim) * _ROUNDING)
+    return bool(norm <= lower or norm <= bound * bmap._spectrum[0])
 
 
 def _schmidt_evidence(state, shape, image_spectrum, image_shape, k: int, tol: float) -> SchmidtEvidence:
@@ -657,24 +646,15 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
     return a / phase, b * phase, err
 
 
-def _block_beta(bmap: BipartiteMap, tol: float) -> float:
-    """beta = 2 sqrt(2) tol nm of the block tests (block_beyond): a 2x2
-    block of unit-scale entries with |det| > beta ||block||_F puts s_2 of
-    any matrix holding it above twice tol times ||L||_F < sqrt(2) nm (see
-    classify)."""
-    return 2.0 * math.sqrt(2.0) * tol * bmap.shape.n * bmap.shape.m
-
-
 def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
     """Whether the leading 2x2 block of the unit-scale image of |0,0>, read
-    off column 0, is beyond a fit (block_beyond at _block_beta) in the
-    layout (n, m) and for n != m in (m, n) too: proof that no reading fits
-    and that |0,0> is the witness search's first witness (see classify)."""
+    off column 0, is beyond a fit (block_beyond) in the layout (n, m) and
+    for n != m in (m, n) too: proof that no reading fits and that |0,0> is
+    the witness search's first witness (see classify)."""
     n, m = bmap.shape.n, bmap.shape.m
-    column = bmap.matrix[: max(n, m) + 2, 0].tolist()
-    k, beta = -bmap._exponent, _block_beta(bmap, tol)
-    for stride in {m, n}:  # the row strides of the layouts (n, m) and (m, n)
-        if not block_beyond(column[0], column[1], column[stride], column[stride + 1], k, beta):
+    col = bmap.matrix[: max(n, m) + 2, 0].tolist()
+    for j in {m, n}:  # the row strides of the layouts (n, m) and (m, n)
+        if not block_beyond(col[0], col[1], col[j], col[j + 1], -bmap._exponent, bmap._unit_sq, tol):
             return False
     return True
 
@@ -682,14 +662,13 @@ def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
 def _first_row_entangled(bmap: BipartiteMap, tol: float) -> bool:
     """Whether the leading 2x2 block of row 0 of the map, as an n x m matrix
     in the input layout (entries L[0,0], L[0,1], L[0,m], L[0,m+1]), is
-    beyond a fit (block_beyond at _block_beta): proof that neither reading
-    fits.
+    beyond a fit (block_beyond): proof that neither reading fits.
     Rows (0,0), (0,1) and columns (0,0), (0,1) of the Local realignment
     R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal one hold
     those same four entries, for n = m and for n != m (see classify)."""
     m = bmap.shape.m
     row = bmap.matrix[0, : m + 2].tolist()
-    return block_beyond(row[0], row[1], row[m], row[m + 1], -bmap._exponent, _block_beta(bmap, tol))
+    return block_beyond(row[0], row[1], row[m], row[m + 1], -bmap._exponent, bmap._unit_sq, tol)
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
@@ -748,26 +727,21 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     Before either reading, the leading 2x2 block of the unit-scale image
     of |0,0>, four entries of column 0 scaled by 2^-k, is tested in the
     layout (n, m) and for n != m in (m, n) too (_first_image_entangled).
-    Where every block has |det| > 2 sqrt(2) tol nm ||block||_F, no reading
-    can fit: one that fits leaves the image within tol ||L||_F of a
-    product, below sqrt(2) tol nm at unit scale, which bounds its s_2 (Weyl),
-    and s_2 >= |det| / ||block||_F (Cauchy interlacing); the factor 2
-    covers the fit's rounding.  The verdict is then NotPreserving with
-    |0,0> as a ProductToEntangled witness, the one the witness search would
-    return first, bit for bit, and the detail below; the fits and every
-    later stage are skipped.  Its evidence reads column 0 times 2^-k, the
-    bits of the search's image of |0,0>, and the vanishing test is skipped:
-    the bound puts s_2 of that image above 2 tol ||L||_F.
+    Where every block is beyond a fit (linalg.block_beyond), no reading can
+    fit.  The verdict is then NotPreserving with |0,0> as a
+    ProductToEntangled witness, the one the witness search would return
+    first, bit for bit, and the detail below; the fits and every later
+    stage are skipped.  Its evidence reads column 0 times 2^-k, the bits of
+    the search's image of |0,0>, and the vanishing test is skipped: the
+    bound puts s_2 of that image above 2 tol ||L||_F.
 
     Otherwise the leading 2x2 block of row 0, as an n x m matrix in the
     input layout (L[0,0], L[0,1], L[0,m], L[0,m+1], scaled by 2^-k), is
     tested against the same bound (_first_row_entangled).  It is a 2x2
     block of both realignments: rows (0,0), (0,1) and columns (0,0), (0,1)
     of R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal
-    realignment hold those four entries, for n = m and for n != m.  A
-    reading that fits has s_2(R) <= tol ||R||_F < sqrt(2) tol nm
-    (Eckart-Young), and s_2(R) >= |det| / ||block||_F (interlacing), so
-    where the test fires each fit would return None: neither runs, and the
+    realignment hold those four entries, for n = m and for n != m.  Where
+    the test fires each fit would return None: neither runs, and the
     witness search below runs as after two failed fits.  Elsewhere nothing
     changes.
 
@@ -792,8 +766,8 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
     its state too (_gate).  A map whose witness is the
     factors' kernel vector or one of the three fixed states never computes
     its spectrum unless that witness image falls between the vanishing
-    test's two bounds, tol ||x|| / 2 and sqrt(2) nm tol ||x|| at unit
-    scale; any other reject reads it in the rank check.  Before the rank
+    test's two bounds (_vanishing); any other reject reads it in the rank
+    check.  Before the rank
     check no SVD with vectors runs: every witness's Schmidt evidence reads
     values-only spectra.  No image table is built
     and no phase grid factored, so classify returns no NonFactorizablePhase
@@ -844,8 +818,9 @@ def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVe
         if ratio > tol:
             k = k_a = bmap._exponent
             if k + part_exponent(a) > 1024:  # a part of A * 2^k would overflow
-                k_a = k - k // 2
-                b = ldexp(b, k // 2)
+                # A and B share the exponent of the map's largest part
+                half = part_exponent(bmap.matrix) // 2
+                k_a, b = k - half, ldexp(b, half)
             return QualitativeVerdict(
                 kind,
                 ldexp(a, k_a),

@@ -8,12 +8,8 @@ matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
 makes linearity over statistical mixtures automatic, so the analyzer only
 has to test preservation of disorder and extract the structure.
 
-Every decision is made at unit scale, on M * 2^-k, with k one binary
-exponent per map that the constructor takes from the sum of squares it
-already forms.  Scaling by a power of two is exact, so the fits, probe
-images and witnesses are the same bits for M and for M * 2^j whenever that
-product is exact, and no norm under- or overflows at any scale of the map.
-Only the gain, and the gains a reject reports, are multiplied back by 2^k.
+Every decision is made at unit scale, on M * 2^-k (see linalg); only the
+gain, and the gains a reject reports, are multiplied back by 2^k.
 
 An accepted map is read twice: once by the constructor, whose one sum
 gives finiteness, the exponent and the unit-scale squared norm, and once by
@@ -50,7 +46,6 @@ image leaves no state after normalization carries no witness.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -58,13 +53,12 @@ import numpy as np
 
 from .errors import ParamOutOfRange, ShapeMismatch
 from .generators import random_pure_state, split_rng
-from .linalg import DEFAULT_RANK_TOL, as_matrix, block_beyond, dag, ldexp, part_exponent, tolerance
+from .linalg import DEFAULT_RANK_TOL, as_matrix, block_beyond, dag, dimension, ldexp, tolerance, unit_scale
 
 KIND_UNITARY = "UnitaryConjugation"
 KIND_ANTIUNITARY = "AntiunitaryConjugation"
 KIND_NOT_PRESERVING = "NotPreserving"
 
-_TINY = float(np.finfo(np.float64).tiny)
 _TURN = np.array([[1.0], [1j]])  # the factors of _real_forms' two rows
 _TURN.flags.writeable = False
 
@@ -85,44 +79,26 @@ def unvec_density(v: np.ndarray, d: int) -> np.ndarray:
 class Superoperator:
     """Candidate single-system dynamics in matrix form; every entry finite.
 
-    The matrix is stored C-contiguous, and construction reads it once: its
-    squared Frobenius norm, one vdot, is finite exactly when every entry is,
-    as a sum of non-negative terms cannot cancel an inf or a NaN.  When
-    the sum is finite and normal, it also gives the exponent k, with
-    ||M * 2^-k||_F^2 in [1/4, 1), and that unit-scale sum exactly.  Only a
-    sum outside the normal range (an overflow, a NaN, an inf, or a map so
-    small that its squares underflow) reads the largest and smallest real
-    or imaginary part, which refuse a non-finite entry and give a first
-    exponent, and sums the slabs at that scale once.  analyze works at the
-    scale kept on the instance, so the matrix must not be mutated after
-    construction.  dim must be an integer of at least 1: a numpy integer is
-    kept as an int, and a float or a bool is refused.
+    The matrix is stored C-contiguous, and construction takes its unit
+    scale (linalg.unit_scale, in d slabs), refusing a non-finite entry
+    with ParamOutOfRange.  analyze works at the scale kept on the
+    instance, so the matrix must not be mutated after construction.  dim
+    follows linalg.dimension's integer rule.
     """
 
     matrix: np.ndarray
     dim: int
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not hasattr(self.dim, "__index__"):
-            raise ShapeMismatch(f"superoperator dim must be an integer, got {self.dim!r}")
-        d = operator.index(self.dim)
-        if d < 1:
-            raise ShapeMismatch(f"superoperator dim must be >= 1, got {d}")
+        d = dimension(self.dim, "superoperator dim")
         m = np.ascontiguousarray(as_matrix(self.matrix))
         if m.shape != (d * d, d * d):
             raise ShapeMismatch(f"superoperator matrix is {m.shape}, dim {d} needs {(d * d, d * d)}")
-        total, shift = float(np.vdot(m, m).real), 0
-        if not _TINY <= total < math.inf:
-            shift = part_exponent(m)
-            if shift is None:
-                raise ParamOutOfRange("superoperator has non-finite entries")
-            unit_slabs = (ldexp(rows, -shift) for rows in m.reshape(d, -1))
-            total = float(sum(np.vdot(s, s).real for s in unit_slabs))
-        half = (math.frexp(total)[1] + 1) // 2
+        k, unit_sq = unit_scale(m, d)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "_exponent", shift + half)
-        object.__setattr__(self, "_unit_sq", math.ldexp(total, -2 * half))
+        object.__setattr__(self, "_exponent", k)
+        object.__setattr__(self, "_unit_sq", unit_sq)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec_density(self.matrix @ vec_density(rho), self.dim)
@@ -701,8 +677,7 @@ def _readings(superop: Superoperator, tol: float):
     one that a 2x2 block of its realignment puts beyond a fit; a block is
     tested only when its reading comes up.
 
-    With beta = 2 tol ||M * 2^-k||_F, a block is beyond a fit when
-    |det| > beta ||block||_F at unit scale (block_beyond).  The block
+    A block is beyond a fit by linalg.block_beyond's bound.  The block
     M[0,0], M[0,1], M[0,d], M[0,d+1] belongs to both realignments,
     R_U[(j,l),(i,k)] = M[jd+i, ld+k] and R_A[(j,b),(i,a)] = M[jd+i, ad+b]
     (to the second one transposed), so where it is beyond a fit no reading
@@ -716,12 +691,12 @@ def _readings(superop: Superoperator, tol: float):
         yield from ((KIND_UNITARY, False), (KIND_ANTIUNITARY, True))
         return
     row0, row1 = superop.matrix[:2, : d + 2].tolist()
-    k, beta = -superop._exponent, 2.0 * tol * math.sqrt(superop._unit_sq)
-    if block_beyond(row0[0], row0[1], row0[d], row0[d + 1], k, beta):
+    k, unit_sq = -superop._exponent, superop._unit_sq
+    if block_beyond(row0[0], row0[1], row0[d], row0[d + 1], k, unit_sq, tol):
         return
-    if not block_beyond(row0[0], row1[0], row0[d], row1[d], k, beta):
+    if not block_beyond(row0[0], row1[0], row0[d], row1[d], k, unit_sq, tol):
         yield KIND_UNITARY, False
-    if not block_beyond(row0[0], row1[0], row0[1], row1[1], k, beta):
+    if not block_beyond(row0[0], row1[0], row0[1], row1[1], k, unit_sq, tol):
         yield KIND_ANTIUNITARY, True
 
 
@@ -742,14 +717,10 @@ def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSyst
     A reading is fitted only when no 2x2 block of its realignment rules it
     out (_readings).  Seven entries of rows 0 and 1 of M * 2^-k are read:
     M[0,0], M[0,1], M[0,d], M[0,d+1], M[1,0], M[1,1] and M[1,d].  A block
-    rules a reading out when |det| > beta ||block||_F, with
-    beta = 2 tol ||M * 2^-k||_F.  An accepted reading can never fire its
-    blocks: it leaves its realignment R within tol ||M||_F of the rank-one
-    realignment of g * conj(U) x U, so s_2(R) <= tol ||M||_F
-    (Eckart-Young), while any 2x2 block of R gives s_2(R) >=
-    |det| / ||block||_F (interlacing); the factor 2 covers the fit's
-    rounding.  So a reading that is left out would have been rejected,
-    and the verdict is the same, bit for bit, as when every fit runs.
+    rules a reading out when it is beyond a fit (linalg.block_beyond), as an
+    accepted reading's blocks never are: a reading that is left out would
+    have been rejected, and the verdict is the same, bit for bit, as when
+    every fit runs.
     A rejected map gets its witness from the basis kets or, when they make
     no claim, from fixed-stream probe states (_search_witness), so the
     whole verdict depends only on (map, tol).  A reject whose reported

@@ -3,11 +3,21 @@
 Index convention used by every module: a bipartite vector on an n x m system
 is stored row-major and A-major, i.e. the product basis ket |i_A, j_B> sits at
 flat index i*m + j.  All matrices are dense complex128, row-major.
+
+Unit scale, shared by both deciders: a map M is decided at M * 2^-k, with k
+the one integer for which ||M * 2^-k||_F lies in [1/2, 1) (k = 0 for the
+zero map), computed by unit_scale when the map is constructed.  Scaling by
+a power of two is exact, so every fit, spectrum, image and witness is the
+same bits for M and for M * 2^j wherever that product is exact, and no norm
+under- or overflows at any scale of the map.  Only the outputs that carry
+the map's scale are multiplied back by 2^k.  The one 2x2 block bound that
+rules a fit out before it runs is block_beyond's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +28,8 @@ from .errors import NoConvergence, ParamOutOfRange, ShapeMismatch
 # relative 1e-8.  Every operation takes it per call.
 DEFAULT_RANK_TOL = 1e-8
 
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def tolerance(value) -> float:
     """value as a float in (0, 1), else ParamOutOfRange (NaN included)."""
@@ -25,6 +37,17 @@ def tolerance(value) -> float:
     if not 0.0 < tol < 1.0:
         raise ParamOutOfRange(f"tol must be in (0, 1), got {tol}")
     return tol
+
+
+def dimension(value, name: str) -> int:
+    """value as an int of at least 1, else ShapeMismatch: a numpy integer
+    is kept as an int, and a float or a bool is refused."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
+    d = operator.index(value)
+    if d < 1:
+        raise ShapeMismatch(f"{name} must be >= 1, got {d}")
+    return d
 
 
 def as_matrix(m) -> np.ndarray:
@@ -68,17 +91,44 @@ def ldexp(a, k: int) -> np.ndarray:
     return np.ldexp(a.view(np.float64), k).view(a.dtype)
 
 
-def block_beyond(p: complex, q: complex, r: complex, s: complex, k: int, beta: float) -> bool:
-    """Whether the 2x2 block [[p, q], [r, s]], each part scaled by 2^k,
-    has |det| > beta * ||block||_F.  Then s_2 of any matrix that holds the
-    scaled block exceeds beta, as s_2 >= |det| / ||block||_F (Cauchy
-    interlacing).  The parts are scaled one by one, so no copy of the
-    matrix that holds them is made."""
+def unit_scale(m: np.ndarray, slabs: int) -> tuple[int, float]:
+    """(k, ||m * 2^-k||_F^2) of a contiguous complex128 matrix, the squared
+    norm in [1/4, 1), or 0 for a zero matrix (then k = 0).
+
+    One vdot, the squared Frobenius norm, is finite exactly when every entry
+    is, as a sum of non-negative terms cannot cancel an inf or a NaN; when
+    it is also normal it gives k and the unit-scale sum exactly.  Only a sum
+    outside the normal range (an overflow, a NaN, an inf, or a matrix so
+    small that its squares underflow) reads part_exponent, which refuses a
+    non-finite entry with ParamOutOfRange and gives a first exponent, and
+    sums the matrix at that scale once, split into slabs blocks of rows, so
+    no scaled copy of the whole matrix is made."""
+    total, shift = float(np.vdot(m, m).real), 0
+    if not _TINY <= total < math.inf:
+        shift = part_exponent(m)
+        if shift is None:
+            raise ParamOutOfRange("map has non-finite entries")
+        total = float(sum(np.vdot(s, s).real for s in (ldexp(rows, -shift) for rows in m.reshape(slabs, -1))))
+    half = (math.frexp(total)[1] + 1) // 2
+    return shift + half, math.ldexp(total, -2 * half)
+
+
+def block_beyond(p: complex, q: complex, r: complex, s: complex, k: int, unit_sq: float, tol: float) -> bool:
+    """Whether the 2x2 block [[p, q], [r, s]], each part scaled by 2^k to
+    unit scale, has |det| > beta ||block||_F, beta = 2 tol ||M * 2^-k||_F
+    with unit_sq = ||M * 2^-k||_F^2; then no rank-one reading of M that
+    holds the block in a realignment, or in an image, can fit within tol.
+
+    A reading that fits leaves that matrix within tol ||M||_F of rank one,
+    so its s_2 is at most tol ||M||_F (Eckart-Young, or Weyl for an image
+    of a unit state), while any 2x2 block gives s_2 >= |det| / ||block||_F
+    (Cauchy interlacing).  The factor 2 covers the fit's rounding.  The
+    parts are scaled one by one, so no copy of the matrix is made."""
     p = complex(math.ldexp(p.real, k), math.ldexp(p.imag, k))
     q = complex(math.ldexp(q.real, k), math.ldexp(q.imag, k))
     r = complex(math.ldexp(r.real, k), math.ldexp(r.imag, k))
     s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
-    return abs(p * s - q * r) > beta * math.hypot(abs(p), abs(q), abs(r), abs(s))
+    return abs(p * s - q * r) > 2.0 * tol * math.sqrt(unit_sq) * math.hypot(abs(p), abs(q), abs(r), abs(s))
 
 
 @dataclass(frozen=True)

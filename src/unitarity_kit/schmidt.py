@@ -9,20 +9,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroVector
-from .linalg import DEFAULT_RANK_TOL, as_vector, svd, tolerance
+from .linalg import DEFAULT_RANK_TOL, as_vector, dimension, svd, tolerance
 from .states import check_pure_state, shannon_bits
 
 
 @dataclass(frozen=True)
 class BipartiteShape:
-    """Dimensions (n, m) of the two tensor factors."""
+    """Dimensions (n, m) of the two tensor factors, each an integer of at
+    least 1 by linalg.dimension's rule, which Superoperator's dim follows
+    too: a numpy integer is kept as an int, a float or a bool is refused."""
 
     n: int
     m: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ShapeMismatch(f"factor dims must be >= 1, got {self}")
+        object.__setattr__(self, "n", dimension(self.n, "factor dim n"))
+        object.__setattr__(self, "m", dimension(self.m, "factor dim m"))
 
     @property
     def dim(self) -> int:
@@ -39,7 +41,7 @@ def as_shape(shape) -> BipartiteShape:
     if isinstance(shape, BipartiteShape):
         return shape
     n, m = shape
-    return BipartiteShape(int(n), int(m))
+    return BipartiteShape(n, m)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,39 @@ def test_bipartite_map_refuses_non_finite_entries(bad):
         BipartiteMap(m, BipartiteShape(2, 2))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BipartiteMap(np.eye(4), (2.7, 2.2)),
+        lambda: BipartiteShape(2.5, 2),
+        lambda: BipartiteShape(True, 2),
+        lambda: BipartiteShape(2, np.True_),
+        lambda: BipartiteShape(2, np.float64(2.0)),
+    ],
+)
+def test_a_factor_dim_that_is_not_an_integer_is_refused(make):
+    # int() used to truncate 2.7 to 2 and take True as 1
+    with pytest.raises(ShapeMismatch, match="must be an integer"):
+        make()
+
+
+def test_a_numpy_integer_factor_dim_is_kept_as_an_int():
+    shape = BipartiteShape(np.int64(2), np.uint8(3))
+    assert (type(shape.n), type(shape.m), shape.dim) == (int, int, 6)
+    bmap = BipartiteMap(np.eye(6), (np.int64(2), np.int64(3)))
+    assert bmap.shape == BipartiteShape(2, 3) and type(bmap.shape.n) is int
+
+
+def test_witness_with_a_non_integer_image_layout_is_refused():
+    # (2.5, 2) used to be read as (2, 2), the map's own layout, and re-verify
+    bmap = cnot_map()
+    w = classify(bmap).witness
+    assert witness_reverifies(bmap, w)
+    odd = Witness(w.kind, w.state, dataclasses.replace(w.evidence, image_shape=(2.5, 2)))
+    with pytest.raises(ShapeMismatch, match="must be an integer"):
+        witness_reverifies(bmap, odd)
+
+
 def test_zero_map_is_rejected_with_witness():
     bmap = BipartiteMap(np.zeros((4, 4), dtype=complex), BipartiteShape(2, 2))
     w = check_full_rank(bmap)
@@ -1208,11 +1241,13 @@ def vanishing_entangled_image_map() -> BipartiteMap:
 
 def band_image_map() -> BipartiteMap:
     """0.9 times the identity with L|0,0> an entangled vector of norm 0.95
-    tol ||L||_2.  At unit scale ||L||_2 is 0.90, 0.60 and 0.67 for the
-    scales 1, 1e-300 and 1e300, so the image, 0.86, 0.57 and 0.64 tol, lies
-    between the vanishing bounds tol / 2 and sqrt(2) nm tol, and only
-    ||L||_2 itself shows that it vanishes; the map's s_min / s_max is about
-    0.67 tol."""
+    tol ||L||_2.  The other three singular values are equal, so ||L||_2 is
+    ||L||_F / sqrt(3) and the image 0.95 / sqrt(3) = 0.55 ||L||_F tol at
+    every scale.  At unit scale ||L||_F is 0.78, 0.52 and 0.58 for the
+    scales 1, 1e-300 and 1e300, so the image, 0.43, 0.29 and 0.32 tol, lies
+    between the vanishing bounds ||L||_F tol / sqrt(nm) = ||L||_F tol / 2
+    and ||L||_F tol, and only ||L||_2 itself shows that it vanishes; the
+    map's s_min / s_max is about 0.67 tol."""
     matrix = 0.9 * np.eye(4, dtype=complex)
     matrix[:, 0] = 0.95e-8 * 0.9 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return BipartiteMap(matrix, BipartiteShape(2, 2))
@@ -1245,9 +1280,9 @@ REJECT_CASES = [
 def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient, reads, scale):
     # the witness comes from a fixed product state or the kernel vector of
     # the fitted factors (kernel-product); the spectrum is read only by the
-    # vanishing test of an image between tol / 2 and sqrt(2) nm tol times
-    # its state's norm at unit scale, and there a vanishing image agrees
-    # with the spectrum's rank rule
+    # vanishing test of an image between ||L||_F tol / sqrt(nm) and
+    # ||L||_F tol times its state's norm at unit scale, and there a
+    # vanishing image agrees with the spectrum's rank rule
     base = make()
     bmap = BipartiteMap(scale * base.matrix, base.shape)
     v = classify(bmap)
@@ -1261,6 +1296,21 @@ def test_reject_reads_its_spectrum_only_to_prove_rank_deficiency(make, deficient
         assert v.detail == "no local or swap-local decomposition fits"
     assert witness_checks_out(bmap, v.witness)
     assert witness_reverifies(bmap, v.witness)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_band_image_lies_strictly_between_the_vanishing_shortcuts(scale):
+    # so that band-image's reads=True above tests the band: neither
+    # shortcut of _vanishing decides its witness, |0,0>, whose image is
+    # column 0 of the unit-scale map
+    base = band_image_map()
+    bmap = BipartiteMap(scale * base.matrix, base.shape)
+    assert classify(bmap).witness.state.tolist() == [1, 0, 0, 0]
+    frobenius = np.sqrt(bmap._unit_sq)
+    assert frobenius == pytest.approx(np.linalg.norm(bmap._unit), rel=1e-15)
+    lower = 1e-8 * frobenius / (np.sqrt(bmap.shape.dim) * classifier._ROUNDING)
+    upper = 1e-8 * frobenius * classifier._ROUNDING
+    assert lower < np.linalg.norm(bmap._unit[:, 0]) < upper
 
 
 @pytest.mark.parametrize("family", ["cphase", "kernel-product"])
@@ -1336,7 +1386,8 @@ def test_vanishing_agrees_with_the_spectrum_rule(n, m, scale):
             assert classifier._vanishing(bmap, image, state, TOL) == expected
             assert expected == (factor < 1.0) or factor == 1.0
         # images from 0.1 tol to 1e3 tol times the state's norm, across both
-        # bounds of unit scale, tol / 2 and sqrt(2) nm tol, and ||L||_2 between
+        # bounds of unit scale, ||L||_F tol / sqrt(nm) and ||L||_F tol, and
+        # ||L||_2 between
         for size in np.geomspace(0.1, 1e3, 41):
             image = (size * TOL * np.linalg.norm(state)) * direction
             expected = bool(np.linalg.norm(image) <= TOL * np.linalg.norm(state) * norm2)
@@ -1616,8 +1667,8 @@ def aimed_at_the_leading_block(bmap: BipartiteMap, swap: bool, size: float) -> n
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)])
 def test_first_image_block_never_decides_a_map_that_a_reading_accepts(n, m, swap, j):
-    # a fitted reading leaves s_2 of the image at most tol ||L||_F, which
-    # stays below the block's threshold 2 sqrt(2) tol nm at unit scale
+    # a fitted reading leaves s_2 of the image at most tol ||L||_F, half
+    # the block's threshold 2 tol ||L||_F at unit scale
     base = local_map(n, m, seed=110 + n * m, swap=swap)
     norm = np.linalg.norm(base.matrix)
     bmap = BipartiteMap(ldexp(aimed_at_the_leading_block(base, swap, 0.99e-8 * norm), j), base.shape)
@@ -1690,8 +1741,8 @@ def aimed_at_the_row_block(bmap: BipartiteMap, size: float) -> np.ndarray:
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)])
 def test_row_block_never_decides_a_map_that_a_reading_accepts(n, m, swap, j):
-    # a fitted reading has s_2 of its realignment at most tol ||L||_F, which
-    # stays below the block's threshold 2 sqrt(2) tol nm at unit scale
+    # a fitted reading has s_2 of its realignment at most tol ||L||_F, half
+    # the block's threshold 2 tol ||L||_F at unit scale
     base = local_map(n, m, seed=140 + n * m, swap=swap)
     norm = np.linalg.norm(base.matrix)
     bmap = BipartiteMap(ldexp(aimed_at_the_row_block(base, 0.99e-8 * norm), j), base.shape)
@@ -1799,7 +1850,7 @@ def test_basis_image_far_below_the_map_keeps_its_factors_and_witness(factor):
 def test_oracle_and_library_agree_on_an_image_between_the_vanishing_bounds():
     # the identity with L|0,0> = 1.2e-8 (|00> + |11>) / sqrt(2): above
     # tol ||L||_2 ||x|| = 1e-8, so the image does not vanish, though it is
-    # below sqrt(2) nm tol ||x|| = 5.7e-8
+    # below tol ||L||_F ||x|| = sqrt(3) tol = 1.7e-8
     matrix = np.eye(4, dtype=complex)
     matrix[:, 0] = 1.2e-8 * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     bmap = BipartiteMap(matrix, BipartiteShape(2, 2))

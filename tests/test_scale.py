@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitarity_kit import classifier, witness_reverifies
+from unitarity_kit import classifier, linalg, witness_reverifies
 from unitarity_kit.classifier import KIND_NOT_PRESERVING, BipartiteMap, classify
 from unitarity_kit.entropy_dynamics import (
     Superoperator,
@@ -26,6 +26,7 @@ from unitarity_kit.entropy_dynamics import (
     superop_transpose,
     vec_density,
 )
+from unitarity_kit.errors import ParamOutOfRange
 from unitarity_kit.generators import (
     cnot_map,
     haar_unitary,
@@ -346,3 +347,54 @@ def test_subnormal_haar_map_classifies_without_warnings():
         v = classify(bmap)
         assert v.kind == KIND_NOT_PRESERVING and v.witness is not None
         assert witness_reverifies(bmap, v.witness)
+
+
+def _unit_scale_forms(factor=1.0) -> dict:
+    """One 9 x 9 matrix, times factor, in each form the unit scale must
+    handle, with whether its sum of squares leaves the normal range, so
+    that the fallback through part_exponent runs.  The factors 1 and
+    sqrt(2) give sums of squares whose binary exponents differ by one, so
+    both parities of that exponent are taken."""
+    rng = np.random.default_rng(36)
+    m = factor * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    return {
+        "random": (m, False),
+        "zero": (np.zeros((9, 9), dtype=complex), True),
+        "subnormal": (ldexp(m, -1060), True),
+        "tiny": (ldexp(m, -1000), True),
+        "huge": (ldexp(m, 1000), True),
+    }
+
+
+@pytest.mark.parametrize("factor", [1.0, np.sqrt(2.0)])
+@pytest.mark.parametrize("form", list(_unit_scale_forms()))
+def test_both_map_types_share_one_unit_scale(monkeypatch, form, factor):
+    matrix, fallback = _unit_scale_forms(factor)[form]
+    calls = []
+    real = linalg.part_exponent
+    monkeypatch.setattr(linalg, "part_exponent", lambda a: calls.append(a.shape) or real(a))
+    bmap, superop = BipartiteMap(matrix, BipartiteShape(3, 3)), Superoperator(matrix, 3)
+    assert len(calls) == (2 if fallback else 0)
+    assert (bmap._exponent, bmap._unit_sq) == (superop._exponent, superop._unit_sq)
+    k, unit_sq = bmap._exponent, bmap._unit_sq
+    if form == "zero":
+        assert (k, unit_sq) == (0, 0.0)
+        return
+    assert 0.25 <= unit_sq < 1.0
+    unit = ldexp(matrix, -k)  # exact: no entry under- or overflows
+    assert unit_sq == pytest.approx(np.vdot(unit, unit).real, rel=1e-14)
+    if form != "subnormal":  # whose entries lost bits
+        random_k, random_sq = linalg.unit_scale(_unit_scale_forms(factor)["random"][0], 3)
+        assert k == random_k + {"random": 0, "tiny": -1000, "huge": 1000}[form]
+        assert unit_sq == pytest.approx(random_sq, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("form", list(_unit_scale_forms()))
+def test_both_map_types_refuse_a_non_finite_entry_in_every_form(form, bad):
+    matrix = _unit_scale_forms()[form][0].copy()
+    matrix[4, 7] = bad
+    with pytest.raises(ParamOutOfRange):
+        BipartiteMap(matrix, BipartiteShape(3, 3))
+    with pytest.raises(ParamOutOfRange):
+        Superoperator(matrix, 3)
