@@ -1,88 +1,15 @@
-"""Qualitative classifier for linear bipartite maps.
+"""Qualitative classifier for linear bipartite maps: classify decides
+whether a map on an n x m composite space is Local, SwapLocal or
+NotPreserving, and names its stages in order.
 
-Decides whether an invertible map on an n x m composite space is Local
-(A x B), SwapLocal (a local map composed with the subsystem relabeling), or
-NotPreserving, and in the last case produces a concrete witness state whose
-Schmidt data demonstrably violates preservation.
+Layouts: a map acts on the input layout (n, m), the product ket |i,j> at
+flat index i*m + j.  A SwapLocal map's images factor in the flipped layout
+(m, n), which its verdict records as output_shape.  Every SwapLocal map of
+n != m entangles some product states in its own layout (n, m), so a
+product-state witness of an n != m map must have an image entangled in
+both (n, m) and (m, n) (_gate).
 
-The decision is one certificate per reading: L = A x B holds exactly when
-the realignment of L has rank 1 (Van Loan & Pitsianis, 1993), so a
-least-squares rank-1 fit of the realigned map and its relative residual
-decide Local, and the same fit of the relabeled map decides SwapLocal; the
-rank of A x B is read off the two small factors.  A map fails in one of two
-ways: a reading fits but the rank of A x B fails, so only invertibility is
-missing, or no reading fits.  The first takes its witness from the kernel
-vector of A x B, the product of the factors' own; the rank check of the
-whole map serves only where that vector's image does not vanish.  By the
-paper's theorem an invertible map that sends every product state to a
-product is Local or SwapLocal, so a witness makes one of two claims: the
-map annihilates its state (KernelVector), or its state is a product whose
-image is entangled (ProductToEntangled).  On a full-rank map that no
-reading accepts almost every fixed product state is therefore a witness,
-and the second way of failing takes its witness from the first of three
-fixed product states that shows it: |0,0>, (|0,0> + |1,0>)/sqrt(2) and
-the normalized ramp (1, ..., n) x (1, ..., m).
-Then come the rank check, the basis state whose image is farthest from a
-product, and last a deterministic search over product states.  One gate,
-_gate, judges every candidate of every stage on its image, taken once: a
-stage returns a witness only when that image makes the claim, and only
-then is the witness's Schmidt evidence built, the Schmidt data of its
-state and of its image (_schmidt_evidence).  witness_reverifies passes
-the state through the same gate.  classify draws no random numbers.
-
-The constructive stages of the paper's argument stay public, outside
-classify: build_image_table gives the product images of the product
-basis, extract_factors the local factors and the leftover phase/length
-grid of a reading, and factor_phase_grid a rank-1 factorization of that
-grid or a NonFactorizablePhase witness, a product state with an entangled
-image like ProductToEntangled.  The relabeled reading (Case II) reads the
-image factors with the roles of row and column swapped (_roles).
-
-The reject path computes only what it reads.  Before either fit, four
-entries of column 0 are read: the leading 2x2 block of the unit-scale image
-of |0,0> in the layout (n, m), and for n != m in (m, n) too.  Where every
-such block is beyond a fit (linalg.block_beyond), no reading can fit
-(_first_image_entangled).  The map is then NotPreserving with the witness
-|0,0>, the witness search's first candidate, bit for bit, and neither fit
-runs; its evidence reads column 0 alone.  Where that image is a product,
-four entries of row 0 are read next, L[0,0], L[0,1], L[0,m] and L[0,m+1]:
-the leading 2x2 block of row 0 as an n x m matrix, and a 2x2 block of both
-realignments, Local and SwapLocal, for n = m and for n != m
-(_first_row_entangled).  Where it is beyond a fit, neither reading fits:
-both fits are skipped, and the witness search runs as it would after two
-failed fits.  This decides the CNOT-like and controlled-phase rejects,
-whose basis images are products.
-A map that factors but is singular pays for one full SVD of each n x n
-and m x m factor, never one of the nm x nm map: the singular values of
-A x B are the products s_i(A) s_j(B) and its singular vectors the products
-of the factors'.  The rank check reads the map's values-only spectrum,
-cached on the map, and only a rank-deficient map pays for one full SVD,
-for its kernel vector.  Whether an image vanishes is decided by two
-bounds on ||L||_2 from the unit-scale norm, and the spectrum is read only
-for an image between them (_vanishing).
-Schmidt evidence holds coefficients and ranks from values-only spectra,
-never Schmidt vectors.  A fixed candidate of the witness search that makes
-no claim costs one matrix-vector product and one values-only spectrum of
-its image per layout it reaches; the one that makes its claim costs the
-spectrum of its state too.  A reject that one of them decides computes no
-spectrum of the map unless that image falls between the two bounds; any
-other reject reads the spectrum in the rank check.  The basis state after
-it comes from one values-only stacked SVD of the basis images per layout.
-build_image_table reads the Schmidt ranks and factor vectors of every
-product-basis image off one stacked SVD.
-
-For n != m a swapped map produces images that factor with respect to the
-flipped layout (m, n); the verdict records the output shape it certifies.
-As every SwapLocal map entangles some product states in the own layout
-(n, m), a product-state witness of an n != m map must show an entangled
-image in both layouts.
-
-Every decision is made on the map at unit scale, L * 2^-k (see linalg).
-The realignment fit scales the map as it realigns it, so an accepted map
-never makes the unit-scale copy that the reject path reads.  The outputs
-that carry the map's scale are A, the image Schmidt coefficients and
-singular_values; where A times 2^k would overflow, A and B each take about
-half of the exponent of the map's largest real or imaginary part.
+Every decision is taken at the map's unit scale (linalg.unit_scale).
 """
 
 from __future__ import annotations
@@ -136,16 +63,8 @@ class BipartiteMap:
     scale (linalg.unit_scale, in n slabs), refusing a non-finite entry
     with ParamOutOfRange.  The unit-scale copy L * 2^-k and its singular
     values are computed only when first read and then cached on the
-    instance, so the matrix must not be mutated after construction.
-    classify reads the copy and the spectrum on the reject path alone: the
-    spectrum in the rank check, which runs where the factors' kernel vector
-    of a fitted reading does not vanish and where none of the witness
-    search's three fixed product states is a witness, and for the 2-norm of
-    an image between the vanishing test's two bounds.  Each fixed product
-    state that makes no claim costs one product with the copy and one
-    values-only spectrum of its image per layout it reaches (_gate).  A
-    full SVD of the map runs only in the rank check of a rank-deficient
-    map, for its kernel vector.
+    instance, so the matrix must not be mutated after construction.  Only
+    the reject path reads them.
     """
 
     matrix: np.ndarray
@@ -271,24 +190,24 @@ def _gate(bmap: BipartiteMap, kind: str | None, state, image_shape, tol: float) 
     """The state as a witness of the kind, with its Schmidt evidence in the
     layout image_shape, when its image makes the kind's claim; else None.
     Every witness of this module leaves through here but two whose claim is
-    proved before: classify's column-block witness and factor_phase_grid's
-    NonFactorizablePhase one.  witness_reverifies judges one by this rule.
+    proved before: the column-block witness (_first_image_entangled) and
+    factor_phase_grid's.  witness_reverifies judges one by this rule.
 
     A KernelVector claims that the map annihilates its state (_vanishing),
     whatever the state's Schmidt rank.  A ProductToEntangled or
     NonFactorizablePhase witness claims a product state with an entangled
     image: an image that does not vanish and has Schmidt rank >= 2 in
-    image_shape, for n != m in the flipped layout too, as every SwapLocal
-    map entangles product states in its own layout, and a state of rank 1.
-    kind None takes the kind the image shows: KernelVector where it
-    vanishes, else ProductToEntangled.
+    image_shape, for n != m in the flipped layout too (see the module
+    docstring), and a state of rank 1.  kind None takes the kind the image
+    shows: KernelVector where it vanishes, else ProductToEntangled.
 
     The image is taken once, under the unit-scale map, and each layout's
     rank read off its values-only spectrum, the first layout that fails
-    ending the test: a state that makes no claim costs one product and one
-    spectrum per layout it reaches.  Only a state whose image makes the
-    claim takes the spectrum of the state itself, and its evidence reuses
-    the image's spectrum in image_shape.
+    ending the test: a state that makes no claim costs one matrix-vector
+    product and one values-only spectrum per layout it reaches, and builds
+    no evidence.  Only a state whose image makes the claim takes the
+    spectrum of the state itself, and its evidence reuses the image's
+    spectrum in image_shape; no Schmidt vectors are formed.
     """
     state = np.asarray(state, dtype=complex)
     image = bmap._unit @ state
@@ -319,14 +238,11 @@ def witness_reverifies(bmap: BipartiteMap, witness: Witness, tol: float = DEFAUL
     """Whether a witness's claim holds on the map, from its state alone.
 
     The Schmidt evidence is recomputed in the witness's image layout and
-    judged by the rule every classify witness passed (_gate), so for
-    n != m a product-state witness must show an entangled image in both
-    layouts.  A kind other than KernelVector, ProductToEntangled or
-    NonFactorizablePhase, None included, claims nothing.  Images are taken
-    under the unit-scale map, so no norm under- or overflows at any scale
-    of the map.  The state must be a nonzero vector of the map's dimension
-    (ShapeMismatch, ZeroVector), and the image layout must have that
-    dimension too (ShapeMismatch).
+    judged by the rule every classify witness passed (_gate).  A kind other
+    than KernelVector, ProductToEntangled or NonFactorizablePhase, None
+    included, claims nothing.  The state must be a nonzero vector of the
+    map's dimension (ShapeMismatch, ZeroVector), and the image layout must
+    have that dimension too (ShapeMismatch).
     """
     tol = tolerance(tol)
     state = as_vector(witness.state)
@@ -349,8 +265,6 @@ def check_full_rank(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> Witnes
     read off the cached values-only spectrum.  Only a rank-deficient map
     takes a full SVD of its unit-scale copy; the last right singular
     vector is the kernel vector, a product state or an entangled one.
-    classify asks this only where the kernel vector of a fitted reading's
-    factors (_factor_kernel) does not vanish, or no reading fitted.
     """
     s = bmap._spectrum
     if s[0] > 0 and s[-1] > tol * s[0]:
@@ -430,8 +344,7 @@ def build_image_table(
     entangled, for n != m in the flipped layout too, and the result is None
     where it makes no claim, an image of an n != m map entangled in one
     layout only, as a SwapLocal map's images are in its own layout.
-    classify builds no table: its witness search reads single images
-    (_search_witness).
+    classify builds no table.
     """
     shape = bmap.shape
     out = as_shape(output_shape) if output_shape is not None else shape
@@ -649,8 +562,15 @@ def _fit_local(bmap: BipartiteMap, swap: bool, tol: float):
 def _first_image_entangled(bmap: BipartiteMap, tol: float) -> bool:
     """Whether the leading 2x2 block of the unit-scale image of |0,0>, read
     off column 0, is beyond a fit (block_beyond) in the layout (n, m) and
-    for n != m in (m, n) too: proof that no reading fits and that |0,0> is
-    the witness search's first witness (see classify)."""
+    for n != m in (m, n) too: proof that no reading fits.
+
+    Then |0,0> is the witness, bit for bit the first one _search_witness
+    would return: the search tries |0,0> first, and the bound puts s_2 of
+    its image above 2 tol ||L||_F in each layout, so that image does not
+    vanish and is entangled wherever _gate looks.  classify builds the
+    witness's evidence from column 0 times 2^-k, the bits of the search's
+    image of |0,0>, and runs neither _vanishing, nor a fit, nor any later
+    stage."""
     n, m = bmap.shape.n, bmap.shape.m
     col = bmap.matrix[: max(n, m) + 2, 0].tolist()
     for j in {m, n}:  # the row strides of the layouts (n, m) and (m, n)
@@ -665,31 +585,28 @@ def _first_row_entangled(bmap: BipartiteMap, tol: float) -> bool:
     beyond a fit (block_beyond): proof that neither reading fits.
     Rows (0,0), (0,1) and columns (0,0), (0,1) of the Local realignment
     R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal one hold
-    those same four entries, for n = m and for n != m (see classify)."""
+    those same four entries, for n = m and for n != m, so one test serves
+    both readings."""
     m = bmap.shape.m
     row = bmap.matrix[0, : m + 2].tolist()
     return block_beyond(row[0], row[1], row[m], row[m + 1], -bmap._exponent, bmap._unit_sq, tol)
 
 
 def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
-    """The first witness found for a map that no reading accepts.
+    """The first witness found for a map that no reading accepts, or None.
 
     Three fixed product states come first, in this order: |0,0>,
-    (|0,0> + |1,0>)/sqrt(2) and the ramp (1, ..., n) x (1, ..., m),
-    normalized (_ramp).  By the paper's theorem an invertible map that
-    sends every product state to a product is Local or SwapLocal, so on a
-    full-rank map that no reading accepts almost every fixed product state
-    is a witness.  Then check_full_rank, on the
-    cached spectrum; then the basis state whose image has the largest
-    s_2 / s_1, the smallest over the layouts, from one values-only stacked
-    SVD of the basis images per layout; last the product-state search.
-    Each candidate takes the kind its image shows and is returned only when
-    that image makes its claim (_gate): for n != m it must be entangled in
-    both layouts, as a SwapLocal map entangles product states in the own
-    layout too.  A candidate that makes no claim costs one matrix-vector
-    product and one values-only spectrum of its image per layout it
-    reaches, and builds no evidence.  |0,0> first is what makes the column
-    block test of classify return this search's first witness.
+    (|0,0> + |1,0>)/sqrt(2) and the normalized ramp (_ramp).  By the
+    paper's theorem an invertible map that sends every product state to a
+    product is Local or SwapLocal, so on a full-rank map that no reading
+    accepts almost every fixed product state is a witness.  Each takes the
+    kind its image shows and is returned only when that image makes its
+    claim (_gate).  Then come check_full_rank, on the cached spectrum; the
+    basis state whose image has the largest s_2 / s_1, the smallest over
+    the layouts (_image_ratios); and last _product_search_witness.  None of
+    these last three decides a map of scripts/equivalence.py's corpus.  A
+    map whose witness is a fixed state computes no spectrum of its own
+    unless that image falls between _vanishing's two bounds.
     """
     shape = bmap.shape
     dim, m = shape.dim, shape.m
@@ -709,83 +626,36 @@ def _search_witness(bmap: BipartiteMap, tol: float) -> Witness | None:
 
 
 def classify(bmap: BipartiteMap, tol: float = DEFAULT_RANK_TOL) -> QualitativeVerdict:
-    """The realignment certificate for Local and then for SwapLocal; a map
-    that neither reading accepts gets its witness from the fitted factors'
-    kernel vector or the rank check when some reading fitted, and from the
-    witness search otherwise.
+    """Decide whether the map is Local, SwapLocal or NotPreserving.
 
-    A Local verdict certifies ||L - A x B|| <= tol * ||L|| (Frobenius);
-    SwapLocal certifies ||S L - A x B|| <= tol * ||L|| with S the
-    relabeling from the recorded output shape.  A fitted reading is
-    accepted exactly when its rank_ratio, s_min / s_max of A x B from one
-    values-only SVD of each factor, exceeds tol; as both factor ratios are
-    at most 1, this implies the rank check of A and of B.  A carries the
-    map's scale and ||B||_F = 1, unless A times that scale would overflow:
-    then A and B each take about half of it.  An accepted map never
-    computes its own nm x nm spectrum, nor its unit-scale copy.
+    Local certifies ||L - A x B||_F <= tol ||L||_F, and SwapLocal
+    ||S L - A x B||_F <= tol ||L||_F with S the relabeling into the
+    recorded output_shape; either also needs rank_ratio, s_min / s_max of
+    A x B from one values-only SVD of each factor, above tol.  A carries
+    the map's scale and ||B||_F = 1, unless A times that scale would
+    overflow: then A and B each take about half of it.  NotPreserving
+    carries a witness that makes its claim (_gate), or None with a detail
+    ending in "; no witness found"; the detail reads "map is rank
+    deficient" exactly when the witness is a KernelVector, and no
+    NonFactorizablePhase witness is returned.  No random number is drawn:
+    the verdict depends on the map and tol alone; tol must lie in (0, 1)
+    (ParamOutOfRange otherwise).
 
-    Before either reading, the leading 2x2 block of the unit-scale image
-    of |0,0>, four entries of column 0 scaled by 2^-k, is tested in the
-    layout (n, m) and for n != m in (m, n) too (_first_image_entangled).
-    Where every block is beyond a fit (linalg.block_beyond), no reading can
-    fit.  The verdict is then NotPreserving with |0,0> as a
-    ProductToEntangled witness, the one the witness search would return
-    first, bit for bit, and the detail below; the fits and every later
-    stage are skipped.  Its evidence reads column 0 times 2^-k, the bits of
-    the search's image of |0,0>, and the vanishing test is skipped: the
-    bound puts s_2 of that image above 2 tol ||L||_F.
+    Stages, in order:
+    1. _first_image_entangled: where it fires, |0,0> is the witness and
+       nothing else runs.
+    2. _first_row_entangled: where it fires, neither fit runs.
+    3. _fit_local, Local then SwapLocal, each followed by the rank ratio;
+       the first reading that passes both is the verdict.
+    4. For a reading that fitted but failed its rank ratio, so that only
+       invertibility failed: _factor_kernel, then check_full_rank.
+    5. _search_witness, where no witness is found yet.
+    An accepted map never computes its own nm x nm spectrum, nor its
+    unit-scale copy.
 
-    Otherwise the leading 2x2 block of row 0, as an n x m matrix in the
-    input layout (L[0,0], L[0,1], L[0,m], L[0,m+1], scaled by 2^-k), is
-    tested against the same bound (_first_row_entangled).  It is a 2x2
-    block of both realignments: rows (0,0), (0,1) and columns (0,0), (0,1)
-    of R[(i,k),(j,l)] = L[i m + j, k m + l] and of the SwapLocal
-    realignment hold those four entries, for n = m and for n != m.  Where
-    the test fires each fit would return None: neither runs, and the
-    witness search below runs as after two failed fits.  Elsewhere nothing
-    changes.
-
-    Once both readings miss, the verdict is NotPreserving and only its
-    witness remains to be found.  A reading that fitted but failed its rank
-    ratio shows that the map is A x B (or S (A x B)) and only invertibility
-    failed, so the witness is kron(v_min(A), v_min(B)), the kernel vector
-    of A x B from one full SVD of each factor (_factor_kernel), once its
-    image vanishes; a vanishing image proves s_min <= tol * s_max of the
-    map, so the verdict is the one the rank check would give.  Where it
-    does not vanish, the rank check, which reads the spectrum, gives the
-    map's own kernel vector, the last right singular vector of one full
-    SVD.  Otherwise, and where the rank check finds full rank after all
-    (near tol, below), the witness search finds it (_search_witness): three
-    fixed product states, |0,0>, (|0,0> + |1,0>)/sqrt(2) and the
-    normalized ramp, each a KernelVector where its image vanishes and
-    ProductToEntangled otherwise; then the
-    rank check once more; then the basis state whose image is farthest from
-    a product; last the product-state search.  A fixed state that makes no
-    claim costs one matrix-vector product and one values-only spectrum of
-    its image per layout it reaches; only the witness takes the spectrum of
-    its state too (_gate).  A map whose witness is the
-    factors' kernel vector or one of the three fixed states never computes
-    its spectrum unless that witness image falls between the vanishing
-    test's two bounds (_vanishing); any other reject reads it in the rank
-    check.  Before the rank
-    check no SVD with vectors runs: every witness's Schmidt evidence reads
-    values-only spectra.  No image table is built
-    and no phase grid factored, so classify returns no NonFactorizablePhase
-    witness.  detail reads "map is rank deficient" exactly when the witness
-    is a KernelVector.
-
-    A map no reading accepts is NotPreserving with a witness whose Schmidt
-    evidence shows the violation (see the module docstring): a kernel
-    state, or a product state with an entangled image.  When no earlier
-    stage finds one, the product-state search does; when that fails too
-    the witness is None and detail ends in "; no witness found".
-    No random number is drawn: the whole verdict, witness included, depends
-    on the map and tol alone; tol must lie in (0, 1) (ParamOutOfRange
-    otherwise).
-
-    The factor rank test can differ from the map's own only near tol: the fit
-    residual, at most tol * ||L||_F, can move s_min(L) and s_max(L) that
-    far (Weyl), so s_min / s_max of L and rank_ratio differ by at most
+    The factor rank test can differ from the map's own only near tol: the
+    fit residual, at most tol * ||L||_F, can move s_min(L) and s_max(L)
+    that far (Weyl), so s_min / s_max of L and rank_ratio differ by at most
     about 2 * tol * ||L||_F / ||L||_2 <= 2 * tol * sqrt(nm).  A fitted map
     whose own ratio is below about (1 + 2 * sqrt(nm)) * tol can thus be
     accepted although its spectrum reads rank deficient, or the other way

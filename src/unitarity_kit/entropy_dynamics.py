@@ -1,46 +1,17 @@
-"""Single-system analyzer: decides whether a linear map on density matrices
-preserves disorder, reads the implementing unitary (or antiunitary) and its
-gain off the map and certifies them by reconstruction, or returns a concrete
-counterexample witness.
+"""Single-system analyzer: analyze decides whether a linear map on density
+matrices is a unitary or antiunitary conjugation, and names its stages in
+order.
 
-A candidate dynamics is a d^2 x d^2 matrix acting on column-stacked density
-matrices (entry (i, j) of rho sits at flat index i + j*d).  This matrix form
-makes linearity over statistical mixtures automatic, so the analyzer only
-has to test preservation of disorder and extract the structure.
+A map is a d^2 x d^2 matrix M acting on column-stacked density matrices:
+entry (i, j) of rho sits at flat index i + j*d, so rho -> U rho U^dag is
+conj(U) x U.  This matrix form makes linearity over statistical mixtures
+automatic.  It has two reading models (Wigner's theorem): the unitary one,
+M = g conj(U) x U, and the antiunitary one, the same map composed with the
+transpose, M T; _fit_conjugation writes both out entry by entry.
 
-Every decision is made at unit scale, on M * 2^-k (see linalg); only the
-gain, and the gains a reject reports, are multiplied back by 2^k.
-
-An accepted map is read twice: once by the constructor, whose one sum
-gives finiteness, the exponent and the unit-scale squared norm, and once by
-the fit of the reading that accepts it, which scales each slab into a
-buffer and takes the gain and the residual in the same pass over the map's
-own layout.  Before that fit, and before every other, 2x2 blocks of the
-realignments, from seven entries of rows 0 and 1 of M, rule out the
-readings that cannot fit (see analyze): a depolarizer or a mixture of
-conjugations runs no fit at all, and an antiunitary map or a non-unitary
-conjugation runs only the fit of the other reading.  A reading that is
-fitted and is wrong stops as soon as the slabs read so far leave no gain
-within tol, most often after its first slab.  Each slab's model, the
-rank-1 product g0 conj(U[j, l]) U[i, k], is one real matmul with inner
-dimension 2 into a second buffer: the real and imaginary parts of one
-factor against the real forms of g0 times the other and i times that,
-built once per fit (_real_forms).
-
-A rejected map is probed first at the basis projectors |a><a|, whose
-images are columns of M, so no product with M is taken; they decide a
-depolarizer, a mixture of conjugations or a non-unitary conjugation.  A
-map they cannot decide with a witness that makes its claim goes on to
-fixed Haar probe states (see _search_witness).
-
-The closed-form helpers give the spectra of the two-state mixture argument,
-and the witness search runs on them.  Once every probe image is certified
-as a positive rank-1 matrix (by a rank-1 fit, without an eigensolve), a
-mixture of two images has the closed-form output spectrum of its two gains
-and one overlap, as its input mixture has the input one.  Every pair stage
-(gains, overlap moduli, all pairs) scans its pairs in that closed form and
-diagonalizes only the one mixture it reports.  A reject whose reported
-image leaves no state after normalization carries no witness.
+Every decision is taken at the map's unit scale (linalg.unit_scale).  The
+closed-form helpers give the spectra of the paper's two-state mixture
+argument, on which the witness search runs.
 """
 
 from __future__ import annotations
@@ -624,34 +595,25 @@ def _first_stages(superop: Superoperator, phis, image_of, tol: float):
 def _search_witness(superop: Superoperator, tol: float):
     """(witness, detail) for a map no conjugation reproduces.
 
-    Two probe sets run the same first stages (_first_stages): pure
-    projectors must map to positive rank-1 matrices, and their gains must
-    agree.  The basis set comes first: the d projectors |a><a|, whose
-    images are columns of M (_basis_images), so it takes no product with
-    the map.  It decides the map only with a witness that makes its claim:
-    a pair of basis kets of unequal gains, or a basis ket whose image is
-    Hermitian with a second eigenvalue above tol times the largest
-    eigenvalue modulus, so that its entropy_out > 0 = entropy_in (read from
-    the eigensolve _check_images runs, with no new one).  The limit is
-    relative to the largest modulus, not to the largest eigenvalue, so the
-    image of a negated conjugation, -|phi><phi|, whose other eigenvalues
-    are rounding noise, claims nothing.  Every other basis outcome (a
-    non-Hermitian image, an image without that second eigenvalue, or d
-    rank-1 images of equal gains) hands the map to the Haar set.
+    Two probe sets run the same first stages (_first_stages).  The basis
+    set comes first: the d projectors |a><a|, whose images are columns of
+    M (_basis_images), so it takes no product with the map.  It decides
+    the map only with a witness that makes its claim: a pair of basis kets
+    of unequal gains, or a basis ket whose image is Hermitian with a second
+    eigenvalue above tol times the largest eigenvalue modulus, so that its
+    entropy_out > 0 = entropy_in (read from the eigensolve _check_images
+    runs, with no new one).  The limit is relative to the largest modulus,
+    not to the largest eigenvalue, so the image of a negated conjugation,
+    -|phi><phi|, whose other eigenvalues are rounding noise, claims
+    nothing.  Every other basis outcome hands the map to the Haar set.  The
+    basis set decides every entropy-verify reject of the corpus of
+    scripts/equivalence.py.
 
-    The Haar set (fixed-stream states, drawn once per d) then runs its
-    first stages on probe images computed in two products with the map
-    (_probe_images), and after them: pairwise overlap moduli must be
-    preserved.  The first stage that fails names the witness, the failing
-    state alone at the rank-1 stage and a pair after it.  If all pass, the
-    pair and mixing weight with the largest entropy change among all pairs
-    win.  Past the rank-1 stage every image is certified rank 1, so each
-    pair stage picks its mixing weight by one closed-form scan
-    (_scan_pairs) and diagonalizes one mixture: the overlap stage its pair
-    of largest gap, the last stage every pair.  The overlap stage compares
-    the kets _check_images certified, the images' top eigenvectors within
-    tol, with no further eigensolve.  The witness is None when the
-    reported image leaves no state (_witness).
+    The Haar set (_fixed_probes) runs its first stages on images from two
+    products with the map (_probe_images), then two pair stages, each one
+    _scan_pairs: the overlap stage takes the pair whose overlap modulus
+    changes most, comparing the kets _check_images certified, and the last
+    stage every pair.  The first stage that fails names the witness.
     """
     d = superop.dim
     failure, *_ = _first_stages(superop, _basis_kets(d), partial(_basis_images, superop), tol)
@@ -674,14 +636,16 @@ def _search_witness(superop: Superoperator, tol: float):
 
 def _readings(superop: Superoperator, tol: float):
     """The readings analyze fits, as (kind, transpose) in order, less each
-    one that a 2x2 block of its realignment puts beyond a fit; a block is
-    tested only when its reading comes up.
+    one that a 2x2 block of its realignment puts beyond a fit
+    (linalg.block_beyond); a block is tested only when its reading comes
+    up, and a reading left out would have been rejected by its fit.
 
-    A block is beyond a fit by linalg.block_beyond's bound.  The block
+    The blocks take seven entries of rows 0 and 1 of M * 2^-k.  The block
     M[0,0], M[0,1], M[0,d], M[0,d+1] belongs to both realignments,
     R_U[(j,l),(i,k)] = M[jd+i, ld+k] and R_A[(j,b),(i,a)] = M[jd+i, ad+b]
     (to the second one transposed), so where it is beyond a fit no reading
-    is fitted.  Otherwise the unitary reading is left out where its block
+    is fitted: a depolarizer or a mixture of conjugations runs no fit.
+    Otherwise the unitary reading is left out where its block
     M[0,0], M[1,0], M[0,d], M[1,d] is, and the antiunitary one where its
     block M[0,0], M[1,0], M[0,1], M[1,1] is.  For d = 1 there is no 2x2
     block and both readings are fitted.
@@ -703,29 +667,22 @@ def _readings(superop: Superoperator, tol: float):
 def analyze(superop: Superoperator, tol: float = DEFAULT_RANK_TOL) -> SingleSystemVerdict:
     """Decide whether the map is a (scaled) unitary or antiunitary conjugation.
 
-    The accepted maps are M = g * (conj(U) x U) and that map composed with
-    the transpose, M T (Wigner's theorem).  U and g are read off M itself,
-    first for the unitary reading and then for the antiunitary one (M T in
-    place of M), and a reading is accepted exactly when g > 0 and
-    ||M - g * conj(U) x U||_F <= tol * ||M||_F, with tol in (0, 1); for d >= 2
-    no map fits both readings, as the transpose is not completely positive.
-    Each reading is one pass over M's own slabs at unit scale (the
-    antiunitary one fits the transposed model there, so no strided view of
-    M is read), against the squared norm the constructor summed: an
-    accepted map is read twice in all.
+    A reading is accepted exactly when its fitted gain g > 0 and
+    ||M - g conj(U) x U||_F <= tol ||M||_F (the antiunitary one with M T
+    in place of M); the verdict reports U and g.  For d >= 2 no map fits
+    both readings, as the transpose is not completely positive.  A reject
+    is NotPreserving with an EntropyWitness and a detail naming the stage
+    that failed, or with no witness where the reported image leaves no
+    state (_witness); its detail then ends in "; no witness found".  The
+    verdict depends only on the map and tol, with tol in (0, 1).
 
-    A reading is fitted only when no 2x2 block of its realignment rules it
-    out (_readings).  Seven entries of rows 0 and 1 of M * 2^-k are read:
-    M[0,0], M[0,1], M[0,d], M[0,d+1], M[1,0], M[1,1] and M[1,d].  A block
-    rules a reading out when it is beyond a fit (linalg.block_beyond), as an
-    accepted reading's blocks never are: a reading that is left out would
-    have been rejected, and the verdict is the same, bit for bit, as when
-    every fit runs.
-    A rejected map gets its witness from the basis kets or, when they make
-    no claim, from fixed-stream probe states (_search_witness), so the
-    whole verdict depends only on (map, tol).  A reject whose reported
-    image leaves no state after normalization (the image of -|phi><phi|,
-    say) carries no witness, and its detail ends in "; no witness found".
+    Stages, in order:
+    1. _readings: 2x2 blocks rule readings out before any fit.
+    2. _fit_conjugation, unitary then antiunitary, for each reading left;
+       the first that fits is the verdict.
+    3. _search_witness, on reject.
+    An accepted map is read twice in all: by the constructor's sum and by
+    the fit that accepts it.
     """
     tol = tolerance(tol)
     for kind, transpose in _readings(superop, tol):
