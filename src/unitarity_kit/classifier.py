@@ -396,7 +396,8 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     The rank-1 gate s2 <= tol * s1 reads the values-only spectrum of the
     grid times 2^-k, k the binary exponent of its largest real or imaginary
     part, so it never compares an overflowed SVD and products of entries
-    stay finite; a non-finite entry raises ParamOutOfRange.  Only a grid
+    stay finite; a non-finite entry, or a grid with no nonzero entry (an
+    empty one too), raises ParamOutOfRange.  Only a grid
     that passes takes a full SVD: the factorization uses its dominant
     singular triple (robust on near-degenerate grids), and 2^k goes back
     into mu.  mu[0] is gauged real positive with nu rescaled reciprocally.
@@ -410,6 +411,8 @@ def factor_phase_grid(grid, tol: float = DEFAULT_RANK_TOL):
     tol = tolerance(tol)
     grid = np.ascontiguousarray(as_matrix(grid))
     n, m = grid.shape
+    if not grid.any():
+        raise ParamOutOfRange("grid has no nonzero entry")
     k = part_exponent(grid)
     if k is None:
         raise ParamOutOfRange("grid has non-finite entries")

@@ -6,8 +6,8 @@ A map is a d^2 x d^2 matrix M acting on column-stacked density matrices:
 entry (i, j) of rho sits at flat index i + j*d, so rho -> U rho U^dag is
 conj(U) x U.  This matrix form makes linearity over statistical mixtures
 automatic.  It has two reading models (Wigner's theorem): the unitary one,
-M = g conj(U) x U, and the antiunitary one, the same map composed with the
-transpose, M T; _fit_conjugation writes both out entry by entry.
+M = g conj(U) x U, and the antiunitary one, M T = g conj(U) x U with T the
+transpose of rho; _fit_conjugation writes both out entry by entry.
 
 Every decision is taken at the map's unit scale (linalg.unit_scale).  The
 closed-form helpers give the spectra of the paper's two-state mixture
@@ -163,15 +163,15 @@ def _output_spectra(ps, d1, d2, mu2_sq):
 def output_spectrum(p: float, d1: float, d2: float, mu2: float) -> MixtureSpectrum:
     """Eigenvalues of p*d1|psi1><psi1| + (1-p)*d2|psi2><psi2|.
 
-    d1, d2 are the gains of the two image projectors and mu2 the orthogonal
-    component of psi2 relative to psi1.  The pair sums to
+    d1, d2 are the gains of the two image projectors, each in (0, inf), and
+    mu2 the orthogonal component of psi2 relative to psi1.  The pair sums to
     alpha = p*d1 + (1-p)*d2; lo has no cancellation and neither value
     under- or overflows at any gain scale (see _output_spectra).
     """
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRange(f"p must be in [0, 1], got {p}")
-    if not (d1 > 0.0 and d2 > 0.0):
-        raise ParamOutOfRange(f"gains must be positive, got d1={d1}, d2={d2}")
+    if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
+        raise ParamOutOfRange(f"gains must be positive and finite, got d1={d1}, d2={d2}")
     if not 0.0 < mu2 <= 1.0:
         raise ParamOutOfRange(f"mu2 must be in (0, 1], got {mu2}")
     lo, hi = _output_spectra(p, d1, d2, mu2**2)
@@ -183,12 +183,14 @@ def mu2_relation(p: float, d1: float, d2: float, lam2: float) -> float:
 
     mu2 = |p(d1-d2) + d2| * lam2 / sqrt(d1 d2); constant in p exactly when
     d1 = d2 (where it collapses to lam2).  The root is taken of each gain
-    apart, so no product of gains under- or overflows.
+    apart, so no product of gains under- or overflows.  Each gain must lie
+    in (0, inf) (ParamOutOfRange otherwise), and ratio_mismatch_scan takes
+    its gains through here.
     """
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRange(f"p must be in [0, 1], got {p}")
-    if not (d1 > 0.0 and d2 > 0.0):
-        raise ParamOutOfRange(f"gains must be positive, got d1={d1}, d2={d2}")
+    if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
+        raise ParamOutOfRange(f"gains must be positive and finite, got d1={d1}, d2={d2}")
     if not 0.0 < lam2 <= 1.0:
         raise ParamOutOfRange(f"lam2 must be in (0, 1], got {lam2}")
     return float(abs(p * (d1 - d2) + d2) * lam2 / (np.sqrt(d1) * np.sqrt(d2)))

@@ -40,11 +40,15 @@ def tolerance(value) -> float:
 
 
 def dimension(value, name: str) -> int:
-    """value as an int of at least 1, else ShapeMismatch: a numpy integer
-    is kept as an int, and a float or a bool is refused."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+    """value as an int of at least 1, else ShapeMismatch: a numpy integer,
+    or a 0-d integer array, is kept as an int; a float, a bool or any other
+    array is refused."""
+    try:
+        d = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:  # a float, or an array that is not a 0-d integer one
+        d = None
+    if d is None:
         raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
-    d = operator.index(value)
     if d < 1:
         raise ShapeMismatch(f"{name} must be >= 1, got {d}")
     return d

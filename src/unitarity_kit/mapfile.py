@@ -11,8 +11,8 @@ All numerics are plain decimal floats.  Files are written compactly on one
 line; `python -m json.tool FILE` pretty-prints one for reading or diffing.
 The writer streams the text a matrix row at a time, without building the
 nested lists or the whole string, and its bytes equal those of compact
-`json.dumps` of the object plus a newline.  It refuses a non-finite entry,
-as the parser does.
+`json.dumps` of the object plus a newline.  It refuses whatever the parser
+refuses (map_file_chunks).
 
 Parsing validates structure (ParseError) and dimension consistency
 (ShapeMismatch); these map to CLI exit codes 1 and 2.  Every entry must be
@@ -29,6 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch
+from .linalg import dimension
 
 KIND_BIPARTITE_MAP = "bipartite_map"
 KIND_SUPEROPERATOR = "superoperator"
@@ -100,6 +101,29 @@ def _parse_shape(value):
     raise ParseError(f"shape must be [n, m] or a positive integer, got {value!r}")
 
 
+def _check_layout(kind: str, shape, array_shape: tuple[int, ...]) -> None:
+    """ShapeMismatch unless an array of array_shape fits kind and shape: a
+    state has d entries for a scalar shape d and nm for [n, m], a
+    superoperator's shape is a scalar d and its matrix d^2 x d^2, and a
+    bipartite map's shape is [n, m] and its matrix nm x nm.  The parser and
+    the writer share this rule."""
+    if kind == KIND_STATE:
+        dim = shape if isinstance(shape, int) else shape[0] * shape[1]
+        if array_shape != (dim,):
+            raise ShapeMismatch(f"state has {array_shape[0]} entries, shape needs {dim}")
+        return
+    if kind == KIND_SUPEROPERATOR:
+        if not isinstance(shape, int):
+            raise ShapeMismatch("superoperator shape must be a scalar dimension")
+        want = shape * shape
+    else:
+        if isinstance(shape, int):
+            raise ShapeMismatch("bipartite_map shape must be [n, m]")
+        want = shape[0] * shape[1]
+    if array_shape != (want, want):
+        raise ShapeMismatch(f"matrix is {array_shape}, shape needs {(want, want)}")
+
+
 def parse_map_data(data) -> LoadedFile:
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -111,25 +135,8 @@ def parse_map_data(data) -> LoadedFile:
         raise ParseError(f"missing field {exc}") from exc
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}, expected one of {_KINDS}")
-
-    if kind == KIND_STATE:
-        array = _pairs_to_array(raw, 1)
-        dim = shape if isinstance(shape, int) else shape[0] * shape[1]
-        if array.shape[0] != dim:
-            raise ShapeMismatch(f"state has {array.shape[0]} entries, shape needs {dim}")
-        return LoadedFile(kind=kind, shape=shape, array=array)
-
-    array = _pairs_to_array(raw, 2)
-    if kind == KIND_SUPEROPERATOR:
-        if not isinstance(shape, int):
-            raise ShapeMismatch("superoperator shape must be a scalar dimension")
-        want = shape * shape
-    else:
-        if isinstance(shape, int):
-            raise ShapeMismatch("bipartite_map shape must be [n, m]")
-        want = shape[0] * shape[1]
-    if array.shape != (want, want):
-        raise ShapeMismatch(f"matrix is {array.shape}, shape needs {(want, want)}")
+    array = _pairs_to_array(raw, 1 if kind == KIND_STATE else 2)
+    _check_layout(kind, shape, array.shape)
     return LoadedFile(kind=kind, shape=shape, array=array)
 
 
@@ -148,22 +155,32 @@ def map_file_chunks(kind: str, shape, array: np.ndarray):
     """The text of the file of (kind, shape, array), newline included, as an
     iterator of strings for a text stream's writelines.
 
-    Every check runs on the call, before the first string is made: an
-    unknown kind or a non-finite entry is a ParseError, an array whose ndim
-    does not fit the kind a ShapeMismatch.  The text equals
-    `json.dumps({"kind": kind, "shape": shape, "matrix":
-    complex_to_pairs(array)}) + "\\n"` byte for byte.
+    Every check runs on the call, before the first string is made, and
+    refuses what the parser would refuse: an unknown kind or a non-finite
+    entry is a ParseError; a shape entry that is not an integer of at least
+    1 (linalg.dimension: a numpy integer is written as an int, a float or a
+    bool is refused), a shape that is neither a scalar nor a pair, or an
+    array that does not fit the kind and shape (_check_layout) is a
+    ShapeMismatch.  The text equals `json.dumps({"kind": kind, "shape":
+    shape, "matrix": complex_to_pairs(array)}) + "\\n"` byte for byte,
+    with a pair shape written as a list.
     """
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}")
-    shape_field = list(shape) if isinstance(shape, (tuple, list)) else int(shape)
+    if isinstance(shape, (tuple, list)):
+        if len(shape) != 2:
+            raise ShapeMismatch(f"shape must be [n, m] or a positive integer, got {shape!r}")
+        shape = [dimension(x, "shape entry") for x in shape]
+    else:
+        shape = dimension(shape, "shape")
     a = np.asarray(array, dtype=complex)
     ndim = 1 if kind == KIND_STATE else 2
     if a.ndim != ndim:
         raise ShapeMismatch(f"a {kind} is written from a {ndim}-D array, got shape {a.shape}")
+    _check_layout(kind, shape, a.shape)
     if not np.isfinite(a).all():
         raise ParseError("non-finite matrix entry")
-    head = '{"kind": %s, "shape": %s, "matrix": ' % (json.dumps(kind), json.dumps(shape_field))
+    head = '{"kind": %s, "shape": %s, "matrix": ' % (json.dumps(kind), json.dumps(shape))
     return _chunks(head, np.atleast_2d(a), ndim == 2)
 
 

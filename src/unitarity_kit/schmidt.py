@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, ZeroVector
+from .errors import ParamOutOfRange, ShapeMismatch, ZeroVector
 from .linalg import DEFAULT_RANK_TOL, as_vector, dimension, svd, tolerance
 from .states import check_pure_state, shannon_bits
 
@@ -74,13 +74,16 @@ def schmidt_decompose(v, shape, tol: float = DEFAULT_RANK_TOL) -> SchmidtDecompo
     convention) and factorized by SVD.  Coefficients at or below
     tol * largest are dropped; what survives defines the rank.  The zero
     test takes no norm, so it holds at every representable scale.  tol must
-    lie in (0, 1) (ParamOutOfRange otherwise).
+    lie in (0, 1), and every entry must be finite (ParamOutOfRange
+    otherwise).
     """
     tol = tolerance(tol)
     shape = as_shape(shape)
     vec = as_vector(v)
     if vec.shape[0] != shape.dim:
         raise ShapeMismatch(f"vector dim {vec.shape[0]} != {shape.n}*{shape.m}")
+    if not np.isfinite(vec).all():
+        raise ParamOutOfRange("vector has non-finite entries")
     if not vec.any():
         raise ZeroVector("cannot Schmidt-decompose the zero vector")
     coeff = vec.reshape(shape.n, shape.m)
@@ -117,9 +120,12 @@ def _unit_split(v, measure: str) -> tuple[np.ndarray, float, float]:
     """v as (unit, peak, rest) with v = peak * rest * unit.
 
     peak is the largest modulus; dividing by it first keeps the norm from
-    underflowing or overflowing at any scale of v.
+    underflowing or overflowing at any scale of v.  A non-finite entry is
+    refused with ParamOutOfRange.
     """
     vec = as_vector(v)
+    if not np.isfinite(vec).all():
+        raise ParamOutOfRange(f"{measure} is undefined on a vector with non-finite entries")
     if not vec.any():
         raise ZeroVector(f"{measure} is undefined on the zero vector")
     peak = float(np.abs(vec).max())

@@ -13,8 +13,11 @@ from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, dag
 
 
 def check_pure_state(psi, tol: float = 1e-8) -> np.ndarray:
-    """Validate unit norm and return the vector as complex128."""
+    """Validate unit norm and return the vector as complex128; a non-finite
+    entry is refused (InvalidPureState) before any norm is taken."""
     v = as_vector(psi)
+    if not np.isfinite(v).all():
+        raise InvalidPureState("state has non-finite entries")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > tol:
         raise InvalidPureState(f"norm is {norm}, expected 1 within {tol}")
@@ -31,11 +34,14 @@ def check_density_matrix(rho, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Validate Hermiticity, positivity, and unit trace; return eigenvalues.
 
     Eigenvalues in [-tol, 0) are clamped to 0 (floating-point PSD drift);
-    anything below -tol raises InvalidDensityMatrix.
+    anything below -tol raises InvalidDensityMatrix, as does a non-finite
+    entry, before any test reads it.
     """
     m = as_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise InvalidDensityMatrix(f"matrix is {m.shape}, not square")
+    if not np.isfinite(m).all():
+        raise InvalidDensityMatrix("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - dag(m)).max()) > tol * scale:
         raise InvalidDensityMatrix("not Hermitian within tolerance")

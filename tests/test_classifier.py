@@ -629,6 +629,14 @@ def test_phase_grid_refuses_non_finite_entries(bad):
         factor_phase_grid(np.array([[1.0, 2.0], [3.0, bad]], dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (0, 0), (0, 2)])
+def test_phase_grid_refuses_a_grid_with_no_nonzero_entry(shape):
+    # a zero grid's phase anchor was 0 / 0, and an empty grid reached
+    # numpy's zero-size reduction error
+    with pytest.raises(ParamOutOfRange, match="no nonzero entry"):
+        factor_phase_grid(np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # classify
 

@@ -273,6 +273,25 @@ def test_ratio_mismatch_scan_finds_violation():
     assert 0.0 <= p_star <= 1.0
 
 
+@pytest.mark.parametrize(
+    "helper,args",
+    [
+        (output_spectrum, (0.5, np.inf, 1.0, 0.5)),
+        (output_spectrum, (0.5, 1.0, np.inf, 0.5)),
+        (output_spectrum, (0.5, np.nan, 1.0, 0.5)),
+        (mu2_relation, (0.5, np.inf, 1.0, 0.5)),
+        (mu2_relation, (0.5, 1.0, np.inf, 0.5)),
+        (ratio_mismatch_scan, (np.inf, 1.0, 0.5)),
+        (ratio_mismatch_scan, (1.0, np.inf, 0.5)),
+    ],
+    ids=["output-d1", "output-d2", "output-nan", "mu2-d1", "mu2-d2", "scan-d1", "scan-d2"],
+)
+def test_closed_form_helpers_refuse_an_infinite_gain(helper, args):
+    # an infinite gain passed the d > 0 check, then divided inf by inf
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        helper(*args)
+
+
 # ---------------------------------------------------------------------------
 # the analyzer
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitarity_kit.errors import ParseError, ShapeMismatch
 from unitarity_kit.generators import haar_unitary, random_pure_state
@@ -180,6 +182,14 @@ def test_complex_to_pairs_matches_the_stacked_parts_bit_for_bit():
         assert json.dumps(complex_to_pairs(array)) == json.dumps(stacked)
 
 
+def _plain(value):
+    """value as the JSON encoder would write it: a numpy scalar or 0-d array
+    as its Python value and a tuple as a list."""
+    if isinstance(value, (tuple, list)):
+        return [_plain(x) for x in value]
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+
+
 @pytest.mark.parametrize(
     "kind,shape,array",
     [
@@ -191,12 +201,16 @@ def test_complex_to_pairs_matches_the_stacked_parts_bit_for_bit():
         (KIND_STATE, (1, 1), np.array([-0.0 - 0.0j])),
         (KIND_SUPEROPERATOR, 1, np.array([[1e300 - 1e-300j]])),
         (KIND_BIPARTITE_MAP, (16, 16), haar_unitary(256, seed=4)),
+        (KIND_BIPARTITE_MAP, (np.int64(2), np.uint8(2)), _GRID[:4, :4]),
+        (KIND_SUPEROPERATOR, np.int32(2), _GRID[:4, :4]),
+        (KIND_STATE, np.array(3), _PARTS[:3]),
     ],
-    ids=["grid", "transposed", "column", "real", "reversed", "signed-zero", "d1", "256x256"],
+    ids=["grid", "transposed", "column", "real", "reversed", "signed-zero", "d1", "256x256",
+         "numpy-int-pair", "numpy-int-scalar", "0-d-int-array"],
 )
 def test_written_file_is_compact_json_byte_for_byte(tmp_path, kind, shape, array):
-    shape_field = list(shape) if isinstance(shape, (tuple, list)) else shape
-    reference = json.dumps({"kind": kind, "shape": shape_field, "matrix": complex_to_pairs(array)})
+    # a numpy integer shape is written as an int
+    reference = json.dumps({"kind": kind, "shape": _plain(shape), "matrix": complex_to_pairs(array)})
     path = tmp_path / "written.json"
     save_map_file(path, kind, shape, array)
     assert path.read_bytes() == (reference + "\n").encode()
@@ -213,8 +227,20 @@ def test_written_file_is_compact_json_byte_for_byte(tmp_path, kind, shape, array
         ("channel", 1, np.eye(1), ParseError),
         (KIND_STATE, (1, 2), np.eye(2), ShapeMismatch),
         (KIND_SUPEROPERATOR, 2, np.ones(4), ShapeMismatch),
+        # shapes the parser refuses, which the writer once wrote
+        (KIND_SUPEROPERATOR, 2.7, np.eye(4), ShapeMismatch),
+        (KIND_BIPARTITE_MAP, (2.0, True), np.eye(2), ShapeMismatch),
+        (KIND_BIPARTITE_MAP, 4, np.eye(4), ShapeMismatch),
+        (KIND_SUPEROPERATOR, (2, 2), np.eye(4), ShapeMismatch),
+        (KIND_SUPEROPERATOR, 3, np.eye(4), ShapeMismatch),
+        (KIND_STATE, (2, 2), np.ones(3), ShapeMismatch),
+        (KIND_BIPARTITE_MAP, (2, 2, 1), np.eye(4), ShapeMismatch),
+        (KIND_STATE, 0, np.ones(0), ShapeMismatch),
+        (KIND_STATE, np.array([2, 2]), np.ones(4), ShapeMismatch),
     ],
-    ids=["nan", "complex-inf", "matrix-inf", "kind", "state-matrix", "superop-vector"],
+    ids=["nan", "complex-inf", "matrix-inf", "kind", "state-matrix", "superop-vector", "float-dim",
+         "float-and-bool", "scalar-bipartite", "pair-superop", "superop-size", "state-size", "triple", "zero",
+         "array-shape"],
 )
 def test_refused_input_creates_no_file(tmp_path, kind, shape, array, error):
     path = tmp_path / "refused.json"
@@ -243,3 +269,51 @@ def test_parse_converts_the_flat_parts_as_the_nested_lists_would(field):
     nested = np.array(data["matrix"], dtype=float).view(complex)[..., 0]
     assert (loaded.array.shape, loaded.array.tobytes()) == (nested.shape, nested.tobytes())
     assert loaded.array.flags.c_contiguous
+
+
+_KINDS_AND_A_STRAY = (KIND_BIPARTITE_MAP, KIND_SUPEROPERATOR, KIND_STATE, "channel")
+_SHAPE_ENTRIES = st.one_of(
+    st.integers(1, 3),
+    st.integers(1, 3).map(np.int64),
+    st.sampled_from([0, -1, 2.0, 2.7, 0.5, True, False, np.True_, np.float64(2.0)]),
+)
+_SHAPE_LISTS = st.lists(_SHAPE_ENTRIES, min_size=1, max_size=3)
+
+
+@st.composite
+def _writer_inputs(draw):
+    """(kind, shape, array) from every form the writer may be handed.  About
+    half the arrays take the side, up to 16, that the shape's entries, read
+    as ints, give the kind, so that many inputs are valid; one in eight gets
+    a non-finite entry."""
+    kind = draw(st.sampled_from(_KINDS_AND_A_STRAY))
+    shape = draw(st.one_of(_SHAPE_ENTRIES, _SHAPE_LISTS.map(tuple), _SHAPE_LISTS))
+    ndim = 1 if kind == KIND_STATE else 2
+    side = max(int(np.prod([int(x) for x in np.atleast_1d(shape)])), 0)
+    if kind == KIND_SUPEROPERATOR:
+        side *= side
+    if side > 16 or draw(st.booleans()):
+        ndim, side = draw(st.sampled_from([1, 2])), draw(st.integers(0, 9))
+    array = np.arange(side**ndim, dtype=complex).reshape((side,) * ndim) * (1 - 0.5j)
+    if side and not draw(st.integers(0, 7)):
+        array.flat[draw(st.integers(0, array.size - 1))] = draw(st.sampled_from([np.nan, np.inf, complex(0, -np.inf)]))
+    return kind, shape, array
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_writer_inputs())
+def test_writer_refuses_exactly_what_the_parser_refuses(case):
+    kind, shape, array = case
+    text = json.dumps({"kind": kind, "shape": _plain(shape), "matrix": complex_to_pairs(array)})
+    try:
+        parse_map_data(json.loads(text))
+        parsed = True
+    except (ParseError, ShapeMismatch):
+        parsed = False
+    try:
+        written = "".join(map_file_chunks(kind, shape, array))
+    except (ParseError, ShapeMismatch):
+        written = None
+    assert (written is not None) == parsed
+    if parsed:
+        assert written == text + "\n"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitarity_kit.errors import ZeroVector
+from unitarity_kit.errors import ParamOutOfRange, ZeroVector
 from unitarity_kit.generators import (
     haar_unitary,
     random_invertible,
@@ -216,3 +216,13 @@ def test_rank_invariant_under_invertible_local_maps():
 def test_shape_validation():
     with pytest.raises(Exception):
         BipartiteShape(0, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imaginary-inf"])
+@pytest.mark.parametrize(
+    "decide", [schmidt_decompose, schmidt_rank, measure_E1, measure_E2], ids=["decompose", "rank", "E1", "E2"]
+)
+def test_a_non_finite_entry_is_refused_before_any_decomposition(decide, bad):
+    # schmidt_decompose read [inf, 0, 0, 1] as rank 0, and measure_E1 warned
+    with pytest.raises(ParamOutOfRange, match="non-finite"):
+        decide(np.array([bad, 0.0, 0.0, 1.0], dtype=complex), (2, 2))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitarity_kit.entropy_dynamics import input_spectrum
-from unitarity_kit.errors import InvalidDensityMatrix
+from unitarity_kit.errors import InvalidDensityMatrix, InvalidPureState
 from unitarity_kit.generators import haar_unitary, random_density, split_rng
-from unitarity_kit.states import pure_projector, von_neumann_entropy
+from unitarity_kit.states import check_density_matrix, check_pure_state, pure_projector, von_neumann_entropy
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -82,3 +82,17 @@ def test_entropy_concavity_spot_check():
         mixed = von_neumann_entropy(p * rho1 + (1 - p) * rho2)
         parts = p * von_neumann_entropy(rho1) + (1 - p) * von_neumann_entropy(rho2)
         assert mixed >= parts - 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imaginary-inf"])
+def test_pure_state_check_refuses_a_non_finite_entry(bad):
+    with pytest.raises(InvalidPureState, match="non-finite"):
+        check_pure_state([bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imaginary-inf"])
+@pytest.mark.parametrize("check", [check_density_matrix, von_neumann_entropy], ids=["check", "entropy"])
+def test_density_matrix_with_a_non_finite_entry_is_refused(check, bad):
+    # [[nan, 0], [0, 1]] passed every gate and read as a pure state
+    with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+        check(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex))
